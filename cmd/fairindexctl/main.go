@@ -684,9 +684,7 @@ func runServeCmd(args []string) error {
 		srv.SetRebuilder(ctrl)
 		fmt.Printf("rebuild controller armed: source %s, budgets %s\n", *rebuildSrc, budgetLine(rebuildBudgets))
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return serveHTTP(ctx, srv, *httpAddr, nil)
+	return serveHTTP(context.Background(), srv, *httpAddr, nil)
 }
 
 // newServeServer assembles the index catalog from explicit entries
@@ -742,41 +740,97 @@ func newServeServer(entries []indexSpec, dir string, maxIndexes int, defName str
 	return server.NewMulti(reg), nil
 }
 
-// serveHTTP runs the concurrent HTTP service until ctx is done,
-// hot-reloading the catalog on SIGHUP or POST /v1/reload. onReady,
-// when non-nil, observes the bound address (tests bind :0).
+// serveHTTP runs the concurrent HTTP service, hot-reloading the
+// catalog on SIGHUP or POST /v1/reload (see runHTTP).
 func serveHTTP(ctx context.Context, srv *server.Server, addr string, onReady func(net.Addr)) error {
-	srv.ReloadOnSignal(ctx)
+	reg := srv.Registry()
+	banner := func(addr net.Addr) {
+		def := reg.DefaultName()
+		fmt.Printf("serving %d indexes (%d resident) on %s\n", reg.Len(), reg.LoadedCount(), addr)
+		for _, info := range reg.List() {
+			line := fmt.Sprintf("  %s [%s]", info.Name, info.State)
+			if info.State == registry.StateLoaded {
+				line += fmt.Sprintf(": %s over %q, %d neighborhoods, tasks %v (codec v%d)",
+					info.Method, info.Dataset, info.Regions, info.Tasks, info.CodecVersion)
+			}
+			if info.Name == def {
+				line += "  <- default"
+			}
+			fmt.Println(line)
+		}
+	}
+	reload := func() {
+		if err := srv.Reload(); err != nil {
+			log.Printf("server: SIGHUP reload failed, keeping current indexes: %v", err)
+		} else {
+			log.Printf("server: reloaded catalog (%d entries, %d resident)", reg.Len(), reg.LoadedCount())
+		}
+	}
+	return runHTTP(ctx, newHTTPServer(srv), addr, banner, reload, onReady)
+}
+
+// Connection limits of the http.Server that serve and route both run.
+// A client gets readHeaderTimeout to send its request headers, so a
+// stalled or trickling client cannot hold a connection open forever;
+// an idle keep-alive connection closes after idleTimeout; request
+// headers are capped at maxHeaderBytes. Bodies are bounded by the
+// handlers (wire.MaxBodyBytes) rather than by a whole-request read
+// timeout, which would also cut off a large batch on a slow link.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+	shutdownTimeout   = 5 * time.Second
+)
+
+// newHTTPServer wraps h in the http.Server serve and route run.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
+// runHTTP is the serve loop shared by serve and route. It calls
+// reload on every SIGHUP, listens on addr, prints banner for the bound
+// address, and serves hs until ctx is done or the process gets SIGINT
+// or SIGTERM; then it drains in-flight requests for up to
+// shutdownTimeout. onReady, when non-nil, observes the bound address
+// (tests bind :0).
+func runHTTP(ctx context.Context, hs *http.Server, addr string, banner func(net.Addr), reload func(), onReady func(net.Addr)) error {
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
+	go func() {
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-hup:
+				reload()
+			}
+		}
+	}()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	reg := srv.Registry()
-	def := reg.DefaultName()
-	fmt.Printf("serving %d indexes (%d resident) on %s\n", reg.Len(), reg.LoadedCount(), ln.Addr())
-	for _, info := range reg.List() {
-		line := fmt.Sprintf("  %s [%s]", info.Name, info.State)
-		if info.State == registry.StateLoaded {
-			line += fmt.Sprintf(": %s over %q, %d neighborhoods, tasks %v (codec v%d)",
-				info.Method, info.Dataset, info.Regions, info.Tasks, info.CodecVersion)
-		}
-		if info.Name == def {
-			line += "  <- default"
-		}
-		fmt.Println(line)
-	}
+	banner(ln.Addr())
 	fmt.Printf("hot reload: kill -HUP %d or POST /v1/reload\n", os.Getpid())
 	if onReady != nil {
 		onReady(ln.Addr())
 	}
-	hs := &http.Server{Handler: srv}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	select {
 	case err := <-errCh:
 		return err
 	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		shutCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 		defer cancel()
 		return hs.Shutdown(shutCtx)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -325,6 +326,73 @@ func TestServeHTTPSmoke(t *testing.T) {
 
 // TestServeCSVFlag covers the legacy mode behind -csv with a
 // positional index argument.
+// TestServeLoopClosesSlowHeaders pins the serve loop's slow-client
+// bound: the http.Server serve and route run carries the connection
+// limits, and a client that trickles out its request headers past
+// ReadHeaderTimeout has its connection closed rather than held open.
+func TestServeLoopClosesSlowHeaders(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.IdleTimeout != idleTimeout || hs.MaxHeaderBytes != maxHeaderBytes {
+		t.Fatalf("serve loop limits = %v / %v / %d, want %v / %v / %d",
+			hs.ReadHeaderTimeout, hs.IdleTimeout, hs.MaxHeaderBytes, readHeaderTimeout, idleTimeout, maxHeaderBytes)
+	}
+	hs.ReadHeaderTimeout = 200 * time.Millisecond
+
+	ctx, cancel := context.WithCancel(context.Background())
+	addrCh := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- runHTTP(ctx, hs, "127.0.0.1:0", func(net.Addr) {}, func() {}, func(a net.Addr) { addrCh <- a })
+	}()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("serve loop: %v", err)
+		}
+	}()
+	var addr net.Addr
+	select {
+	case addr = <-addrCh:
+	case err := <-done:
+		t.Fatalf("serve loop exited early: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve loop did not come up")
+	}
+
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	closed := make(chan struct{})
+	go func() {
+		io.Copy(io.Discard, conn) // returns once the server closes the connection
+		close(closed)
+	}()
+	// One header byte every 20ms: the headers would take seconds to
+	// complete, far past the shortened timeout.
+	start := time.Now()
+	headers := "GET /healthz HTTP/1.1\r\nHost: fairindex\r\nX-Trickle: " + strings.Repeat("a", 200)
+	for i := 0; i < len(headers); i++ {
+		select {
+		case <-closed:
+			if elapsed := time.Since(start); elapsed > 3*time.Second {
+				t.Fatalf("connection closed only after %v", elapsed)
+			}
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+		if _, err := conn.Write([]byte{headers[i]}); err != nil {
+			break // the server hung up between two bytes
+		}
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("slow client's connection still open after its headers timed out")
+	}
+}
+
 func TestServeCSVFlag(t *testing.T) {
 	dir := t.TempDir()
 	_, idxPath, ds := writeCityAndIndex(t, dir)

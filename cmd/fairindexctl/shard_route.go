@@ -7,13 +7,9 @@ import (
 	"io"
 	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
-	"time"
 
 	fairindex "fairindex"
 	"fairindex/internal/router"
@@ -152,55 +148,26 @@ func runRouteCmd(args []string) error {
 	if err != nil {
 		return fmt.Errorf("route: %w", err)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return routeHTTP(ctx, rt, *httpAddr, nil)
+	return routeHTTP(context.Background(), rt, *httpAddr, nil)
 }
 
-// routeHTTP runs the router until ctx is done, hot-reloading the
-// manifest on SIGHUP. onReady, when non-nil, observes the bound
-// address (tests bind :0).
+// routeHTTP runs the router, hot-reloading the manifest on SIGHUP or
+// POST /v1/reload (see runHTTP).
 func routeHTTP(ctx context.Context, rt *router.Router, addr string, onReady func(net.Addr)) error {
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-hup:
-				if err := rt.Reload(); err != nil {
-					log.Printf("route: reload: %v", err)
-				} else {
-					log.Printf("route: reloaded manifest, generation %d", rt.Manifest().Generation)
-				}
-			}
+	banner := func(addr net.Addr) {
+		m := rt.Manifest()
+		fmt.Printf("routing %d regions over %d shards on %s (generation %d)\n",
+			m.NumRegions, len(m.Shards), addr, m.Generation)
+		for _, s := range m.Shards {
+			fmt.Printf("  %s: regions [%d,%d), %d replica(s)\n", s.Name, s.Lo, s.Hi, len(rt.ShardHealth(s.Name)))
 		}
-	}()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
 	}
-	m := rt.Manifest()
-	fmt.Printf("routing %d regions over %d shards on %s (generation %d)\n",
-		m.NumRegions, len(m.Shards), ln.Addr(), m.Generation)
-	for _, s := range m.Shards {
-		fmt.Printf("  %s: regions [%d,%d), %d replica(s)\n", s.Name, s.Lo, s.Hi, len(rt.ShardHealth(s.Name)))
+	reload := func() {
+		if err := rt.Reload(); err != nil {
+			log.Printf("route: reload: %v", err)
+		} else {
+			log.Printf("route: reloaded manifest, generation %d", rt.Manifest().Generation)
+		}
 	}
-	fmt.Printf("hot reload: kill -HUP %d or POST /v1/reload\n", os.Getpid())
-	if onReady != nil {
-		onReady(ln.Addr())
-	}
-	hs := &http.Server{Handler: rt}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		return hs.Shutdown(shutCtx)
-	}
+	return runHTTP(ctx, newHTTPServer(rt), addr, banner, reload, onReady)
 }

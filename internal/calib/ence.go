@@ -18,12 +18,6 @@ type SuffStats struct {
 	SumLabel float64
 }
 
-// GroupStats is the former name of SuffStats.
-//
-// Deprecated: use SuffStats. The old name collided with the
-// Index.GroupStats window-aggregation method.
-type GroupStats = SuffStats
-
 // MeanScore returns e(N) for the group, or 0 if empty.
 func (g SuffStats) MeanScore() float64 {
 	if g.Count == 0 {

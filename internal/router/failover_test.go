@@ -21,6 +21,7 @@ import (
 	"fairindex/internal/router/faultnet"
 	"fairindex/internal/server"
 	"fairindex/internal/shard"
+	"fairindex/internal/wire"
 )
 
 // replicaCluster is a sharded deployment where every shard is served
@@ -435,8 +436,8 @@ func TestRouterStaleReplicaNoFailover(t *testing.T) {
 		switch status {
 		case http.StatusOK:
 			saw200 = true
-			if loc.Region != wantRegion || hdr.Get(server.GenerationHeader) != wantGen {
-				t.Fatalf("200 with wrong answer: region %d gen %q", loc.Region, hdr.Get(server.GenerationHeader))
+			if loc.Region != wantRegion || hdr.Get(wire.GenerationHeader) != wantGen {
+				t.Fatalf("200 with wrong answer: region %d gen %q", loc.Region, hdr.Get(wire.GenerationHeader))
 			}
 		case http.StatusConflict:
 			saw409 = true // the stale replica was hit and refused, not papered over

@@ -7,7 +7,9 @@
 // exact merge kernels (fairindex.MergeNearest, MergeWindowStats,
 // shard.MergeOverlaps) — responses are bit-identical to a single
 // server holding the whole index, a property pinned by the
-// sharded-vs-whole HTTP parity suite.
+// sharded-vs-whole HTTP parity suite and its fuzz target. Requests are
+// parsed and replies encoded by internal/wire, the same wire layer the
+// shard servers use.
 //
 // Consistency model: every fan-out binds to one manifest snapshot and
 // verifies each backend reply's Fairindex-Generation header against
@@ -64,25 +66,18 @@ import (
 
 	fairindex "fairindex"
 	"fairindex/internal/geo"
-	"fairindex/internal/server"
 	"fairindex/internal/shard"
+	"fairindex/internal/wire"
 )
 
 // DefaultTimeout bounds each per-shard backend call unless overridden
 // with WithTimeout.
 const DefaultTimeout = 5 * time.Second
 
-// DefaultMaxBatch mirrors the backend server's default request-size
-// bound (points per batch, regions per stats window).
-const DefaultMaxBatch = 1 << 20
-
 // maxReplyBytes caps how much of one backend response body the router
 // reads; a larger reply is a deterministic shard failure, never a
 // silent truncation. Override with WithMaxReplyBytes.
 const maxReplyBytes = 64 << 20
-
-// maxBodyBytes caps client request bodies, matching internal/server.
-const maxBodyBytes = 64 << 20
 
 // Backend names one shard's replica set: the manifest shard it serves
 // and the base URLs (scheme://host:port) of the interchangeable
@@ -117,11 +112,9 @@ type ManifestSource func() (*shard.Manifest, error)
 type Router struct {
 	client   *http.Client
 	timeout  time.Duration
-	maxBatch int
 	maxReply int64
 	hedge    time.Duration
 	breaker  breakerConfig
-	logger   *log.Logger
 	mux      *http.ServeMux
 	source   ManifestSource
 	backends map[string][]string // shard name → replica URLs
@@ -165,24 +158,6 @@ func WithClient(c *http.Client) Option {
 	return func(rt *Router) {
 		if c != nil {
 			rt.client = c
-		}
-	}
-}
-
-// WithMaxBatch caps request sizes (default DefaultMaxBatch).
-func WithMaxBatch(n int) Option {
-	return func(rt *Router) {
-		if n > 0 {
-			rt.maxBatch = n
-		}
-	}
-}
-
-// WithLogger routes router warnings to l.
-func WithLogger(l *log.Logger) Option {
-	return func(rt *Router) {
-		if l != nil {
-			rt.logger = l
 		}
 	}
 }
@@ -234,10 +209,8 @@ func New(m *shard.Manifest, backends []Backend, opts ...Option) (*Router, error)
 	rt := &Router{
 		client:   &http.Client{},
 		timeout:  DefaultTimeout,
-		maxBatch: DefaultMaxBatch,
 		maxReply: maxReplyBytes,
 		breaker:  breakerConfig{threshold: DefaultBreakerThreshold, base: DefaultBreakerBackoff, maxBackoff: DefaultBreakerMaxBackoff},
-		logger:   log.Default(),
 		backends: make(map[string][]string, len(backends)),
 	}
 	for _, opt := range opts {
@@ -357,105 +330,13 @@ func (rt *Router) reloadState() (*routerState, error) {
 
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)
 	rt.mux.ServeHTTP(w, r)
 }
 
-// Wire types mirror internal/server's field order exactly so merged
-// responses are byte-compatible with a whole-index server's.
-
-type locateRequest struct {
-	Lat float64 `json:"lat"`
-	Lon float64 `json:"lon"`
-}
-
-type locateResponse struct {
-	Region int `json:"region"`
-}
-
-type locateBatchRequest struct {
-	Lats []float64 `json:"lats"`
-	Lons []float64 `json:"lons"`
-}
-
-type locateBatchResponse struct {
-	Regions []int  `json:"regions"`
-	Invalid int    `json:"invalid,omitempty"`
-	Error   string `json:"error,omitempty"`
-}
-
-type rectJSON struct {
-	MinLat float64 `json:"min_lat"`
-	MinLon float64 `json:"min_lon"`
-	MaxLat float64 `json:"max_lat"`
-	MaxLon float64 `json:"max_lon"`
-}
-
-type regionOverlapJSON struct {
-	Region   int     `json:"region"`
-	Cells    int     `json:"cells"`
-	Fraction float64 `json:"fraction"`
-}
-
-type rangeResponse struct {
-	Regions []regionOverlapJSON `json:"regions"`
-	Count   int                 `json:"count"`
-}
-
-type knnRequest struct {
-	Lat     float64 `json:"lat"`
-	Lon     float64 `json:"lon"`
-	K       int     `json:"k"`
-	Squared bool    `json:"squared,omitempty"`
-}
-
-type neighborDistJSON struct {
-	Region   int     `json:"region"`
-	Distance float64 `json:"distance"`
-}
-
-type knnResponse struct {
-	Neighbors []neighborDistJSON `json:"neighbors"`
-	Squared   bool               `json:"squared,omitempty"`
-}
-
-type statsRequest struct {
-	Task    int       `json:"task"`
-	Regions []int     `json:"regions,omitempty"`
-	Rect    *rectJSON `json:"rect,omitempty"`
-	Metrics []string  `json:"metrics,omitempty"`
-	Sums    bool      `json:"sums,omitempty"`
-}
-
-type regionStatJSON struct {
-	Region   int       `json:"region"`
-	Count    int       `json:"count"`
-	MeanConf jsonFloat `json:"mean_conf"`
-	PosRate  jsonFloat `json:"pos_rate"`
-	Miscal   jsonFloat `json:"miscal"`
-	CalRatio jsonFloat `json:"cal_ratio"`
-	SumScore *float64  `json:"sum_score,omitempty"`
-	SumLabel *float64  `json:"sum_label,omitempty"`
-}
-
-type statsResponse struct {
-	Task     int                  `json:"task"`
-	Count    int                  `json:"count"`
-	MeanConf jsonFloat            `json:"mean_conf"`
-	PosRate  jsonFloat            `json:"pos_rate"`
-	Miscal   jsonFloat            `json:"miscal"`
-	CalRatio jsonFloat            `json:"cal_ratio"`
-	ENCE     jsonFloat            `json:"ence"`
-	Metrics  map[string]jsonFloat `json:"metrics,omitempty"`
-	Regions  []regionStatJSON     `json:"regions"`
-	// Partial marks a degraded window-stats response: some shards were
-	// unreachable and the aggregates cover only the regions that
-	// answered (exactly). Absent on complete responses, so a healthy
-	// deployment's bytes match a whole-index server's.
-	Partial bool `json:"partial,omitempty"`
-	// FailedShards names the shards a partial response is missing.
-	FailedShards []string `json:"failed_shards,omitempty"`
-}
+// Router-only wire types; the query endpoints' request and response
+// shapes come from internal/wire, the same package the shard servers
+// encode with.
 
 type healthzResponse struct {
 	Status     string `json:"status"`
@@ -507,69 +388,24 @@ type reloadResponse struct {
 	Reloads    int64  `json:"reloads"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// jsonFloat mirrors internal/server's NaN/Inf→null float encoding so
-// merged stats bytes match a whole-index server's.
-type jsonFloat float64
-
-// MarshalJSON implements json.Marshaler.
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(v)
-}
-
-// writeJSON writes v with the given status.
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		rt.logger.Printf("router: writing response: %v", err)
+// writeJSON writes v with the given status, logging a failed body
+// write.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	if err := wire.WriteJSON(w, status, v); err != nil {
+		log.Printf("router: writing response: %v", err)
 	}
 }
 
 // writeError writes a JSON error body.
-func (rt *Router) writeError(w http.ResponseWriter, status int, err error) {
-	rt.writeJSON(w, status, errorResponse{Error: err.Error()})
+func writeError(w http.ResponseWriter, status int, err error) {
+	writeJSON(w, status, wire.Error{Error: err.Error()})
 }
 
 // setGeneration stamps the manifest generation — the whole source
 // index's fingerprint, so it matches what a whole-index server would
-// send — on a data response.
+// send — on a response.
 func setGeneration(w http.ResponseWriter, st *routerState) {
-	w.Header().Set(server.GenerationHeader, strconv.FormatUint(st.manifest.Generation, 10))
-}
-
-// decodeJSON strictly decodes a single JSON object request body,
-// matching internal/server's request discipline.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid JSON body: %w", err)
-	}
-	if dec.More() {
-		return errors.New("invalid JSON body: trailing data")
-	}
-	return nil
-}
-
-// queryFloat parses a required float query parameter.
-func queryFloat(r *http.Request, key string) (float64, error) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", key)
-	}
-	f, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, fmt.Errorf("query parameter %q: %v", key, err)
-	}
-	return f, nil
+	wire.SetGeneration(w, st.manifest.Generation)
 }
 
 // Scatter machinery.
@@ -772,7 +608,7 @@ func (rt *Router) doCall(ctx context.Context, url string, call shardCall) shardR
 	if int64(len(data)) > rt.maxReply {
 		return shardReply{err: fmt.Errorf("router: reply exceeds %d-byte cap", rt.maxReply)}
 	}
-	return shardReply{status: resp.StatusCode, body: data, gen: resp.Header.Get(server.GenerationHeader)}
+	return shardReply{status: resp.StatusCode, body: data, gen: resp.Header.Get(wire.GenerationHeader)}
 }
 
 // mismatched returns the shards whose reply's generation header does
@@ -822,7 +658,7 @@ func (rt *Router) scatterConsistent(ctx context.Context, build func(*routerState
 				st = next
 				continue
 			}
-			rt.logger.Printf("router: manifest reload after generation mismatch failed: %v", err)
+			log.Printf("router: manifest reload after generation mismatch failed: %v", err)
 		}
 		names := make([]string, len(bad))
 		for j, i := range bad {
@@ -841,6 +677,27 @@ func (rt *Router) relay(w http.ResponseWriter, st *routerState, rep shardReply) 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(rep.status)
 	w.Write(rep.body)
+}
+
+// mergeable settles an exact-or-fail fan-out: a rejected fan-out is
+// answered with its own error, any failed shard with a 502, and a
+// client error from a shard is relayed. It reports whether the
+// replies are all successes, ready to merge; otherwise the response
+// has been written.
+func (rt *Router) mergeable(w http.ResponseWriter, st *routerState, replies map[int]shardReply, herr *httpError) bool {
+	if herr != nil {
+		writeError(w, herr.status, herr)
+		return false
+	}
+	if down := failedShards(st, replies); len(down) > 0 {
+		writeError(w, http.StatusBadGateway, rt.unreachableError(st, replies, down))
+		return false
+	}
+	if rep, ok := firstClientError(st, replies); ok {
+		rt.relay(w, st, rep)
+		return false
+	}
+	return true
 }
 
 // firstClientError scans replies in shard order for a 4xx to relay.
@@ -888,7 +745,7 @@ func (rt *Router) unreachableError(st *routerState, replies map[int]shardReply, 
 }
 
 func (rt *Router) handleUnsupported(w http.ResponseWriter, r *http.Request) {
-	rt.writeError(w, http.StatusNotImplemented, errors.New(
+	writeError(w, http.StatusNotImplemented, errors.New(
 		"router: score and report are whole-index operations; query a server holding the unsharded artifact"))
 }
 
@@ -900,7 +757,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// fleet monitor can spot a router pinned to an old manifest without
 	// issuing a data-path request.
 	setGeneration(w, st)
-	rt.writeJSON(w, http.StatusOK, healthzResponse{
+	writeJSON(w, http.StatusOK, healthzResponse{
 		Status:     "ok",
 		Shards:     len(st.manifest.Shards),
 		Regions:    st.manifest.NumRegions,
@@ -987,90 +844,74 @@ func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	setGeneration(w, st)
-	rt.writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 	if rt.source == nil {
-		rt.writeError(w, http.StatusConflict, errors.New("router: no manifest source configured for reload"))
+		writeError(w, http.StatusConflict, errors.New("router: no manifest source configured for reload"))
 		return
 	}
 	st, err := rt.reloadState()
 	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, err)
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, reloadResponse{
+	writeJSON(w, http.StatusOK, reloadResponse{
 		Generation: strconv.FormatUint(st.manifest.Generation, 10),
 		Reloads:    rt.reloads.Load(),
 	})
 }
+
+// Every query handler parses with the wire package, then stamps the
+// current generation at the point a whole-index server resolves its
+// index — after the request parses, before the query engine sees it —
+// so even a locally-rejected request carries the header exactly when a
+// server's would. Fan-out paths re-stamp with the snapshot that
+// answered.
 
 // handleLocate routes a point query by cell: the manifest's cell→
 // region table names the owning region and hence the one shard to ask;
 // the backend's answer (in its local id space) is translated back and
 // cross-checked against the manifest.
 func (rt *Router) handleLocate(w http.ResponseWriter, r *http.Request) {
-	// Stamp the current generation up front so even locally-rejected
-	// requests carry it, matching the server's resolve-then-validate
-	// order; fan-out paths re-stamp with the snapshot that answered.
-	setGeneration(w, rt.state.Load())
-	var req locateRequest
-	if r.Method == http.MethodGet {
-		var err error
-		if req.Lat, err = queryFloat(r, "lat"); err != nil {
-			rt.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if req.Lon, err = queryFloat(r, "lon"); err != nil {
-			rt.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	} else if err := decodeJSON(r, &req); err != nil {
-		rt.writeError(w, http.StatusBadRequest, err)
+	req, err := wire.ParseLocate(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	setGeneration(w, rt.state.Load())
 	if math.IsNaN(req.Lat) || math.IsInf(req.Lat, 0) || math.IsNaN(req.Lon) || math.IsInf(req.Lon, 0) {
 		// fairindex.Index.Locate's exact refusal, replicated here so the
 		// router's 400 matches a whole-index server's byte for byte.
-		rt.writeError(w, http.StatusBadRequest,
+		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("fairindex: non-finite coordinate (%v, %v)", req.Lat, req.Lon))
 		return
 	}
 	var owner, want int
-	body, _ := json.Marshal(locateRequest{Lat: req.Lat, Lon: req.Lon})
+	body, _ := json.Marshal(req) // finite coordinates always marshal
 	st, replies, herr := rt.scatterConsistent(r.Context(), func(st *routerState) (map[int]shardCall, *httpError) {
 		cell := st.mapper.CellOf(req.Lat, req.Lon)
 		want = st.manifest.RegionOfCell(st.manifest.Grid.Index(cell))
 		owner = st.manifest.ShardOfRegion(want)
 		return map[int]shardCall{owner: {method: http.MethodPost, path: "/v1/locate", body: body, hedge: true}}, nil
 	})
-	if herr != nil {
-		rt.writeError(w, herr.status, herr)
+	if !rt.mergeable(w, st, replies, herr) {
 		return
 	}
-	rep := replies[owner]
-	if down := failedShards(st, replies); len(down) > 0 {
-		rt.writeError(w, http.StatusBadGateway, rt.unreachableError(st, replies, down))
-		return
-	}
-	if rep.status != http.StatusOK {
-		rt.relay(w, st, rep)
-		return
-	}
-	var resp locateResponse
-	if err := json.Unmarshal(rep.body, &resp); err != nil {
-		rt.writeError(w, http.StatusBadGateway, fmt.Errorf("router: shard %q: malformed locate response: %v", st.manifest.Shards[owner].Name, err))
+	var resp wire.LocateResponse
+	if err := json.Unmarshal(replies[owner].body, &resp); err != nil {
+		writeError(w, http.StatusBadGateway, fmt.Errorf("router: shard %q: malformed locate response: %v", st.manifest.Shards[owner].Name, err))
 		return
 	}
 	global, ok := st.manifest.ToGlobal(owner, resp.Region)
 	if !ok || global != want {
-		rt.writeError(w, http.StatusBadGateway, fmt.Errorf(
+		writeError(w, http.StatusBadGateway, fmt.Errorf(
 			"router: shard %q located region %d, manifest expects %d", st.manifest.Shards[owner].Name, resp.Region, want))
 		return
 	}
 	setGeneration(w, st)
-	rt.writeJSON(w, http.StatusOK, locateResponse{Region: global})
+	writeJSON(w, http.StatusOK, wire.LocateResponse{Region: global})
 }
 
 // handleLocateBatch splits a batch by owning shard, fans the per-shard
@@ -1079,26 +920,12 @@ func (rt *Router) handleLocate(w http.ResponseWriter, r *http.Request) {
 // they are resolved locally with the whole index's exact sentinel and
 // error text, original point indices preserved.
 func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
+	req, status, err := wire.ParseLocateBatch(r, wire.DefaultMaxBatch)
+	if err != nil {
+		writeError(w, status, err)
+		return
+	}
 	setGeneration(w, rt.state.Load())
-	var req locateBatchRequest
-	if err := decodeJSON(r, &req); err != nil {
-		rt.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Lats) != len(req.Lons) {
-		rt.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%d lats vs %d lons", len(req.Lats), len(req.Lons)))
-		return
-	}
-	if len(req.Lats) == 0 {
-		rt.writeError(w, http.StatusBadRequest, errors.New("empty batch"))
-		return
-	}
-	if len(req.Lats) > rt.maxBatch {
-		rt.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d points exceeds limit %d", len(req.Lats), rt.maxBatch))
-		return
-	}
 
 	n := len(req.Lats)
 	regions := make([]int, n)
@@ -1144,7 +971,7 @@ func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 			if len(subLats[s]) == 0 {
 				continue
 			}
-			body, err := json.Marshal(locateBatchRequest{Lats: subLats[s], Lons: subLons[s]})
+			body, err := json.Marshal(wire.LocateBatchRequest{Lats: subLats[s], Lons: subLons[s]})
 			if err != nil {
 				return nil, &httpError{http.StatusInternalServerError, err.Error()}
 			}
@@ -1152,179 +979,119 @@ func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return calls, nil
 	})
-	if herr != nil {
-		rt.writeError(w, herr.status, herr)
-		return
-	}
-	if down := failedShards(st, replies); len(down) > 0 {
-		rt.writeError(w, http.StatusBadGateway, rt.unreachableError(st, replies, down))
-		return
-	}
-	if rep, ok := firstClientError(st, replies); ok {
-		rt.relay(w, st, rep)
+	if !rt.mergeable(w, st, replies, herr) {
 		return
 	}
 	for s, rep := range replies {
-		var sub locateBatchResponse
+		var sub wire.LocateBatchResponse
 		if err := json.Unmarshal(rep.body, &sub); err != nil || len(sub.Regions) != len(subPos[s]) {
-			rt.writeError(w, http.StatusBadGateway, fmt.Errorf(
+			writeError(w, http.StatusBadGateway, fmt.Errorf(
 				"router: shard %q: malformed batch response", st.manifest.Shards[s].Name))
 			return
 		}
 		for j, local := range sub.Regions {
 			global, ok := st.manifest.ToGlobal(s, local)
 			if !ok || global != regions[subPos[s][j]] {
-				rt.writeError(w, http.StatusBadGateway, fmt.Errorf(
+				writeError(w, http.StatusBadGateway, fmt.Errorf(
 					"router: shard %q located region %d for point %d, manifest expects %d",
 					st.manifest.Shards[s].Name, local, subPos[s][j], regions[subPos[s][j]]))
 				return
 			}
 		}
 	}
-	resp := locateBatchResponse{Regions: regions, Invalid: invalid, Error: strings.Join(errs, "\n")}
 	setGeneration(w, st)
-	rt.writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, wire.LocateBatchResponse{Regions: regions, Invalid: invalid, Error: strings.Join(errs, "\n")})
 }
 
 // handleRange fans the rectangle to every shard and concatenates the
 // translated per-shard overlap lists — shard ranges ascend, so the
 // concatenation is the whole index's ascending-id result.
 func (rt *Router) handleRange(w http.ResponseWriter, r *http.Request) {
+	var req wire.Rect
+	if err := wire.DecodeJSON(r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	setGeneration(w, rt.state.Load())
-	var req rectJSON
-	if err := decodeJSON(r, &req); err != nil {
-		rt.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	body, _ := json.Marshal(req)
-	st, replies, herr := rt.scatterConsistent(r.Context(), func(st *routerState) (map[int]shardCall, *httpError) {
-		calls := make(map[int]shardCall, len(st.manifest.Shards))
-		for i := range st.manifest.Shards {
-			calls[i] = shardCall{method: http.MethodPost, path: "/v1/range", body: body}
-		}
-		return calls, nil
-	})
-	if herr != nil {
-		rt.writeError(w, herr.status, herr)
-		return
-	}
-	if down := failedShards(st, replies); len(down) > 0 {
-		rt.writeError(w, http.StatusBadGateway, rt.unreachableError(st, replies, down))
-		return
-	}
-	if rep, ok := firstClientError(st, replies); ok {
-		rt.relay(w, st, rep)
+	body, _ := json.Marshal(req) // decoded from JSON, so finite
+	st, replies, herr := rt.scatterConsistent(r.Context(), allShards(shardCall{method: http.MethodPost, path: "/v1/range", body: body}))
+	if !rt.mergeable(w, st, replies, herr) {
 		return
 	}
 	lists := make([][]fairindex.RegionOverlap, len(st.manifest.Shards))
 	for i := range st.manifest.Shards {
-		var sub rangeResponse
+		var sub wire.RangeResponse
 		if err := json.Unmarshal(replies[i].body, &sub); err != nil {
-			rt.writeError(w, http.StatusBadGateway, fmt.Errorf(
+			writeError(w, http.StatusBadGateway, fmt.Errorf(
 				"router: shard %q: malformed range response: %v", st.manifest.Shards[i].Name, err))
 			return
 		}
-		ovs := make([]fairindex.RegionOverlap, len(sub.Regions))
-		for j, ov := range sub.Regions {
-			ovs[j] = fairindex.RegionOverlap{Region: ov.Region, Cells: ov.Cells, Fraction: ov.Fraction}
-		}
-		lists[i] = st.manifest.TranslateOverlaps(i, ovs)
-	}
-	merged := shard.MergeOverlaps(lists...)
-	resp := rangeResponse{Regions: make([]regionOverlapJSON, len(merged)), Count: len(merged)}
-	for i, ov := range merged {
-		resp.Regions[i] = regionOverlapJSON{Region: ov.Region, Cells: ov.Cells, Fraction: ov.Fraction}
+		lists[i] = st.manifest.TranslateOverlaps(i, sub.Overlaps())
 	}
 	setGeneration(w, st)
-	rt.writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, wire.NewRangeResponse(shard.MergeOverlaps(lists...)))
 }
 
-// handleKNN fans the query to every shard in squared-distance space
-// (k+1 candidates each, so dropping one sentinel per shard cannot
-// starve the merge), merges on the exact (squared distance, id)
-// selection key, and takes square roots last.
+// allShards builds a fan-out sending the same call to every shard of
+// the snapshot.
+func allShards(call shardCall) func(*routerState) (map[int]shardCall, *httpError) {
+	return func(st *routerState) (map[int]shardCall, *httpError) {
+		calls := make(map[int]shardCall, len(st.manifest.Shards))
+		for i := range st.manifest.Shards {
+			calls[i] = call
+		}
+		return calls, nil
+	}
+}
+
+// handleKNN fans the query to every shard in squared-distance space,
+// merges on the exact (squared distance, id) selection key, and takes
+// square roots last. Each shard is asked for min(k, regions)+1
+// candidates: one spare so dropping a foreign-region sentinel per
+// shard cannot starve the merge, and no more than the whole index
+// could return — the whole index clamps k to its region count, so k
+// itself may sit at the request-size limit.
 func (rt *Router) handleKNN(w http.ResponseWriter, r *http.Request) {
+	req, err := wire.ParseKNN(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if req.K > wire.DefaultMaxBatch {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("k of %d exceeds limit %d", req.K, wire.DefaultMaxBatch))
+		return
+	}
 	setGeneration(w, rt.state.Load())
-	var req knnRequest
-	if r.Method == http.MethodGet {
-		var err error
-		if req.Lat, err = queryFloat(r, "lat"); err != nil {
-			rt.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if req.Lon, err = queryFloat(r, "lon"); err != nil {
-			rt.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		raw := r.URL.Query().Get("k")
-		if raw == "" {
-			rt.writeError(w, http.StatusBadRequest, errors.New("missing query parameter \"k\""))
-			return
-		}
-		if req.K, err = strconv.Atoi(raw); err != nil {
-			rt.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"k\": %v", err))
-			return
-		}
-		if raw := r.URL.Query().Get("squared"); raw != "" {
-			if req.Squared, err = strconv.ParseBool(raw); err != nil {
-				rt.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"squared\": %v", err))
-				return
-			}
-		}
-	} else if err := decodeJSON(r, &req); err != nil {
-		rt.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.K > rt.maxBatch {
-		rt.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("k of %d exceeds limit %d", req.K, rt.maxBatch))
-		return
-	}
 	// Replicate NearestRegions' exact refusals before asking any shard
 	// for k+1 candidates (which would mask k < 1).
 	if math.IsNaN(req.Lat) || math.IsInf(req.Lat, 0) || math.IsNaN(req.Lon) || math.IsInf(req.Lon, 0) {
-		rt.writeError(w, http.StatusBadRequest,
+		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("%w: non-finite coordinate (%v, %v)", fairindex.ErrQuery, req.Lat, req.Lon))
 		return
 	}
 	if req.K < 1 {
-		rt.writeError(w, http.StatusBadRequest,
+		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("%w: k must be at least 1, got %d", fairindex.ErrQuery, req.K))
 		return
 	}
-	body, _ := json.Marshal(knnRequest{Lat: req.Lat, Lon: req.Lon, K: req.K + 1, Squared: true})
 	st, replies, herr := rt.scatterConsistent(r.Context(), func(st *routerState) (map[int]shardCall, *httpError) {
-		calls := make(map[int]shardCall, len(st.manifest.Shards))
-		for i := range st.manifest.Shards {
-			calls[i] = shardCall{method: http.MethodPost, path: "/v1/knn", body: body}
-		}
-		return calls, nil
+		k := min(req.K, st.manifest.NumRegions) + 1
+		body, _ := json.Marshal(wire.KNNRequest{Lat: req.Lat, Lon: req.Lon, K: k, Squared: true}) // finite, checked above
+		return allShards(shardCall{method: http.MethodPost, path: "/v1/knn", body: body})(st)
 	})
-	if herr != nil {
-		rt.writeError(w, herr.status, herr)
-		return
-	}
-	if down := failedShards(st, replies); len(down) > 0 {
-		rt.writeError(w, http.StatusBadGateway, rt.unreachableError(st, replies, down))
-		return
-	}
-	if rep, ok := firstClientError(st, replies); ok {
-		rt.relay(w, st, rep)
+	if !rt.mergeable(w, st, replies, herr) {
 		return
 	}
 	lists := make([][]fairindex.RegionDistance, len(st.manifest.Shards))
 	for i := range st.manifest.Shards {
-		var sub knnResponse
+		var sub wire.KNNResponse
 		if err := json.Unmarshal(replies[i].body, &sub); err != nil {
-			rt.writeError(w, http.StatusBadGateway, fmt.Errorf(
+			writeError(w, http.StatusBadGateway, fmt.Errorf(
 				"router: shard %q: malformed knn response: %v", st.manifest.Shards[i].Name, err))
 			return
 		}
-		nds := make([]fairindex.RegionDistance, len(sub.Neighbors))
-		for j, nd := range sub.Neighbors {
-			nds[j] = fairindex.RegionDistance{Region: nd.Region, Distance: nd.Distance}
-		}
-		lists[i] = st.manifest.TranslateNearest(i, nds)
+		lists[i] = st.manifest.TranslateNearest(i, sub.Distances())
 	}
 	merged := fairindex.MergeNearest(req.K, lists...)
 	if !req.Squared {
@@ -1332,12 +1099,8 @@ func (rt *Router) handleKNN(w http.ResponseWriter, r *http.Request) {
 			merged[i].Distance = math.Sqrt(merged[i].Distance)
 		}
 	}
-	resp := knnResponse{Neighbors: make([]neighborDistJSON, len(merged)), Squared: req.Squared}
-	for i, nd := range merged {
-		resp.Neighbors[i] = neighborDistJSON{Region: nd.Region, Distance: nd.Distance}
-	}
 	setGeneration(w, st)
-	rt.writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, wire.NewKNNResponse(merged, req.Squared))
 }
 
 // handleStats fans one window out to the shards owning it, gathers
@@ -1346,92 +1109,92 @@ func (rt *Router) handleKNN(w http.ResponseWriter, r *http.Request) {
 // whole index runs, so complete responses are bit-identical. Unlike
 // the point queries, stats degrade under shard failure: live shards'
 // regions are aggregated exactly and the response is marked partial.
+//
+// Refusals follow the whole index's order — rectangle, window size,
+// metric names, task, region ids — so a request with several faults
+// gets the same answer from both. The backends validate the task, so
+// a region-list fault found here waits for a task probe first.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
+	req, err := wire.ParseStats(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	setGeneration(w, rt.state.Load())
-	var req statsRequest
-	if r.Method == http.MethodGet {
-		if !rt.statsRequestFromQuery(w, r, &req) {
+	if req.Rect != nil {
+		if err := checkRect(req.Rect.BBox()); err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-	} else if err := decodeJSON(r, &req); err != nil {
-		rt.writeError(w, http.StatusBadRequest, err)
+	}
+	if len(req.Regions) > wire.DefaultMaxBatch {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("window of %d regions exceeds limit %d", len(req.Regions), wire.DefaultMaxBatch))
 		return
 	}
-	if (req.Regions == nil) == (req.Rect == nil) {
-		rt.writeError(w, http.StatusBadRequest,
-			errors.New("exactly one of \"regions\" and \"rect\" must be given"))
-		return
-	}
-	if len(req.Regions) > rt.maxBatch {
-		rt.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("window of %d regions exceeds limit %d", len(req.Regions), rt.maxBatch))
-		return
+	if req.Metrics != nil {
+		// Resolving the names over an empty window is the merge's own
+		// metric check, run before any shard is asked about the task.
+		if _, err := fairindex.MergeWindowStatsMetrics(req.Task, nil, req.Metrics...); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
 	}
 
 	var rectBody []byte
 	if req.Rect != nil {
-		rectBody, _ = json.Marshal(statsRequest{Task: req.Task, Rect: req.Rect, Sums: true})
+		rectBody, _ = json.Marshal(wire.StatsRequest{Task: req.Task, Rect: req.Rect, Sums: true}) // finite, checked above
 	}
+	var regionErr error
 	st, replies, herr := rt.scatterConsistent(r.Context(), func(st *routerState) (map[int]shardCall, *httpError) {
-		calls := make(map[int]shardCall, len(st.manifest.Shards))
 		if req.Rect != nil {
 			// Rect windows resolve per shard: each backend runs its own
 			// RangeQuery over the same geometry, so the union of owned
 			// results is exactly the whole index's window.
-			for i := range st.manifest.Shards {
-				calls[i] = shardCall{method: http.MethodPost, path: "/v1/stats", body: rectBody}
-			}
-			return calls, nil
+			return allShards(shardCall{method: http.MethodPost, path: "/v1/stats", body: rectBody})(st)
 		}
+		calls := make(map[int]shardCall, len(st.manifest.Shards))
 		// Explicit region lists are validated here in the global id
 		// space (the backends only see local ids), replicating the
 		// whole index's exact refusals.
-		local := make([][]int, len(st.manifest.Shards))
-		seen := make(map[int]bool, len(req.Regions))
-		for _, region := range req.Regions {
-			if region < 0 || region >= st.manifest.NumRegions {
-				return nil, &httpError{http.StatusBadRequest, fmt.Sprintf(
-					"%v: region %d out of range [0,%d)", fairindex.ErrQuery, region, st.manifest.NumRegions)}
-			}
-			if seen[region] {
-				return nil, &httpError{http.StatusBadRequest, fmt.Sprintf(
-					"%v: duplicate region %d", fairindex.ErrQuery, region)}
-			}
-			seen[region] = true
-			s, l := st.manifest.ToLocal(region)
-			local[s] = append(local[s], l)
-		}
+		var local [][]int
+		local, regionErr = splitRegions(st.manifest, req.Regions)
 		for s, ids := range local {
 			if len(ids) == 0 {
 				continue
 			}
-			body, err := json.Marshal(statsRequest{Task: req.Task, Regions: ids, Sums: true})
+			body, err := json.Marshal(wire.StatsRequest{Task: req.Task, Regions: ids, Sums: true})
 			if err != nil {
 				return nil, &httpError{http.StatusInternalServerError, err.Error()}
 			}
 			calls[s] = shardCall{method: http.MethodPost, path: "/v1/stats", body: body}
 		}
 		if len(calls) == 0 {
-			// Empty window: probe the first shard so task validation
-			// (404 on an unknown task) still happens somewhere. Written
-			// by hand because omitempty would drop the empty list and
-			// turn the request into the regions-vs-rect 400.
+			// Empty or refused window: probe the first shard so task
+			// validation (404 on an unknown task) still happens somewhere.
+			// Written by hand because omitempty would drop the empty list
+			// and turn the request into the regions-vs-rect 400.
 			calls[0] = shardCall{method: http.MethodPost, path: "/v1/stats",
 				body: []byte(fmt.Sprintf(`{"task":%d,"regions":[],"sums":true}`, req.Task))}
 		}
 		return calls, nil
 	})
 	if herr != nil {
-		rt.writeError(w, herr.status, herr)
+		writeError(w, herr.status, herr)
 		return
 	}
 	if rep, ok := firstClientError(st, replies); ok {
 		rt.relay(w, st, rep)
 		return
 	}
+	if regionErr != nil {
+		setGeneration(w, st)
+		writeError(w, http.StatusBadRequest, regionErr)
+		return
+	}
 	down := failedShards(st, replies)
 	if len(down) == len(replies) {
-		rt.writeError(w, http.StatusBadGateway, rt.unreachableError(st, replies, down))
+		writeError(w, http.StatusBadGateway, rt.unreachableError(st, replies, down))
 		return
 	}
 	downSet := make(map[int]bool, len(down))
@@ -1447,9 +1210,9 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		if !ok || downSet[i] {
 			continue
 		}
-		var sub statsResponse
+		var sub wire.StatsResponse
 		if err := json.Unmarshal(rep.body, &sub); err != nil {
-			rt.writeError(w, http.StatusBadGateway, fmt.Errorf(
+			writeError(w, http.StatusBadGateway, fmt.Errorf(
 				"router: shard %q: malformed stats response: %v", st.manifest.Shards[i].Name, err))
 			return
 		}
@@ -1459,7 +1222,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 				continue // foreign sentinel
 			}
 			if rs.SumScore == nil || rs.SumLabel == nil {
-				rt.writeError(w, http.StatusBadGateway, fmt.Errorf(
+				writeError(w, http.StatusBadGateway, fmt.Errorf(
 					"router: shard %q: backend response lacks raw sums (pre-sharding server version?)", st.manifest.Shards[i].Name))
 				return
 			}
@@ -1471,122 +1234,61 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	// The rect path resolves the window server-side, so the whole
 	// server's post-resolution cap applies to the merged window here.
-	if len(gathered) > rt.maxBatch {
-		rt.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("window of %d regions exceeds limit %d", len(gathered), rt.maxBatch))
+	if len(gathered) > wire.DefaultMaxBatch {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("window of %d regions exceeds limit %d", len(gathered), wire.DefaultMaxBatch))
 		return
 	}
-	var (
-		ws  fairindex.WindowStats
-		err error
-	)
+	var ws fairindex.WindowStats
 	if req.Metrics != nil {
 		ws, err = fairindex.MergeWindowStatsMetrics(req.Task, gathered, req.Metrics...)
 	} else {
 		ws, err = fairindex.MergeWindowStats(req.Task, gathered)
 	}
 	if err != nil {
-		// Merge errors wrap fairindex.ErrQuery (unknown metric names);
-		// task and artifact-capability errors were already relayed from
-		// the backends above.
-		rt.writeError(w, http.StatusBadRequest, err)
+		// Merge errors wrap fairindex.ErrQuery; task and
+		// artifact-capability errors were already relayed from the
+		// backends above.
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp := statsResponse{
-		Task:     ws.Task,
-		Count:    ws.Count,
-		MeanConf: jsonFloat(ws.MeanConf),
-		PosRate:  jsonFloat(ws.PosRate),
-		Miscal:   jsonFloat(ws.Miscal),
-		CalRatio: jsonFloat(ws.CalRatio),
-		ENCE:     jsonFloat(ws.ENCE),
-		Regions:  make([]regionStatJSON, len(ws.Regions)),
-		Partial:  len(down) > 0,
-	}
+	resp := wire.NewStatsResponse(ws, req.Sums)
+	resp.Partial = len(down) > 0
 	resp.FailedShards = failedNames
-	if ws.Metrics != nil {
-		resp.Metrics = make(map[string]jsonFloat, len(ws.Metrics))
-		for name, v := range ws.Metrics {
-			resp.Metrics[name] = jsonFloat(v)
-		}
-	}
-	for i, rs := range ws.Regions {
-		resp.Regions[i] = regionStatJSON{
-			Region:   rs.Region,
-			Count:    rs.Count,
-			MeanConf: jsonFloat(rs.MeanConf),
-			PosRate:  jsonFloat(rs.PosRate),
-			Miscal:   jsonFloat(rs.Miscal),
-			CalRatio: jsonFloat(rs.CalRatio),
-		}
-		if req.Sums {
-			sc, sl := rs.SumScore, rs.SumLabel
-			resp.Regions[i].SumScore = &sc
-			resp.Regions[i].SumLabel = &sl
-		}
-	}
 	setGeneration(w, st)
-	rt.writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// statsRequestFromQuery parses the GET form of /v1/stats, mirroring
-// internal/server's parameter grammar (task, regions|rect, metrics,
-// sums).
-func (rt *Router) statsRequestFromQuery(w http.ResponseWriter, r *http.Request, req *statsRequest) bool {
-	q := r.URL.Query()
-	if raw := q.Get("task"); raw != "" {
-		task, err := strconv.Atoi(raw)
-		if err != nil {
-			rt.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"task\": %v", err))
-			return false
-		}
-		req.Task = task
-	}
-	if raw := q.Get("regions"); raw != "" {
-		for _, f := range strings.Split(raw, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				rt.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"regions\": %v", err))
-				return false
-			}
-			req.Regions = append(req.Regions, v)
+// checkRect replicates RangeQuery's refusals of a malformed window,
+// error text included: a non-finite rectangle cannot cross the JSON
+// wire to a shard, so the router must refuse it itself.
+func checkRect(q fairindex.BBox) error {
+	for _, v := range [4]float64{q.MinLat, q.MinLon, q.MaxLat, q.MaxLon} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: non-finite rectangle %+v", fairindex.ErrQuery, q)
 		}
 	}
-	if raw := q.Get("rect"); raw != "" {
-		fields := strings.Split(raw, ",")
-		if len(fields) != 4 {
-			rt.writeError(w, http.StatusBadRequest,
-				errors.New("query parameter \"rect\": want minLat,minLon,maxLat,maxLon"))
-			return false
-		}
-		var vals [4]float64
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				rt.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"rect\": %v", err))
-				return false
-			}
-			vals[i] = v
-		}
-		req.Rect = &rectJSON{MinLat: vals[0], MinLon: vals[1], MaxLat: vals[2], MaxLon: vals[3]}
+	if q.MinLat > q.MaxLat || q.MinLon > q.MaxLon {
+		return fmt.Errorf("%w: inverted rectangle %+v", fairindex.ErrQuery, q)
 	}
-	if raw, ok := q["metrics"]; ok {
-		req.Metrics = []string{}
-		for _, part := range raw {
-			for _, f := range strings.Split(part, ",") {
-				if f = strings.TrimSpace(f); f != "" {
-					req.Metrics = append(req.Metrics, f)
-				}
-			}
+	return nil
+}
+
+// splitRegions validates a global region list the way the whole
+// index's GroupStats does and groups it into per-shard local id lists.
+func splitRegions(m *shard.Manifest, regions []int) ([][]int, error) {
+	local := make([][]int, len(m.Shards))
+	seen := make(map[int]bool, len(regions))
+	for _, region := range regions {
+		if region < 0 || region >= m.NumRegions {
+			return nil, fmt.Errorf("%w: region %d out of range [0,%d)", fairindex.ErrQuery, region, m.NumRegions)
 		}
-	}
-	if raw := q.Get("sums"); raw != "" {
-		v, err := strconv.ParseBool(raw)
-		if err != nil {
-			rt.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"sums\": %v", err))
-			return false
+		if seen[region] {
+			return nil, fmt.Errorf("%w: duplicate region %d", fairindex.ErrQuery, region)
 		}
-		req.Sums = v
+		seen[region] = true
+		s, l := m.ToLocal(region)
+		local[s] = append(local[s], l)
 	}
-	return true
+	return local, nil
 }

@@ -21,6 +21,7 @@ import (
 	"fairindex/internal/router/faultnet"
 	"fairindex/internal/server"
 	"fairindex/internal/shard"
+	"fairindex/internal/wire"
 )
 
 // buildWhole builds one LA index for sharding tests.
@@ -250,8 +251,8 @@ func TestRouterHealthzGeneration(t *testing.T) {
 	if health.Generation != want {
 		t.Errorf("healthz generation %q, want %s", health.Generation, want)
 	}
-	if got := hdr.Get(server.GenerationHeader); got != want {
-		t.Errorf("healthz %s = %q, want %s", server.GenerationHeader, got, want)
+	if got := hdr.Get(wire.GenerationHeader); got != want {
+		t.Errorf("healthz %s = %q, want %s", wire.GenerationHeader, got, want)
 	}
 
 	// No data-path request needed: the probe answers with every
@@ -260,8 +261,8 @@ func TestRouterHealthzGeneration(t *testing.T) {
 		ts.Close()
 	}
 	status, hdr = doJSON(t, "GET", rts.URL+"/healthz", "", &health)
-	if status != http.StatusOK || hdr.Get(server.GenerationHeader) != want {
-		t.Errorf("healthz with backends down: status %d gen %q", status, hdr.Get(server.GenerationHeader))
+	if status != http.StatusOK || hdr.Get(wire.GenerationHeader) != want {
+		t.Errorf("healthz with backends down: status %d gen %q", status, hdr.Get(wire.GenerationHeader))
 	}
 }
 

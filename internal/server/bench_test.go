@@ -12,6 +12,7 @@ import (
 	fairindex "fairindex"
 	"fairindex/internal/dataset"
 	"fairindex/internal/geo"
+	"fairindex/internal/wire"
 )
 
 // benchServer lazily builds the paper-sized LA index and an HTTP
@@ -39,7 +40,7 @@ func benchBatchBody(b *testing.B, n int) []byte {
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := locateBatchRequest{Lats: make([]float64, n), Lons: make([]float64, n)}
+	req := wire.LocateBatchRequest{Lats: make([]float64, n), Lons: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		rec := &ds.Records[i%ds.Len()]
 		req.Lats[i] = rec.Lat

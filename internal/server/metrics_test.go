@@ -8,6 +8,7 @@ import (
 
 	fairindex "fairindex"
 	"fairindex/internal/registry"
+	"fairindex/internal/wire"
 )
 
 // TestServerStatsMetrics exercises the opt-in metrics surface on
@@ -69,7 +70,7 @@ func TestServerStatsMetrics(t *testing.T) {
 		t.Errorf("GET answer %+v diverges from POST %+v", viaGet, some)
 	}
 
-	var errBody errorResponse
+	var errBody wire.Error
 	badBody := `{"task":0,` + rect + `,"metrics":["no_such_metric"]}`
 	if code := postJSON(t, client, ts.URL+"/v1/stats", badBody, &errBody); code != http.StatusBadRequest {
 		t.Fatalf("unknown metric: %d, want 400", code)
@@ -126,7 +127,7 @@ func TestServerCompareMetricDeltas(t *testing.T) {
 	}
 
 	// Locate mode must reject a metrics list.
-	var errBody errorResponse
+	var errBody wire.Error
 	locBody := `{"indexes":["la-fair","la-zip"],"lat":34.0,"lon":-118.3,"metrics":["ence"]}`
 	if code := postJSON(t, ts.Client(), ts.URL+"/v1/compare", locBody, &errBody); code != http.StatusBadRequest {
 		t.Fatalf("locate+metrics: %d, want 400", code)

@@ -14,6 +14,7 @@ import (
 
 	fairindex "fairindex"
 	"fairindex/internal/registry"
+	"fairindex/internal/wire"
 )
 
 // buildTwoPartitionings builds a fair and a zipcode index over the
@@ -78,7 +79,7 @@ func TestServerMultiIndexEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var gotFair, gotZip, gotDefault locateResponse
+		var gotFair, gotZip, gotDefault wire.LocateResponse
 		if code := getJSON(t, client, fmt.Sprintf("%s/v1/i/la-fair/locate?lat=%v&lon=%v", ts.URL, lat, lon), &gotFair); code != http.StatusOK {
 			t.Fatalf("named locate status %d", code)
 		}
@@ -124,7 +125,7 @@ func TestServerMultiIndexEndToEnd(t *testing.T) {
 	midLon := (box.MinLon + box.MaxLon) / 2
 	rectBody := fmt.Sprintf(`{"min_lat":%v,"min_lon":%v,"max_lat":%v,"max_lon":%v}`,
 		box.MinLat, box.MinLon, midLat, midLon)
-	var rrFair rangeResponse
+	var rrFair wire.RangeResponse
 	if code := postJSON(t, client, ts.URL+"/v1/i/la-fair/range", rectBody, &rrFair); code != http.StatusOK {
 		t.Fatalf("named range status %d", code)
 	}
@@ -269,7 +270,7 @@ func TestServerCompareValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var errBody errorResponse
+			var errBody wire.Error
 			if code := postJSON(t, client, ts.URL+"/v1/compare", tc.body, &errBody); code != tc.want {
 				t.Errorf("status %d, want %d (error %q)", code, tc.want, errBody.Error)
 			}
@@ -314,7 +315,7 @@ func TestServerTwoIndexConcurrentReload(t *testing.T) {
 		return regions
 	}
 	wantA, wantB, wantStable := expect(idxA), expect(idxB), expect(stable)
-	body, _ := json.Marshal(locateBatchRequest{Lats: lats, Lons: lons})
+	body, _ := json.Marshal(wire.LocateBatchRequest{Lats: lats, Lons: lons})
 
 	matches := func(got, want []int) bool {
 		for i := range want {
@@ -344,7 +345,7 @@ func TestServerTwoIndexConcurrentReload(t *testing.T) {
 					errs <- err
 					return
 				}
-				var batch locateBatchResponse
+				var batch wire.LocateBatchResponse
 				err = json.NewDecoder(resp.Body).Decode(&batch)
 				resp.Body.Close()
 				if err != nil {

@@ -21,42 +21,28 @@
 // one index generation and no lock is ever taken on the request path.
 // Requests in flight during a hot reload finish against the index
 // they started with, and no request ever observes a half-swapped
-// artifact. Reload (the /v1/reload endpoint, or SIGHUP via
-// ReloadOnSignal) rescans the artifact directory and re-reads every
+// artifact. Reload (the /v1/reload endpoint, or SIGHUP in
+// `fairindexctl serve`) rescans the artifact directory and re-reads every
 // resident index off the request path, swapping each entry only after
 // its new bytes fully deserialize and validate; per-entry failures
 // keep that entry serving its previous index.
 package server
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
-	"os"
-	"os/signal"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	fairindex "fairindex"
 	"fairindex/internal/rebuild"
 	"fairindex/internal/registry"
+	"fairindex/internal/wire"
 )
-
-// DefaultMaxBatch bounds /v1/locate_batch request size (points per
-// request) unless overridden with WithMaxBatch.
-const DefaultMaxBatch = 1 << 20
-
-// maxBodyBytes caps request bodies; a full-size batch of float64
-// pairs in JSON stays well under this.
-const maxBodyBytes = 64 << 20
 
 // DefaultIndexName is the registry entry name the single-index
 // constructors (New, Open) register their artifact under.
@@ -92,7 +78,7 @@ func WithPath(path string) Option {
 }
 
 // WithMaxBatch caps the number of points one /v1/locate_batch request
-// may carry (default DefaultMaxBatch).
+// may carry (default wire.DefaultMaxBatch).
 func WithMaxBatch(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
@@ -130,7 +116,7 @@ func (s *Server) SetRebuilder(c *rebuild.Controller) { s.rebuilder.Store(c) }
 // newServer applies options and wires the route table.
 func newServer(opts ...Option) *Server {
 	s := &Server{
-		maxBatch: DefaultMaxBatch,
+		maxBatch: wire.DefaultMaxBatch,
 		logger:   log.Default(),
 		started:  time.Now(),
 	}
@@ -282,34 +268,9 @@ func (s *Server) hasFileBackedEntry() bool {
 	return false
 }
 
-// ReloadOnSignal reloads the catalog on every SIGHUP until ctx is
-// done — the conventional zero-downtime refresh: rebuild or add .fidx
-// files in place, then `kill -HUP` the server. Reload failures are
-// logged and the previous indexes keep serving.
-func (s *Server) ReloadOnSignal(ctx context.Context) {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGHUP)
-	go func() {
-		defer signal.Stop(ch)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ch:
-				if err := s.Reload(); err != nil {
-					s.logger.Printf("server: SIGHUP reload failed, keeping current indexes: %v", err)
-				} else {
-					s.logger.Printf("server: reloaded catalog (%d entries, %d resident)",
-						s.reg.Len(), s.reg.LoadedCount())
-				}
-			}
-		}
-	}()
-}
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -317,7 +278,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // path segment when present (named route), the catalog default
 // otherwise. A non-nil error has already been written to w. On
 // success the response carries the bound generation's fingerprint in
-// the GenerationHeader, so a scatter-gather router can verify every
+// wire.GenerationHeader, so a scatter-gather router can verify every
 // fanned-out answer came from the artifact its manifest expects.
 func (s *Server) resolveIndex(w http.ResponseWriter, r *http.Request) (*fairindex.Index, bool) {
 	name := r.PathValue("index")
@@ -338,14 +299,6 @@ func (s *Server) resolveIndex(w http.ResponseWriter, r *http.Request) (*fairinde
 	return idx, true
 }
 
-// GenerationHeader is the response header naming the served artifact's
-// generation: the decimal fairindex.Fingerprint of the index a data
-// request bound to. The shard router (internal/router) compares it
-// against the manifest's expected fingerprint on every per-shard
-// response; headers, unlike bodies, survive identically across every
-// endpoint shape, which is why the token rides here.
-const GenerationHeader = "Fairindex-Generation"
-
 // setGeneration stamps the bound index's fingerprint on the response.
 // Fingerprint errors leave the header absent — a router treats a
 // missing token the same as a mismatched one.
@@ -355,7 +308,7 @@ func (s *Server) setGeneration(w http.ResponseWriter, idx *fairindex.Index) {
 		s.logger.Printf("server: fingerprinting served index: %v", err)
 		return
 	}
-	w.Header().Set(GenerationHeader, strconv.FormatUint(fp, 10))
+	wire.SetGeneration(w, fp)
 }
 
 // writeRegistryError maps catalog resolution errors onto HTTP
@@ -374,31 +327,9 @@ func (s *Server) writeRegistryError(w http.ResponseWriter, err error) {
 	s.writeError(w, status, err)
 }
 
-// Wire types. Field names are the API contract documented in README
-// §Serving.
-
-type locateRequest struct {
-	Lat float64 `json:"lat"`
-	Lon float64 `json:"lon"`
-}
-
-type locateResponse struct {
-	Region int `json:"region"`
-}
-
-type locateBatchRequest struct {
-	Lats []float64 `json:"lats"`
-	Lons []float64 `json:"lons"`
-}
-
-type locateBatchResponse struct {
-	Regions []int `json:"regions"`
-	// Invalid counts points that resolved to the RegionInvalid
-	// sentinel; Error carries the joined per-point detail. Both are
-	// omitted when every point resolved.
-	Invalid int    `json:"invalid,omitempty"`
-	Error   string `json:"error,omitempty"`
-}
+// Server-only wire types; the query endpoints' shapes shared with the
+// shard router live in internal/wire. Field names are the API contract
+// documented in README §Serving.
 
 type scoreRequest struct {
 	Task     int       `json:"task"`
@@ -410,102 +341,6 @@ type scoreRequest struct {
 type scoreResponse struct {
 	Score  float64 `json:"score"`
 	Region int     `json:"region"`
-}
-
-// rectJSON is the wire form of a geographic query rectangle.
-type rectJSON struct {
-	MinLat float64 `json:"min_lat"`
-	MinLon float64 `json:"min_lon"`
-	MaxLat float64 `json:"max_lat"`
-	MaxLon float64 `json:"max_lon"`
-}
-
-type rangeRequest = rectJSON
-
-type regionOverlapJSON struct {
-	Region   int     `json:"region"`
-	Cells    int     `json:"cells"`
-	Fraction float64 `json:"fraction"`
-}
-
-type rangeResponse struct {
-	// Regions intersecting the window, ascending region id; empty
-	// (not an error) when the window misses the index's bounding box.
-	Regions []regionOverlapJSON `json:"regions"`
-	Count   int                 `json:"count"`
-}
-
-type knnRequest struct {
-	Lat float64 `json:"lat"`
-	Lon float64 `json:"lon"`
-	K   int     `json:"k"`
-	// Squared requests squared centroid distances instead of the
-	// default Euclidean ones. Per-shard candidate lists merge exactly
-	// in squared space (sqrt can collapse distinct squared distances
-	// onto equal floats, reordering the id tie-break), so the shard
-	// router always queries backends with squared set.
-	Squared bool `json:"squared,omitempty"`
-}
-
-type neighborDistJSON struct {
-	Region   int     `json:"region"`
-	Distance float64 `json:"distance"`
-}
-
-type knnResponse struct {
-	Neighbors []neighborDistJSON `json:"neighbors"`
-	// Squared echoes the request flag so a reader of the stored
-	// response knows which space Distance lives in; omitted (legacy
-	// bytes) for default Euclidean responses.
-	Squared bool `json:"squared,omitempty"`
-}
-
-// statsRequest selects the window either as an explicit region list
-// (e.g. piped from /v1/range or /v1/knn output) or as a rectangle
-// resolved through RangeQuery — exactly one of the two. Metrics
-// optionally names registered fairness metrics to evaluate over the
-// window: absent keeps the legacy response shape, an empty list
-// requests every registered metric, and unknown names are a 400.
-type statsRequest struct {
-	Task    int       `json:"task"`
-	Regions []int     `json:"regions,omitempty"`
-	Rect    *rectJSON `json:"rect,omitempty"`
-	Metrics []string  `json:"metrics,omitempty"`
-	// Sums requests each region's raw additive sufficient statistics
-	// (sum_score, sum_label) alongside the derived ratios — what a
-	// scatter-gather merger needs to reassemble exact window aggregates
-	// across shards. Absent keeps the legacy response bytes unchanged.
-	Sums bool `json:"sums,omitempty"`
-}
-
-type regionStatJSON struct {
-	Region   int       `json:"region"`
-	Count    int       `json:"count"`
-	MeanConf jsonFloat `json:"mean_conf"`
-	PosRate  jsonFloat `json:"pos_rate"`
-	Miscal   jsonFloat `json:"miscal"`
-	CalRatio jsonFloat `json:"cal_ratio"`
-	// SumScore and SumLabel are the region's raw additive sufficient
-	// statistics, present only when the request set "sums". Always
-	// finite, and encoding/json's shortest-round-trip float encoding
-	// preserves their exact bits across the wire.
-	SumScore *float64 `json:"sum_score,omitempty"`
-	SumLabel *float64 `json:"sum_label,omitempty"`
-}
-
-type statsResponse struct {
-	Task     int       `json:"task"`
-	Count    int       `json:"count"`
-	MeanConf jsonFloat `json:"mean_conf"`
-	PosRate  jsonFloat `json:"pos_rate"`
-	Miscal   jsonFloat `json:"miscal"`
-	CalRatio jsonFloat `json:"cal_ratio"`
-	ENCE     jsonFloat `json:"ence"`
-	// Metrics holds the requested fairness metrics over the window
-	// (metric name → value); present only when the request named them,
-	// so legacy response bytes are unchanged.
-	Metrics map[string]jsonFloat `json:"metrics,omitempty"`
-	Regions []regionStatJSON     `json:"regions"`
 }
 
 // appendRequest carries a batch of new records for POST .../append.
@@ -524,14 +359,14 @@ type appendRecordJSON struct {
 }
 
 type taskDriftJSON struct {
-	Task  int       `json:"task"`
-	ENCE  jsonFloat `json:"ence"`
-	Drift jsonFloat `json:"drift"`
+	Task  int        `json:"task"`
+	ENCE  wire.Float `json:"ence"`
+	Drift wire.Float `json:"drift"`
 	// Live value and drift of every monitored fairness metric (ENCE
 	// plus each metric with an armed threshold); present only when a
 	// metric beyond ENCE is monitored.
-	Metrics map[string]jsonFloat `json:"metrics,omitempty"`
-	Drifts  map[string]jsonFloat `json:"drifts,omitempty"`
+	Metrics map[string]wire.Float `json:"metrics,omitempty"`
+	Drifts  map[string]wire.Float `json:"drifts,omitempty"`
 }
 
 type appendResponse struct {
@@ -539,10 +374,10 @@ type appendResponse struct {
 	Appended int             `json:"appended"`
 	Total    int             `json:"total"`
 	Tasks    []taskDriftJSON `json:"tasks"`
-	Drift    jsonFloat       `json:"drift"`
+	Drift    wire.Float      `json:"drift"`
 	// Drifts is the max per-task drift of every monitored metric;
 	// present only when a metric beyond ENCE is monitored.
-	Drifts map[string]jsonFloat `json:"drifts,omitempty"`
+	Drifts map[string]wire.Float `json:"drifts,omitempty"`
 	// RebuildRecommended reports whether the fold pushed any armed
 	// metric's drift past its threshold; false whenever no threshold
 	// is armed.
@@ -597,8 +432,8 @@ type indexInfoJSON struct {
 	RebuildRecommended bool    `json:"rebuild_recommended,omitempty"`
 	// Drifts is the live drift of every metric with an armed
 	// threshold; absent when only the legacy ENCE monitor runs.
-	Drifts map[string]jsonFloat `json:"drifts,omitempty"`
-	Error  string               `json:"error,omitempty"`
+	Drifts map[string]wire.Float `json:"drifts,omitempty"`
+	Error  string                `json:"error,omitempty"`
 	// Rebuild is the entry's rebuild-controller state; present only
 	// when a controller is attached (WithRebuilder), so catalogs
 	// without one keep the legacy response bytes.
@@ -617,7 +452,7 @@ type rebuildStateJSON struct {
 	LastPromoted string `json:"last_promoted,omitempty"`
 	// RefusalDeltas maps each metric that blocked the most recent
 	// candidate to its worst badness regression over the probe grid.
-	RefusalDeltas map[string]jsonFloat `json:"refusal_deltas,omitempty"`
+	RefusalDeltas map[string]wire.Float `json:"refusal_deltas,omitempty"`
 	// NextRetry is the scheduled backoff retry after a build failure
 	// (RFC 3339); absent when none is pending.
 	NextRetry string `json:"next_retry,omitempty"`
@@ -639,9 +474,9 @@ func rebuildStateOf(st rebuild.Status) *rebuildStateJSON {
 	if len(st.RefusalDeltas) > 0 {
 		// Not metricMapJSON: that helper drops ence-only maps for
 		// legacy byte-compat, and a refusal is very often ence-only.
-		out.RefusalDeltas = make(map[string]jsonFloat, len(st.RefusalDeltas))
+		out.RefusalDeltas = make(map[string]wire.Float, len(st.RefusalDeltas))
 		for name, v := range st.RefusalDeltas {
-			out.RefusalDeltas[name] = jsonFloat(v)
+			out.RefusalDeltas[name] = wire.Float(v)
 		}
 	}
 	return out
@@ -673,15 +508,15 @@ type indexesResponse struct {
 // comparison; an explicit region-id list is applied verbatim to every
 // index and only makes sense when the indexes share a partitioning.
 type compareRequest struct {
-	Indexes []string  `json:"indexes"`
-	Lat     *float64  `json:"lat,omitempty"`
-	Lon     *float64  `json:"lon,omitempty"`
-	Task    *int      `json:"task,omitempty"`
-	Regions []int     `json:"regions,omitempty"`
-	Rect    *rectJSON `json:"rect,omitempty"`
+	Indexes []string   `json:"indexes"`
+	Lat     *float64   `json:"lat,omitempty"`
+	Lon     *float64   `json:"lon,omitempty"`
+	Task    *int       `json:"task,omitempty"`
+	Regions []int      `json:"regions,omitempty"`
+	Rect    *wire.Rect `json:"rect,omitempty"`
 	// Metrics optionally names fairness metrics to evaluate in every
 	// index and difference against the baseline (stats mode only).
-	// Same semantics as statsRequest.Metrics: absent keeps the legacy
+	// Same semantics as wire.StatsRequest.Metrics: absent keeps the legacy
 	// shape, an empty list means all registered metrics.
 	Metrics []string `json:"metrics,omitempty"`
 }
@@ -690,22 +525,22 @@ type compareRequest struct {
 // compare baseline (index minus baseline; negative ENCE delta = this
 // index is better calibrated over the window).
 type fairnessDeltaJSON struct {
-	ENCE     jsonFloat `json:"ence"`
-	Miscal   jsonFloat `json:"miscal"`
-	CalRatio jsonFloat `json:"cal_ratio"`
-	MeanConf jsonFloat `json:"mean_conf"`
-	PosRate  jsonFloat `json:"pos_rate"`
+	ENCE     wire.Float `json:"ence"`
+	Miscal   wire.Float `json:"miscal"`
+	CalRatio wire.Float `json:"cal_ratio"`
+	MeanConf wire.Float `json:"mean_conf"`
+	PosRate  wire.Float `json:"pos_rate"`
 	// Metrics holds per-metric deltas (index minus baseline) for each
 	// requested fairness metric; present only when the request named
 	// them.
-	Metrics map[string]jsonFloat `json:"metrics,omitempty"`
+	Metrics map[string]wire.Float `json:"metrics,omitempty"`
 }
 
 type compareEntryJSON struct {
-	Name   string             `json:"name"`
-	Region *int               `json:"region,omitempty"`
-	Stats  *statsResponse     `json:"stats,omitempty"`
-	Delta  *fairnessDeltaJSON `json:"delta,omitempty"`
+	Name   string              `json:"name"`
+	Region *int                `json:"region,omitempty"`
+	Stats  *wire.StatsResponse `json:"stats,omitempty"`
+	Delta  *fairnessDeltaJSON  `json:"delta,omitempty"`
 }
 
 type compareResponse struct {
@@ -714,65 +549,37 @@ type compareResponse struct {
 	Indexes  []compareEntryJSON `json:"indexes"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// jsonFloat is THE wire encoder for every metric value the server
-// emits — stats, compare deltas, drift reports, per-region detail and
-// the /v1/indexes maintenance fields all route float values through
-// it. The fairness-metric contract (fairindex.Metric, docs/METRICS.md)
-// reserves NaN as the single "undefined" sentinel — a calibration
-// ratio with no positives, an Atkinson index over an empty window, a
-// drift against a metric the build never measured — and encoding/json
-// rejects non-finite values, so jsonFloat marshals NaN (and the
-// infinities, which some metrics use for "unboundedly bad") as null.
-// Clients therefore read null as "undefined here", never 0. Any new
-// endpoint field carrying a metric value must use this type rather
-// than float64 so the sentinel convention stays uniform across the
-// API.
-type jsonFloat float64
-
-// MarshalJSON implements json.Marshaler.
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(v)
-}
-
 // neighborhoodJSON is the wire form of one per-neighborhood report
 // entry.
 type neighborhoodJSON struct {
-	Group    int       `json:"group"`
-	Count    int       `json:"count"`
-	Ratio    jsonFloat `json:"ratio"`
-	Miscal   jsonFloat `json:"miscal"`
-	ECE      jsonFloat `json:"ece"`
-	PosRate  jsonFloat `json:"pos_rate"`
-	MeanConf jsonFloat `json:"mean_conf"`
+	Group    int        `json:"group"`
+	Count    int        `json:"count"`
+	Ratio    wire.Float `json:"ratio"`
+	Miscal   wire.Float `json:"miscal"`
+	ECE      wire.Float `json:"ece"`
+	PosRate  wire.Float `json:"pos_rate"`
+	MeanConf wire.Float `json:"mean_conf"`
 }
 
 // reportResponse is the wire form of a stored TaskResult.
 type reportResponse struct {
 	Task             int                `json:"task"`
 	TaskName         string             `json:"task_name"`
-	ENCE             jsonFloat          `json:"ence"`
-	ENCETrain        jsonFloat          `json:"ence_train"`
-	ENCETest         jsonFloat          `json:"ence_test"`
-	Accuracy         jsonFloat          `json:"accuracy"`
-	AUC              jsonFloat          `json:"auc"`
-	TrainMiscal      jsonFloat          `json:"train_miscal"`
-	TestMiscal       jsonFloat          `json:"test_miscal"`
-	ECE              jsonFloat          `json:"ece"`
-	TrainCalRatio    jsonFloat          `json:"train_cal_ratio"`
-	TestCalRatio     jsonFloat          `json:"test_cal_ratio"`
-	StatParityGap    jsonFloat          `json:"stat_parity_gap"`
-	EqualOddsGap     jsonFloat          `json:"equal_odds_gap"`
+	ENCE             wire.Float         `json:"ence"`
+	ENCETrain        wire.Float         `json:"ence_train"`
+	ENCETest         wire.Float         `json:"ence_test"`
+	Accuracy         wire.Float         `json:"accuracy"`
+	AUC              wire.Float         `json:"auc"`
+	TrainMiscal      wire.Float         `json:"train_miscal"`
+	TestMiscal       wire.Float         `json:"test_miscal"`
+	ECE              wire.Float         `json:"ece"`
+	TrainCalRatio    wire.Float         `json:"train_cal_ratio"`
+	TestCalRatio     wire.Float         `json:"test_cal_ratio"`
+	StatParityGap    wire.Float         `json:"stat_parity_gap"`
+	EqualOddsGap     wire.Float         `json:"equal_odds_gap"`
 	TopNeighborhoods []neighborhoodJSON `json:"top_neighborhoods"`
 	ImportanceNames  []string           `json:"importance_names,omitempty"`
-	ImportanceValues []jsonFloat        `json:"importance_values,omitempty"`
+	ImportanceValues []wire.Float       `json:"importance_values,omitempty"`
 }
 
 // newReportResponse converts a stored report into its wire form.
@@ -780,63 +587,48 @@ func newReportResponse(tr fairindex.TaskResult) reportResponse {
 	out := reportResponse{
 		Task:          tr.Task,
 		TaskName:      tr.TaskName,
-		ENCE:          jsonFloat(tr.ENCE),
-		ENCETrain:     jsonFloat(tr.ENCETrain),
-		ENCETest:      jsonFloat(tr.ENCETest),
-		Accuracy:      jsonFloat(tr.Accuracy),
-		AUC:           jsonFloat(tr.AUC),
-		TrainMiscal:   jsonFloat(tr.TrainMiscal),
-		TestMiscal:    jsonFloat(tr.TestMiscal),
-		ECE:           jsonFloat(tr.ECE),
-		TrainCalRatio: jsonFloat(tr.TrainCalRatio),
-		TestCalRatio:  jsonFloat(tr.TestCalRatio),
-		StatParityGap: jsonFloat(tr.StatParityGap),
-		EqualOddsGap:  jsonFloat(tr.EqualOddsGap),
+		ENCE:          wire.Float(tr.ENCE),
+		ENCETrain:     wire.Float(tr.ENCETrain),
+		ENCETest:      wire.Float(tr.ENCETest),
+		Accuracy:      wire.Float(tr.Accuracy),
+		AUC:           wire.Float(tr.AUC),
+		TrainMiscal:   wire.Float(tr.TrainMiscal),
+		TestMiscal:    wire.Float(tr.TestMiscal),
+		ECE:           wire.Float(tr.ECE),
+		TrainCalRatio: wire.Float(tr.TrainCalRatio),
+		TestCalRatio:  wire.Float(tr.TestCalRatio),
+		StatParityGap: wire.Float(tr.StatParityGap),
+		EqualOddsGap:  wire.Float(tr.EqualOddsGap),
 	}
 	for _, nr := range tr.TopNeighborhoods {
 		out.TopNeighborhoods = append(out.TopNeighborhoods, neighborhoodJSON{
 			Group:    nr.Group,
 			Count:    nr.Count,
-			Ratio:    jsonFloat(nr.Ratio),
-			Miscal:   jsonFloat(nr.Miscal),
-			ECE:      jsonFloat(nr.ECE),
-			PosRate:  jsonFloat(nr.PosRate),
-			MeanConf: jsonFloat(nr.MeanConf),
+			Ratio:    wire.Float(nr.Ratio),
+			Miscal:   wire.Float(nr.Miscal),
+			ECE:      wire.Float(nr.ECE),
+			PosRate:  wire.Float(nr.PosRate),
+			MeanConf: wire.Float(nr.MeanConf),
 		})
 	}
 	out.ImportanceNames = tr.ImportanceNames
 	for _, v := range tr.ImportanceValues {
-		out.ImportanceValues = append(out.ImportanceValues, jsonFloat(v))
+		out.ImportanceValues = append(out.ImportanceValues, wire.Float(v))
 	}
 	return out
 }
 
-// writeJSON writes v with the given status.
+// writeJSON writes v with the given status, logging a failed body
+// write.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if err := wire.WriteJSON(w, status, v); err != nil {
 		s.logger.Printf("server: writing response: %v", err)
 	}
 }
 
 // writeError writes a JSON error body.
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	s.writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-// decodeJSON strictly decodes a single JSON object request body.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid JSON body: %w", err)
-	}
-	// A second document (or trailing garbage) is a malformed request.
-	if dec.More() {
-		return errors.New("invalid JSON body: trailing data")
-	}
-	return nil
+	s.writeJSON(w, status, wire.Error{Error: err.Error()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -925,18 +717,8 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
-	var req locateRequest
-	if r.Method == http.MethodGet {
-		var err error
-		if req.Lat, err = queryFloat(r, "lat"); err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if req.Lon, err = queryFloat(r, "lon"); err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	} else if err := decodeJSON(r, &req); err != nil {
+	req, err := wire.ParseLocate(r)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -949,20 +731,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, locateResponse{Region: region})
-}
-
-// queryFloat parses a required float query parameter.
-func queryFloat(r *http.Request, key string) (float64, error) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", key)
-	}
-	f, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, fmt.Errorf("query parameter %q: %v", key, err)
-	}
-	return f, nil
+	s.writeJSON(w, http.StatusOK, wire.LocateResponse{Region: region})
 }
 
 // regionsPool recycles the per-request /v1/locate_batch region
@@ -974,23 +743,9 @@ func queryFloat(r *http.Request, key string) (float64, error) {
 var regionsPool = sync.Pool{New: func() any { return new([]int) }}
 
 func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
-	var req locateBatchRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Lats) != len(req.Lons) {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%d lats vs %d lons", len(req.Lats), len(req.Lons)))
-		return
-	}
-	if len(req.Lats) == 0 {
-		s.writeError(w, http.StatusBadRequest, errors.New("empty batch"))
-		return
-	}
-	if len(req.Lats) > s.maxBatch {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d points exceeds limit %d", len(req.Lats), s.maxBatch))
+	req, status, err := wire.ParseLocateBatch(r, s.maxBatch)
+	if err != nil {
+		s.writeError(w, status, err)
 		return
 	}
 	// One catalog resolution per request: the whole batch resolves
@@ -1009,8 +764,8 @@ func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 		regions = regions[:len(req.Lats)]
 	}
 	*buf = regions
-	err := idx.LocateBatchInto(regions, req.Lats, req.Lons)
-	resp := locateBatchResponse{Regions: regions}
+	err = idx.LocateBatchInto(regions, req.Lats, req.Lons)
+	resp := wire.LocateBatchResponse{Regions: regions}
 	if err != nil {
 		// Per-point failures are not a request failure: every valid
 		// point resolved, sentinels mark the rest.
@@ -1026,7 +781,7 @@ func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	var req scoreRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := wire.DecodeJSON(r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -1098,7 +853,7 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 // route targets the catalog default.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var req appendRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := wire.DecodeJSON(r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -1135,13 +890,13 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		Index:              name,
 		Appended:           res.Appended,
 		Total:              res.Total,
-		Drift:              jsonFloat(res.Drift),
+		Drift:              wire.Float(res.Drift),
 		Drifts:             metricMapJSON(res.Drifts),
 		RebuildRecommended: res.RebuildRecommended,
 	}
 	for _, td := range res.Tasks {
 		resp.Tasks = append(resp.Tasks, taskDriftJSON{
-			Task: td.Task, ENCE: jsonFloat(td.ENCE), Drift: jsonFloat(td.Drift),
+			Task: td.Task, ENCE: wire.Float(td.ENCE), Drift: wire.Float(td.Drift),
 			Metrics: metricMapJSON(td.Metrics), Drifts: metricMapJSON(td.Drifts),
 		})
 	}
@@ -1152,23 +907,23 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 // the map entirely when it carries nothing beyond the ENCE view the
 // legacy fields already report — so responses from indexes with no
 // per-metric monitoring are byte-identical to earlier releases.
-func metricMapJSON(m map[string]float64) map[string]jsonFloat {
+func metricMapJSON(m map[string]float64) map[string]wire.Float {
 	if len(m) == 0 {
 		return nil
 	}
 	if _, ok := m["ence"]; ok && len(m) == 1 {
 		return nil
 	}
-	out := make(map[string]jsonFloat, len(m))
+	out := make(map[string]wire.Float, len(m))
 	for name, v := range m {
-		out[name] = jsonFloat(v)
+		out[name] = wire.Float(v)
 	}
 	return out
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req rangeRequest
-	if err := decodeJSON(r, &req); err != nil {
+	var req wire.Rect
+	if err := wire.DecodeJSON(r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -1176,49 +931,17 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	overlaps, err := idx.RangeQuery(fairindex.BBox{
-		MinLat: req.MinLat, MinLon: req.MinLon,
-		MaxLat: req.MaxLat, MaxLon: req.MaxLon,
-	})
+	overlaps, err := idx.RangeQuery(req.BBox())
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
-	resp := rangeResponse{Regions: make([]regionOverlapJSON, len(overlaps)), Count: len(overlaps)}
-	for i, ov := range overlaps {
-		resp.Regions[i] = regionOverlapJSON{Region: ov.Region, Cells: ov.Cells, Fraction: ov.Fraction}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, wire.NewRangeResponse(overlaps))
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	var req knnRequest
-	if r.Method == http.MethodGet {
-		var err error
-		if req.Lat, err = queryFloat(r, "lat"); err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if req.Lon, err = queryFloat(r, "lon"); err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		raw := r.URL.Query().Get("k")
-		if raw == "" {
-			s.writeError(w, http.StatusBadRequest, errors.New("missing query parameter \"k\""))
-			return
-		}
-		if req.K, err = strconv.Atoi(raw); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"k\": %v", err))
-			return
-		}
-		if raw := r.URL.Query().Get("squared"); raw != "" {
-			if req.Squared, err = strconv.ParseBool(raw); err != nil {
-				s.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"squared\": %v", err))
-				return
-			}
-		}
-	} else if err := decodeJSON(r, &req); err != nil {
+	req, err := wire.ParseKNN(r)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -1231,10 +954,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var (
-		neighbors []fairindex.RegionDistance
-		err       error
-	)
+	var neighbors []fairindex.RegionDistance
 	if req.Squared {
 		neighbors, err = idx.NearestRegionsSquared(req.Lat, req.Lon, req.K)
 	} else {
@@ -1244,28 +964,21 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, err)
 		return
 	}
-	resp := knnResponse{Neighbors: make([]neighborDistJSON, len(neighbors)), Squared: req.Squared}
-	for i, nd := range neighbors {
-		resp.Neighbors[i] = neighborDistJSON{Region: nd.Region, Distance: nd.Distance}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, wire.NewKNNResponse(neighbors, req.Squared))
 }
 
 // windowStats aggregates one window (explicit region list, or a rect
 // resolved through the index's own RangeQuery) against one index. It
 // is shared by /v1/stats and /v1/compare, so both endpoints enforce
 // the same window cap and produce the same wire shape. metrics
-// selects additional fairness metrics per statsRequest.Metrics
+// selects additional fairness metrics per wire.StatsRequest.Metrics
 // semantics: nil for the legacy shape, empty for all registered;
 // sums adds each region's raw sufficient statistics per
-// statsRequest.Sums.
-func (s *Server) windowStats(idx *fairindex.Index, task int, regionList []int, rect *rectJSON, metrics []string, sums bool) (*statsResponse, int, error) {
+// wire.StatsRequest.Sums.
+func (s *Server) windowStats(idx *fairindex.Index, task int, regionList []int, rect *wire.Rect, metrics []string, sums bool) (*wire.StatsResponse, int, error) {
 	regions := regionList
 	if rect != nil {
-		overlaps, err := idx.RangeQuery(fairindex.BBox{
-			MinLat: rect.MinLat, MinLon: rect.MinLon,
-			MaxLat: rect.MaxLat, MaxLon: rect.MaxLon,
-		})
+		overlaps, err := idx.RangeQuery(rect.BBox())
 		if err != nil {
 			return nil, 0, err
 		}
@@ -1292,38 +1005,8 @@ func (s *Server) windowStats(idx *fairindex.Index, task int, regionList []int, r
 	if err != nil {
 		return nil, 0, err
 	}
-	resp := &statsResponse{
-		Task:     ws.Task,
-		Count:    ws.Count,
-		MeanConf: jsonFloat(ws.MeanConf),
-		PosRate:  jsonFloat(ws.PosRate),
-		Miscal:   jsonFloat(ws.Miscal),
-		CalRatio: jsonFloat(ws.CalRatio),
-		ENCE:     jsonFloat(ws.ENCE),
-		Regions:  make([]regionStatJSON, len(ws.Regions)),
-	}
-	if ws.Metrics != nil {
-		resp.Metrics = make(map[string]jsonFloat, len(ws.Metrics))
-		for name, v := range ws.Metrics {
-			resp.Metrics[name] = jsonFloat(v)
-		}
-	}
-	for i, rs := range ws.Regions {
-		resp.Regions[i] = regionStatJSON{
-			Region:   rs.Region,
-			Count:    rs.Count,
-			MeanConf: jsonFloat(rs.MeanConf),
-			PosRate:  jsonFloat(rs.PosRate),
-			Miscal:   jsonFloat(rs.Miscal),
-			CalRatio: jsonFloat(rs.CalRatio),
-		}
-		if sums {
-			sc, sl := rs.SumScore, rs.SumLabel
-			resp.Regions[i].SumScore = &sc
-			resp.Regions[i].SumLabel = &sl
-		}
-	}
-	return resp, 0, nil
+	resp := wire.NewStatsResponse(ws, sums)
+	return &resp, 0, nil
 }
 
 // writeStatsError routes windowStats failures: an explicit status
@@ -1337,18 +1020,9 @@ func (s *Server) writeStatsError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	var req statsRequest
-	if r.Method == http.MethodGet {
-		if !s.statsRequestFromQuery(w, r, &req) {
-			return
-		}
-	} else if err := decodeJSON(r, &req); err != nil {
+	req, err := wire.ParseStats(r)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if (req.Regions == nil) == (req.Rect == nil) {
-		s.writeError(w, http.StatusBadRequest,
-			errors.New("exactly one of \"regions\" and \"rect\" must be given"))
 		return
 	}
 	// One catalog resolution: the rect resolution and the stats
@@ -1365,77 +1039,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, *resp)
 }
 
-// statsRequestFromQuery parses the GET form of /v1/stats: ?task=N,
-// the window as either regions=1,2,3 or rect=minLat,minLon,maxLat,
-// maxLon, optionally metrics=ence,stat_parity (metrics= alone, i.e.
-// present but empty, selects every registered metric), and optionally
-// sums=true for raw per-region sufficient statistics. Reports
-// whether parsing succeeded; on failure the 400 has been written.
-func (s *Server) statsRequestFromQuery(w http.ResponseWriter, r *http.Request, req *statsRequest) bool {
-	q := r.URL.Query()
-	if raw := q.Get("task"); raw != "" {
-		task, err := strconv.Atoi(raw)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"task\": %v", err))
-			return false
-		}
-		req.Task = task
-	}
-	if raw := q.Get("regions"); raw != "" {
-		for _, f := range strings.Split(raw, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				s.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"regions\": %v", err))
-				return false
-			}
-			req.Regions = append(req.Regions, v)
-		}
-	}
-	if raw := q.Get("rect"); raw != "" {
-		fields := strings.Split(raw, ",")
-		if len(fields) != 4 {
-			s.writeError(w, http.StatusBadRequest,
-				errors.New("query parameter \"rect\": want minLat,minLon,maxLat,maxLon"))
-			return false
-		}
-		var vals [4]float64
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				s.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"rect\": %v", err))
-				return false
-			}
-			vals[i] = v
-		}
-		req.Rect = &rectJSON{MinLat: vals[0], MinLon: vals[1], MaxLat: vals[2], MaxLon: vals[3]}
-	}
-	if raw, ok := q["metrics"]; ok {
-		req.Metrics = []string{} // present: empty selects all registered
-		for _, part := range raw {
-			for _, f := range strings.Split(part, ",") {
-				if f = strings.TrimSpace(f); f != "" {
-					req.Metrics = append(req.Metrics, f)
-				}
-			}
-		}
-	}
-	if raw := q.Get("sums"); raw != "" {
-		v, err := strconv.ParseBool(raw)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"sums\": %v", err))
-			return false
-		}
-		req.Sums = v
-	}
-	return true
-}
-
 // handleCompare fans one request out to N named indexes — the
 // side-by-side workload: how does the same point, or the same ground
 // window, resolve under alternative fair partitionings of a city?
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	var req compareRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := wire.DecodeJSON(r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -1499,7 +1108,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 
 	resp.Op = "stats"
 	resp.Baseline = req.Indexes[0]
-	var base *statsResponse
+	var base *wire.StatsResponse
 	for i, idx := range idxs {
 		stats, status, err := s.windowStats(idx, *req.Task, req.Regions, req.Rect, req.Metrics, false)
 		if err != nil {
@@ -1518,7 +1127,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 				PosRate:  stats.PosRate - base.PosRate,
 			}
 			if stats.Metrics != nil {
-				delta.Metrics = make(map[string]jsonFloat, len(stats.Metrics))
+				delta.Metrics = make(map[string]wire.Float, len(stats.Metrics))
 				for name, v := range stats.Metrics {
 					delta.Metrics[name] = v - base.Metrics[name]
 				}

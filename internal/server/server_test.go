@@ -17,6 +17,7 @@ import (
 	fairindex "fairindex"
 	"fairindex/internal/dataset"
 	"fairindex/internal/geo"
+	"fairindex/internal/wire"
 )
 
 // buildIndex builds a small LA index once per option set.
@@ -119,7 +120,7 @@ func TestServerEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got locateResponse
+		var got wire.LocateResponse
 		url := fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", ts.URL, rec.Lat, rec.Lon)
 		if code := getJSON(t, client, url, &got); code != http.StatusOK {
 			t.Fatalf("locate status %d", code)
@@ -138,7 +139,7 @@ func TestServerEndToEnd(t *testing.T) {
 
 	// Batch lookup equals the in-process batch, point for point.
 	n := 100
-	req := locateBatchRequest{Lats: make([]float64, n), Lons: make([]float64, n)}
+	req := wire.LocateBatchRequest{Lats: make([]float64, n), Lons: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		req.Lats[i] = ds.Records[i%ds.Len()].Lat
 		req.Lons[i] = ds.Records[i%ds.Len()].Lon
@@ -148,7 +149,7 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	body, _ := json.Marshal(req)
-	var batch locateBatchResponse
+	var batch wire.LocateBatchResponse
 	if code := postJSON(t, client, ts.URL+"/v1/locate_batch", string(body), &batch); code != http.StatusOK {
 		t.Fatalf("locate_batch status %d", code)
 	}
@@ -255,7 +256,7 @@ func TestServerBadRequests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var errBody errorResponse
+			var errBody wire.Error
 			code := postJSON(t, client, ts.URL+tc.url, tc.body, &errBody)
 			if code != tc.want {
 				t.Errorf("status %d, want %d (error %q)", code, tc.want, errBody.Error)
@@ -267,7 +268,7 @@ func TestServerBadRequests(t *testing.T) {
 	}
 
 	// Oversized batch → 413.
-	big := locateBatchRequest{Lats: make([]float64, 101), Lons: make([]float64, 101)}
+	big := wire.LocateBatchRequest{Lats: make([]float64, 101), Lons: make([]float64, 101)}
 	body, _ := json.Marshal(big)
 	if code := postJSON(t, client, ts.URL+"/v1/locate_batch", string(body), nil); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized batch status %d, want 413", code)
@@ -302,7 +303,7 @@ func TestServerBatchRejectsNonFiniteJSON(t *testing.T) {
 
 	body := fmt.Sprintf(`{"lats":[%v,1e999],"lons":[%v,%v]}`,
 		ds.Records[0].Lat, ds.Records[0].Lon, ds.Records[1].Lon)
-	var errBody errorResponse
+	var errBody wire.Error
 	if code := postJSON(t, ts.Client(), ts.URL+"/v1/locate_batch", body, &errBody); code != http.StatusBadRequest {
 		t.Errorf("overflowing literal status %d, want 400 (%q)", code, errBody.Error)
 	}
@@ -330,7 +331,7 @@ func TestServerHotReloadUnderLoad(t *testing.T) {
 
 	// Precompute per-generation expectations.
 	n := 64
-	req := locateBatchRequest{Lats: make([]float64, n), Lons: make([]float64, n)}
+	req := wire.LocateBatchRequest{Lats: make([]float64, n), Lons: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		req.Lats[i] = ds.Records[i%ds.Len()].Lat
 		req.Lons[i] = ds.Records[i%ds.Len()].Lon
@@ -360,7 +361,7 @@ func TestServerHotReloadUnderLoad(t *testing.T) {
 					errs <- err
 					return
 				}
-				var batch locateBatchResponse
+				var batch wire.LocateBatchResponse
 				err = json.NewDecoder(resp.Body).Decode(&batch)
 				resp.Body.Close()
 				if err != nil {
@@ -523,7 +524,7 @@ func TestServerQueryEndpoints(t *testing.T) {
 	midLon := (box.MinLon + box.MaxLon) / 2
 	body := fmt.Sprintf(`{"min_lat":%v,"min_lon":%v,"max_lat":%v,"max_lon":%v}`,
 		box.MinLat, box.MinLon, midLat, midLon)
-	var rr rangeResponse
+	var rr wire.RangeResponse
 	if code := postJSON(t, client, ts.URL+"/v1/range", body, &rr); code != http.StatusOK {
 		t.Fatalf("range status %d", code)
 	}
@@ -546,7 +547,7 @@ func TestServerQueryEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kg, kp knnResponse
+	var kg, kp wire.KNNResponse
 	if code := getJSON(t, client, fmt.Sprintf("%s/v1/knn?lat=%v&lon=%v&k=3", ts.URL, midLat, midLon), &kg); code != http.StatusOK {
 		t.Fatalf("knn GET status %d", code)
 	}
@@ -554,7 +555,7 @@ func TestServerQueryEndpoints(t *testing.T) {
 		t.Fatalf("knn POST status %d", code)
 	}
 	for i, nd := range wantN {
-		if kg.Neighbors[i].Region != nd.Region || kg.Neighbors[i].Distance != nd.Distance {
+		if kg.Neighbors[i].Region != nd.Region || float64(kg.Neighbors[i].Distance) != nd.Distance {
 			t.Fatalf("knn GET neighbor %d = %+v, want %+v", i, kg.Neighbors[i], nd)
 		}
 		if kp.Neighbors[i] != kg.Neighbors[i] {
@@ -568,7 +569,7 @@ func TestServerQueryEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr statsResponse
+	var sr wire.StatsResponse
 	if code := postJSON(t, client, ts.URL+"/v1/stats", fmt.Sprintf(`{"task":0,"regions":[%d]}`, regions[0]), &sr); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
@@ -577,7 +578,7 @@ func TestServerQueryEndpoints(t *testing.T) {
 	}
 
 	// Stats by rectangle resolve through RangeQuery first.
-	var sr2 statsResponse
+	var sr2 wire.StatsResponse
 	if code := postJSON(t, client, ts.URL+"/v1/stats", fmt.Sprintf(`{"task":0,"rect":%s}`, body), &sr2); code != http.StatusOK {
 		t.Fatalf("stats-by-rect status %d", code)
 	}
@@ -633,7 +634,7 @@ func TestServerQueryBadRequests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var errResp errorResponse
+			var errResp wire.Error
 			if code := postJSON(t, client, ts.URL+tc.url, tc.body, &errResp); code != tc.want {
 				t.Fatalf("status %d, want %d (error %q)", code, tc.want, errResp.Error)
 			}

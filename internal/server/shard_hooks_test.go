@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"fairindex/internal/wire"
 )
 
 // TestGenerationHeader pins the router's consistency token: every data
@@ -34,8 +36,8 @@ func TestGenerationHeader(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if got := resp.Header.Get(GenerationHeader); got != want {
-			t.Errorf("GET %s: %s = %q, want %q", url, GenerationHeader, got, want)
+		if got := resp.Header.Get(wire.GenerationHeader); got != want {
+			t.Errorf("GET %s: %s = %q, want %q", url, wire.GenerationHeader, got, want)
 		}
 	}
 
@@ -48,8 +50,8 @@ func TestGenerationHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get(GenerationHeader); got != want {
-		t.Errorf("POST /v1/stats: %s = %q, want %q", GenerationHeader, got, want)
+	if got := resp.Header.Get(wire.GenerationHeader); got != want {
+		t.Errorf("POST /v1/stats: %s = %q, want %q", wire.GenerationHeader, got, want)
 	}
 }
 
@@ -69,7 +71,7 @@ func TestStatsSums(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var resp statsResponse
+	var resp wire.StatsResponse
 	body := fmt.Sprintf(`{"task":%d,"regions":[0,1,2],"sums":true}`, task)
 	if code := postJSON(t, client, ts.URL+"/v1/stats", body, &resp); code != http.StatusOK {
 		t.Fatalf("stats with sums: status %d", code)
@@ -90,7 +92,7 @@ func TestStatsSums(t *testing.T) {
 	}
 
 	// GET form: sums=true behaves identically.
-	var getResp statsResponse
+	var getResp wire.StatsResponse
 	url := fmt.Sprintf("%s/v1/stats?task=%d&regions=0,1,2&sums=true", ts.URL, task)
 	if code := getJSON(t, client, url, &getResp); code != http.StatusOK {
 		t.Fatalf("GET stats with sums: status %d", code)
@@ -137,7 +139,7 @@ func TestKNNSquared(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var sq knnResponse
+	var sq wire.KNNResponse
 	url := fmt.Sprintf("%s/v1/knn?lat=%v&lon=%v&k=%d&squared=true", ts.URL, lat, lon, k)
 	if code := getJSON(t, client, url, &sq); code != http.StatusOK {
 		t.Fatalf("squared knn: status %d", code)
@@ -150,13 +152,13 @@ func TestKNNSquared(t *testing.T) {
 	}
 	for i, nd := range wantSq {
 		got := sq.Neighbors[i]
-		if got.Region != nd.Region || math.Float64bits(got.Distance) != math.Float64bits(nd.Distance) {
+		if got.Region != nd.Region || math.Float64bits(float64(got.Distance)) != math.Float64bits(nd.Distance) {
 			t.Errorf("squared neighbor %d = (%d, %v), want (%d, %v)", i, got.Region, got.Distance, nd.Region, nd.Distance)
 		}
 	}
 
 	// POST form with the flag.
-	var post knnResponse
+	var post wire.KNNResponse
 	body := fmt.Sprintf(`{"lat":%v,"lon":%v,"k":%d,"squared":true}`, lat, lon, k)
 	if code := postJSON(t, client, ts.URL+"/v1/knn", body, &post); code != http.StatusOK {
 		t.Fatalf("POST squared knn: status %d", code)
@@ -166,7 +168,7 @@ func TestKNNSquared(t *testing.T) {
 	}
 
 	// Default stays Euclidean with no flag in the body.
-	var eu knnResponse
+	var eu wire.KNNResponse
 	url = fmt.Sprintf("%s/v1/knn?lat=%v&lon=%v&k=%d", ts.URL, lat, lon, k)
 	if code := getJSON(t, client, url, &eu); code != http.StatusOK {
 		t.Fatalf("knn: status %d", code)
@@ -176,7 +178,7 @@ func TestKNNSquared(t *testing.T) {
 	}
 	for i, nd := range wantEu {
 		got := eu.Neighbors[i]
-		if got.Region != nd.Region || math.Float64bits(got.Distance) != math.Float64bits(nd.Distance) {
+		if got.Region != nd.Region || math.Float64bits(float64(got.Distance)) != math.Float64bits(nd.Distance) {
 			t.Errorf("neighbor %d = (%d, %v), want (%d, %v)", i, got.Region, got.Distance, nd.Region, nd.Distance)
 		}
 	}

@@ -1,11 +1,13 @@
 package fairindex_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"fairindex/internal/router"
 	"fairindex/internal/server"
 	"fairindex/internal/shard"
+	"fairindex/internal/wire"
 )
 
 // The HTTP sharded-vs-whole parity suite. The in-process merge kernels
@@ -36,7 +39,7 @@ func parityConfigs() map[string][]fairindex.Option {
 
 var parityShardCounts = []int{2, 4, 8}
 
-func buildParityIndex(t *testing.T, opts ...fairindex.Option) *fairindex.Index {
+func buildParityIndex(t testing.TB, opts ...fairindex.Option) *fairindex.Index {
 	t.Helper()
 	spec := fairindex.LA()
 	spec.NumRecords = 400
@@ -124,6 +127,16 @@ func parityBattery(whole *fairindex.Index) []parityRequest {
 			fmt.Sprintf(`{"lat":%v,"lon":%v,"k":%d,"squared":true}`, lat, lon, k)})
 	}
 	reqs = append(reqs, parityRequest{"GET", "/v1/knn?lat=1&lon=2&k=0", ""})
+	// Far enough out that every squared distance overflows to +Inf.
+	reqs = append(reqs, parityRequest{"GET", "/v1/knn?lat=1e200&lon=2&k=3", ""})
+	// k at the request-size limit: the whole index clamps it to its
+	// region count, so the router must not ask its shards for more.
+	lat, lon := point()
+	reqs = append(reqs,
+		parityRequest{"GET", fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=%d", lat, lon, wire.DefaultMaxBatch), ""},
+		parityRequest{"POST", "/v1/knn", fmt.Sprintf(`{"lat":%v,"lon":%v,"k":%d}`, lat, lon, wire.DefaultMaxBatch)},
+		parityRequest{"GET", fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=%d", lat, lon, wire.DefaultMaxBatch+1), ""},
+	)
 
 	// Window stats: explicit windows, rects, metric subsets, sums.
 	n := whole.NumRegions()
@@ -154,7 +167,39 @@ func parityBattery(whole *fairindex.Index) []parityRequest {
 		parityRequest{"POST", "/v1/stats", fmt.Sprintf(`{"task":%d,"regions":[0],"rect":{"min_lat":0,"min_lon":0,"max_lat":1,"max_lon":1}}`, task)},
 		parityRequest{"POST", "/v1/stats", `{"task":12345,"regions":[0]}`},
 		parityRequest{"POST", "/v1/stats", fmt.Sprintf(`{"task":%d,"regions":[0],"metrics":["nope"]}`, task)},
+		parityRequest{"POST", "/v1/stats", `{"regions":[]}`},
+		parityRequest{"POST", "/v1/stats", `{"regions":[-1]}`},
+		// Several faults at once: the refusal order must match too.
+		parityRequest{"POST", "/v1/stats", `{"task":12345,"regions":[-1]}`},
+		parityRequest{"POST", "/v1/stats", `{"task":12345,"regions":[0],"metrics":["nope"]}`},
+		parityRequest{"GET", "/v1/stats?task=12345&rect=NaN,0,1,1&metrics=nope", ""},
+		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&rect=2,0,1,1", task), ""},
 	)
+
+	// Malformed requests: both deployments parse with the same wire
+	// layer, so every refusal must match down to the error text.
+	reqs = append(reqs,
+		parityRequest{"GET", "/v1/locate?lon=1", ""},
+		parityRequest{"GET", "/v1/locate?lat=x&lon=1", ""},
+		parityRequest{"GET", "/v1/knn?lat=1&lon=2", ""},
+		parityRequest{"GET", "/v1/knn?lat=1&lon=2&k=x", ""},
+		parityRequest{"GET", "/v1/knn?lat=1&lon=2&k=3&squared=maybe", ""},
+		parityRequest{"GET", "/v1/knn?lat=NaN&lon=2&k=0", ""},
+		parityRequest{"GET", "/v1/stats?task=x&regions=0", ""},
+		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&regions=0,a", task), ""},
+		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&rect=0,0,1", task), ""},
+		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&rect=0,0,1,x", task), ""},
+		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&regions=0&sums=maybe", task), ""},
+		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&regions=0,1&metrics=", task), ""},
+		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d", task), ""},
+	)
+	for _, path := range parityPaths {
+		reqs = append(reqs,
+			parityRequest{"POST", path, `{"lat":1,"lon":2,"unknown":3}`},
+			parityRequest{"POST", path, `{"lat":1,"lon":2}{}`},
+			parityRequest{"POST", path, ""},
+		)
+	}
 	return reqs
 }
 
@@ -181,7 +226,7 @@ func replay(t *testing.T, base string, rq parityRequest) (int, string, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, string(data), resp.Header.Get(server.GenerationHeader)
+	return resp.StatusCode, string(data), resp.Header.Get(wire.GenerationHeader)
 }
 
 func TestShardedHTTPParity(t *testing.T) {
@@ -234,4 +279,84 @@ func TestShardedHTTPParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// parityPaths are the endpoints a router serves by scatter-gather.
+var parityPaths = []string{"/v1/locate", "/v1/locate_batch", "/v1/range", "/v1/knn", "/v1/stats"}
+
+// handlerTransport delivers each request to the in-process handler
+// registered for its host, so a router can fan out without sockets.
+type handlerTransport map[string]http.Handler
+
+func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	h, ok := t[r.URL.Host]
+	if !ok {
+		return nil, fmt.Errorf("no handler for host %q", r.URL.Host)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(r.Method, r.URL.String(), r.Body).WithContext(r.Context()))
+	return rec.Result(), nil
+}
+
+// serveRecorded runs one request through h in process; ok is false
+// when the bytes do not form a valid request.
+func serveRecorded(h http.Handler, method, target string, body []byte) (*httptest.ResponseRecorder, bool) {
+	req, err := http.NewRequest(method, "http://fairindex"+target, bytes.NewReader(body))
+	if err != nil {
+		return nil, false
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec, true
+}
+
+// FuzzRouterParity extends the parity battery to generated requests:
+// any method (GET or POST), scatter-gather endpoint, query string and
+// body must get a byte-identical status, body and generation header
+// from a router over a 3-shard split and from the whole-index server.
+// The battery is the seed corpus.
+func FuzzRouterParity(f *testing.F) {
+	whole := buildParityIndex(f, parityConfigs()["fair-h4"]...)
+	m, shards, err := shard.Split(whole, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	transport := handlerTransport{}
+	backends := make([]router.Backend, len(shards))
+	for i, sx := range shards {
+		transport[m.Shards[i].Name] = server.New(sx)
+		backends[i] = router.Backend{Name: m.Shards[i].Name, URL: "http://" + m.Shards[i].Name}
+	}
+	rt, err := router.New(m, backends, router.WithClient(&http.Client{Transport: transport}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	wholeSrv := server.New(whole)
+
+	for _, rq := range parityBattery(whole) {
+		path, query, _ := strings.Cut(rq.path, "?")
+		f.Add(rq.method == http.MethodPost, uint8(slices.Index(parityPaths, path)), query, []byte(rq.body))
+	}
+	f.Fuzz(func(t *testing.T, post bool, endpoint uint8, query string, body []byte) {
+		method := http.MethodGet
+		if post {
+			method = http.MethodPost
+		}
+		target := parityPaths[int(endpoint)%len(parityPaths)]
+		if query != "" {
+			target += "?" + query
+		}
+		want, ok := serveRecorded(wholeSrv, method, target, body)
+		if !ok {
+			return
+		}
+		got, _ := serveRecorded(rt, method, target, body)
+		if got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Fatalf("%s %s body=%q:\nrouter %d %s\nwhole  %d %s",
+				method, target, body, got.Code, got.Body, want.Code, want.Body)
+		}
+		if g, w := got.Header().Get(wire.GenerationHeader), want.Header().Get(wire.GenerationHeader); g != w {
+			t.Fatalf("%s %s body=%q: generation %q, whole server %q", method, target, body, g, w)
+		}
+	})
 }
