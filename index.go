@@ -331,18 +331,8 @@ func (ix *Index) locateRange(dst []int, lats, lons []float64, base int) error {
 			}
 			continue
 		}
-		row := int(uF * (lat - minLat) / latSpan)
-		col := int(vF * (lon - minLon) / lonSpan)
-		if row < 0 {
-			row = 0
-		} else if row >= u {
-			row = u - 1
-		}
-		if col < 0 {
-			col = 0
-		} else if col >= v {
-			col = v - 1
-		}
+		row := geo.ClampIndex(uF*(lat-minLat)/latSpan, u)
+		col := geo.ClampIndex(vF*(lon-minLon)/lonSpan, v)
 		dst[i] = table[row*v+col]
 	}
 	if invalid > len(errs) {

@@ -223,6 +223,31 @@ func TestIndexLocateClampsAndRejectsNonFinite(t *testing.T) {
 	if _, err := idx.Locate(box.MinLat-10, box.MinLon-10); err != nil {
 		t.Errorf("clamped locate: %v", err)
 	}
+	// Coordinates far enough out to overflow an int conversion still
+	// clamp to the far edge, per point and in a batch.
+	g := idx.Grid()
+	far := []struct {
+		lat, lon float64
+		cell     fairindex.Cell
+	}{
+		{1e300, -1e300, fairindex.Cell{Row: g.U - 1, Col: 0}},
+		{-1e300, 1e300, fairindex.Cell{Row: 0, Col: g.V - 1}},
+		{1e300, 1e300, fairindex.Cell{Row: g.U - 1, Col: g.V - 1}},
+	}
+	for _, p := range far {
+		want, err := idx.LocateCell(p.cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := idx.Locate(p.lat, p.lon)
+		if err != nil || got != want {
+			t.Errorf("Locate(%g, %g) = %d, %v; want %d (cell %v)", p.lat, p.lon, got, err, want, p.cell)
+		}
+		batch, err := idx.LocateBatch([]float64{p.lat}, []float64{p.lon})
+		if err != nil || batch[0] != want {
+			t.Errorf("LocateBatch(%g, %g) = %v, %v; want %d", p.lat, p.lon, batch, err, want)
+		}
+	}
 	nan := 0.0
 	nan = nan / nan
 	if _, err := idx.Locate(nan, 0); err == nil {

@@ -97,11 +97,24 @@ func NewMapper(g Grid, b BBox) (Mapper, error) {
 // CellOf returns the grid cell enclosing the coordinate, clamping
 // points on or outside the box edge to the nearest border cell.
 func (m Mapper) CellOf(lat, lon float64) Cell {
-	row := int(float64(m.Grid.U) * (lat - m.Box.MinLat) / (m.Box.MaxLat - m.Box.MinLat))
-	col := int(float64(m.Grid.V) * (lon - m.Box.MinLon) / (m.Box.MaxLon - m.Box.MinLon))
-	row = clamp(row, 0, m.Grid.U-1)
-	col = clamp(col, 0, m.Grid.V-1)
+	row := ClampIndex(float64(m.Grid.U)*(lat-m.Box.MinLat)/(m.Box.MaxLat-m.Box.MinLat), m.Grid.U)
+	col := ClampIndex(float64(m.Grid.V)*(lon-m.Box.MinLon)/(m.Box.MaxLon-m.Box.MinLon), m.Grid.V)
 	return Cell{Row: row, Col: col}
+}
+
+// ClampIndex truncates a fractional cell coordinate to a row or column
+// index in [0, n): below 0 (or NaN) clamps to 0, n and above to n-1.
+// The clamp happens before the int conversion, which a coordinate far
+// outside the box would overflow (|lat| ≳ 1e18 turned into the
+// minimum int, so the far edge clamped to 0).
+func ClampIndex(x float64, n int) int {
+	switch {
+	case !(x >= 0):
+		return 0
+	case x >= float64(n):
+		return n - 1
+	}
+	return int(x)
 }
 
 // CenterOf returns the geographic center of a grid cell.
@@ -111,14 +124,4 @@ func (m Mapper) CenterOf(c Cell) (lat, lon float64) {
 	lat = m.Box.MinLat + (float64(c.Row)+0.5)*latStep
 	lon = m.Box.MinLon + (float64(c.Col)+0.5)*lonStep
 	return lat, lon
-}
-
-func clamp(x, lo, hi int) int {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -115,6 +116,11 @@ func TestMapperCellOf(t *testing.T) {
 		{5, 99, Cell{5, 9}},
 		// Exactly on the max edge clamps to the last cell.
 		{10, 10, Cell{9, 9}},
+		// Far enough out to overflow an int: clamps to the far edge.
+		{1e300, -1e300, Cell{9, 0}},
+		{-1e300, 1e300, Cell{0, 9}},
+		{math.MaxFloat64, math.MaxFloat64, Cell{9, 9}},
+		{1e19, 5, Cell{9, 5}},
 	}
 	for _, tt := range tests {
 		if got := m.CellOf(tt.lat, tt.lon); got != tt.want {

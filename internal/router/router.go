@@ -938,9 +938,7 @@ func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 	)
 	st, replies, herr := rt.scatterConsistent(r.Context(), func(st *routerState) (map[int]shardCall, *httpError) {
 		numShards := len(st.manifest.Shards)
-		subLats = make([][]float64, numShards)
-		subLons = make([][]float64, numShards)
-		subPos = make([][]int, numShards)
+		counts := make([]int, numShards)
 		errs = errs[:0]
 		invalid = 0
 		for i := 0; i < n; i++ {
@@ -956,25 +954,38 @@ func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			cell := st.mapper.CellOf(lat, lon)
-			region := st.manifest.RegionOfCell(st.manifest.Grid.Index(cell))
-			regions[i] = region
-			s := st.manifest.ShardOfRegion(region)
-			subLats[s] = append(subLats[s], lat)
-			subLons[s] = append(subLons[s], lon)
-			subPos[s] = append(subPos[s], i)
+			regions[i] = st.manifest.RegionOfCell(st.manifest.Grid.Index(cell))
+			counts[st.manifest.ShardOfRegion(regions[i])]++
 		}
 		if invalid > len(errs) {
 			errs = append(errs, fmt.Sprintf("fairindex: %d further invalid points", invalid-len(errs)))
+		}
+		// Group the valid points by owning shard, request order kept
+		// within a shard: a counting sort into one allocation per column.
+		lats, lons, pos := make([]float64, n-invalid), make([]float64, n-invalid), make([]int, n-invalid)
+		subLats, subLons, subPos = make([][]float64, numShards), make([][]float64, numShards), make([][]int, numShards)
+		off := 0
+		for s, c := range counts {
+			subLats[s], subLons[s], subPos[s] = lats[off:off:off+c], lons[off:off:off+c], pos[off:off:off+c]
+			off += c
+		}
+		for i, region := range regions {
+			if region == fairindex.RegionInvalid {
+				continue
+			}
+			s := st.manifest.ShardOfRegion(region)
+			subLats[s] = append(subLats[s], req.Lats[i])
+			subLons[s] = append(subLons[s], req.Lons[i])
+			subPos[s] = append(subPos[s], i)
 		}
 		calls := make(map[int]shardCall, numShards)
 		for s := range subLats {
 			if len(subLats[s]) == 0 {
 				continue
 			}
-			body, err := json.Marshal(wire.LocateBatchRequest{Lats: subLats[s], Lons: subLons[s]})
-			if err != nil {
-				return nil, &httpError{http.StatusInternalServerError, err.Error()}
-			}
+			// ~24 bytes per encoded coordinate covers most without a regrow.
+			body := wire.AppendLocateBatchRequest(make([]byte, 0, 48*len(subLats[s])+16),
+				wire.LocateBatchRequest{Lats: subLats[s], Lons: subLons[s]})
 			calls[s] = shardCall{method: http.MethodPost, path: "/v1/locate_batch", body: body, hedge: true}
 		}
 		return calls, nil
@@ -982,14 +993,15 @@ func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 	if !rt.mergeable(w, st, replies, herr) {
 		return
 	}
+	sub := make([]int, 0, n)
 	for s, rep := range replies {
-		var sub wire.LocateBatchResponse
-		if err := json.Unmarshal(rep.body, &sub); err != nil || len(sub.Regions) != len(subPos[s]) {
+		sub, err = wire.DecodeLocateBatchReply(sub[:0], rep.body)
+		if err != nil || len(sub) != len(subPos[s]) {
 			writeError(w, http.StatusBadGateway, fmt.Errorf(
 				"router: shard %q: malformed batch response", st.manifest.Shards[s].Name))
 			return
 		}
-		for j, local := range sub.Regions {
+		for j, local := range sub {
 			global, ok := st.manifest.ToGlobal(s, local)
 			if !ok || global != regions[subPos[s][j]] {
 				writeError(w, http.StatusBadGateway, fmt.Errorf(
@@ -1000,7 +1012,10 @@ func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	setGeneration(w, st)
-	writeJSON(w, http.StatusOK, wire.LocateBatchResponse{Regions: regions, Invalid: invalid, Error: strings.Join(errs, "\n")})
+	resp := wire.LocateBatchResponse{Regions: regions, Invalid: invalid, Error: strings.Join(errs, "\n")}
+	if err := wire.WriteLocateBatch(w, resp); err != nil {
+		log.Printf("router: writing response: %v", err)
+	}
 }
 
 // handleRange fans the rectangle to every shard and concatenates the

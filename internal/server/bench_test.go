@@ -63,6 +63,7 @@ func BenchmarkServerLocateBatch(b *testing.B) {
 	}
 	body := benchBatchBody(b, 1000)
 	client := ts.Client()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resp, err := client.Post(ts.URL+"/v1/locate_batch", "application/json", bytes.NewReader(body))

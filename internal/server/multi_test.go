@@ -384,7 +384,16 @@ func TestServerTwoIndexConcurrentReload(t *testing.T) {
 				errs <- err
 				return
 			}
-			if err := os.WriteFile(filepath.Join(dir, "hot.fidx"), blob, 0o644); err != nil {
+			// Replace the artifact atomically, as docs/QUERIES.md asks of
+			// writers: a worker's lazy first load of "hot" may read the
+			// file at any moment, and an in-place write can hand it a
+			// torn artifact.
+			tmp := filepath.Join(dir, "hot.fidx.tmp")
+			if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+				errs <- err
+				return
+			}
+			if err := os.Rename(tmp, filepath.Join(dir, "hot.fidx")); err != nil {
 				errs <- err
 				return
 			}

@@ -776,7 +776,9 @@ func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	if err := wire.WriteLocateBatch(w, resp); err != nil {
+		s.logger.Printf("server: writing response: %v", err)
+	}
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {

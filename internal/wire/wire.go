@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -146,7 +147,7 @@ func (d Distance) MarshalJSON() ([]byte, error) {
 	if math.IsInf(float64(d), 1) {
 		return []byte("null"), nil
 	}
-	return json.Marshal(float64(d))
+	return AppendFloat(make([]byte, 0, 32), float64(d)), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -305,7 +306,7 @@ func (f Float) MarshalJSON() ([]byte, error) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return []byte("null"), nil
 	}
-	return json.Marshal(v)
+	return AppendFloat(make([]byte, 0, 32), v), nil
 }
 
 // WriteJSON writes v as the reply body with the given status; an
@@ -321,7 +322,12 @@ func WriteJSON(w http.ResponseWriter, status int, v any) error {
 // DecodeJSON strictly decodes a single JSON object request body:
 // unknown fields and trailing data are errors.
 func DecodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+	return decodeJSON(r.Body, v)
+}
+
+// decodeJSON is DecodeJSON over any reader.
+func decodeJSON(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid JSON body: %w", err)
@@ -359,26 +365,6 @@ func ParseLocate(r *http.Request) (LocateRequest, error) {
 	}
 	req.Lon, err = queryFloat(r, "lon")
 	return req, err
-}
-
-// ParseLocateBatch reads a /v1/locate_batch body and checks its shape:
-// equally long, non-empty coordinate lists of at most limit points. An
-// error comes with its status: 400, or 413 past the limit.
-func ParseLocateBatch(r *http.Request, limit int) (LocateBatchRequest, int, error) {
-	var req LocateBatchRequest
-	if err := DecodeJSON(r, &req); err != nil {
-		return req, http.StatusBadRequest, err
-	}
-	switch {
-	case len(req.Lats) != len(req.Lons):
-		return req, http.StatusBadRequest, fmt.Errorf("%d lats vs %d lons", len(req.Lats), len(req.Lons))
-	case len(req.Lats) == 0:
-		return req, http.StatusBadRequest, errors.New("empty batch")
-	case len(req.Lats) > limit:
-		return req, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d points exceeds limit %d", len(req.Lats), limit)
-	}
-	return req, 0, nil
 }
 
 // ParseKNN reads a /v1/knn request: ?lat=&lon=&k=[&squared=] on GET, a

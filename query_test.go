@@ -135,6 +135,16 @@ func TestRangeQueryFullAndEmptyWindows(t *testing.T) {
 		t.Errorf("full-box query covers %d of %d cells", totalCells, idx.Grid().NumCells())
 	}
 
+	// A window far enough out to overflow an int conversion covers
+	// every cell, like the box itself.
+	huge, err := idx.RangeQuery(fairindex.BBox{MinLat: -1e300, MinLon: -1e300, MaxLat: 1e300, MaxLon: 1e300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(huge, full) {
+		t.Errorf("±1e300 window = %d overlaps, want the full box's %d", len(huge), len(full))
+	}
+
 	// A point window resolves to exactly the enclosing region.
 	lat := (box.MinLat + box.MaxLat) / 2
 	lon := (box.MinLon + box.MaxLon) / 2

@@ -101,6 +101,14 @@ func parityBattery(whole *fairindex.Index) []parityRequest {
 		fmt.Sprintf(`{"lats":[%s],"lons":[%s]}`, strings.Join(infLats, ","), strings.Join(lons[:12], ","))})
 	reqs = append(reqs, parityRequest{"POST", "/v1/locate_batch", `{"lats":[1.0],"lons":[]}`})
 	reqs = append(reqs, parityRequest{"POST", "/v1/locate_batch", `{"lats":[],"lons":[]}`})
+	// Far enough outside the grid to overflow an int conversion: the
+	// far-edge cells, routed by cell on the router.
+	reqs = append(reqs,
+		parityRequest{"GET", "/v1/locate?lat=1e300&lon=-1e300", ""},
+		parityRequest{"POST", "/v1/locate", `{"lat":-1e300,"lon":1e300}`},
+		parityRequest{"POST", "/v1/locate_batch", fmt.Sprintf(`{"lats":[1e300,-1e300,1e300,%s],"lons":[-1e300,1e300,1e300,%s]}`, lats[0], lons[0])},
+		parityRequest{"POST", "/v1/range", `{"min_lat":-1e300,"min_lon":-1e300,"max_lat":1e300,"max_lon":1e300}`},
+	)
 	reqs = append(reqs, parityRequest{"GET", "/v1/locate?lat=NaN&lon=1", ""})
 	reqs = append(reqs, parityRequest{"GET", "/v1/locate?lat=1&lon=-Inf", ""})
 
