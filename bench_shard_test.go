@@ -88,7 +88,7 @@ func BenchmarkRouterLocateBatch(b *testing.B) {
 	for i, sx := range shards {
 		ts := httptest.NewServer(server.New(sx))
 		defer ts.Close()
-		backends[i] = router.Backend{Name: m.Shards[i].Name, URL: ts.URL}
+		backends[i] = router.Backend{Name: m.Shards[i].Name, URLs: []string{ts.URL}}
 	}
 	rt, err := router.New(m, backends)
 	if err != nil {

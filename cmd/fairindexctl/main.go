@@ -276,7 +276,7 @@ func runBuildLike(cmd string, args []string, streaming bool) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(*out, blob, 0o644); err != nil {
+	if err := rebuild.WriteFileAtomic(*out, blob); err != nil {
 		return err
 	}
 	rep, err := idx.Report(*task)
@@ -321,15 +321,8 @@ func runAppendCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *threshold >= 0 {
-		if err := idx.SetDriftThreshold(*threshold); err != nil {
-			return err
-		}
-	}
-	for name, t := range driftMetrics {
-		if err := idx.SetMetricDriftThreshold(name, t); err != nil {
-			return err
-		}
+	if err := idx.SetDriftThresholds(withENCEThreshold(*threshold, driftMetrics)); err != nil {
+		return err
 	}
 	// The appended CSV is decoded against the index's own geometry, so
 	// the records land in the partitioning they will be folded into.
@@ -348,12 +341,24 @@ func runAppendCmd(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*out, blob, 0o644); err != nil {
+		if err := rebuild.WriteFileAtomic(*out, blob); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %d bytes to %s\n", len(blob), *out)
 	}
 	return nil
+}
+
+// withENCEThreshold folds an ENCE-only threshold flag (append
+// -threshold, serve -drift-threshold) into the -drift-metric map as
+// its "ence" entry; a non-positive value adds nothing, and an
+// explicit -drift-metric ence=… wins. The map is updated in place and
+// returned.
+func withENCEThreshold(ence float64, metrics map[string]float64) map[string]float64 {
+	if _, explicit := metrics[fairindex.MetricENCE]; ence > 0 && !explicit {
+		metrics[fairindex.MetricENCE] = ence
+	}
+	return metrics
 }
 
 // parseDriftMetric parses one -drift-metric metric=threshold value
@@ -662,7 +667,7 @@ func runServeCmd(args []string) error {
 		return fmt.Errorf("serve: at least one index file (-index, positional) or -dir is required")
 	}
 
-	srv, err := newServeServer(entries, *dir, *maxIndexes, *defName, *driftThr, driftMetrics)
+	srv, err := newServeServer(entries, *dir, *maxIndexes, *defName, withENCEThreshold(*driftThr, driftMetrics))
 	if err != nil {
 		return err
 	}
@@ -690,7 +695,7 @@ func runServeCmd(args []string) error {
 // newServeServer assembles the index catalog from explicit entries
 // and/or a scanned artifact directory. Explicit files must exist
 // (fail fast at boot); directory entries load lazily on first use.
-func newServeServer(entries []indexSpec, dir string, maxIndexes int, defName string, driftThr float64, driftMetrics map[string]float64) (*server.Server, error) {
+func newServeServer(entries []indexSpec, dir string, maxIndexes int, defName string, driftMetrics map[string]float64) (*server.Server, error) {
 	var regOpts []registry.Option
 	if dir != "" {
 		regOpts = append(regOpts, registry.WithDir(dir))
@@ -700,9 +705,6 @@ func newServeServer(entries []indexSpec, dir string, maxIndexes int, defName str
 	}
 	if defName != "" {
 		regOpts = append(regOpts, registry.WithDefault(defName))
-	}
-	if driftThr > 0 {
-		regOpts = append(regOpts, registry.WithDriftThreshold(driftThr))
 	}
 	if len(driftMetrics) > 0 {
 		for name := range driftMetrics {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -260,7 +262,7 @@ func writeCityAndIndex(t *testing.T, dir string) (csvPath, idxPath string, ds *d
 func TestServeHTTPSmoke(t *testing.T) {
 	_, idxPath, ds := writeCityAndIndex(t, t.TempDir())
 
-	srv, err := newServeServer([]indexSpec{{name: "city", path: idxPath}}, "", 0, "", 0, nil)
+	srv, err := newServeServer([]indexSpec{{name: "city", path: idxPath}}, "", 0, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +437,7 @@ func TestServeArgValidation(t *testing.T) {
 	if _, err := parseIndexSpec("la="); err == nil {
 		t.Error("expected error for an empty path spec")
 	}
-	if _, err := newServeServer([]indexSpec{}, t.TempDir(), 0, "", 0, nil); err == nil {
+	if _, err := newServeServer([]indexSpec{}, t.TempDir(), 0, "", nil); err == nil {
 		t.Error("expected error for an empty artifact directory")
 	}
 }
@@ -476,7 +478,7 @@ func TestServeMultiIndex(t *testing.T) {
 	srv, err := newServeServer([]indexSpec{
 		{name: "fair", path: idxPath},
 		{name: "zip", path: zipPath},
-	}, "", 0, "fair", 0, nil)
+	}, "", 0, "fair", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -721,5 +723,99 @@ func TestQueryArgValidation(t *testing.T) {
 		if err := runQueryCmd(args, &out); err == nil {
 			t.Errorf("runQueryCmd(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// TestWithENCEThreshold pins how the ENCE-only threshold flags fold
+// into the per-metric map: a positive value becomes the "ence" entry,
+// anything else adds nothing, and an explicit ence entry wins.
+func TestWithENCEThreshold(t *testing.T) {
+	for _, tc := range []struct {
+		ence          float64
+		metrics, want map[string]float64
+	}{
+		{-1, map[string]float64{}, map[string]float64{}},
+		{0, map[string]float64{}, map[string]float64{}},
+		{math.NaN(), map[string]float64{}, map[string]float64{}},
+		{0.5, map[string]float64{}, map[string]float64{"ence": 0.5}},
+		{0.5, map[string]float64{"stat_parity": 0.05}, map[string]float64{"ence": 0.5, "stat_parity": 0.05}},
+		{0.5, map[string]float64{"ence": 0.1}, map[string]float64{"ence": 0.1}},
+		{0.5, map[string]float64{"ence": 0}, map[string]float64{"ence": 0}},
+	} {
+		in := maps.Clone(tc.metrics)
+		if got := withENCEThreshold(tc.ence, in); !maps.Equal(got, tc.want) {
+			t.Errorf("withENCEThreshold(%v, %v) = %v, want %v", tc.ence, tc.metrics, got, tc.want)
+		}
+	}
+}
+
+// TestAppendCmd folds a CSV into a saved artifact with `append -out`
+// over the same path, and checks the rewritten artifact reloads with
+// exactly the ENCE drift an in-process fold of the same CSV reports.
+func TestAppendCmd(t *testing.T) {
+	dir := t.TempDir()
+	_, idxPath, ds := writeCityAndIndex(t, dir)
+
+	// Flipped labels guarantee the fold moves the calibration.
+	extra := *ds
+	extra.Records = make([]dataset.Record, 40)
+	for i := range extra.Records {
+		rec := ds.Records[i]
+		rec.Labels = make([]int, len(ds.Records[i].Labels))
+		for j, y := range ds.Records[i].Labels {
+			rec.Labels[j] = 1 - y
+		}
+		extra.Records[i] = rec
+	}
+	extraPath := filepath.Join(dir, "extra.csv")
+	f, err := os.Create(extraPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.WriteCSV(&extra, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	want, err := fairindex.LoadIndex(idxPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := loadDataset(extraPath, want.Grid(), want.Box())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := want.AppendBatch(recs.Records); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := runAppendCmd([]string{"-in", extraPath, "-threshold", "1e-12", "-out", idxPath, idxPath}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fairindex.LoadIndex(idxPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range want.Tasks() {
+		wd, err := want.MetricDrift(task, fairindex.MetricENCE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gd, err := got.MetricDrift(task, fairindex.MetricENCE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gd != wd || wd == 0 {
+			t.Errorf("task %d: reloaded ENCE drift %v, want in-process %v (non-zero)", task, gd, wd)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 {
+		t.Errorf("want city.csv, city.fidx and extra.csv only, got %v", entries)
 	}
 }

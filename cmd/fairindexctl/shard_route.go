@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	fairindex "fairindex"
+	"fairindex/internal/rebuild"
 	"fairindex/internal/router"
 	"fairindex/internal/shard"
 )
@@ -49,7 +50,7 @@ func runShardCmd(args []string, out io.Writer) error {
 		return fmt.Errorf("shard: %w", err)
 	}
 	manifestPath := filepath.Join(*outDir, *prefix+".manifest")
-	if err := os.WriteFile(manifestPath, m.Encode(), 0o644); err != nil {
+	if err := rebuild.WriteFileAtomic(manifestPath, m.Encode()); err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
 	fmt.Fprintf(out, "%s: %d regions over %d shards, generation %d\n",
@@ -60,7 +61,7 @@ func runShardCmd(args []string, out io.Writer) error {
 			return fmt.Errorf("shard %s: %w", m.Shards[i].Name, err)
 		}
 		shardPath := filepath.Join(*outDir, fmt.Sprintf("%s-%s.fidx", *prefix, m.Shards[i].Name))
-		if err := os.WriteFile(shardPath, blob, 0o644); err != nil {
+		if err := rebuild.WriteFileAtomic(shardPath, blob); err != nil {
 			return fmt.Errorf("shard: %w", err)
 		}
 		fmt.Fprintf(out, "  %s: regions [%d,%d), fingerprint %d, %d bytes\n",
@@ -78,11 +79,7 @@ type backendFlags []router.Backend
 func (b *backendFlags) String() string {
 	parts := make([]string, len(*b))
 	for i, be := range *b {
-		urls := be.URLs
-		if len(urls) == 0 && be.URL != "" {
-			urls = []string{be.URL}
-		}
-		parts[i] = be.Name + "=" + strings.Join(urls, ",")
+		parts[i] = be.Name + "=" + strings.Join(be.URLs, ",")
 	}
 	return strings.Join(parts, " ")
 }

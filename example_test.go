@@ -116,7 +116,8 @@ func ExampleIndex_AppendBatch() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	idx.SetDriftThreshold(0.5) // arm "rebuild recommended" at ENCE drift ≥ 0.5
+	// Arm "rebuild recommended" at ENCE drift ≥ 0.5.
+	idx.SetDriftThresholds(map[string]float64{fairindex.MetricENCE: 0.5})
 
 	res, err := idx.AppendBatch(ds.Records[360:]) // ...and the 40 that arrived since
 	if err != nil {

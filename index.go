@@ -157,14 +157,7 @@ func newIndex(ds *Dataset, art *pipeline.Artifacts) (*Index, error) {
 			stats:  append([]calib.SuffStats(nil), tt.RegionStats...),
 		})
 	}
-	ix.initMaint(art.Config.DriftThreshold)
-	// Per-metric thresholds layer on top of the legacy ENCE one; the
-	// names and values were validated by the pipeline config.
-	for name, t := range art.Config.DriftThresholds {
-		if err := ix.setThreshold(name, t); err != nil {
-			return nil, err
-		}
-	}
+	ix.initMaint()
 	return ix, nil
 }
 
@@ -807,7 +800,7 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 	if r.Len() != 0 {
 		return fmt.Errorf("%w: %d trailing bytes after payload", ErrIndexFormat, r.Len())
 	}
-	out.initMaint(0)
+	out.initMaint()
 	*ix = out
 	return nil
 }

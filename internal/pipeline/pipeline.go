@@ -8,7 +8,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -133,15 +132,6 @@ type Config struct {
 	// it is a pure resource knob: it never changes the produced
 	// artifact and is not serialized into it.
 	StreamChunk int
-	// DriftThreshold seeds the built Index's maintenance drift
-	// threshold: the ENCE divergence (|live − build-time|) at which
-	// appended batches flip the rebuild-recommended flag. 0 monitors
-	// drift without recommending. Runtime-only, not serialized.
-	DriftThreshold float64
-	// DriftThresholds seeds per-metric drift thresholds (registered
-	// metric name → threshold), layered on top of DriftThreshold's
-	// legacy ENCE entry. Runtime-only, not serialized.
-	DriftThresholds map[string]float64
 }
 
 // withDefaults fills unset optional fields.
@@ -178,23 +168,12 @@ func (c Config) validate(ds *dataset.Dataset) error {
 	if c.StreamChunk < 0 {
 		return fmt.Errorf("%w: stream chunk %d", ErrConfig, c.StreamChunk)
 	}
-	if c.DriftThreshold < 0 || math.IsNaN(c.DriftThreshold) || math.IsInf(c.DriftThreshold, 0) {
-		return fmt.Errorf("%w: drift threshold %v", ErrConfig, c.DriftThreshold)
-	}
 	if c.Method == MethodMultiObjectiveFairKD && c.Alphas != nil && len(c.Alphas) != ds.NumTasks() {
 		return fmt.Errorf("%w: %d alphas for %d tasks", ErrConfig, len(c.Alphas), ds.NumTasks())
 	}
 	if c.Method != MethodMultiObjectiveFairKD && c.Alphas != nil {
 		return fmt.Errorf("%w: alphas are only meaningful for %v, got them with %v",
 			ErrConfig, MethodMultiObjectiveFairKD, c.Method)
-	}
-	for name, t := range c.DriftThresholds {
-		if _, ok := calib.MetricByName(name); !ok {
-			return fmt.Errorf("%w: unknown drift metric %q (registered: %v)", ErrConfig, name, calib.MetricNames())
-		}
-		if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-			return fmt.Errorf("%w: drift threshold %v for metric %q", ErrConfig, t, name)
-		}
 	}
 	if c.ObjectiveMetric != "" {
 		if _, ok := calib.MetricByName(c.ObjectiveMetric); !ok {

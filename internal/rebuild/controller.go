@@ -334,8 +334,9 @@ func refusalLine(dec Decision) string {
 // attempt runs one full rebuild: resolve the serving index, open a
 // fresh source, pre-flight its schema, build the candidate with the
 // serving index's own resolved build configuration (bit-identical
-// recipe), gate it, and — on a promote verdict — write the artifact
-// atomically and swap it into the registry.
+// recipe) and its live drift thresholds, gate it, and — on a promote
+// verdict — write the artifact atomically and swap it into the
+// registry.
 func (c *Controller) attempt(name string) (Result, error) {
 	start := time.Now()
 	res := Result{Name: name}
@@ -357,6 +358,11 @@ func (c *Controller) attempt(name string) (Result, error) {
 	if err != nil {
 		return res, fmt.Errorf("rebuild %q: %w: %v", name, ErrBuild, err)
 	}
+	// Drift thresholds are runtime policy, not part of the build
+	// recipe: the candidate inherits the serving index's live armed
+	// set, so a threshold the operator disarmed stays disarmed. (A copy
+	// of an armed set always passes validation.)
+	_ = candidate.SetDriftThresholds(serving.DriftThresholds())
 	dec, err := Evaluate(serving, candidate, c.budgets, c.probes)
 	if err != nil {
 		return res, fmt.Errorf("rebuild %q: gate: %w", name, err)

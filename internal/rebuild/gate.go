@@ -110,29 +110,46 @@ func windowRegions(ix *fairindex.Index, probe fairindex.BBox) ([]int, error) {
 }
 
 // PromoteFile atomically replaces the artifact at path with the
-// candidate's serialized bytes: the bytes are written to a temp file
-// in the same directory (same filesystem, so the final step is a true
-// rename) and renamed over the old artifact. A crash at any point
-// leaves either the complete old bytes or the complete new bytes —
-// never a torn file — so a restart that lazily reloads from disk
-// serves a coherent generation. The temp name carries no .fidx
-// suffix, so a concurrent Rescan never catalogs a half-written
-// candidate.
+// candidate's serialized bytes through WriteFileAtomic, so a crash or
+// power loss at any point leaves either the complete old artifact or
+// the complete new one, and a restart that lazily reloads from disk
+// serves a coherent generation.
 func PromoteFile(path string, candidate *fairindex.Index) error {
 	data, err := candidate.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("rebuild: marshal candidate: %w", err)
 	}
+	if err := WriteFileAtomic(path, data); err != nil {
+		return fmt.Errorf("rebuild: promote: %w", err)
+	}
+	return nil
+}
+
+// WriteFileAtomic replaces the file at path with data (mode 0644), the
+// one write path for index artifacts and shard manifests. The bytes go
+// to a temp file in the same directory (same filesystem, so the final
+// step is a true rename), which is fsynced, renamed over path, and
+// followed by an fsync of the directory so the rename itself is
+// durable. A reader (a registry rescan, a SIGHUP reload) sees either
+// the complete old bytes or the complete new bytes, never a torn file.
+// A failure before the rename leaves the old file untouched and
+// removes the temp file; a failed directory fsync is reported after
+// the new bytes are in place. The temp name carries no .fidx suffix,
+// so a concurrent Rescan never catalogs a half-written artifact.
+func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".*.tmp")
 	if err != nil {
-		return fmt.Errorf("rebuild: promote: %w", err)
+		return err
 	}
 	tmp := f.Name()
 	if _, err = f.Write(data); err == nil {
 		// CreateTemp opens 0600; artifacts are world-readable like
 		// any build output.
 		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = syncFile(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -142,7 +159,19 @@ func PromoteFile(path string, candidate *fairindex.Index) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("rebuild: promote: %w", err)
+		return err
 	}
-	return nil
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = syncFile(d)
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
+
+// syncFile flushes f to stable storage; a variable so tests can fail
+// the durability step of WriteFileAtomic on real files.
+var syncFile = (*os.File).Sync

@@ -250,6 +250,115 @@ func TestPromoteFile(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomic pins the durable-replace contract on real
+// files: the new bytes replace the old ones with mode 0644 and no temp
+// litter, and a write that fails (here at the fsync step) leaves the
+// old file byte-identical and removes its temp file.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "city.fidx")
+	old := []byte("old artifact bytes")
+	if err := os.WriteFile(path, old, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	assertFile := func(want []byte) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("file holds %q, want %q", got, want)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Errorf("temp litter left in dir: %v", entries)
+		}
+	}
+
+	boom := errors.New("injected fsync failure")
+	syncFile = func(*os.File) error { return boom }
+	err := WriteFileAtomic(path, []byte("torn"))
+	syncFile = (*os.File).Sync
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want the fsync error", err)
+	}
+	assertFile(old)
+
+	fresh := []byte("new artifact bytes, longer than the old ones")
+	if err := WriteFileAtomic(path, fresh); err != nil {
+		t.Fatal(err)
+	}
+	assertFile(fresh)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Mode().Perm() != 0o644 {
+		t.Errorf("mode %v, want 0644", st.Mode().Perm())
+	}
+
+	if err := WriteFileAtomic(filepath.Join(dir, "missing", "x.fidx"), fresh); err == nil {
+		t.Error("write into a missing directory succeeded")
+	}
+	assertFile(fresh)
+}
+
+// TestControllerCarriesLiveThresholds pins that a promoted candidate
+// inherits the serving index's live armed drift thresholds, not the
+// ones it was built with: a metric the operator disarmed stays
+// disarmed across a rebuild, and one armed at runtime stays armed.
+func TestControllerCarriesLiveThresholds(t *testing.T) {
+	all := cityData(t)
+	serving := buildServing(t, all)
+	reg := registry.New(registry.WithLogger(quietLogger()))
+	if err := reg.AddIndex("la", serving); err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := New(reg, datasetSourceFn(all), WithLogger(quietLogger()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+
+	rebuildWith := func(armed map[string]float64) map[string]float64 {
+		t.Helper()
+		cur, err := reg.Lookup("la")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cur.SetDriftThresholds(armed); err != nil {
+			t.Fatal(err)
+		}
+		res, err := ctrl.Rebuild("la")
+		if err != nil || res.Outcome != OutcomePromoted {
+			t.Fatalf("rebuild: outcome %v err %v", res.Outcome, err)
+		}
+		cand, err := reg.Lookup("la")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cand == cur {
+			t.Fatal("promotion did not swap in the candidate")
+		}
+		return cand.DriftThresholds()
+	}
+
+	if err := serving.SetDriftThresholds(map[string]float64{fairindex.MetricStatParity: 0.05}); err != nil {
+		t.Fatal(err)
+	}
+	if got := rebuildWith(map[string]float64{}); len(got) != 0 {
+		t.Errorf("disarmed serving index, candidate armed %v", got)
+	}
+	want := map[string]float64{fairindex.MetricStatParity: 0.05}
+	if got := rebuildWith(want); len(got) != 1 || got[fairindex.MetricStatParity] != 0.05 {
+		t.Errorf("candidate armed %v, want the serving set %v", got, want)
+	}
+}
+
 // observerCh funnels controller completions into a channel tests can
 // wait on.
 type observed struct {
@@ -295,7 +404,8 @@ func TestControllerDriftToPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := registry.New(registry.WithLogger(quietLogger()), registry.WithDriftThreshold(1e-12))
+	reg := registry.New(registry.WithLogger(quietLogger()),
+		registry.WithDriftThresholds(map[string]float64{fairindex.MetricENCE: 1e-12}))
 	if err := reg.Add("la", path); err != nil {
 		t.Fatal(err)
 	}

@@ -84,15 +84,13 @@ type Registry struct {
 	maxLoaded int // 0 = unlimited
 	logger    *log.Logger
 
-	// driftThreshold (0 = off) is armed on every index the registry
-	// loads, so appended batches can flip its rebuild-recommended
-	// flag; driftThresholds additionally arms per-metric thresholds
-	// (registered metric name → threshold); onDrift, when set, fires
-	// the first time an entry crosses any armed threshold (see
-	// Append). It is atomic so a rebuild controller can bind itself
-	// (SetOnDrift) after the registry is constructed, concurrently
-	// with appends.
-	driftThreshold  float64
+	// driftThresholds (registered metric name → threshold) is merged
+	// over the armed set of every index the registry installs, so
+	// appended batches can flip its rebuild-recommended flag; onDrift,
+	// when set, fires the first time an entry crosses any armed
+	// threshold (see Append). It is atomic so a rebuild controller can
+	// bind itself (SetOnDrift) after the registry is constructed,
+	// concurrently with appends.
 	driftThresholds map[string]float64
 	onDrift         atomic.Pointer[func(name string, drift float64)]
 }
@@ -152,29 +150,18 @@ func WithDefault(name string) Option {
 	return func(r *Registry) { r.defName.Store(&name) }
 }
 
-// WithDriftThreshold arms drift monitoring on every index the
-// registry serves: each loaded artifact gets the threshold, so
-// Append can flip its rebuild-recommended flag (surfaced by Info and
-// the serving layer). t <= 0 leaves monitoring off.
-func WithDriftThreshold(t float64) Option {
-	return func(r *Registry) {
-		if t > 0 {
-			r.driftThreshold = t
-		}
-	}
-}
-
-// WithDriftThresholds arms per-metric drift monitoring on every index
-// the registry serves: each entry maps a registered fairness-metric
-// name (e.g. "stat_parity") to the drift at which Append flips the
-// entry's rebuild-recommended flag. Entries layer on top of (and, for
-// "ence", override) WithDriftThreshold. Unknown metric names are
-// rejected at install time by the index and logged; non-positive
-// values are dropped.
+// WithDriftThresholds arms drift monitoring on every index the
+// registry serves: each entry maps a registered fairness-metric name
+// (e.g. "ence", "stat_parity") to the drift at which Append flips the
+// entry's rebuild-recommended flag (surfaced by Info and the serving
+// layer). Every installed artifact gets the set merged over its own
+// armed thresholds, the registry's value winning per metric. Unknown
+// metric names are skipped at install time and logged; non-positive
+// and non-finite values are dropped.
 func WithDriftThresholds(thresholds map[string]float64) Option {
 	return func(r *Registry) {
 		for name, t := range thresholds {
-			if t > 0 {
+			if t > 0 && !math.IsInf(t, 0) {
 				if r.driftThresholds == nil {
 					r.driftThresholds = make(map[string]float64, len(thresholds))
 				}
@@ -184,20 +171,15 @@ func WithDriftThresholds(thresholds map[string]float64) Option {
 	}
 }
 
-// WithOnDrift installs the rebuild control-plane hook: fn runs the
-// first time an entry's appended batches push its drift across the
-// armed threshold (once per loaded artifact generation — a reload or
-// swap re-arms it). Typical callers rebuild the artifact and Reload
-// the entry. fn is called synchronously from Append without registry
-// locks held, so it may call back into the registry.
-func WithOnDrift(fn func(name string, drift float64)) Option {
-	return func(r *Registry) { r.onDrift.Store(&fn) }
-}
-
-// SetOnDrift installs (or, with nil, removes) the drift hook after
-// construction — the binding point for a rebuild controller that is
-// created around an already-running registry. Safe for concurrent use
-// with Append; an append in flight may still fire the previous hook.
+// SetOnDrift installs (or, with nil, removes) the rebuild
+// control-plane hook: fn runs the first time an entry's appended
+// batches push its drift across an armed threshold (once per loaded
+// artifact generation — a reload or swap re-arms it). Typical callers
+// rebuild the artifact and Reload the entry; a rebuild controller
+// binds here around an already-running registry. fn is called
+// synchronously from Append without registry locks held, so it may
+// call back into the registry. Safe for concurrent use with Append;
+// an append in flight may still fire the previous hook.
 func (r *Registry) SetOnDrift(fn func(name string, drift float64)) {
 	if fn == nil {
 		r.onDrift.Store(nil)
@@ -380,23 +362,27 @@ func (e *Entry) setErr(err error) {
 	e.lastErr.Store(&msg)
 }
 
-// installed prepares a fresh artifact generation for serving: it arms
-// the registry-wide drift thresholds on the index and re-arms the
-// one-shot drift hook.
+// installed prepares a fresh artifact generation for serving: it
+// merges the registry-wide drift thresholds over the index's armed
+// set (the registry wins per metric) and re-arms the one-shot drift
+// hook.
 func (r *Registry) installed(e *Entry, idx *fairindex.Index) {
-	if r.driftThreshold > 0 {
-		// The threshold was validated positive and finite; the index
-		// accepts any such value.
-		_ = idx.SetDriftThreshold(r.driftThreshold)
-	}
-	for name, t := range r.driftThresholds {
-		// Values were validated positive at option time; an unknown
-		// metric name (not registered in this process) is the only
-		// remaining failure, worth a log line rather than a panic.
-		if err := idx.SetMetricDriftThreshold(name, t); err != nil {
-			r.logger.Printf("registry: %q: cannot arm drift threshold for metric %q: %v",
-				e.name, name, err)
+	if len(r.driftThresholds) > 0 {
+		armed := idx.DriftThresholds()
+		for name, t := range r.driftThresholds {
+			// Values were validated positive and finite at option
+			// time; an unknown metric name (not registered in this
+			// process) is the only remaining failure, worth a log line
+			// rather than a panic.
+			if _, ok := fairindex.MetricByName(name); !ok {
+				r.logger.Printf("registry: %q: cannot arm drift threshold for unknown metric %q (registered: %v)",
+					e.name, name, fairindex.Metrics())
+				continue
+			}
+			armed[name] = t
 		}
+		// Every entry is now a registered name with a valid value.
+		_ = idx.SetDriftThresholds(armed)
 	}
 	e.driftNotified.Store(false)
 }
@@ -405,7 +391,7 @@ func (r *Registry) installed(e *Entry, idx *fairindex.Index) {
 // per-region statistics (see fairindex.Index.AppendBatch — exact
 // aggregates, no retraining) and drives the drift control plane: when
 // the fold pushes the index's drift across the armed threshold for
-// the first time in this artifact generation, the WithOnDrift hook
+// the first time in this artifact generation, the SetOnDrift hook
 // fires so a controller can rebuild and Reload the entry.
 func (r *Registry) Append(name string, recs []fairindex.Record) (fairindex.AppendResult, error) {
 	// Resolve the entry exactly once and thread it through to the
@@ -711,13 +697,13 @@ type Info struct {
 	Tasks        []int
 	// Maintenance fields, populated only while loaded: records folded
 	// in by Append since this generation was installed, the maximum
-	// per-task calibration drift, and whether it crossed the armed
+	// per-task ENCE drift, and whether any armed metric crossed its
 	// threshold.
 	Appended           int
 	Drift              float64
 	RebuildRecommended bool
 	// Drifts holds the live drift of each metric with an armed
-	// threshold (nil when only the legacy ENCE monitor is running).
+	// threshold (nil when nothing is armed).
 	Drifts map[string]float64
 }
 
@@ -740,7 +726,9 @@ func (e *Entry) info() Info {
 		out.Method = idx.Method().String()
 		out.Tasks = idx.Tasks()
 		out.Appended = idx.Appended()
-		out.Drift = idx.MaxDrift()
+		// ENCE drift cannot fail: every task slot exists and ENCE
+		// needs no region statistics.
+		out.Drift, _ = idx.MaxMetricDrift(fairindex.MetricENCE)
 		out.RebuildRecommended = idx.RebuildRecommended()
 		if armed := idx.DriftThresholds(); len(armed) > 0 {
 			out.Drifts = make(map[string]float64, len(armed))

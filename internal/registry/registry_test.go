@@ -672,7 +672,7 @@ func appendCity(t *testing.T) (*fairindex.Index, []fairindex.Record) {
 
 // TestRegistryAppendAndDriftHook covers the maintenance control
 // plane: Append folds through the registry, the armed threshold flips
-// the rebuild flag, the WithOnDrift hook fires exactly once per
+// the rebuild flag, the SetOnDrift hook fires exactly once per
 // loaded artifact generation, and Info surfaces the live counters.
 func TestRegistryAppendAndDriftHook(t *testing.T) {
 	idx, extra := appendCity(t)
@@ -681,13 +681,13 @@ func TestRegistryAppendAndDriftHook(t *testing.T) {
 
 	var fired atomic.Int32
 	r := New(WithLogger(quietLogger()),
-		WithDriftThreshold(1e-12),
-		WithOnDrift(func(name string, drift float64) {
-			if name != "la" || drift <= 0 {
-				t.Errorf("hook fired with name=%q drift=%v", name, drift)
-			}
-			fired.Add(1)
-		}))
+		WithDriftThresholds(map[string]float64{fairindex.MetricENCE: 1e-12}))
+	r.SetOnDrift(func(name string, drift float64) {
+		if name != "la" || drift <= 0 {
+			t.Errorf("hook fired with name=%q drift=%v", name, drift)
+		}
+		fired.Add(1)
+	})
 	if err := r.Add("la", path); err != nil {
 		t.Fatal(err)
 	}
@@ -747,7 +747,7 @@ func TestRegistryAppendAndDriftHook(t *testing.T) {
 // included.
 func TestRegistryAppendThresholdArmsOnEveryInstall(t *testing.T) {
 	idx, _ := appendCity(t)
-	r := New(WithLogger(quietLogger()), WithDriftThreshold(0.125))
+	r := New(WithLogger(quietLogger()), WithDriftThresholds(map[string]float64{fairindex.MetricENCE: 0.125}))
 	if err := r.AddIndex("mem", idx); err != nil {
 		t.Fatal(err)
 	}
@@ -755,8 +755,8 @@ func TestRegistryAppendThresholdArmsOnEveryInstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.DriftThreshold() != 0.125 {
-		t.Errorf("DriftThreshold = %v, want 0.125", got.DriftThreshold())
+	if got.DriftThresholds()[fairindex.MetricENCE] != 0.125 {
+		t.Errorf("DriftThresholds = %v, want ence 0.125", got.DriftThresholds())
 	}
 }
 
@@ -828,11 +828,11 @@ func TestRegistryAppendRescanRace(t *testing.T) {
 
 	var fired atomic.Int32
 	r, err := Open(dir, WithLogger(quietLogger()),
-		WithDriftThreshold(1e-12),
-		WithOnDrift(func(name string, drift float64) { fired.Add(1) }))
+		WithDriftThresholds(map[string]float64{fairindex.MetricENCE: 1e-12}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.SetOnDrift(func(name string, drift float64) { fired.Add(1) })
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

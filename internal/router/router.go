@@ -81,25 +81,11 @@ const maxReplyBytes = 64 << 20
 
 // Backend names one shard's replica set: the manifest shard it serves
 // and the base URLs (scheme://host:port) of the interchangeable
-// servers answering for it, in preference order. URL is the
-// single-replica convenience form; when URLs is non-empty it wins and
-// URL is ignored. Every replica must serve the exact artifact the
-// manifest fingerprints for the shard.
+// servers answering for it, in preference order. Every replica must
+// serve the exact artifact the manifest fingerprints for the shard.
 type Backend struct {
 	Name string
-	URL  string
 	URLs []string
-}
-
-// urls normalizes the two spellings into one replica list.
-func (b Backend) urls() []string {
-	if len(b.URLs) > 0 {
-		return b.URLs
-	}
-	if b.URL != "" {
-		return []string{b.URL}
-	}
-	return nil
 }
 
 // ManifestSource re-reads the shard manifest, e.g. from its file; the
@@ -225,13 +211,12 @@ func New(m *shard.Manifest, backends []Backend, opts ...Option) (*Router, error)
 		if _, dup := rt.backends[b.Name]; dup {
 			return nil, fmt.Errorf("router: duplicate backend %q", b.Name)
 		}
-		urls := b.urls()
-		if len(urls) == 0 {
+		if len(b.URLs) == 0 {
 			return nil, fmt.Errorf("router: backend %q has no URL", b.Name)
 		}
-		seen := make(map[string]bool, len(urls))
-		trimmed := make([]string, len(urls))
-		for i, u := range urls {
+		seen := make(map[string]bool, len(b.URLs))
+		trimmed := make([]string, len(b.URLs))
+		for i, u := range b.URLs {
 			u = strings.TrimRight(u, "/")
 			if seen[u] {
 				return nil, fmt.Errorf("router: backend %q lists replica %q twice", b.Name, u)

@@ -75,7 +75,7 @@ func newCluster(t *testing.T, whole *fairindex.Index, n int) *cluster {
 func (c *cluster) backendList() []router.Backend {
 	out := make([]router.Backend, len(c.backends))
 	for i, ts := range c.backends {
-		out[i] = router.Backend{Name: c.manifest.Shards[i].Name, URL: ts.URL}
+		out[i] = router.Backend{Name: c.manifest.Shards[i].Name, URLs: []string{ts.URL}}
 	}
 	return out
 }
@@ -462,7 +462,7 @@ func TestRouterSlowShardTimeout(t *testing.T) {
 	defer slow.Close()
 	slow.Set(faultnet.Fault{Mode: faultnet.Slow, Delay: 300 * time.Millisecond})
 	backends := c.backendList()
-	backends[1].URL = slow.URL()
+	backends[1].URLs = []string{slow.URL()}
 	rt, err := router.New(c.manifest, backends, router.WithTimeout(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)

@@ -173,7 +173,8 @@ func TestServerRebuildPromotionE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := registry.New(registry.WithLogger(quietLog()), registry.WithDriftThreshold(1e-12))
+	reg := registry.New(registry.WithLogger(quietLog()),
+		registry.WithDriftThresholds(map[string]float64{"ence": 1e-12}))
 	if err := reg.Add("la", path); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,8 @@ func TestServerRebuildRefusalE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.Close()
-	srv := NewMulti(reg, WithLogger(quietLog()), WithRebuilder(ctrl))
+	srv := NewMulti(reg, WithLogger(quietLog()))
+	srv.SetRebuilder(ctrl)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := ts.Client()

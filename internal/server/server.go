@@ -97,19 +97,13 @@ func WithLogger(l *log.Logger) Option {
 	}
 }
 
-// WithRebuilder attaches a drift-rebuild controller: POST
-// .../rebuild kicks it asynchronously and GET /v1/indexes reports
-// each entry's rebuild state. The caller owns the controller's
-// lifecycle (Bind to subscribe it to drift, Close on shutdown).
-// Without one, rebuild routes answer 501 and the index listing is
-// byte-identical to earlier releases.
-func WithRebuilder(c *rebuild.Controller) Option {
-	return func(s *Server) { s.SetRebuilder(c) }
-}
-
-// SetRebuilder attaches (or, with nil, detaches) the rebuild
-// controller after construction — for callers that build the server
-// first and the controller from its Registry(). The pointer is
+// SetRebuilder attaches (or, with nil, detaches) a drift-rebuild
+// controller: POST .../rebuild kicks it asynchronously and GET
+// /v1/indexes reports each entry's rebuild state. Callers build the
+// server first and the controller from its Registry(); the caller
+// owns the controller's lifecycle (Bind to subscribe it to drift,
+// Close on shutdown). Without one, rebuild routes answer 501 and the
+// index listing is byte-identical to earlier releases. The pointer is
 // atomic, so attaching while requests are in flight is safe.
 func (s *Server) SetRebuilder(c *rebuild.Controller) { s.rebuilder.Store(c) }
 
@@ -435,7 +429,7 @@ type indexInfoJSON struct {
 	Drifts map[string]wire.Float `json:"drifts,omitempty"`
 	Error  string                `json:"error,omitempty"`
 	// Rebuild is the entry's rebuild-controller state; present only
-	// when a controller is attached (WithRebuilder), so catalogs
+	// when a controller is attached (SetRebuilder), so catalogs
 	// without one keep the legacy response bytes.
 	Rebuild *rebuildStateJSON `json:"rebuild,omitempty"`
 }

@@ -693,7 +693,7 @@ func TestServerAppendEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.SetDriftThreshold(1e-12); err != nil {
+	if err := idx.SetDriftThresholds(map[string]float64{"ence": 1e-12}); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(idx)

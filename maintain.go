@@ -13,7 +13,7 @@ import (
 
 // maintState carries the mutable maintenance side of an Index: the
 // live per-region sufficient statistics (with appended records folded
-// in) and the drift threshold. It hangs off the Index behind a
+// in) and the armed drift thresholds. It hangs off the Index behind a
 // pointer so Index values stay copyable, and publishes every fold as
 // a fresh immutable snapshot behind an atomic pointer — queries read
 // lock-free while AppendBatch serializes writers on mu.
@@ -21,10 +21,8 @@ type maintState struct {
 	mu  sync.Mutex
 	cur atomic.Pointer[liveStats]
 	// thresholds holds the armed per-metric drift thresholds as an
-	// immutable map behind an atomic pointer (writers replace the
-	// whole map). The legacy single-threshold surface
-	// (SetDriftThreshold / DriftThreshold) reads and writes the
-	// calib.MetricENCE key.
+	// immutable map behind an atomic pointer (SetDriftThresholds
+	// replaces the whole map); ENCE is the calib.MetricENCE key.
 	thresholds atomic.Pointer[map[string]float64]
 	// Fingerprint cache (shard.go): the artifact's content hash,
 	// computed lazily once per built/loaded Index.
@@ -53,8 +51,8 @@ type liveStats struct {
 }
 
 // initMaint publishes the initial maintenance snapshot over the
-// build- or load-time per-region statistics.
-func (ix *Index) initMaint(threshold float64) {
+// build- or load-time per-region statistics, with nothing armed.
+func (ix *Index) initMaint() {
 	ls := &liveStats{
 		stats: make([][]calib.SuffStats, len(ix.tasks)),
 		ence:  make([]float64, len(ix.tasks)),
@@ -71,11 +69,7 @@ func (ix *Index) initMaint(threshold float64) {
 	}
 	m := &maintState{}
 	m.cur.Store(ls)
-	thr := map[string]float64{}
-	if threshold > 0 {
-		thr[calib.MetricENCE] = threshold
-	}
-	m.thresholds.Store(&thr)
+	m.thresholds.Store(&map[string]float64{})
 	ix.maint = m
 }
 
@@ -116,12 +110,6 @@ func (ix *Index) driftThresholds() map[string]float64 {
 		return *p
 	}
 	return nil
-}
-
-// driftThreshold reads the armed legacy (ENCE) threshold (0 =
-// monitoring only).
-func (ix *Index) driftThreshold() float64 {
-	return ix.driftThresholds()[calib.MetricENCE]
 }
 
 // TaskDrift is one task's live calibration state after a fold. The
@@ -367,37 +355,14 @@ func (ix *Index) Appended() int {
 	return 0
 }
 
-// Drift returns one task's calibration drift: the absolute distance
-// between its live ENCE (build-time statistics plus every appended
-// record) and the build-time ENCE stored in the artifact. 0 until
-// appends arrive.
-func (ix *Index) Drift(task int) (float64, error) {
-	slot, err := ix.taskSlot(task)
-	if err != nil {
-		return 0, err
-	}
-	return math.Abs(ix.liveENCE(slot) - ix.tasks[slot].report.ENCE), nil
-}
-
-// MaxDrift returns the largest per-task drift (0 for an index without
-// appends).
-func (ix *Index) MaxDrift() float64 {
-	var out float64
-	for slot := range ix.tasks {
-		if d := math.Abs(ix.liveENCE(slot) - ix.tasks[slot].report.ENCE); d > out {
-			out = d
-		}
-	}
-	return out
-}
-
 // MetricDrift returns one task's drift under a named registered
 // metric: |metric over live statistics − metric over build-time
-// statistics|. For "ence" it equals Drift bit for bit. A NaN result
-// means the metric is undefined on at least one side (e.g. cal_ratio
-// with no positives); NaN drift never triggers a rebuild
-// recommendation. Indexes restored from pre-v2 artifacts carry no
-// statistics for non-ENCE metrics and fail with ErrNoRegionStats.
+// statistics|. For "ence" it is |live ENCE − build-time ENCE|, the
+// value TaskDrift.Drift carries, bit for bit. A NaN result means the
+// metric is undefined on at least one side (e.g. cal_ratio with no
+// positives); NaN drift never triggers a rebuild recommendation.
+// Indexes restored from pre-v2 artifacts carry no statistics for
+// non-ENCE metrics and fail with ErrNoRegionStats.
 func (ix *Index) MetricDrift(task int, metric string) (float64, error) {
 	slot, err := ix.taskSlot(task)
 	if err != nil {
@@ -432,11 +397,6 @@ func (ix *Index) MaxMetricDrift(metric string) (float64, error) {
 	return out, nil
 }
 
-// DriftThreshold returns the armed ENCE drift threshold (0 =
-// monitoring without a rebuild recommendation). Per-metric thresholds
-// are read with DriftThresholds.
-func (ix *Index) DriftThreshold() float64 { return ix.driftThreshold() }
-
 // DriftThresholds returns a copy of the armed per-metric thresholds
 // (empty when nothing is armed).
 func (ix *Index) DriftThresholds() map[string]float64 {
@@ -448,37 +408,15 @@ func (ix *Index) DriftThresholds() map[string]float64 {
 	return out
 }
 
-// SetDriftThreshold arms (or, with 0, disarms) the rebuild
-// recommendation on ENCE drift, preserving any other armed metric
-// thresholds. Safe for concurrent use with appends and queries.
-func (ix *Index) SetDriftThreshold(t float64) error {
-	if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-		return fmt.Errorf("%w: drift threshold %v", ErrConfig, t)
-	}
-	return ix.setThreshold(calib.MetricENCE, t)
-}
-
-// SetMetricDriftThreshold arms (or, with 0, disarms) the rebuild
-// recommendation on one metric's drift, preserving the rest of the
-// armed set. The metric name must be registered; the value must be
-// finite and non-negative. Safe for concurrent use with appends and
-// queries.
-func (ix *Index) SetMetricDriftThreshold(metric string, t float64) error {
-	if _, ok := calib.MetricByName(metric); !ok {
-		return fmt.Errorf("%w: unknown drift metric %q (registered: %v)", ErrConfig, metric, calib.MetricNames())
-	}
-	if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-		return fmt.Errorf("%w: drift threshold %v for metric %q", ErrConfig, t, metric)
-	}
-	return ix.setThreshold(metric, t)
-}
-
 // SetDriftThresholds replaces the whole armed threshold set: each
 // entry arms the rebuild recommendation on that metric's drift
 // crossing the threshold. Metric names must be registered; values
 // must be finite and non-negative, with 0 disarming the metric. An
-// empty (or nil) map disarms everything. Safe for concurrent use with
-// appends and queries.
+// empty (or nil) map disarms everything. ENCE is the "ence" entry;
+// to change one metric, edit a DriftThresholds copy and set it back.
+// Thresholds are runtime policy: a built or loaded Index starts with
+// nothing armed, and neither the artifact nor Config carries them.
+// Safe for concurrent use with appends and queries.
 func (ix *Index) SetDriftThresholds(thresholds map[string]float64) error {
 	next := make(map[string]float64, len(thresholds))
 	for name, t := range thresholds {
@@ -495,27 +433,6 @@ func (ix *Index) SetDriftThresholds(thresholds map[string]float64) error {
 	if ix.maint != nil {
 		ix.maint.thresholds.Store(&next)
 	}
-	return nil
-}
-
-// setThreshold swaps one entry of the immutable threshold map.
-func (ix *Index) setThreshold(metric string, t float64) error {
-	if ix.maint == nil {
-		return nil
-	}
-	ix.maint.mu.Lock()
-	defer ix.maint.mu.Unlock()
-	cur := ix.driftThresholds()
-	next := make(map[string]float64, len(cur)+1)
-	for name, v := range cur {
-		next[name] = v
-	}
-	if t > 0 {
-		next[metric] = t
-	} else {
-		delete(next, metric)
-	}
-	ix.maint.thresholds.Store(&next)
 	return nil
 }
 

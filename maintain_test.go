@@ -104,7 +104,7 @@ func TestAppendBatchExactness(t *testing.T) {
 		if rep.ENCE != wantENCE {
 			t.Errorf("task slot %d: Report ENCE %v, want %v", slot, rep.ENCE, wantENCE)
 		}
-		d, err := idx.Drift(idx.tasks[slot].task)
+		d, err := idx.MetricDrift(idx.tasks[slot].task, MetricENCE)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,8 +163,10 @@ func TestAppendSurvivesSerialization(t *testing.T) {
 	// The stored report keeps the build-time ENCE baseline, so drift
 	// is still measurable after the reload; the append counter is
 	// runtime observability and resets.
-	if back.MaxDrift() != idx.MaxDrift() {
-		t.Errorf("reloaded MaxDrift %v, want %v", back.MaxDrift(), idx.MaxDrift())
+	backDrift, _ := back.MaxMetricDrift(MetricENCE)
+	liveDrift, _ := idx.MaxMetricDrift(MetricENCE)
+	if backDrift != liveDrift {
+		t.Errorf("reloaded MaxMetricDrift %v, want %v", backDrift, liveDrift)
 	}
 	if back.Appended() != 0 {
 		t.Errorf("reloaded Appended %d, want 0", back.Appended())
@@ -190,7 +192,7 @@ func TestAppendDriftThreshold(t *testing.T) {
 	}
 	// Arm below the current drift: the very next fold (and the live
 	// accessor immediately) flips the flag.
-	if err := idx.SetDriftThreshold(res.Drift / 2); err != nil {
+	if err := idx.SetDriftThresholds(map[string]float64{MetricENCE: res.Drift / 2}); err != nil {
 		t.Fatal(err)
 	}
 	if !idx.RebuildRecommended() {
@@ -204,15 +206,15 @@ func TestAppendDriftThreshold(t *testing.T) {
 		t.Error("fold past the threshold did not recommend a rebuild")
 	}
 	// Disarm.
-	if err := idx.SetDriftThreshold(0); err != nil {
+	if err := idx.SetDriftThresholds(map[string]float64{MetricENCE: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if idx.RebuildRecommended() {
 		t.Error("disarmed index still recommends a rebuild")
 	}
 	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if err := idx.SetDriftThreshold(bad); !errors.Is(err, ErrConfig) {
-			t.Errorf("SetDriftThreshold(%v) = %v, want ErrConfig", bad, err)
+		if err := idx.SetDriftThresholds(map[string]float64{MetricENCE: bad}); !errors.Is(err, ErrConfig) {
+			t.Errorf("SetDriftThresholds(ence=%v) = %v, want ErrConfig", bad, err)
 		}
 	}
 }
@@ -293,7 +295,7 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.SetDriftThreshold(1e-9); err != nil {
+	if err := idx.SetDriftThresholds(map[string]float64{MetricENCE: 1e-9}); err != nil {
 		t.Fatal(err)
 	}
 	task := idx.Tasks()[0]
@@ -342,7 +344,7 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 					return
 				}
 				idx.RebuildRecommended()
-				idx.MaxDrift()
+				idx.MaxMetricDrift(MetricENCE)
 			}
 		}()
 	}
@@ -408,8 +410,11 @@ func TestAppendDriftExactlyOnThreshold(t *testing.T) {
 		t.Fatalf("measured drift %v, need a positive drift to pin the boundary", drift)
 	}
 
-	exact, err := Build(build, WithHeight(3), WithSeed(5), WithDriftThreshold(drift))
+	exact, err := Build(build, WithHeight(3), WithSeed(5))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exact.SetDriftThresholds(map[string]float64{MetricENCE: drift}); err != nil {
 		t.Fatal(err)
 	}
 	res, err = exact.AppendBatch(extra)
@@ -420,9 +425,11 @@ func TestAppendDriftExactlyOnThreshold(t *testing.T) {
 		t.Errorf("drift exactly on the threshold did not recommend a rebuild (drift %v)", drift)
 	}
 
-	above, err := Build(build, WithHeight(3), WithSeed(5),
-		WithDriftThreshold(math.Nextafter(drift, math.Inf(1))))
+	above, err := Build(build, WithHeight(3), WithSeed(5))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := above.SetDriftThresholds(map[string]float64{MetricENCE: math.Nextafter(drift, math.Inf(1))}); err != nil {
 		t.Fatal(err)
 	}
 	res, err = above.AppendBatch(extra)

@@ -337,7 +337,7 @@ func TestMetricsDeterministicAndTotal(t *testing.T) {
 }
 
 // TestDriftThresholdsTriggerPerMetric arms a per-metric threshold via
-// the build option and checks that appends report per-metric drifts
+// SetDriftThresholds and checks that appends report per-metric drifts
 // and trip the rebuild recommendation through a non-ENCE metric.
 func TestDriftThresholdsTriggerPerMetric(t *testing.T) {
 	ds := smallLA(t)
@@ -348,12 +348,13 @@ func TestDriftThresholdsTriggerPerMetric(t *testing.T) {
 	}
 	extra := ds.Records[len(ds.Records)-60:]
 
-	idx, err := fairindex.Build(build,
-		fairindex.WithHeight(4), fairindex.WithSeed(7),
-		fairindex.WithDriftThresholds(map[string]float64{
-			fairindex.MetricStatParity: 1e-12,
-		}))
+	idx, err := fairindex.Build(build, fairindex.WithHeight(4), fairindex.WithSeed(7))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.SetDriftThresholds(map[string]float64{
+		fairindex.MetricStatParity: 1e-12,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if got := idx.DriftThresholds(); got[fairindex.MetricStatParity] != 1e-12 {

@@ -2,7 +2,6 @@ package fairindex
 
 import (
 	"fmt"
-	"math"
 
 	"fairindex/internal/pipeline"
 )
@@ -215,67 +214,15 @@ func WithStreaming(chunk int) Option {
 	}
 }
 
-// WithDriftThreshold arms the built Index's incremental-maintenance
-// drift monitor: once batches folded in by AppendBatch move any
-// task's live ENCE at least t away from its build-time value, the
-// index advertises that a rebuild is recommended (RebuildRecommended,
-// the registry drift hook and the server's index listing). The
-// crossing is inclusive — a drift landing exactly on t triggers; the
-// shared boundary predicate is DriftExceeds, which every layer of the
-// drift control plane uses. 0 — the default — monitors drift without
-// ever recommending. The threshold can be changed later with
-// Index.SetDriftThreshold.
-func WithDriftThreshold(t float64) Option {
-	return func(c *Config) error {
-		if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-			return fmt.Errorf("%w: drift threshold %v", ErrConfig, t)
-		}
-		c.DriftThreshold = t
-		return nil
-	}
-}
-
-// WithDriftThresholds arms per-metric drift monitoring on the built
-// Index: each entry maps a registered metric name to the drift
-// (|live − build-time|) at which appended batches flip the
-// rebuild-recommended flag, e.g. arming on statistical-parity decay:
-//
-//	fairindex.WithDriftThresholds(map[string]float64{
-//		"ence":        0.02,
-//		"stat_parity": 0.05,
-//	})
-//
-// Entries layer on top of (and, for "ence", override) the legacy
-// WithDriftThreshold. Crossings are inclusive (see DriftExceeds);
-// thresholds can be changed later with Index.SetDriftThresholds.
-func WithDriftThresholds(thresholds map[string]float64) Option {
-	return func(c *Config) error {
-		c.DriftThresholds = make(map[string]float64, len(thresholds))
-		for name, t := range thresholds {
-			if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-				return fmt.Errorf("%w: drift threshold %v for metric %q", ErrConfig, t, name)
-			}
-			c.DriftThresholds[name] = t
-		}
-		return nil
-	}
-}
-
 // WithConfig replaces the whole configuration with cfg — the bridge
 // from the legacy Config-struct surface into the options world. Apply
 // it first; later options override individual fields.
 func WithConfig(cfg Config) Option {
 	return func(c *Config) error {
 		*c = cfg
-		// Copy the reference fields so later caller mutations cannot
+		// Copy the reference field so later caller mutations cannot
 		// reach into the built Index.
 		c.Alphas = append([]float64(nil), cfg.Alphas...)
-		if cfg.DriftThresholds != nil {
-			c.DriftThresholds = make(map[string]float64, len(cfg.DriftThresholds))
-			for name, t := range cfg.DriftThresholds {
-				c.DriftThresholds[name] = t
-			}
-		}
 		return nil
 	}
 }

@@ -151,6 +151,6 @@ func (ix *Index) ExtractShard(lo, hi int) (*Index, error) {
 		}
 		out.tasks = append(out.tasks, nt)
 	}
-	out.initMaint(0)
+	out.initMaint()
 	return out, nil
 }

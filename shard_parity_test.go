@@ -258,7 +258,7 @@ func TestShardedHTTPParity(t *testing.T) {
 					for i, sx := range shards {
 						ts := httptest.NewServer(server.New(sx))
 						defer ts.Close()
-						backends[i] = router.Backend{Name: m.Shards[i].Name, URL: ts.URL}
+						backends[i] = router.Backend{Name: m.Shards[i].Name, URLs: []string{ts.URL}}
 					}
 					rt, err := router.New(m, backends)
 					if err != nil {
@@ -333,7 +333,7 @@ func FuzzRouterParity(f *testing.F) {
 	backends := make([]router.Backend, len(shards))
 	for i, sx := range shards {
 		transport[m.Shards[i].Name] = server.New(sx)
-		backends[i] = router.Backend{Name: m.Shards[i].Name, URL: "http://" + m.Shards[i].Name}
+		backends[i] = router.Backend{Name: m.Shards[i].Name, URLs: []string{"http://" + m.Shards[i].Name}}
 	}
 	rt, err := router.New(m, backends, router.WithClient(&http.Client{Transport: transport}))
 	if err != nil {

@@ -114,27 +114,7 @@ func TestBuildStreamOptionValidation(t *testing.T) {
 	if _, err := BuildStream(src, WithStreaming(-1)); err == nil {
 		t.Error("negative chunk accepted")
 	}
-	if _, err := BuildStream(src, WithDriftThreshold(-0.5)); err == nil {
-		t.Error("negative drift threshold accepted")
-	}
 	if _, err := BuildStream(nil); err == nil {
 		t.Error("nil source accepted")
-	}
-}
-
-// TestBuildStreamArmsDriftThreshold pins the option plumbing: a
-// threshold given at build time is armed on the returned index.
-func TestBuildStreamArmsDriftThreshold(t *testing.T) {
-	ds, _ := streamTestCity(t, 80)
-	idx, err := BuildStream(NewDatasetSource(ds), WithConfig(Config{Method: MethodFairKD, Height: 3}),
-		WithDriftThreshold(0.25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := idx.DriftThreshold(); got != 0.25 {
-		t.Errorf("DriftThreshold = %v, want 0.25", got)
-	}
-	if idx.RebuildRecommended() {
-		t.Error("fresh index already recommends a rebuild")
 	}
 }
