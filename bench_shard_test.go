@@ -77,11 +77,12 @@ func BenchmarkShardMergeGroupStats(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterLocateBatch is the end-to-end scatter-gather path: a
-// 1000-point batch through the HTTP router, split across real shard
-// servers and reassembled in manifest order. Compare with
-// BenchmarkIndexLocateBatch for the wire + fan-out overhead over the
-// in-process kernel.
+// BenchmarkRouterLocateBatch is a 1000-point batch through the HTTP
+// router over real shard servers. The router answers it from its
+// manifest without a shard call, so compare with
+// BenchmarkServerLocateBatch (internal/server) for the cost of the
+// router's own request path, and with BenchmarkIndexLocateBatch for the
+// wire overhead over the in-process kernel.
 func BenchmarkRouterLocateBatch(b *testing.B) {
 	_, m, shards, _ := shardFixture(b)
 	backends := make([]router.Backend, len(shards))
@@ -132,14 +133,13 @@ func BenchmarkRouterLocateBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterLocateFailover is the healthy-path cost of the
-// replica layer: single-point locates through a router whose shards
-// each name two live replicas, so every request pays the breaker
-// bookkeeping, rotation, and failover budget arithmetic without ever
-// failing over. Compare with BenchmarkRouterLocateBatch to see the
-// replica bookkeeping is noise against the wire cost.
-func BenchmarkRouterLocateFailover(b *testing.B) {
-	_, m, shards, _ := shardFixture(b)
+// BenchmarkRouterStatsFailover is the healthy-path cost of the
+// replica layer: single-region window stats through a router whose
+// shards each name two live replicas, so every request reaches exactly
+// one shard and pays the breaker bookkeeping, rotation, and failover
+// budget arithmetic without ever failing over.
+func BenchmarkRouterStatsFailover(b *testing.B) {
+	whole, m, shards, _ := shardFixture(b)
 	backends := make([]router.Backend, len(shards))
 	for i, sx := range shards {
 		srv := server.New(sx)
@@ -156,21 +156,17 @@ func BenchmarkRouterLocateFailover(b *testing.B) {
 	rts := httptest.NewServer(rt)
 	defer rts.Close()
 
-	ds, err := fullLA()
-	if err != nil {
-		b.Fatal(err)
-	}
 	client := rts.Client()
-	urls := make([]string, 64)
-	for i := range urls {
-		rec := &ds.Records[(i*131)%ds.Len()]
-		urls[i] = fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, rec.Lat, rec.Lon)
+	task := whole.Tasks()[0]
+	bodies := make([]string, 64)
+	for i := range bodies {
+		bodies[i] = fmt.Sprintf(`{"task":%d,"regions":[%d]}`, task, (i*131)%m.NumRegions)
 	}
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := client.Get(urls[i%len(urls)])
+		resp, err := client.Post(rts.URL+"/v1/stats", "application/json", strings.NewReader(bodies[i%len(bodies)]))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -35,7 +35,7 @@ const baseline = `{
     "BenchmarkIndexBuild10k": {"ns_per_op": 150000000, "allocs_per_op": 12000},
     "BenchmarkShardMergeGroupStats": {"ns_per_op": 12500, "allocs_per_op": 3},
     "BenchmarkRouterLocateBatch": {"ns_per_op": 2300000, "allocs_per_op": 900},
-    "BenchmarkRouterLocateFailover": {"ns_per_op": 114000, "allocs_per_op": 222},
+    "BenchmarkRouterStatsFailover": {"ns_per_op": 114000, "allocs_per_op": 222},
     "BenchmarkRebuildGate": {"ns_per_op": 32000, "allocs_per_op": 39}
   }
 }`
@@ -52,7 +52,7 @@ BenchmarkIndexBuild-4  	   10	  37000000 ns/op	 2110672 B/op	    2980 allocs/op
 BenchmarkIndexBuild10k-4  	    5	 155000000 ns/op	 5941552 B/op	   11900 allocs/op
 BenchmarkShardMergeGroupStats-4  	  100	     12800 ns/op	   16432 B/op	       3 allocs/op
 BenchmarkRouterLocateBatch-4  	   50	   2350000 ns/op	  401822 B/op	     895 allocs/op
-BenchmarkRouterLocateFailover-4  	  100	    118000 ns/op	   27210 B/op	     222 allocs/op
+BenchmarkRouterStatsFailover-4   	  100	    118000 ns/op	   27210 B/op	     222 allocs/op
 BenchmarkRebuildGate-4  	  100	     32500 ns/op	   72672 B/op	      39 allocs/op
 `
 

@@ -71,7 +71,6 @@
 //	fairindexctl serve -csv points.csv [-out regions.csv] city.fidx
 //		legacy one-shot mode: answer point→neighborhood lookups for
 //		a CSV of points (id, lat, lon; header optional) and exit.
-//		-points is accepted as an alias for -csv.
 //
 //	fairindexctl shard -n 4 [-out artifacts/] [-prefix la] city.fidx
 //		split a saved Index into n per-shard .fidx artifacts (each a
@@ -86,7 +85,8 @@
 //		backends (one -shard name=url per manifest entry; each backend
 //		is a plain `fairindexctl serve` holding that shard's
 //		artifact). Locate/range/knn/stats answers are bit-identical to
-//		a server holding the unsharded artifact; score and report are
+//		a server holding the unsharded artifact (locates come from the
+//		manifest alone, without a shard call); score and report are
 //		refused (whole-index operations). SIGHUP or POST /v1/reload
 //		re-reads the manifest file for generation handoffs, and
 //		GET /v1/shards reports per-backend health and generation.
@@ -115,7 +115,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"encoding/csv"
 	"flag"
@@ -624,7 +623,7 @@ func parseIndexSpec(arg string) (indexSpec, error) {
 
 // runServeCmd loads one or more saved Indexes and serves them — as a
 // concurrent HTTP/JSON service by default, or as the legacy one-shot
-// CSV resolver when -csv (or its old alias -points) is given.
+// CSV resolver when -csv is given.
 func runServeCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	httpAddr := fs.String("http", ":8080", "HTTP listen address")
@@ -643,7 +642,6 @@ func runServeCmd(args []string) error {
 	fs.Func("rebuild-budget", "metric=delta promotion budget for the rebuild gate, e.g. ence=0.01 (repeatable; default ence=0.01 cal_ratio=0.05)",
 		func(v string) error { return parseDriftMetric(v, rebuildBudgets) })
 	csvPoints := fs.String("csv", "", "legacy one-shot mode: resolve this points CSV (id, lat, lon) and exit")
-	points := fs.String("points", "", "alias for -csv (deprecated)")
 	out := fs.String("out", "", "CSV mode: output path (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -657,11 +655,11 @@ func runServeCmd(args []string) error {
 		}
 	}
 
-	if pointsPath := cmp.Or(*csvPoints, *points); pointsPath != "" {
+	if *csvPoints != "" {
 		if *dir != "" || len(entries) != 1 {
 			return fmt.Errorf("serve: CSV mode needs exactly one index file, got %d (-dir not supported)", len(entries))
 		}
-		return serveCSV(entries[0].path, pointsPath, *out)
+		return serveCSV(entries[0].path, *csvPoints, *out)
 	}
 	if *dir == "" && len(entries) == 0 {
 		return fmt.Errorf("serve: at least one index file (-index, positional) or -dir is required")

@@ -164,7 +164,7 @@ func TestBuildServeRoundTrip(t *testing.T) {
 	}
 
 	outPath := filepath.Join(dir, "regions.csv")
-	if err := runServeCmd([]string{"-index", idxPath, "-points", pointsPath, "-out", outPath}); err != nil {
+	if err := runServeCmd([]string{"-index", idxPath, "-csv", pointsPath, "-out", outPath}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(outPath)
@@ -205,10 +205,10 @@ func TestParsePost(t *testing.T) {
 }
 
 func TestServeMissingInputs(t *testing.T) {
-	if err := runServeCmd([]string{"-points", "x.csv"}); err == nil {
+	if err := runServeCmd([]string{"-csv", "x.csv"}); err == nil {
 		t.Error("expected error without -index")
 	}
-	if err := runServeCmd([]string{"-index", "/nonexistent.fidx", "-points", "/nonexistent.csv"}); err == nil {
+	if err := runServeCmd([]string{"-index", "/nonexistent.fidx", "-csv", "/nonexistent.csv"}); err == nil {
 		t.Error("expected error for missing index file")
 	}
 }

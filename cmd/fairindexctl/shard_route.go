@@ -113,7 +113,6 @@ func runRouteCmd(args []string) error {
 	httpAddr := fs.String("http", ":8080", "listen address")
 	manifestPath := fs.String("manifest", "", "shard plan manifest file (required)")
 	timeout := fs.Duration("timeout", router.DefaultTimeout, "per-shard request timeout")
-	hedge := fs.Duration("hedge", 0, "hedged-read delay for locate-class calls (0 disables)")
 	var backends backendFlags
 	fs.Var(&backends, "shard", "shard replica set as name=url[,url...] (repeat per manifest entry)")
 	if err := fs.Parse(args); err != nil {
@@ -140,8 +139,7 @@ func runRouteCmd(args []string) error {
 		return fmt.Errorf("route: %w", err)
 	}
 	rt, err := router.New(m, backends,
-		router.WithTimeout(*timeout), router.WithHedge(*hedge),
-		router.WithManifestSource(source))
+		router.WithTimeout(*timeout), router.WithManifestSource(source))
 	if err != nil {
 		return fmt.Errorf("route: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	fairindex "fairindex"
+	"fairindex/internal/server"
 	"fairindex/internal/shard"
 )
 
@@ -350,8 +352,9 @@ func TestShardRouteSubprocessE2E(t *testing.T) {
 // TestShardRouteFailoverSubprocessE2E is the kill-one-replica drill
 // with real process isolation: two serve subprocesses per shard,
 // SIGKILL one replica of every shard mid-hammer, and require zero
-// non-200 locates with bodies identical to the whole index — the
-// headline robustness acceptance criterion.
+// non-200 kNN fan-outs with bodies identical to the whole index — the
+// headline robustness acceptance criterion. kNN asks every shard, so
+// each request reaches a replica (locates never do).
 func TestShardRouteFailoverSubprocessE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess e2e")
@@ -378,7 +381,7 @@ func TestShardRouteFailoverSubprocessE2E(t *testing.T) {
 
 	// Two replicas per shard, the first of each doomed to SIGKILL.
 	var doomed []*os.Process
-	routeArgs := []string{"route", "-http", "127.0.0.1:0", "-manifest", manifestPath, "-hedge", "50ms"}
+	routeArgs := []string{"route", "-http", "127.0.0.1:0", "-manifest", manifestPath}
 	for _, s := range m.Shards {
 		artifact := filepath.Join(outDir, fmt.Sprintf("city-%s.fidx", s.Name))
 		addrA, procA := spawnProc(t, "serve", "-http", "127.0.0.1:0", artifact)
@@ -388,30 +391,28 @@ func TestShardRouteFailoverSubprocessE2E(t *testing.T) {
 	}
 	base := "http://" + spawn(t, routeArgs...)
 
-	locate := func(i int) {
+	wts := httptest.NewServer(server.New(whole))
+	defer wts.Close()
+	get := func(url string) (int, string) {
 		t.Helper()
-		r := ds.Records[i*13%len(ds.Records)]
-		resp, err := http.Get(fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", base, r.Lat, r.Lon))
+		resp, err := http.Get(url)
 		if err != nil {
-			t.Fatalf("locate %d: %v", i, err)
+			t.Fatalf("GET %s: %v", url, err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("locate %d: status %d: %s", i, resp.StatusCode, body)
+		return resp.StatusCode, string(body)
+	}
+	knn := func(i int) {
+		t.Helper()
+		r := ds.Records[i*13%len(ds.Records)]
+		path := fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=5", r.Lat, r.Lon)
+		status, body := get(base + path)
+		if status != http.StatusOK {
+			t.Fatalf("knn %d: status %d: %s", i, status, body)
 		}
-		var out struct {
-			Region int `json:"region"`
-		}
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatal(err)
-		}
-		want, err := whole.Locate(r.Lat, r.Lon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Region != want {
-			t.Fatalf("locate %d: region %d, want %d", i, out.Region, want)
+		if _, want := get(wts.URL + path); body != want {
+			t.Fatalf("knn %d:\nrouter %s\nwhole  %s", i, body, want)
 		}
 	}
 
@@ -422,7 +423,7 @@ func TestShardRouteFailoverSubprocessE2E(t *testing.T) {
 				p.Kill()
 			}
 		}
-		locate(i)
+		knn(i)
 	}
 
 	// The health surface shows both replicas per shard, the dead one

@@ -200,7 +200,7 @@ func LoadIndex(path string) (*Index, error) {
 // RegionInvalid is the sentinel neighborhood id stored by LocateBatch
 // and returned by Locate for a point that cannot be located
 // (non-finite coordinates). Valid region ids are always >= 0.
-const RegionInvalid = -1
+const RegionInvalid = geo.RegionInvalid
 
 // Locate maps a geographic coordinate to its neighborhood id in
 // [0, NumRegions). Coordinates on or outside the bounding box clamp
@@ -223,11 +223,6 @@ const (
 	shardMinBatch  = 16384
 	shardMinPoints = 4096
 )
-
-// maxBatchPointErrors bounds how many per-point errors a batch keeps
-// verbatim; beyond it the joined error summarizes the remainder, so a
-// hostile million-NaN batch cannot balloon memory.
-const maxBatchPointErrors = 8
 
 // LocateBatch maps coordinate slices to neighborhood ids into a fresh
 // slice. lats and lons must have equal length.
@@ -268,7 +263,7 @@ func (ix *Index) LocateBatchInto(dst []int, lats, lons []float64) error {
 		}
 		return ix.locateSharded(dst, lats, lons, workers)
 	}
-	return ix.locateRange(dst, lats, lons, 0)
+	return ix.mapper.LocateRange(dst, ix.cellRegion, lats, lons, 0)
 }
 
 // locateSharded fans a batch out over contiguous shards, one worker
@@ -291,46 +286,10 @@ func (ix *Index) locateSharded(dst []int, lats, lons []float64, workers int) err
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			errs[w] = ix.locateRange(dst[lo:hi], lats[lo:hi], lons[lo:hi], lo)
+			errs[w] = ix.mapper.LocateRange(dst[lo:hi], ix.cellRegion, lats[lo:hi], lons[lo:hi], lo)
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// locateRange is the batch hot loop: the mapper arithmetic of
-// Mapper.CellOf inlined with the grid geometry hoisted out of the
-// loop. The cell expression keeps CellOf's exact operation order so
-// batch results stay bit-identical to per-point Locate. base offsets
-// point indices in error messages when called on a shard.
-func (ix *Index) locateRange(dst []int, lats, lons []float64, base int) error {
-	u, v := ix.grid.U, ix.grid.V
-	uF, vF := float64(u), float64(v)
-	minLat, minLon := ix.box.MinLat, ix.box.MinLon
-	latSpan := ix.box.MaxLat - minLat
-	lonSpan := ix.box.MaxLon - minLon
-	table := ix.cellRegion
-	var errs []error
-	invalid := 0
-	for i, lat := range lats {
-		lon := lons[i]
-		// x−x is 0 exactly when x is finite (NaN and ±Inf both yield
-		// NaN), so this one branch is Locate's four predicate checks.
-		if lat-lat != 0 || lon-lon != 0 {
-			dst[i] = RegionInvalid
-			invalid++
-			if len(errs) < maxBatchPointErrors {
-				errs = append(errs, fmt.Errorf("fairindex: point %d: non-finite coordinate (%v, %v)", base+i, lat, lon))
-			}
-			continue
-		}
-		row := geo.ClampIndex(uF*(lat-minLat)/latSpan, u)
-		col := geo.ClampIndex(vF*(lon-minLon)/lonSpan, v)
-		dst[i] = table[row*v+col]
-	}
-	if invalid > len(errs) {
-		errs = append(errs, fmt.Errorf("fairindex: %d further invalid points", invalid-len(errs)))
-	}
 	return errors.Join(errs...)
 }
 

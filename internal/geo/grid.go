@@ -117,6 +117,57 @@ func ClampIndex(x float64, n int) int {
 	return int(x)
 }
 
+// RegionInvalid is the region id LocateRange stores for a point it
+// cannot locate (non-finite coordinates); valid ids are always >= 0.
+const RegionInvalid = -1
+
+// maxPointErrors bounds how many per-point errors LocateRange keeps
+// verbatim; beyond it the joined error summarizes the remainder, so a
+// hostile million-NaN batch cannot balloon memory.
+const maxPointErrors = 8
+
+// LocateRange is the batch locate kernel: it maps each coordinate to
+// the region of its cell in table (the row-major cell→region table of
+// a partition over m's grid) and stores it in dst. The cell expression
+// is CellOf's, operation for operation, with the geometry hoisted out
+// of the loop, so results are bit-identical to per-point lookups.
+//
+// A non-finite point yields RegionInvalid at its position and never
+// aborts the batch; the returned error joins the per-point failures
+// (nil when every point resolved), with point indices offset by base
+// so a caller splitting one batch into ranges reports each point by
+// its position in the whole batch. The error text is the fairindex
+// package's, which both the index and the shard router return.
+func (m Mapper) LocateRange(dst, table []int, lats, lons []float64, base int) error {
+	u, v := m.Grid.U, m.Grid.V
+	uF, vF := float64(u), float64(v)
+	minLat, minLon := m.Box.MinLat, m.Box.MinLon
+	latSpan := m.Box.MaxLat - minLat
+	lonSpan := m.Box.MaxLon - minLon
+	var errs []error
+	invalid := 0
+	for i, lat := range lats {
+		lon := lons[i]
+		// x−x is 0 exactly when x is finite (NaN and ±Inf both yield
+		// NaN), so this one branch is four IsNaN/IsInf checks.
+		if lat-lat != 0 || lon-lon != 0 {
+			dst[i] = RegionInvalid
+			invalid++
+			if len(errs) < maxPointErrors {
+				errs = append(errs, fmt.Errorf("fairindex: point %d: non-finite coordinate (%v, %v)", base+i, lat, lon))
+			}
+			continue
+		}
+		row := ClampIndex(uF*(lat-minLat)/latSpan, u)
+		col := ClampIndex(vF*(lon-minLon)/lonSpan, v)
+		dst[i] = table[row*v+col]
+	}
+	if invalid > len(errs) {
+		errs = append(errs, fmt.Errorf("fairindex: %d further invalid points", invalid-len(errs)))
+	}
+	return errors.Join(errs...)
+}
+
 // CenterOf returns the geographic center of a grid cell.
 func (m Mapper) CenterOf(c Cell) (lat, lon float64) {
 	latStep := (m.Box.MaxLat - m.Box.MinLat) / float64(m.Grid.U)

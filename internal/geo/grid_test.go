@@ -3,6 +3,8 @@ package geo
 import (
 	"errors"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -142,5 +144,49 @@ func TestMapperRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLocateRange pins the batch kernel: valid points get the region
+// of CellOf's cell, non-finite ones the sentinel, and the joined error
+// keeps the first eight per-point lines (indices offset by base) plus
+// one summary line, byte for byte.
+func TestLocateRange(t *testing.T) {
+	m, err := NewMapper(MustGrid(4, 8), BBox{MinLat: 10, MinLon: 20, MaxLat: 14, MaxLon: 28})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := make([]int, m.Grid.NumCells())
+	for i := range table {
+		table[i] = 100 + i
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	lats := []float64{11.5, 1e300, -1e300, 13.99, 12}
+	lons := []float64{27.2, -1e300, 1e300, 20.01, 24}
+	for i := 0; i < 11; i++ {
+		lats = append(lats, nan)
+		lons = append(lons, inf)
+	}
+	dst := make([]int, len(lats))
+	err = m.LocateRange(dst, table, lats, lons, 100)
+	for i := range lats {
+		want := RegionInvalid
+		if i < 5 {
+			want = table[m.Grid.Index(m.CellOf(lats[i], lons[i]))]
+		}
+		if dst[i] != want {
+			t.Errorf("point %d: region %d, want %d", i, dst[i], want)
+		}
+	}
+	var lines []string
+	for i := 105; i < 113; i++ {
+		lines = append(lines, "fairindex: point "+strconv.Itoa(i)+": non-finite coordinate (NaN, +Inf)")
+	}
+	lines = append(lines, "fairindex: 3 further invalid points")
+	if want := strings.Join(lines, "\n"); err == nil || err.Error() != want {
+		t.Errorf("error:\n%v\nwant:\n%s", err, want)
+	}
+	if err := m.LocateRange(dst[:5], table, lats[:5], lons[:5], 0); err != nil {
+		t.Errorf("all-valid batch: %v", err)
 	}
 }

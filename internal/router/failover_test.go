@@ -1,9 +1,9 @@
 package router_test
 
-// Replica-set fault suites: failover, circuit breaker, hedged reads,
-// all-replicas-dead degradation, reply truncation and caller-deadline
-// budgeting, all driven through the faultnet fault-injection proxy.
-// Run with -race (the shard-e2e CI job does).
+// Replica-set fault suites: failover, circuit breaker, locates that
+// need no replica, all-replicas-dead degradation, reply truncation and
+// caller-deadline budgeting, all driven through the faultnet
+// fault-injection proxy. Run with -race (the shard-e2e CI job does).
 
 import (
 	"context"
@@ -107,8 +107,8 @@ func TestRouterFailoverKilledReplica(t *testing.T) {
 	// dead replica at least once.
 	for round := 0; round < 4; round++ {
 		for _, rq := range requests {
-			wantBody, wantStatus := rawRequest(t, rq.method, wts.URL+rq.path, rq.body)
-			gotBody, gotStatus := rawRequest(t, rq.method, rts.URL+rq.path, rq.body)
+			wantBody, wantStatus, _ := rawRequest(t, rq.method, wts.URL+rq.path, rq.body)
+			gotBody, gotStatus, _ := rawRequest(t, rq.method, rts.URL+rq.path, rq.body)
 			if gotStatus != wantStatus || gotBody != wantBody {
 				t.Fatalf("round %d %s %s: status %d (want %d)\nrouter %s\nwhole  %s",
 					round, rq.method, rq.path, gotStatus, wantStatus, gotBody, wantBody)
@@ -145,9 +145,10 @@ func TestRouterFailoverKilledReplica(t *testing.T) {
 }
 
 // TestRouterAllReplicasDead pins the degradation floor: with every
-// replica of one shard dead, point queries on that shard 502, live
-// shards keep answering, and window stats degrade partial — exactly
-// the single-backend fault contract.
+// replica of one shard dead, locates still answer from the manifest
+// (on the dead shard's cells too), fan-outs needing the dead shard
+// 502, and window stats degrade partial — exactly the single-backend
+// fault contract.
 func TestRouterAllReplicasDead(t *testing.T) {
 	whole := buildWhole(t)
 	c := newReplicaCluster(t, whole, 3, 2)
@@ -160,12 +161,15 @@ func TestRouterAllReplicasDead(t *testing.T) {
 		p.Set(faultnet.Fault{Mode: faultnet.Kill})
 	}
 
-	status, _ := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, deadLat, deadLon), "", nil)
-	if status != http.StatusBadGateway {
-		t.Errorf("locate via dead shard: status %d, want 502", status)
-	}
 	var loc struct {
 		Region int `json:"region"`
+	}
+	status, _ := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, deadLat, deadLon), "", &loc)
+	if status != http.StatusOK {
+		t.Errorf("locate on the dead shard's cells: status %d, want 200", status)
+	}
+	if want, _ := whole.Locate(deadLat, deadLon); loc.Region != want {
+		t.Errorf("dead-shard locate region %d, want %d", loc.Region, want)
 	}
 	status, _ = doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, liveLat, liveLon), "", &loc)
 	if status != http.StatusOK {
@@ -218,17 +222,17 @@ func TestRouterBreakerRecovery(t *testing.T) {
 	c := newReplicaCluster(t, whole, 2, 2)
 	rt, rts := c.newRouter(t, router.WithBreaker(2, 40*time.Millisecond, 80*time.Millisecond))
 	name := c.manifest.Shards[0].Name
-	lat, lon := pointInShard(t, c.manifest, 0)
-	locate := func() int {
+	body := shardZeroStats(c.manifest, whole.Tasks()[0])
+	stats := func() int {
 		t.Helper()
-		status, _ := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, lat, lon), "", nil)
+		status, _ := doJSON(t, "POST", rts.URL+"/v1/stats", body, nil)
 		return status
 	}
 
 	c.proxies[0][0].Set(faultnet.Fault{Mode: faultnet.Kill})
 	for i := 0; i < 6; i++ {
-		if status := locate(); status != http.StatusOK {
-			t.Fatalf("locate %d with one dead replica: status %d", i, status)
+		if status := stats(); status != http.StatusOK {
+			t.Fatalf("stats %d with one dead replica: status %d", i, status)
 		}
 	}
 	hs := rt.ShardHealth(name)
@@ -267,8 +271,8 @@ func TestRouterBreakerRecovery(t *testing.T) {
 	c.proxies[0][0].Set(faultnet.Fault{Mode: faultnet.Healthy})
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		if status := locate(); status != http.StatusOK {
-			t.Fatalf("locate during recovery: status %d", status)
+		if status := stats(); status != http.StatusOK {
+			t.Fatalf("stats during recovery: status %d", status)
 		}
 		if hs := rt.ShardHealth(name); hs[0].State == "closed" && hs[0].ConsecFails == 0 {
 			break
@@ -280,49 +284,67 @@ func TestRouterBreakerRecovery(t *testing.T) {
 	}
 }
 
-// TestRouterHedgedLocate pins hedged reads: with one replica
-// black-holed and a short hedge delay, locates answer fast and
-// correct (the sibling wins), and the black-holed losers are canceled
-// rather than leaked.
-func TestRouterHedgedLocate(t *testing.T) {
+// shardZeroStats is a POST /v1/stats body over one region shard 0
+// owns, so the call reaches exactly one shard.
+func shardZeroStats(m *shard.Manifest, task int) string {
+	return fmt.Sprintf(`{"task":%d,"regions":[%d]}`, task, m.Shards[0].Lo)
+}
+
+// TestRouterLocateNeedsNoShard pins that locates are answered from the
+// manifest: with every replica of every shard black-holed, every
+// locate form answers exactly what a whole-index server answers —
+// status, body and generation — and no replica sees a request.
+func TestRouterLocateNeedsNoShard(t *testing.T) {
 	whole := buildWhole(t)
-	c := newReplicaCluster(t, whole, 2, 2)
-	_, rts := c.newRouter(t,
-		router.WithTimeout(5*time.Second),
-		router.WithHedge(25*time.Millisecond),
-		// High threshold keeps the breaker out of the picture: every
-		// request must win via the hedge, not via a learned ordering.
-		router.WithBreaker(1000, time.Second, time.Second))
-	lat, lon := pointInShard(t, c.manifest, 0)
-	wantRegion, err := whole.Locate(lat, lon)
-	if err != nil {
-		t.Fatal(err)
+	c := newReplicaCluster(t, whole, 3, 2)
+	// A shard hop would time out at 1s and answer 502.
+	_, rts := c.newRouter(t, router.WithTimeout(time.Second))
+	wts := httptest.NewServer(server.New(whole))
+	defer wts.Close()
+	for _, replicas := range c.proxies {
+		for _, p := range replicas {
+			p.Set(faultnet.Fault{Mode: faultnet.BlackHole})
+		}
 	}
 
-	c.proxies[0][0].Set(faultnet.Fault{Mode: faultnet.BlackHole})
-	start := time.Now()
-	const rounds = 6
-	for i := 0; i < rounds; i++ {
-		var loc struct {
-			Region int `json:"region"`
+	var lats, lons []string
+	for s := range c.manifest.Shards {
+		lat, lon := pointInShard(t, c.manifest, s)
+		lats = append(lats, fmt.Sprint(lat))
+		lons = append(lons, fmt.Sprint(lon))
+	}
+	// Off-box points clamp to border cells; JSON cannot carry NaN, so
+	// the non-finite rows use the GET form.
+	lats = append(lats, "1e300", "-1e300")
+	lons = append(lons, "-1e300", "1e300")
+	requests := []struct {
+		method, path, body string
+		status             int
+	}{
+		{"GET", fmt.Sprintf("/v1/locate?lat=%s&lon=%s", lats[0], lons[0]), "", http.StatusOK},
+		{"GET", "/v1/locate?lat=NaN&lon=-118.3", "", http.StatusBadRequest},
+		{"GET", "/v1/locate?lat=34&lon=-Inf", "", http.StatusBadRequest},
+		{"POST", "/v1/locate", fmt.Sprintf(`{"lat":%s,"lon":%s}`, lats[1], lons[1]), http.StatusOK},
+		{"POST", "/v1/locate", `{"lat":1e300,"lon":-1e300}`, http.StatusOK},
+		{"POST", "/v1/locate_batch", fmt.Sprintf(`{"lats":[%s],"lons":[%s]}`, strings.Join(lats, ","), strings.Join(lons, ",")), http.StatusOK},
+	}
+	for _, rq := range requests {
+		wantBody, wantStatus, wantGen := rawRequest(t, rq.method, wts.URL+rq.path, rq.body)
+		gotBody, gotStatus, gotGen := rawRequest(t, rq.method, rts.URL+rq.path, rq.body)
+		if gotStatus != wantStatus || gotBody != wantBody || gotGen != wantGen {
+			t.Errorf("%s %s: router %d %q gen %q, whole %d %q gen %q",
+				rq.method, rq.path, gotStatus, gotBody, gotGen, wantStatus, wantBody, wantGen)
 		}
-		status, _ := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, lat, lon), "", &loc)
-		if status != http.StatusOK || loc.Region != wantRegion {
-			t.Fatalf("hedged locate %d: status %d region %d (want %d)", i, status, loc.Region, wantRegion)
+		if gotStatus != rq.status {
+			t.Errorf("%s %s: status %d with every replica black-holed, want %d", rq.method, rq.path, gotStatus, rq.status)
 		}
 	}
-	// Every round is bounded by roughly hedge delay + healthy RTT; the
-	// 2.5s per-attempt budget of the black-holed replica never gates.
-	if elapsed := time.Since(start); elapsed > rounds*500*time.Millisecond {
-		t.Errorf("hedged locates took %v — hedge did not engage", elapsed)
-	}
-	// Losers are canceled: the black-holed requests all drain.
-	deadline := time.Now().Add(3 * time.Second)
-	for c.proxies[0][0].Holding() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d hedged losers still held — not canceled", c.proxies[0][0].Holding())
+	for i, replicas := range c.proxies {
+		for j, p := range replicas {
+			if n := p.Calls(); n != 0 {
+				t.Errorf("shard %d replica %d saw %d requests, want 0", i, j, n)
+			}
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -339,7 +361,7 @@ func TestRouterReplyTruncation(t *testing.T) {
 	rts := httptest.NewServer(rt)
 	defer rts.Close()
 
-	// A single locate reply fits in 64 bytes and still answers.
+	// A locate needs no backend reply and still answers.
 	lat, lon := pointInShard(t, c.manifest, 0)
 	status, _ := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, lat, lon), "", nil)
 	if status != http.StatusOK {
@@ -376,10 +398,10 @@ func TestRouterCallerDeadlineBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat, lon := pointInShard(t, c.manifest, 0)
+	body := shardZeroStats(c.manifest, whole.Tasks()[0])
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	req := httptest.NewRequest("GET", fmt.Sprintf("/v1/locate?lat=%v&lon=%v", lat, lon), nil).WithContext(ctx)
+	req := httptest.NewRequest("POST", "/v1/stats", strings.NewReader(body)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	start := time.Now()
 	rt.ServeHTTP(rec, req)
@@ -417,8 +439,8 @@ func TestRouterStaleReplicaNoFailover(t *testing.T) {
 	rts := httptest.NewServer(rt)
 	defer rts.Close()
 
-	lat, lon := pointInShard(t, c.manifest, 0)
-	wantRegion, err := whole.Locate(lat, lon)
+	task, region := whole.Tasks()[0], c.manifest.Shards[0].Lo
+	wantStats, err := whole.GroupStats(task, []int{region})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,21 +450,21 @@ func TestRouterStaleReplicaNoFailover(t *testing.T) {
 	}
 	wantGen := strconv.FormatUint(gen, 10)
 	var saw409, saw200 bool
+	body := shardZeroStats(c.manifest, task)
 	for i := 0; i < 8; i++ {
-		var loc struct {
-			Region int `json:"region"`
-		}
-		status, hdr := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, lat, lon), "", &loc)
+		var got statsWire
+		status, hdr := doJSON(t, "POST", rts.URL+"/v1/stats", body, &got)
 		switch status {
 		case http.StatusOK:
 			saw200 = true
-			if loc.Region != wantRegion || hdr.Get(wire.GenerationHeader) != wantGen {
-				t.Fatalf("200 with wrong answer: region %d gen %q", loc.Region, hdr.Get(wire.GenerationHeader))
+			if hdr.Get(wire.GenerationHeader) != wantGen {
+				t.Fatalf("200 with wrong generation %q", hdr.Get(wire.GenerationHeader))
 			}
+			requireStatsEqual(t, got, wantStats)
 		case http.StatusConflict:
 			saw409 = true // the stale replica was hit and refused, not papered over
 		default:
-			t.Fatalf("locate %d: status %d, want 200 or 409", i, status)
+			t.Fatalf("stats %d: status %d, want 200 or 409", i, status)
 		}
 	}
 	if !saw409 {

@@ -3,7 +3,7 @@
 // proxy the first router suites hand-rolled: one Proxy fronts a real
 // backend handler and, on command, kills connections, black-holes
 // requests, delays them, or fails a deterministic percentage — the
-// four failure shapes the failover, breaker, hedge and
+// four failure shapes the failover, breaker, deadline and
 // all-replicas-dead suites need. Faults switch atomically at any
 // time, so a test can kill a replica mid-hammer and heal it later.
 //
@@ -62,7 +62,6 @@ type Proxy struct {
 
 	calls   atomic.Int64 // requests that reached the proxy
 	faulted atomic.Int64 // requests a fault consumed
-	holding atomic.Int64 // black-holed requests currently held
 }
 
 // New starts a fault proxy in front of backend. Close it when done.
@@ -92,12 +91,6 @@ func (p *Proxy) Calls() int64 { return p.calls.Load() }
 // Faulted returns how many requests a fault consumed.
 func (p *Proxy) Faulted() int64 { return p.faulted.Load() }
 
-// Holding returns how many black-holed requests are currently held —
-// zero once every abandoned caller (a hedged loser, a timed-out
-// attempt) has been canceled, which is how tests observe that the
-// router released its losers.
-func (p *Proxy) Holding() int64 { return p.holding.Load() }
-
 // ServeHTTP implements http.Handler with the configured fault.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n := p.calls.Add(1)
@@ -123,11 +116,9 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// Drain the request first: the net/http server only watches for
 		// client disconnects once the body is consumed, and a black hole
 		// that never unblocks on caller cancellation would leak every
-		// hedged loser it is supposed to observe.
+		// timed-out attempt it holds.
 		io.Copy(io.Discard, r.Body)
-		p.holding.Add(1)
 		<-r.Context().Done()
-		p.holding.Add(-1)
 	case Slow:
 		select {
 		case <-time.After(f.Delay):

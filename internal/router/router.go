@@ -2,16 +2,20 @@
 // one HTTP process that presents the whole-index /v1 query API while
 // the index itself lives split across N shard backends (each an
 // ordinary internal/server process serving one shard artifact from
-// fairindex.ExtractShard). Requests fan out to the shards named by a
-// shard.Manifest and the per-shard answers are reassembled with the
-// exact merge kernels (fairindex.MergeNearest, MergeWindowStats,
-// shard.MergeOverlaps) — responses are bit-identical to a single
-// server holding the whole index, a property pinned by the
+// fairindex.ExtractShard). Locate and locate_batch are answered from
+// the shard.Manifest itself, which carries the whole index's
+// cell→region table; range, kNN and window stats fan out to the shards
+// the manifest names and the per-shard answers are reassembled with
+// the exact merge kernels (fairindex.MergeNearest, MergeWindowStats,
+// shard.MergeOverlaps). Either way responses are bit-identical to a
+// single server holding the whole index, a property pinned by the
 // sharded-vs-whole HTTP parity suite and its fuzz target. Requests are
 // parsed and replies encoded by internal/wire, the same wire layer the
 // shard servers use.
 //
-// Consistency model: every fan-out binds to one manifest snapshot and
+// Consistency model: a locate reads one manifest snapshot and stamps
+// that snapshot's generation, so it is exact for the generation it
+// names. Every fan-out binds to one manifest snapshot and
 // verifies each backend reply's Fairindex-Generation header against
 // the snapshot's expected shard fingerprint. A mismatch — a backend
 // serving a different artifact generation than the manifest describes,
@@ -26,12 +30,10 @@
 // guided by a passive per-replica circuit breaker (health.go) — with
 // the per-shard time budget split across the remaining attempts, so
 // one dead replica degrades to its sibling instead of failing the
-// request. Optionally, locate-class calls hedge: after WithHedge's
-// delay the next replica is fired concurrently and the first valid
-// reply wins, the loser canceled. A shard "fails" only when every
-// replica refused; only then are Locate, LocateBatch, RangeQuery and
-// kNN exact-or-fail — an unreachable shard is a 502, because a
-// missing shard's regions would silently corrupt the answer. Window
+// request. A shard "fails" only when every replica refused; only then
+// are RangeQuery and kNN exact-or-fail — an unreachable shard is a
+// 502, because a missing shard's regions would silently corrupt the
+// answer. Locates need no shard and answer regardless. Window
 // stats degrade instead: live shards' statistics are merged exactly
 // and the response carries "partial": true naming no invented
 // numbers — the aggregates are the true aggregates of the regions
@@ -99,7 +101,6 @@ type Router struct {
 	client   *http.Client
 	timeout  time.Duration
 	maxReply int64
-	hedge    time.Duration
 	breaker  breakerConfig
 	mux      *http.ServeMux
 	source   ManifestSource
@@ -152,20 +153,6 @@ func WithClient(c *http.Client) Option {
 // and POST /v1/reload.
 func WithManifestSource(src ManifestSource) Option {
 	return func(rt *Router) { rt.source = src }
-}
-
-// WithHedge enables hedged reads for locate-class calls: when a
-// replica has not answered after d, the next replica is fired
-// concurrently and the first valid reply wins (the loser is
-// canceled). Zero disables hedging (the default). Hedging never
-// changes answers — every replica serves the same fingerprinted
-// artifact — only tail latency under a slow replica.
-func WithHedge(d time.Duration) Option {
-	return func(rt *Router) {
-		if d > 0 {
-			rt.hedge = d
-		}
-	}
 }
 
 // WithBreaker tunes the per-replica circuit breaker: threshold
@@ -395,13 +382,11 @@ func setGeneration(w http.ResponseWriter, st *routerState) {
 
 // Scatter machinery.
 
-// shardCall is one backend request of a fan-out. hedge marks
-// locate-class calls eligible for hedged reads under WithHedge.
+// shardCall is one backend request of a fan-out.
 type shardCall struct {
 	method string
 	path   string
 	body   []byte // nil for GET
-	hedge  bool
 }
 
 // shardReply is one backend's answer: transport error, or status plus
@@ -459,13 +444,9 @@ func failsOver(rep shardReply) bool {
 // min(rt.timeout, remaining caller deadline) — attempts never outlive
 // the caller, and each attempt's own timeout is its fair share of
 // what remains (remaining / attempts left), so a black-holed replica
-// cannot starve its siblings. Failover is sequential; when the call
-// is hedgeable and WithHedge is set, the next replica is additionally
-// fired after the hedge delay while the previous attempt is still in
-// flight, and the first non-failing reply wins (losers are canceled
-// and their canceled outcomes never count against replica health).
-// The reply is the first terminal one, or the last failure once every
-// replica refused — the only way a shard fails.
+// cannot starve its siblings. The reply is the first terminal one, or
+// the last failure once every replica refused — the only way a shard
+// fails.
 func (rt *Router) callShard(ctx context.Context, st *routerState, shardIdx int, call shardCall) shardReply {
 	name := st.manifest.Shards[shardIdx].Name
 	urls := st.replicas[shardIdx]
@@ -484,78 +465,36 @@ func (rt *Router) callShard(ctx context.Context, st *routerState, shardIdx int, 
 		return shardReply{err: fmt.Errorf("router: no time budget left for shard %q: %w", name, context.DeadlineExceeded)}
 	}
 	deadline := time.Now().Add(total)
-	bctx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
 
-	type attemptResult struct {
-		idx int // index into order
-		rep shardReply
-	}
-	resCh := make(chan attemptResult, len(order))
-	launched, pending := 0, 0
-	// launch starts the next attempt in order with its fair share of
-	// the remaining budget. Health bookkeeping happens in the attempt
-	// goroutine so hedged losers are accounted even after the winner
-	// returned — except canceled losers, which are neutral.
-	launch := func() {
-		idx := launched
-		launched++
-		pending++
-		url := urls[order[idx]]
+	var last shardReply
+	for idx, i := range order {
+		url := urls[i]
 		h := rt.health[url]
 		h.recordAttempt()
-		attemptBudget := time.Until(deadline) / time.Duration(len(order)-idx)
-		isProbe := idx == probe
-		go func() {
-			actx, acancel := context.WithTimeout(bctx, attemptBudget)
-			defer acancel()
-			rep := rt.doCall(actx, url, call)
-			switch {
-			case errors.Is(rep.err, context.Canceled):
-				// A hedged loser (the winner canceled the fan-in) or a
-				// vanished client — neither says anything about the replica.
-			case failsOver(rep):
-				h.recordFailure(time.Now(), rep.err)
-			default:
-				h.recordSuccess()
-			}
-			if isProbe {
-				h.releaseProbe()
-			}
-			resCh <- attemptResult{idx: idx, rep: rep}
-		}()
-	}
-
-	launch()
-	var last shardReply
-	for {
-		var hedgeTimer <-chan time.Time
-		if call.hedge && rt.hedge > 0 && launched < len(order) {
-			hedgeTimer = time.After(rt.hedge)
+		actx, cancel := context.WithTimeout(ctx, time.Until(deadline)/time.Duration(len(order)-idx))
+		rep := rt.doCall(actx, url, call)
+		cancel()
+		switch {
+		case errors.Is(rep.err, context.Canceled):
+			// A vanished client says nothing about the replica.
+		case failsOver(rep):
+			h.recordFailure(time.Now(), rep.err)
+		default:
+			h.recordSuccess()
 		}
-		select {
-		case res := <-resCh:
-			pending--
-			if !failsOver(res.rep) {
-				return res.rep
-			}
-			last = res.rep
-			if launched < len(order) {
-				launch()
-				continue
-			}
-			if pending > 0 {
-				continue // a hedged sibling may still answer
-			}
-			if len(order) > 1 {
-				last.err = fmt.Errorf("router: all %d replicas of shard %q failed, last: %w",
-					len(order), name, replyError(last))
-			}
-			return last
-		case <-hedgeTimer:
-			launch()
+		if idx == probe {
+			h.releaseProbe()
 		}
+		if !failsOver(rep) {
+			return rep
+		}
+		last = rep
 	}
+	if len(order) > 1 {
+		last.err = fmt.Errorf("router: all %d replicas of shard %q failed, last: %w",
+			len(order), name, replyError(last))
+	}
+	return last
 }
 
 // replyError normalizes a failed reply into one error for wrapping.
@@ -855,17 +794,17 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 // server's would. Fan-out paths re-stamp with the snapshot that
 // answered.
 
-// handleLocate routes a point query by cell: the manifest's cell→
-// region table names the owning region and hence the one shard to ask;
-// the backend's answer (in its local id space) is translated back and
-// cross-checked against the manifest.
+// handleLocate answers a point query from the manifest's cell→region
+// table — the whole index's own table — so no shard is asked, and the
+// answer is exact for the generation the snapshot stamps.
 func (rt *Router) handleLocate(w http.ResponseWriter, r *http.Request) {
 	req, err := wire.ParseLocate(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	setGeneration(w, rt.state.Load())
+	st := rt.state.Load()
+	setGeneration(w, st)
 	if math.IsNaN(req.Lat) || math.IsInf(req.Lat, 0) || math.IsNaN(req.Lon) || math.IsInf(req.Lon, 0) {
 		// fairindex.Index.Locate's exact refusal, replicated here so the
 		// router's 400 matches a whole-index server's byte for byte.
@@ -873,132 +812,24 @@ func (rt *Router) handleLocate(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("fairindex: non-finite coordinate (%v, %v)", req.Lat, req.Lon))
 		return
 	}
-	var owner, want int
-	body, _ := json.Marshal(req) // finite coordinates always marshal
-	st, replies, herr := rt.scatterConsistent(r.Context(), func(st *routerState) (map[int]shardCall, *httpError) {
-		cell := st.mapper.CellOf(req.Lat, req.Lon)
-		want = st.manifest.RegionOfCell(st.manifest.Grid.Index(cell))
-		owner = st.manifest.ShardOfRegion(want)
-		return map[int]shardCall{owner: {method: http.MethodPost, path: "/v1/locate", body: body, hedge: true}}, nil
-	})
-	if !rt.mergeable(w, st, replies, herr) {
-		return
-	}
-	var resp wire.LocateResponse
-	if err := json.Unmarshal(replies[owner].body, &resp); err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("router: shard %q: malformed locate response: %v", st.manifest.Shards[owner].Name, err))
-		return
-	}
-	global, ok := st.manifest.ToGlobal(owner, resp.Region)
-	if !ok || global != want {
-		writeError(w, http.StatusBadGateway, fmt.Errorf(
-			"router: shard %q located region %d, manifest expects %d", st.manifest.Shards[owner].Name, resp.Region, want))
-		return
-	}
-	setGeneration(w, st)
-	writeJSON(w, http.StatusOK, wire.LocateResponse{Region: global})
+	cell := st.mapper.CellOf(req.Lat, req.Lon)
+	writeJSON(w, http.StatusOK, wire.LocateResponse{Region: st.manifest.RegionOfCell(st.manifest.Grid.Index(cell))})
 }
 
-// handleLocateBatch splits a batch by owning shard, fans the per-shard
-// sub-batches out, and scatters the translated answers back into
-// request order. Invalid (non-finite) points never reach a backend:
-// they are resolved locally with the whole index's exact sentinel and
-// error text, original point indices preserved.
+// handleLocateBatch answers a batch from the manifest's cell→region
+// table with the index's own batch kernel, so sentinels and per-point
+// error text are the whole index's.
 func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 	req, status, err := wire.ParseLocateBatch(r, wire.DefaultMaxBatch)
 	if err != nil {
 		writeError(w, status, err)
 		return
 	}
-	setGeneration(w, rt.state.Load())
-
-	n := len(req.Lats)
-	regions := make([]int, n)
-	var (
-		errs    []string
-		invalid int
-		subLats [][]float64
-		subLons [][]float64
-		subPos  [][]int
-	)
-	st, replies, herr := rt.scatterConsistent(r.Context(), func(st *routerState) (map[int]shardCall, *httpError) {
-		numShards := len(st.manifest.Shards)
-		counts := make([]int, numShards)
-		errs = errs[:0]
-		invalid = 0
-		for i := 0; i < n; i++ {
-			lat, lon := req.Lats[i], req.Lons[i]
-			// x−x is 0 exactly when x is finite — the same predicate
-			// fairindex.locateRange uses, so error text and order match.
-			if lat-lat != 0 || lon-lon != 0 {
-				regions[i] = fairindex.RegionInvalid
-				invalid++
-				if len(errs) < 8 {
-					errs = append(errs, fmt.Sprintf("fairindex: point %d: non-finite coordinate (%v, %v)", i, lat, lon))
-				}
-				continue
-			}
-			cell := st.mapper.CellOf(lat, lon)
-			regions[i] = st.manifest.RegionOfCell(st.manifest.Grid.Index(cell))
-			counts[st.manifest.ShardOfRegion(regions[i])]++
-		}
-		if invalid > len(errs) {
-			errs = append(errs, fmt.Sprintf("fairindex: %d further invalid points", invalid-len(errs)))
-		}
-		// Group the valid points by owning shard, request order kept
-		// within a shard: a counting sort into one allocation per column.
-		lats, lons, pos := make([]float64, n-invalid), make([]float64, n-invalid), make([]int, n-invalid)
-		subLats, subLons, subPos = make([][]float64, numShards), make([][]float64, numShards), make([][]int, numShards)
-		off := 0
-		for s, c := range counts {
-			subLats[s], subLons[s], subPos[s] = lats[off:off:off+c], lons[off:off:off+c], pos[off:off:off+c]
-			off += c
-		}
-		for i, region := range regions {
-			if region == fairindex.RegionInvalid {
-				continue
-			}
-			s := st.manifest.ShardOfRegion(region)
-			subLats[s] = append(subLats[s], req.Lats[i])
-			subLons[s] = append(subLons[s], req.Lons[i])
-			subPos[s] = append(subPos[s], i)
-		}
-		calls := make(map[int]shardCall, numShards)
-		for s := range subLats {
-			if len(subLats[s]) == 0 {
-				continue
-			}
-			// ~24 bytes per encoded coordinate covers most without a regrow.
-			body := wire.AppendLocateBatchRequest(make([]byte, 0, 48*len(subLats[s])+16),
-				wire.LocateBatchRequest{Lats: subLats[s], Lons: subLons[s]})
-			calls[s] = shardCall{method: http.MethodPost, path: "/v1/locate_batch", body: body, hedge: true}
-		}
-		return calls, nil
-	})
-	if !rt.mergeable(w, st, replies, herr) {
-		return
-	}
-	sub := make([]int, 0, n)
-	for s, rep := range replies {
-		sub, err = wire.DecodeLocateBatchReply(sub[:0], rep.body)
-		if err != nil || len(sub) != len(subPos[s]) {
-			writeError(w, http.StatusBadGateway, fmt.Errorf(
-				"router: shard %q: malformed batch response", st.manifest.Shards[s].Name))
-			return
-		}
-		for j, local := range sub {
-			global, ok := st.manifest.ToGlobal(s, local)
-			if !ok || global != regions[subPos[s][j]] {
-				writeError(w, http.StatusBadGateway, fmt.Errorf(
-					"router: shard %q located region %d for point %d, manifest expects %d",
-					st.manifest.Shards[s].Name, local, subPos[s][j], regions[subPos[s][j]]))
-				return
-			}
-		}
-	}
+	st := rt.state.Load()
 	setGeneration(w, st)
-	resp := wire.LocateBatchResponse{Regions: regions, Invalid: invalid, Error: strings.Join(errs, "\n")}
-	if err := wire.WriteLocateBatch(w, resp); err != nil {
+	regions := make([]int, len(req.Lats))
+	err = st.mapper.LocateRange(regions, st.manifest.CellRegion, req.Lats, req.Lons, 0)
+	if err := wire.WriteLocateBatch(w, wire.NewLocateBatchResponse(regions, err)); err != nil {
 		log.Printf("router: writing response: %v", err)
 	}
 }

@@ -172,8 +172,8 @@ func TestRouterAnswersMatchWholeServer(t *testing.T) {
 		{"POST", "/v1/stats", fmt.Sprintf(`{"task":%d,"regions":[0],"metrics":["nope"]}`, task)},
 	}
 	for _, rq := range requests {
-		wantBody, wantStatus := rawRequest(t, rq.method, wts.URL+rq.path, rq.body)
-		gotBody, gotStatus := rawRequest(t, rq.method, rts.URL+rq.path, rq.body)
+		wantBody, wantStatus, _ := rawRequest(t, rq.method, wts.URL+rq.path, rq.body)
+		gotBody, gotStatus, _ := rawRequest(t, rq.method, rts.URL+rq.path, rq.body)
 		if gotStatus != wantStatus {
 			t.Errorf("%s %s: status %d, whole server %d (router body %s)", rq.method, rq.path, gotStatus, wantStatus, gotBody)
 			continue
@@ -184,8 +184,9 @@ func TestRouterAnswersMatchWholeServer(t *testing.T) {
 	}
 }
 
-// rawRequest returns a response body verbatim for byte comparison.
-func rawRequest(t *testing.T, method, url, body string) (string, int) {
+// rawRequest returns a response body verbatim for byte comparison,
+// with its status and generation header.
+func rawRequest(t *testing.T, method, url, body string) (string, int, string) {
 	t.Helper()
 	var rd io.Reader
 	if body != "" {
@@ -207,7 +208,7 @@ func rawRequest(t *testing.T, method, url, body string) (string, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(data), resp.StatusCode
+	return string(data), resp.StatusCode, resp.Header.Get(wire.GenerationHeader)
 }
 
 // TestRouterUnsupportedEndpoints pins the 501 contract for whole-index
@@ -325,10 +326,10 @@ func TestRouterShardsEndpoint(t *testing.T) {
 	}
 }
 
-// TestRouterKillOneShard pins the fault contract: point and geometry
-// queries needing the dead shard hard-fail with 502, a Locate owned by
-// a live shard still answers, and window stats degrade to an exact
-// partial aggregate over the live shards.
+// TestRouterKillOneShard pins the fault contract: geometry queries
+// needing the dead shard hard-fail with 502, locates answer from the
+// manifest whichever shard owns the point, and window stats degrade to
+// an exact partial aggregate over the live shards.
 func TestRouterKillOneShard(t *testing.T) {
 	whole := buildWhole(t)
 	c := newCluster(t, whole, 3)
@@ -339,15 +340,18 @@ func TestRouterKillOneShard(t *testing.T) {
 	liveLat, liveLon := pointInShard(t, c.manifest, 0)
 	c.backends[1].Close()
 
-	// Locate routed to the dead shard: 502.
-	status, _ := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, deadLat, deadLon), "", nil)
-	if status != http.StatusBadGateway {
-		t.Errorf("locate via dead shard: status %d, want 502", status)
-	}
-	// Locate owned by a live shard: unaffected — routing is by cell.
+	// Locate on the dead shard's cells: answered from the manifest.
 	var loc struct {
 		Region int `json:"region"`
 	}
+	status, _ := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, deadLat, deadLon), "", &loc)
+	if status != http.StatusOK {
+		t.Errorf("locate on the dead shard's cells: status %d, want 200", status)
+	}
+	if want, _ := whole.Locate(deadLat, deadLon); loc.Region != want {
+		t.Errorf("dead-shard locate region %d, want %d", loc.Region, want)
+	}
+	// Locate owned by a live shard: unaffected.
 	status, _ = doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, liveLat, liveLon), "", &loc)
 	if status != http.StatusOK {
 		t.Fatalf("locate via live shard: status %d", status)
@@ -356,9 +360,21 @@ func TestRouterKillOneShard(t *testing.T) {
 		t.Errorf("live locate region %d, want %d", loc.Region, want)
 	}
 
-	// Batch containing a dead-shard point, kNN and range: 502.
+	// Batch containing a dead-shard point: answered from the manifest.
+	var batch struct {
+		Regions []int `json:"regions"`
+	}
+	status, _ = doJSON(t, "POST", rts.URL+"/v1/locate_batch",
+		fmt.Sprintf(`{"lats":[%v,%v],"lons":[%v,%v]}`, liveLat, deadLat, liveLon, deadLon), &batch)
+	if status != http.StatusOK {
+		t.Errorf("batch with a dead-shard point: status %d, want 200", status)
+	}
+	if want, _ := whole.LocateBatch([]float64{liveLat, deadLat}, []float64{liveLon, deadLon}); fmt.Sprint(batch.Regions) != fmt.Sprint(want) {
+		t.Errorf("batch regions %v, want %v", batch.Regions, want)
+	}
+
+	// kNN and range: 502.
 	for _, rq := range []struct{ method, path, body string }{
-		{"POST", "/v1/locate_batch", fmt.Sprintf(`{"lats":[%v,%v],"lons":[%v,%v]}`, liveLat, deadLat, liveLon, deadLon)},
 		{"GET", fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=3", liveLat, liveLon), ""},
 		{"POST", "/v1/range", `{"min_lat":33.8,"min_lon":-118.6,"max_lat":34.1,"max_lon":-118.2}`},
 	} {
@@ -530,9 +546,9 @@ func TestRouterGenerationMismatch(t *testing.T) {
 }
 
 // TestRouterHotReloadRetry pins the recovery path: when the backends
-// move to a new generation and the manifest source follows, a request
+// move to a new generation and the manifest source follows, a fan-out
 // that observes the mismatch reloads the manifest and succeeds on its
-// single retry.
+// single retry, and locates answer the new generation from then on.
 func TestRouterHotReloadRetry(t *testing.T) {
 	wholeA := buildWhole(t)
 	wholeB := buildWhole(t, fairindex.WithHeight(5), fairindex.WithSeed(11))
@@ -560,6 +576,26 @@ func TestRouterHotReloadRetry(t *testing.T) {
 		srv.Swap(shardsB[i])
 	}
 
+	wts := httptest.NewServer(server.New(wholeB))
+	defer wts.Close()
+	const knn = "/v1/knn?lat=34.05&lon=-118.35&k=5"
+	wantBody, wantStatus, _ := rawRequest(t, "GET", wts.URL+knn, "")
+	body, status, gen := rawRequest(t, "GET", rts.URL+knn, "")
+	if status != http.StatusOK || status != wantStatus || body != wantBody {
+		t.Fatalf("knn after hot reload: status %d (whole B %d)\nrouter  %s\nwhole B %s", status, wantStatus, body, wantBody)
+	}
+	genB, err := wholeB.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen != strconv.FormatUint(genB, 10) {
+		t.Errorf("response generation %q, want %d", gen, genB)
+	}
+	if rt.Reloads() == 0 {
+		t.Error("router answered without reloading the manifest")
+	}
+
+	// The reload moved locates to generation B as well.
 	var resp struct {
 		Region int `json:"region"`
 	}
@@ -574,24 +610,18 @@ func TestRouterHotReloadRetry(t *testing.T) {
 	if resp.Region != want {
 		t.Errorf("region %d, want generation B's %d", resp.Region, want)
 	}
-	genB, err := wholeB.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := hdr.Get("Fairindex-Generation"); got != strconv.FormatUint(genB, 10) {
-		t.Errorf("response generation %q, want %d", got, genB)
-	}
-	if rt.Reloads() == 0 {
-		t.Error("router answered without reloading the manifest")
+		t.Errorf("locate generation %q, want %d", got, genB)
 	}
 }
 
 // TestRouterConsistencyUnderConcurrentReload hammers the router from
-// many goroutines while the deployment flips generations, asserting
-// every single response is internally consistent: a 200 carries one
-// generation's header AND that generation's exact answer, transition
-// windows yield only 409s (or 502 for requests caught mid-swap),
-// never a mixed or wrong-generation body. Run with -race.
+// many goroutines with locates and kNN fan-outs while the deployment
+// flips generations, asserting every single response is internally
+// consistent: a 200 carries one generation's header AND that
+// generation's exact answer, transition windows yield only 409s (or
+// 502 for requests caught mid-swap), never a mixed or wrong-generation
+// body. Run with -race.
 func TestRouterConsistencyUnderConcurrentReload(t *testing.T) {
 	wholeA := buildWhole(t)
 	wholeB := buildWhole(t, fairindex.WithHeight(5), fairindex.WithSeed(11))
@@ -618,13 +648,20 @@ func TestRouterConsistencyUnderConcurrentReload(t *testing.T) {
 		}
 		return strconv.FormatUint(fp, 10)
 	}
-	wantRegion := map[string]int{}
+	locatePath := fmt.Sprintf("/v1/locate?lat=%v&lon=%v", probeLat, probeLon)
+	knnPath := fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=4", probeLat, probeLon)
+	// want maps path → generation → the whole index's exact body.
+	want := map[string]map[string]string{locatePath: {}, knnPath: {}}
 	for _, ix := range []*fairindex.Index{wholeA, wholeB} {
-		r, err := ix.Locate(probeLat, probeLon)
-		if err != nil {
-			t.Fatal(err)
+		wts := httptest.NewServer(server.New(ix))
+		for path := range want {
+			body, status, _ := rawRequest(t, "GET", wts.URL+path, "")
+			if status != http.StatusOK {
+				t.Fatalf("whole %s: status %d", path, status)
+			}
+			want[path][genOf(ix)] = body
 		}
-		wantRegion[genOf(ix)] = r
+		wts.Close()
 	}
 
 	var (
@@ -637,8 +674,12 @@ func TestRouterConsistencyUnderConcurrentReload(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				resp, err := http.Get(fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, probeLat, probeLon))
+			for i := 0; !stop.Load(); i++ {
+				path := locatePath
+				if i%2 == 1 {
+					path = knnPath
+				}
+				resp, err := http.Get(rts.URL + path)
 				if err != nil {
 					record(fmt.Sprintf("transport error: %v", err))
 					return
@@ -648,16 +689,13 @@ func TestRouterConsistencyUnderConcurrentReload(t *testing.T) {
 				switch resp.StatusCode {
 				case http.StatusOK:
 					gen := resp.Header.Get("Fairindex-Generation")
-					want, known := wantRegion[gen]
+					wantBody, known := want[path][gen]
 					if !known {
-						record(fmt.Sprintf("200 with unknown generation %q", gen))
+						record(fmt.Sprintf("%s: 200 with unknown generation %q", path, gen))
 						return
 					}
-					var out struct {
-						Region int `json:"region"`
-					}
-					if err := json.Unmarshal(body, &out); err != nil || out.Region != want {
-						record(fmt.Sprintf("generation %q answered region %d, want %d (err %v)", gen, out.Region, want, err))
+					if string(body) != wantBody {
+						record(fmt.Sprintf("%s: generation %q answered %s, want %s", path, gen, body, wantBody))
 						return
 					}
 				case http.StatusConflict, http.StatusBadGateway:
@@ -696,5 +734,8 @@ func TestRouterConsistencyUnderConcurrentReload(t *testing.T) {
 	wg.Wait()
 	if msg := fail.Load(); msg != nil {
 		t.Fatal(*msg)
+	}
+	if rt.Reloads() == 0 {
+		t.Error("no fan-out observed a generation flip")
 	}
 }

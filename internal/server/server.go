@@ -758,18 +758,7 @@ func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 		regions = regions[:len(req.Lats)]
 	}
 	*buf = regions
-	err = idx.LocateBatchInto(regions, req.Lats, req.Lons)
-	resp := wire.LocateBatchResponse{Regions: regions}
-	if err != nil {
-		// Per-point failures are not a request failure: every valid
-		// point resolved, sentinels mark the rest.
-		resp.Error = err.Error()
-		for _, region := range regions {
-			if region == fairindex.RegionInvalid {
-				resp.Invalid++
-			}
-		}
-	}
+	resp := wire.NewLocateBatchResponse(regions, idx.LocateBatchInto(regions, req.Lats, req.Lons))
 	if err := wire.WriteLocateBatch(w, resp); err != nil {
 		s.logger.Printf("server: writing response: %v", err)
 	}

@@ -51,9 +51,9 @@ type Shard struct {
 }
 
 // Manifest is the versioned description of one index split: the
-// source index's geometry and cell→region table (enough to route any
-// coordinate to its owning shard without touching a backend) plus the
-// per-shard region ranges and artifact fingerprints.
+// source index's geometry and cell→region table (enough to locate any
+// coordinate without touching a backend) plus the per-shard region
+// ranges and artifact fingerprints.
 //
 // The binary encoding (Encode/Decode) is canonical: Decode rejects
 // any byte stream that does not re-encode to the identical bytes, so
@@ -65,8 +65,8 @@ type Manifest struct {
 	Grid       geo.Grid
 	Box        geo.BBox
 	NumRegions int
-	// CellRegion is the whole index's row-major cell→region table; it
-	// routes Locate by cell.
+	// CellRegion is the whole index's row-major cell→region table; the
+	// router answers Locate from it.
 	CellRegion []int
 	// Shards lists the plan's shards in ascending region-range order;
 	// the ranges are disjoint and total over [0, NumRegions).

@@ -60,7 +60,7 @@ func (m *Manifest) ShardOfRegion(region int) int {
 }
 
 // RegionOfCell returns the global region owning a row-major cell
-// index — the Locate routing step, answered from the manifest alone.
+// index — the router's whole Locate answer, from the manifest alone.
 func (m *Manifest) RegionOfCell(cell int) int { return m.CellRegion[cell] }
 
 // Foreign reports whether shard i's artifact carries the foreign

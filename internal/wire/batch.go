@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,10 +13,10 @@ import (
 // The /v1/locate_batch codec. A batch is the one request whose cost is
 // dominated by the wire rather than the index: reflection-driven
 // encoding/json spends ~100x the lookup kernel's time on a 1000-point
-// body. So the batch shapes are encoded and decoded by hand here, with
-// encoding/json kept as the definition of the format:
+// body. So the batch request is decoded and the batch reply encoded by
+// hand here, with encoding/json kept as the definition of the format:
 //
-//   - the scanners accept a strict subset of JSON — one object with
+//   - the scanner accepts a strict subset of JSON — one object with
 //     exactly the expected keys, each once, spelled exactly, arrays of
 //     numbers in the JSON number grammar, and whitespace — and parse
 //     each number with the same strconv call encoding/json makes, so
@@ -26,7 +25,8 @@ import (
 //     null, out-of-range numbers, trailing data, read errors, ...)
 //     falls back to encoding/json on the same bytes, so every status
 //     and error text is exactly what encoding/json alone produces;
-//   - the appenders write the bytes encoding/json would write.
+//   - the reply writer, and AppendFloat which the wire float types
+//     share, write the bytes encoding/json would write.
 //
 // FuzzLocateBatchDecode and the appender tests in wire_test.go pin the
 // agreement.
@@ -165,7 +165,7 @@ func scanLocateBatch(data []byte) (LocateBatchRequest, bool) {
 	return LocateBatchRequest{Lats: b, Lons: a}, true
 }
 
-// scanner walks a JSON text for the strict scanners.
+// scanner walks a JSON text for scanLocateBatch.
 type scanner struct {
 	b []byte
 	i int
@@ -238,7 +238,7 @@ func (s *scanner) array(elem func() bool) bool {
 // floats appends a JSON array of numbers to dst.
 func (s *scanner) floats(dst []float64) ([]float64, bool) {
 	ok := s.array(func() bool {
-		lit, ok := s.number(false)
+		lit, ok := s.number()
 		if !ok {
 			return false
 		}
@@ -251,23 +251,9 @@ func (s *scanner) floats(dst []float64) ([]float64, bool) {
 	return dst, ok
 }
 
-// ints appends a JSON array of integers to dst.
-func (s *scanner) ints(dst []int) ([]int, bool) {
-	ok := s.array(func() bool {
-		lit, ok := s.number(true)
-		if !ok {
-			return false
-		}
-		v, err := strconv.ParseInt(string(lit), 10, 0)
-		dst = append(dst, int(v))
-		return err == nil
-	})
-	return dst, ok
-}
-
-// number consumes a literal in the JSON number grammar — integer part
-// only when intOnly — and returns its bytes.
-func (s *scanner) number(intOnly bool) ([]byte, bool) {
+// number consumes a literal in the JSON number grammar and returns
+// its bytes.
+func (s *scanner) number() ([]byte, bool) {
 	b, i := s.b, s.i
 	if i < len(b) && b[i] == '-' {
 		i++
@@ -280,24 +266,22 @@ func (s *scanner) number(intOnly bool) ([]byte, bool) {
 	default:
 		return nil, false
 	}
-	if !intOnly {
-		if i < len(b) && b[i] == '.' {
-			if j := digits(b, i+1); j > i+1 {
-				i = j
-			} else {
-				return nil, false
-			}
+	if i < len(b) && b[i] == '.' {
+		if j := digits(b, i+1); j > i+1 {
+			i = j
+		} else {
+			return nil, false
 		}
-		if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
-			if i < len(b) && (b[i] == '+' || b[i] == '-') {
-				i++
-			}
-			if j := digits(b, i); j > i {
-				i = j
-			} else {
-				return nil, false
-			}
+		}
+		if j := digits(b, i); j > i {
+			i = j
+		} else {
+			return nil, false
 		}
 	}
 	lit := b[s.i:i]
@@ -333,28 +317,6 @@ func AppendFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// AppendLocateBatchRequest appends the bytes json.Marshal(req) writes,
-// for non-nil coordinate lists of finite values — the shard router's
-// sub-batch bodies.
-func AppendLocateBatchRequest(dst []byte, req LocateBatchRequest) []byte {
-	dst = append(dst, `{"lats":`...)
-	dst = appendFloats(dst, req.Lats)
-	dst = append(dst, `,"lons":`...)
-	dst = appendFloats(dst, req.Lons)
-	return append(dst, '}')
-}
-
-func appendFloats(dst []byte, fs []float64) []byte {
-	dst = append(dst, '[')
-	for i, f := range fs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = AppendFloat(dst, f)
-	}
-	return append(dst, ']')
-}
-
 // WriteLocateBatch writes a 200 /v1/locate_batch reply, byte-identical
 // to WriteJSON(w, http.StatusOK, resp). The plain reply — every point
 // resolved, so no invalid count or error — is appended by hand; any
@@ -378,24 +340,4 @@ func WriteLocateBatch(w http.ResponseWriter, resp LocateBatchResponse) error {
 	w.WriteHeader(http.StatusOK)
 	_, err := w.Write(b)
 	return err
-}
-
-// DecodeLocateBatchReply decodes the region list of a /v1/locate_batch
-// reply body, appending to dst. A plain {"regions":[...]} reply is
-// scanned by hand; any other body is decoded by json.Unmarshal into a
-// LocateBatchResponse, whose error it returns.
-func DecodeLocateBatchReply(dst []int, body []byte) ([]int, error) {
-	s := scanner{b: body}
-	if s.next('{') {
-		if _, ok := s.key("regions"); ok {
-			if regions, ok := s.ints(dst); ok && s.next('}') && s.end() {
-				return regions, nil
-			}
-		}
-	}
-	var resp LocateBatchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return dst, err
-	}
-	return append(dst, resp.Regions...), nil
 }

@@ -73,6 +73,23 @@ type LocateBatchResponse struct {
 	Error   string `json:"error,omitempty"`
 }
 
+// NewLocateBatchResponse encodes a batch locate's regions and its
+// joined per-point error: per-point failures are not a request
+// failure, so the reply is a 200 whose sentinels mark the points that
+// did not resolve.
+func NewLocateBatchResponse(regions []int, err error) LocateBatchResponse {
+	resp := LocateBatchResponse{Regions: regions}
+	if err != nil {
+		resp.Error = err.Error()
+		for _, region := range regions {
+			if region == fairindex.RegionInvalid {
+				resp.Invalid++
+			}
+		}
+	}
+	return resp
+}
+
 // Rect is the wire form of a geographic query rectangle: the
 // /v1/range request body, and the "rect" window of stats and compare.
 type Rect struct {

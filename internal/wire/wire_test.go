@@ -237,23 +237,6 @@ func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-func TestAppendLocateBatchRequestMatchesMarshal(t *testing.T) {
-	fs := edgeFloats()
-	for _, req := range []LocateBatchRequest{
-		{Lats: fs[:1], Lons: fs[1:2]},
-		{Lats: fs[:len(fs)/2], Lons: fs[len(fs)/2:]},
-		{Lats: []float64{}, Lons: []float64{}},
-	} {
-		want, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := AppendLocateBatchRequest(nil, req); !bytes.Equal(got, want) {
-			t.Errorf("AppendLocateBatchRequest = %.80s..., json.Marshal %.80s...", got, want)
-		}
-	}
-}
-
 func TestWriteLocateBatchMatchesWriteJSON(t *testing.T) {
 	const invalid = -1 // fairindex.RegionInvalid
 	for _, resp := range []LocateBatchResponse{
@@ -279,32 +262,6 @@ func TestWriteLocateBatchMatchesWriteJSON(t *testing.T) {
 	}
 }
 
-func TestDecodeLocateBatchReply(t *testing.T) {
-	for _, body := range []string{
-		`{"regions":[0,3,-1,17]}` + "\n",
-		` { "regions" : [ 9223372036854775807 , -9223372036854775808 ] } `,
-		`{"regions":[]}`,
-		`{"regions":[1,2],"invalid":1,"error":"x"}`, // fallback: extra keys
-		`{"Regions":[1,2]}`,                         // fallback: case-variant key
-		`{"regions":null}`,                          // fallback: null
-		`{"regions":[1.0]}`,                         // fallback, then a type error
-		`{"regions":[9223372036854775808]}`,         // fallback, then a range error
-		`{"regions":[1]`,                            // fallback, then a syntax error
-		`{"regions":[1]}{}`,                         // fallback, then a syntax error
-	} {
-		var want LocateBatchResponse
-		wantErr := json.Unmarshal([]byte(body), &want)
-		got, err := DecodeLocateBatchReply([]int{42}, []byte(body))
-		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-			t.Errorf("%s: error %v, json.Unmarshal %v", body, err, wantErr)
-			continue
-		}
-		if err == nil && fmt.Sprint(got) != fmt.Sprint(append([]int{42}, want.Regions...)) {
-			t.Errorf("%s: decoded %v, json.Unmarshal %v", body, got[1:], want.Regions)
-		}
-	}
-}
-
 // TestLocateBatchCodecAllocs pins what the batch path allocates once
 // its pools are warm: the two coordinate slices per request, next to
 // nothing per reply. encoding/json back on the path costs dozens per
@@ -320,12 +277,13 @@ func TestLocateBatchCodecAllocs(t *testing.T) {
 		req.Lons = append(req.Lons, -118-float64(i)/1e4)
 		regions[i] = i % 300
 	}
-	body := AppendLocateBatchRequest(nil, req)
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	br := bytes.NewReader(body)
 	r := httptest.NewRequest(http.MethodPost, "/v1/locate_batch", br)
 	reply := httptest.NewRecorder()
-	WriteLocateBatch(reply, LocateBatchResponse{Regions: regions})
-	dst := make([]int, 0, len(regions))
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -337,16 +295,10 @@ func TestLocateBatchCodecAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"AppendLocateBatchRequest", 0, func() { body = AppendLocateBatchRequest(body[:0], req) }},
 		// One: the Content-Type header value every reply sets.
 		{"WriteLocateBatch", 1, func() {
 			reply.Body.Reset()
 			WriteLocateBatch(reply, LocateBatchResponse{Regions: regions})
-		}},
-		{"DecodeLocateBatchReply", 0, func() {
-			if _, err := DecodeLocateBatchReply(dst, reply.Body.Bytes()); err != nil {
-				t.Fatal(err)
-			}
 		}},
 	} {
 		if got := testing.AllocsPerRun(100, tc.run); got > tc.max {
