@@ -3,7 +3,9 @@
 // watched benchmark regresses beyond the tolerance factor. It is the
 // CI guard on the Index hot paths: later PRs may make Locate,
 // LocateBatch, the region queries (RangeQuery, NearestRegions,
-// GroupStats), the multi-index registry lookup and the build pipeline
+// GroupStats), artifact decoding (UnmarshalBinary, which the registry
+// runs on the request path when it loads lazily), the multi-index
+// registry lookup and the build pipeline
 // (BenchmarkIndexBuild, BenchmarkIndexBuild10k — and, in the slow CI
 // job, BenchmarkIndexBuild100k) faster, but not slower.
 //
@@ -133,7 +135,7 @@ func run(args []string, w *os.File) error {
 	benchPath := fs.String("bench", "", "`go test -bench` output file (required)")
 	basePath := fs.String("baseline", "BENCH_index.json", "baseline JSON file")
 	watch := fs.String("watch",
-		"BenchmarkIndexLocate,BenchmarkIndexLocateBatch,BenchmarkIndexRangeQuery,BenchmarkIndexNearestRegions,BenchmarkIndexGroupStats,BenchmarkIndexGroupStatsMetrics,BenchmarkRegistryLookup,BenchmarkIndexBuild,BenchmarkIndexBuild10k,BenchmarkShardMergeGroupStats,BenchmarkRouterLocateBatch,BenchmarkRouterStatsFailover,BenchmarkRebuildGate",
+		"BenchmarkIndexLocate,BenchmarkIndexLocateBatch,BenchmarkIndexRangeQuery,BenchmarkIndexNearestRegions,BenchmarkIndexGroupStats,BenchmarkIndexGroupStatsMetrics,BenchmarkIndexUnmarshal,BenchmarkRegistryLookup,BenchmarkIndexBuild,BenchmarkIndexBuild10k,BenchmarkShardMergeGroupStats,BenchmarkRouterLocateBatch,BenchmarkRouterStatsFailover,BenchmarkRebuildGate",
 		"comma-separated benchmarks the gate enforces")
 	maxRatio := fs.Float64("max-ratio", 2.5, "fail when measured/baseline ns/op exceeds this")
 	maxAllocRatio := fs.Float64("max-alloc-ratio", 0,

@@ -30,6 +30,7 @@ const baseline = `{
     "BenchmarkIndexNearestRegions": {"ns_per_op": 1000},
     "BenchmarkIndexGroupStats": {"ns_per_op": 3000},
     "BenchmarkIndexGroupStatsMetrics": {"ns_per_op": 9500, "allocs_per_op": 7},
+    "BenchmarkIndexUnmarshal": {"ns_per_op": 70000},
     "BenchmarkRegistryLookup": {"ns_per_op": 18},
     "BenchmarkIndexBuild": {"ns_per_op": 36000000, "allocs_per_op": 3000},
     "BenchmarkIndexBuild10k": {"ns_per_op": 150000000, "allocs_per_op": 12000},
@@ -47,6 +48,7 @@ const healthyQueries = `BenchmarkIndexRangeQuery-4  	  100	      3100 ns/op
 BenchmarkIndexNearestRegions-4 	  100	      1050 ns/op
 BenchmarkIndexGroupStats-4  	  100	      3050 ns/op
 BenchmarkIndexGroupStatsMetrics-4  	  100	      9600 ns/op	   10688 B/op	       7 allocs/op
+BenchmarkIndexUnmarshal-4  	  100	     71000 ns/op
 BenchmarkRegistryLookup-4  	 1000	        19 ns/op
 BenchmarkIndexBuild-4  	   10	  37000000 ns/op	 2110672 B/op	    2980 allocs/op
 BenchmarkIndexBuild10k-4  	    5	 155000000 ns/op	 5941552 B/op	   11900 allocs/op

@@ -85,8 +85,9 @@
 //		backends (one -shard name=url per manifest entry; each backend
 //		is a plain `fairindexctl serve` holding that shard's
 //		artifact). Locate/range/knn/stats answers are bit-identical to
-//		a server holding the unsharded artifact (locates come from the
-//		manifest alone, without a shard call); score and report are
+//		a server holding the unsharded artifact (locate, range and knn
+//		come from the manifest alone, without a shard call; stats ask
+//		only the shards owning the window); score and report are
 //		refused (whole-index operations). SIGHUP or POST /v1/reload
 //		re-reads the manifest file for generation handoffs, and
 //		GET /v1/shards reports per-backend health and generation.

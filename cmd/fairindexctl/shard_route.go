@@ -49,12 +49,8 @@ func runShardCmd(args []string, out io.Writer) error {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
-	manifestPath := filepath.Join(*outDir, *prefix+".manifest")
-	if err := rebuild.WriteFileAtomic(manifestPath, m.Encode()); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	fmt.Fprintf(out, "%s: %d regions over %d shards, generation %d\n",
-		manifestPath, m.NumRegions, len(m.Shards), m.Generation)
+	// The manifest goes last: it names the shard artifacts, so a failed
+	// shard write must not leave a manifest pointing at missing files.
 	for i, sx := range shards {
 		blob, err := sx.MarshalBinary()
 		if err != nil {
@@ -67,6 +63,12 @@ func runShardCmd(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  %s: regions [%d,%d), fingerprint %d, %d bytes\n",
 			shardPath, m.Shards[i].Lo, m.Shards[i].Hi, m.Shards[i].Fingerprint, len(blob))
 	}
+	manifestPath := filepath.Join(*outDir, *prefix+".manifest")
+	if err := rebuild.WriteFileAtomic(manifestPath, m.Encode()); err != nil {
+		return fmt.Errorf("shard: %w", err)
+	}
+	fmt.Fprintf(out, "%s: %d regions over %d shards, generation %d\n",
+		manifestPath, m.NumRegions, len(m.Shards), m.Generation)
 	return nil
 }
 

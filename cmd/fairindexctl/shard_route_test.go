@@ -99,6 +99,29 @@ func TestShardCmd(t *testing.T) {
 	}
 }
 
+// TestShardCmdWritesManifestLast pins the write order: the manifest
+// names the shard artifacts, so when one shard cannot be written the
+// command fails without leaving a manifest behind.
+func TestShardCmdWritesManifestLast(t *testing.T) {
+	dir := t.TempDir()
+	_, idxPath, _ := writeCityAndIndex(t, dir)
+	outDir := filepath.Join(dir, "shards")
+	// A directory at the second shard's path makes its atomic rename fail.
+	if err := os.MkdirAll(filepath.Join(outDir, "city-s1.fidx"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := runShardCmd([]string{"-n", "3", "-out", outDir, idxPath}, io.Discard); err == nil {
+		t.Fatal("shard succeeded with a shard output path blocked")
+	}
+	manifests, err := filepath.Glob(filepath.Join(outDir, "*.manifest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(manifests) != 0 {
+		t.Errorf("failed shard write left manifest(s) %v", manifests)
+	}
+}
+
 func TestRouteArgValidation(t *testing.T) {
 	if err := runRouteCmd([]string{"-shard", "s0=http://x"}); err == nil {
 		t.Error("expected error without -manifest")
@@ -352,9 +375,11 @@ func TestShardRouteSubprocessE2E(t *testing.T) {
 // TestShardRouteFailoverSubprocessE2E is the kill-one-replica drill
 // with real process isolation: two serve subprocesses per shard,
 // SIGKILL one replica of every shard mid-hammer, and require zero
-// non-200 kNN fan-outs with bodies identical to the whole index — the
-// headline robustness acceptance criterion. kNN asks every shard, so
-// each request reaches a replica (locates never do).
+// non-200 window-stats fan-outs with bodies identical to the whole
+// index — the headline robustness acceptance criterion. Stats are the
+// only requests that reach a replica (locate, range and kNN never do);
+// each window here spans half the box around a record, so most reach
+// both shards.
 func TestShardRouteFailoverSubprocessE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess e2e")
@@ -403,16 +428,20 @@ func TestShardRouteFailoverSubprocessE2E(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode, string(body)
 	}
-	knn := func(i int) {
+	task := whole.Tasks()[0]
+	latSpan := (m.Box.MaxLat - m.Box.MinLat) / 2
+	lonSpan := (m.Box.MaxLon - m.Box.MinLon) / 2
+	stats := func(i int) {
 		t.Helper()
 		r := ds.Records[i*13%len(ds.Records)]
-		path := fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=5", r.Lat, r.Lon)
+		path := fmt.Sprintf("/v1/stats?task=%d&rect=%v,%v,%v,%v", task,
+			r.Lat-latSpan/2, r.Lon-lonSpan/2, r.Lat+latSpan/2, r.Lon+lonSpan/2)
 		status, body := get(base + path)
 		if status != http.StatusOK {
-			t.Fatalf("knn %d: status %d: %s", i, status, body)
+			t.Fatalf("stats %d: status %d: %s", i, status, body)
 		}
 		if _, want := get(wts.URL + path); body != want {
-			t.Fatalf("knn %d:\nrouter %s\nwhole  %s", i, body, want)
+			t.Fatalf("stats %d:\nrouter %s\nwhole  %s", i, body, want)
 		}
 	}
 
@@ -423,7 +452,7 @@ func TestShardRouteFailoverSubprocessE2E(t *testing.T) {
 				p.Kill()
 			}
 		}
-		knn(i)
+		stats(i)
 	}
 
 	// The health surface shows both replicas per shard, the dead one

@@ -4,10 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"runtime"
-	"sync"
 	"time"
 
 	"fairindex/internal/binenc"
@@ -43,23 +40,15 @@ type Index struct {
 	featureNames []string
 	taskNames    []string
 
-	grid   geo.Grid
-	box    geo.BBox
-	mapper geo.Mapper
+	// Layout is the region geometry — grid, box, cell→region table,
+	// centroids and query structures — with the Locate, RangeQuery and
+	// NearestRegions kernels the Index answers through. Embedded by
+	// value, so the hot path reads the table without a pointer hop.
+	// Build and UnmarshalBinary set it; it is never reassigned.
+	Layout
 
-	part       *partition.Partition
-	cellRegion []int // row-major cell index -> region id (hot path)
-	numRegions int
-	centroids  [][2]float64
-	encoding   Encoding // resolved final-training encoding
-
-	// Query acceleration (see query.go): per-region bounding
-	// rectangles and cell counts for pruned RangeQuery, and the
-	// centroid kd-tree layout for NearestRegions. Derived at Build
-	// time, carried by the v2 codec, recomputed when loading v1 files.
-	regionRects []geo.CellRect
-	regionCells []int
-	knnOrder    []int
+	part     *partition.Partition
+	encoding Encoding // resolved final-training encoding
 
 	tasks []indexTask
 
@@ -124,22 +113,18 @@ func Build(ds *Dataset, opts ...Option) (*Index, error) {
 // newIndex assembles the serving artifact from trained pipeline
 // output.
 func newIndex(ds *Dataset, art *pipeline.Artifacts) (*Index, error) {
-	mapper, err := geo.NewMapper(ds.Grid, ds.Box)
+	layout, err := layoutOf(art.Partition, ds.Box, art.Partition.Centroids())
 	if err != nil {
 		return nil, fmt.Errorf("fairindex: index needs a dataset with a valid bounding box: %w", err)
 	}
+	layout.derive()
 	ix := &Index{
 		cfg:          art.Config,
 		datasetName:  ds.Name,
 		featureNames: append([]string(nil), ds.FeatureNames...),
 		taskNames:    append([]string(nil), ds.TaskNames...),
-		grid:         ds.Grid,
-		box:          ds.Box,
-		mapper:       mapper,
+		Layout:       layout,
 		part:         art.Partition,
-		cellRegion:   art.Partition.CellRegions(),
-		numRegions:   art.Partition.NumRegions(),
-		centroids:    art.Partition.Centroids(),
 		encoding:     art.Config.Encoding.Resolve(),
 		codecVersion: indexVersion,
 		buildTime:    art.BuildTime,
@@ -147,7 +132,6 @@ func newIndex(ds *Dataset, art *pipeline.Artifacts) (*Index, error) {
 		trainWorkers: art.TrainWorkers,
 		trainCPUTime: art.TaskCPUTime(),
 	}
-	ix.buildAccel()
 	for _, tt := range art.Tasks {
 		ix.tasks = append(ix.tasks, indexTask{
 			task:   tt.Report.Task,
@@ -201,105 +185,6 @@ func LoadIndex(path string) (*Index, error) {
 // and returned by Locate for a point that cannot be located
 // (non-finite coordinates). Valid region ids are always >= 0.
 const RegionInvalid = geo.RegionInvalid
-
-// Locate maps a geographic coordinate to its neighborhood id in
-// [0, NumRegions). Coordinates on or outside the bounding box clamp
-// to the nearest border cell, matching record ingestion; non-finite
-// coordinates return RegionInvalid and an error. O(1): one table
-// lookup, no tree walk.
-func (ix *Index) Locate(lat, lon float64) (int, error) {
-	if math.IsNaN(lat) || math.IsInf(lat, 0) || math.IsNaN(lon) || math.IsInf(lon, 0) {
-		return RegionInvalid, fmt.Errorf("fairindex: non-finite coordinate (%v, %v)", lat, lon)
-	}
-	c := ix.mapper.CellOf(lat, lon)
-	return ix.cellRegion[ix.grid.Index(c)], nil
-}
-
-// Batch sharding thresholds: batches below shardMinBatch points stay
-// on the caller's goroutine, and each worker gets at least
-// shardMinPoints points so small batches are not drowned in goroutine
-// overhead.
-const (
-	shardMinBatch  = 16384
-	shardMinPoints = 4096
-)
-
-// LocateBatch maps coordinate slices to neighborhood ids into a fresh
-// slice. lats and lons must have equal length.
-//
-// Unlike looping over Locate, a batch never aborts mid-slice: every
-// valid point is resolved, each invalid (non-finite) point yields
-// RegionInvalid at its position, and the returned error joins the
-// per-point failures (nil when every point resolved). The returned
-// slice is complete even when err != nil; only a length mismatch
-// returns a nil slice.
-//
-// Large batches are sharded across GOMAXPROCS worker goroutines —
-// results are independent of the sharding, bit-identical to Locate.
-func (ix *Index) LocateBatch(lats, lons []float64) ([]int, error) {
-	if len(lats) != len(lons) {
-		return nil, fmt.Errorf("fairindex: %d latitudes vs %d longitudes", len(lats), len(lons))
-	}
-	out := make([]int, len(lats))
-	return out, ix.LocateBatchInto(out, lats, lons)
-}
-
-// LocateBatchInto is LocateBatch writing into a caller-provided slice,
-// for servers that recycle result buffers on the hot path. dst, lats
-// and lons must have equal length; semantics otherwise match
-// LocateBatch.
-func (ix *Index) LocateBatchInto(dst []int, lats, lons []float64) error {
-	if len(lats) != len(lons) {
-		return fmt.Errorf("fairindex: %d latitudes vs %d longitudes", len(lats), len(lons))
-	}
-	if len(dst) != len(lats) {
-		return fmt.Errorf("fairindex: destination holds %d regions for %d points", len(dst), len(lats))
-	}
-	n := len(lats)
-	workers := runtime.GOMAXPROCS(0)
-	if n >= shardMinBatch && workers > 1 {
-		if byPoints := n / shardMinPoints; byPoints < workers {
-			workers = byPoints
-		}
-		return ix.locateSharded(dst, lats, lons, workers)
-	}
-	return ix.mapper.LocateRange(dst, ix.cellRegion, lats, lons, 0)
-}
-
-// locateSharded fans a batch out over contiguous shards, one worker
-// goroutine each. The Index is immutable, so workers share it without
-// locking; per-shard errors are joined in shard order.
-func (ix *Index) locateSharded(dst []int, lats, lons []float64, workers int) error {
-	n := len(lats)
-	chunk := (n + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = ix.mapper.LocateRange(dst[lo:hi], ix.cellRegion, lats[lo:hi], lons[lo:hi], lo)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// LocateCell maps a grid cell directly to its neighborhood id.
-func (ix *Index) LocateCell(c Cell) (int, error) {
-	if !ix.grid.InBounds(c) {
-		return 0, fmt.Errorf("fairindex: cell %v outside %v", c, ix.grid)
-	}
-	return ix.cellRegion[ix.grid.Index(c)], nil
-}
 
 // taskByID returns the serving bundle for a task id.
 func (ix *Index) taskByID(task int) (*indexTask, error) {
@@ -388,21 +273,12 @@ func (ix *Index) Height() int { return ix.cfg.Height }
 // Model returns the classifier family of the final models.
 func (ix *Index) Model() ModelKind { return ix.cfg.Model }
 
-// NumRegions returns the number of neighborhoods.
-func (ix *Index) NumRegions() int { return ix.numRegions }
-
 // CodecVersion returns the .fidx serialization version the Index was
 // restored from — indexVersion for a freshly built Index (that is
 // what MarshalBinary writes), or the version tag of the decoded
 // artifact (older versions load with reduced capabilities, e.g. v1
 // has no stored region stats).
 func (ix *Index) CodecVersion() int { return ix.codecVersion }
-
-// Grid returns the base grid.
-func (ix *Index) Grid() Grid { return ix.grid }
-
-// Box returns the geographic bounding box.
-func (ix *Index) Box() BBox { return ix.box }
 
 // DatasetName returns the name of the dataset the index was built on.
 func (ix *Index) DatasetName() string { return ix.datasetName }
@@ -428,14 +304,6 @@ func (ix *Index) Tasks() []int {
 
 // Partition returns the underlying neighborhood partition.
 func (ix *Index) Partition() *Partition { return ix.part }
-
-// Centroid returns the normalized (row, col) centroid of a region.
-func (ix *Index) Centroid(region int) ([2]float64, error) {
-	if region < 0 || region >= ix.numRegions {
-		return [2]float64{}, fmt.Errorf("fairindex: region %d out of range [0,%d)", region, ix.numRegions)
-	}
-	return ix.centroids[region], nil
-}
 
 // BuildTime returns the partition construction duration.
 func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
@@ -638,7 +506,7 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 	out.datasetName = r.String()
 	out.featureNames = r.Strings()
 	out.taskNames = r.Strings()
-	out.box = BBox{
+	box := BBox{
 		MinLat: r.Float64(), MinLon: r.Float64(),
 		MaxLat: r.Float64(), MaxLon: r.Float64(),
 	}
@@ -651,24 +519,18 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: %v", ErrIndexFormat, err)
 	}
 	out.part = part
-	out.grid = part.Grid()
-	out.cellRegion = part.CellRegions()
-	out.numRegions = part.NumRegions()
-	out.centroids = centroids
 	out.encoding = out.cfg.Encoding.Resolve()
-	out.mapper, err = geo.NewMapper(out.grid, out.box)
-	if err != nil {
+	if out.Layout, err = layoutOf(part, box, centroids); err != nil {
 		return fmt.Errorf("%w: %v", ErrIndexFormat, err)
 	}
-
 	if version >= 2 {
 		if err := out.readAccel(r); err != nil {
 			return err
 		}
 	} else {
-		// v1 artifacts predate the query engine: derive the
-		// acceleration structures from the decoded partition.
-		out.buildAccel()
+		// v1 artifacts predate the query engine: derive the query
+		// structures from the decoded partition.
+		out.derive()
 	}
 
 	out.buildTime = time.Duration(r.Varint())
@@ -764,47 +626,47 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// readAccel restores the query acceleration section of a v2 artifact
-// and validates its structural invariants: rects must lie on the
-// grid, cell counts must be positive and sum to the grid, and the kd
-// layout must be a permutation of the region ids. (Consistency with
+// readAccel restores the query structures of a v2 artifact into the
+// layout and validates their structural invariants: rects must lie on
+// the grid, cell counts must be positive and sum to the grid, and the
+// kd layout must be a permutation of the region ids. (Consistency with
 // the cell→region table beyond that is the builder's contract; the
-// structures are also recomputable via buildAccel.)
-func (ix *Index) readAccel(r *binenc.Reader) error {
-	ix.regionRects = make([]geo.CellRect, ix.numRegions)
-	for i := range ix.regionRects {
+// structures are also recomputable via derive.)
+func (l *Layout) readAccel(r *binenc.Reader) error {
+	l.regionRects = make([]geo.CellRect, l.numRegions)
+	for i := range l.regionRects {
 		rect := geo.CellRect{Row0: r.Int(), Col0: r.Int(), Row1: r.Int(), Col1: r.Int()}
 		if r.Err() == nil && (rect.Row0 < 0 || rect.Col0 < 0 ||
 			rect.Row0 >= rect.Row1 || rect.Col0 >= rect.Col1 ||
-			rect.Row1 > ix.grid.U || rect.Col1 > ix.grid.V) {
-			return fmt.Errorf("%w: region %d bounding rect %v outside %v", ErrIndexFormat, i, rect, ix.grid)
+			rect.Row1 > l.grid.U || rect.Col1 > l.grid.V) {
+			return fmt.Errorf("%w: region %d bounding rect %v outside %v", ErrIndexFormat, i, rect, l.grid)
 		}
-		ix.regionRects[i] = rect
+		l.regionRects[i] = rect
 	}
-	ix.regionCells = r.Ints()
-	ix.knnOrder = r.Ints()
+	l.regionCells = r.Ints()
+	l.knnOrder = r.Ints()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("%w: acceleration: %v", ErrIndexFormat, err)
 	}
-	if len(ix.regionCells) != ix.numRegions {
-		return fmt.Errorf("%w: %d region cell counts for %d regions", ErrIndexFormat, len(ix.regionCells), ix.numRegions)
+	if len(l.regionCells) != l.numRegions {
+		return fmt.Errorf("%w: %d region cell counts for %d regions", ErrIndexFormat, len(l.regionCells), l.numRegions)
 	}
 	total := 0
-	for i, n := range ix.regionCells {
-		if n < 1 || n > ix.regionRects[i].Area() {
-			return fmt.Errorf("%w: region %d: %d cells in bounding rect %v", ErrIndexFormat, i, n, ix.regionRects[i])
+	for i, n := range l.regionCells {
+		if n < 1 || n > l.regionRects[i].Area() {
+			return fmt.Errorf("%w: region %d: %d cells in bounding rect %v", ErrIndexFormat, i, n, l.regionRects[i])
 		}
 		total += n
 	}
-	if total != ix.grid.NumCells() {
-		return fmt.Errorf("%w: region cells sum to %d over a %d-cell grid", ErrIndexFormat, total, ix.grid.NumCells())
+	if total != l.grid.NumCells() {
+		return fmt.Errorf("%w: region cells sum to %d over a %d-cell grid", ErrIndexFormat, total, l.grid.NumCells())
 	}
-	if len(ix.knnOrder) != ix.numRegions {
-		return fmt.Errorf("%w: kd layout holds %d of %d regions", ErrIndexFormat, len(ix.knnOrder), ix.numRegions)
+	if len(l.knnOrder) != l.numRegions {
+		return fmt.Errorf("%w: kd layout holds %d of %d regions", ErrIndexFormat, len(l.knnOrder), l.numRegions)
 	}
-	seen := make([]bool, ix.numRegions)
-	for _, region := range ix.knnOrder {
-		if region < 0 || region >= ix.numRegions || seen[region] {
+	seen := make([]bool, l.numRegions)
+	for _, region := range l.knnOrder {
+		if region < 0 || region >= l.numRegions || seen[region] {
 			return fmt.Errorf("%w: kd layout is not a permutation of region ids", ErrIndexFormat)
 		}
 		seen[region] = true

@@ -1,9 +1,11 @@
 package router_test
 
-// Replica-set fault suites: failover, circuit breaker, locates that
-// need no replica, all-replicas-dead degradation, reply truncation and
-// caller-deadline budgeting, all driven through the faultnet
-// fault-injection proxy. Run with -race (the shard-e2e CI job does).
+// Replica-set fault suites: failover, circuit breaker, locate, range
+// and kNN that need no replica, all-replicas-dead degradation, reply
+// truncation and caller-deadline budgeting, all driven through the
+// faultnet fault-injection proxy. Window stats are the only requests
+// that reach a replica, so every fault is exercised through them. Run
+// with -race (the shard-e2e CI job does).
 
 import (
 	"context"
@@ -83,7 +85,8 @@ func (c *replicaCluster) newRouter(t *testing.T, opts ...router.Option) (*router
 // TestRouterFailoverKilledReplica pins the headline replica contract:
 // with one replica of EVERY shard dead, every endpoint keeps
 // answering with bytes identical to a whole-index server, and the
-// dead replicas' breakers open.
+// dead replicas' breakers open. The whole-box stats rows reach every
+// shard each round.
 func TestRouterFailoverKilledReplica(t *testing.T) {
 	whole := buildWhole(t)
 	c := newReplicaCluster(t, whole, 3, 2)
@@ -96,12 +99,16 @@ func TestRouterFailoverKilledReplica(t *testing.T) {
 	}
 
 	task := whole.Tasks()[0]
+	box := c.manifest.Box
 	requests := []struct{ method, path, body string }{
 		{"GET", "/v1/locate?lat=34.02&lon=-118.41", ""},
 		{"POST", "/v1/locate_batch", `{"lats":[34.0,33.9,34.2],"lons":[-118.3,-118.5,-118.25]}`},
 		{"POST", "/v1/range", `{"min_lat":33.8,"min_lon":-118.6,"max_lat":34.1,"max_lon":-118.2}`},
 		{"GET", "/v1/knn?lat=34.05&lon=-118.45&k=5", ""},
 		{"POST", "/v1/stats", fmt.Sprintf(`{"task":%d,"rect":{"min_lat":33.8,"min_lon":-118.6,"max_lat":34.1,"max_lon":-118.2}}`, task)},
+		{"GET", fmt.Sprintf("/v1/stats?task=%d&rect=%v,%v,%v,%v&sums=true", task, box.MinLat, box.MinLon, box.MaxLat, box.MaxLon), ""},
+		{"POST", "/v1/stats", fmt.Sprintf(`{"task":%d,"rect":{"min_lat":%v,"min_lon":%v,"max_lat":%v,"max_lon":%v},"metrics":[]}`,
+			task, box.MinLat, box.MinLon, box.MaxLat, box.MaxLon)},
 	}
 	// Several rounds so the rotation lands every request shape on the
 	// dead replica at least once.
@@ -145,14 +152,15 @@ func TestRouterFailoverKilledReplica(t *testing.T) {
 }
 
 // TestRouterAllReplicasDead pins the degradation floor: with every
-// replica of one shard dead, locates still answer from the manifest
-// (on the dead shard's cells too), fan-outs needing the dead shard
-// 502, and window stats degrade partial — exactly the single-backend
-// fault contract.
+// replica of one shard dead, locates, range and kNN still answer from
+// the manifest (on the dead shard's cells too), and window stats
+// degrade partial — exactly the single-backend fault contract.
 func TestRouterAllReplicasDead(t *testing.T) {
 	whole := buildWhole(t)
 	c := newReplicaCluster(t, whole, 3, 2)
 	_, rts := c.newRouter(t, router.WithTimeout(2*time.Second))
+	wts := httptest.NewServer(server.New(whole))
+	defer wts.Close()
 	task := whole.Tasks()[0]
 
 	deadLat, deadLon := pointInShard(t, c.manifest, 1)
@@ -178,15 +186,7 @@ func TestRouterAllReplicasDead(t *testing.T) {
 	if want, _ := whole.Locate(liveLat, liveLon); loc.Region != want {
 		t.Errorf("live locate region %d, want %d", loc.Region, want)
 	}
-	for _, rq := range []struct{ method, path, body string }{
-		{"GET", fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=3", liveLat, liveLon), ""},
-		{"POST", "/v1/range", `{"min_lat":33.8,"min_lon":-118.6,"max_lat":34.1,"max_lon":-118.2}`},
-	} {
-		status, _ := doJSON(t, rq.method, rts.URL+rq.path, rq.body, nil)
-		if status != http.StatusBadGateway {
-			t.Errorf("%s %s with dead shard: status %d, want 502", rq.method, rq.path, status)
-		}
-	}
+	requireWholeAnswers(t, rts.URL, wts.URL, deadShardGeometry(task, liveLat, liveLon, deadLat, deadLon))
 
 	allRegions := make([]int, whole.NumRegions())
 	liveRegions := make([]int, 0, whole.NumRegions())
@@ -290,10 +290,13 @@ func shardZeroStats(m *shard.Manifest, task int) string {
 	return fmt.Sprintf(`{"task":%d,"regions":[%d]}`, task, m.Shards[0].Lo)
 }
 
-// TestRouterLocateNeedsNoShard pins that locates are answered from the
-// manifest: with every replica of every shard black-holed, every
-// locate form answers exactly what a whole-index server answers —
-// status, body and generation — and no replica sees a request.
+// TestRouterLocateNeedsNoShard pins that locate, range and kNN are
+// answered from the manifest: with every replica of every shard
+// black-holed, every form — refusals and a stats window refused on its
+// rect included — answers exactly what a whole-index server answers
+// (status, body and generation) and no replica sees a request. Then a
+// stats window inside one shard's regions reaches that shard's replicas
+// and no other.
 func TestRouterLocateNeedsNoShard(t *testing.T) {
 	whole := buildWhole(t)
 	c := newReplicaCluster(t, whole, 3, 2)
@@ -317,6 +320,8 @@ func TestRouterLocateNeedsNoShard(t *testing.T) {
 	// the non-finite rows use the GET form.
 	lats = append(lats, "1e300", "-1e300")
 	lons = append(lons, "-1e300", "1e300")
+	task := whole.Tasks()[0]
+	rangeBody := `{"min_lat":33.8,"min_lon":-118.6,"max_lat":34.1,"max_lon":-118.2}`
 	requests := []struct {
 		method, path, body string
 		status             int
@@ -327,6 +332,21 @@ func TestRouterLocateNeedsNoShard(t *testing.T) {
 		{"POST", "/v1/locate", fmt.Sprintf(`{"lat":%s,"lon":%s}`, lats[1], lons[1]), http.StatusOK},
 		{"POST", "/v1/locate", `{"lat":1e300,"lon":-1e300}`, http.StatusOK},
 		{"POST", "/v1/locate_batch", fmt.Sprintf(`{"lats":[%s],"lons":[%s]}`, strings.Join(lats, ","), strings.Join(lons, ",")), http.StatusOK},
+		{"POST", "/v1/range", rangeBody, http.StatusOK},
+		{"GET", "/v1/range", rangeBody, http.StatusMethodNotAllowed},
+		{"POST", "/v1/range", `{"min_lat":-1e300,"min_lon":-1e300,"max_lat":1e300,"max_lon":1e300}`, http.StatusOK},
+		{"GET", "/v1/knn?lat=34.05&lon=-118.45&k=5", "", http.StatusOK},
+		{"POST", "/v1/knn", `{"lat":34.05,"lon":-118.45,"k":5}`, http.StatusOK},
+		{"GET", "/v1/knn?lat=34.05&lon=-118.45&k=5&squared=true", "", http.StatusOK},
+		{"POST", "/v1/knn", `{"lat":34.05,"lon":-118.45,"k":5,"squared":true}`, http.StatusOK},
+		{"GET", fmt.Sprintf("/v1/knn?lat=34.05&lon=-118.45&k=%d", wire.DefaultMaxBatch), "", http.StatusOK},
+		// Far enough out that every squared distance overflows to +Inf.
+		{"GET", "/v1/knn?lat=1e200&lon=2&k=3", "", http.StatusOK},
+		{"GET", "/v1/knn?lat=NaN&lon=2&k=3", "", http.StatusBadRequest},
+		{"GET", "/v1/knn?lat=34&lon=-118.4&k=0", "", http.StatusBadRequest},
+		{"POST", "/v1/range", `{"min_lat":34.1,"min_lon":-118.6,"max_lat":33.8,"max_lon":-118.2}`, http.StatusBadRequest},
+		{"GET", fmt.Sprintf("/v1/stats?task=%d&rect=NaN,0,1,1", task), "", http.StatusBadRequest},
+		{"GET", fmt.Sprintf("/v1/stats?task=%d&rect=2,0,1,1", task), "", http.StatusBadRequest},
 	}
 	for _, rq := range requests {
 		wantBody, wantStatus, wantGen := rawRequest(t, rq.method, wts.URL+rq.path, rq.body)
@@ -346,11 +366,38 @@ func TestRouterLocateNeedsNoShard(t *testing.T) {
 			}
 		}
 	}
+
+	// A window on one shard-0 cell calls shard 0 alone.
+	for _, p := range c.proxies[0] {
+		p.Set(faultnet.Fault{Mode: faultnet.Healthy})
+	}
+	path := fmt.Sprintf("/v1/stats?task=%d&rect=%s,%s,%s,%s&sums=true", task, lats[0], lons[0], lats[0], lons[0])
+	wantBody, wantStatus, wantGen := rawRequest(t, "GET", wts.URL+path, "")
+	gotBody, gotStatus, gotGen := rawRequest(t, "GET", rts.URL+path, "")
+	if gotStatus != http.StatusOK || gotStatus != wantStatus || gotBody != wantBody || gotGen != wantGen {
+		t.Errorf("one-shard rect stats: router %d %q gen %q, whole %d %q gen %q",
+			gotStatus, gotBody, gotGen, wantStatus, wantBody, wantGen)
+	}
+	calls := int64(0)
+	for _, p := range c.proxies[0] {
+		calls += p.Calls()
+	}
+	if calls == 0 {
+		t.Error("one-shard rect stats never reached shard 0")
+	}
+	for i, replicas := range c.proxies[1:] {
+		for j, p := range replicas {
+			if n := p.Calls(); n != 0 {
+				t.Errorf("one-shard rect stats: shard %d replica %d saw %d requests, want 0", i+1, j, n)
+			}
+		}
+	}
 }
 
 // TestRouterReplyTruncation pins the reply-size cap: a backend
 // response exceeding the configured cap is a deterministic shard
 // failure (502 naming the cap), never a silently truncated merge.
+// Only stats read backend replies.
 func TestRouterReplyTruncation(t *testing.T) {
 	whole := buildWhole(t)
 	c := newCluster(t, whole, 2)
@@ -361,21 +408,26 @@ func TestRouterReplyTruncation(t *testing.T) {
 	rts := httptest.NewServer(rt)
 	defer rts.Close()
 
-	// A locate needs no backend reply and still answers.
+	// Locate and range need no backend reply and still answer.
 	lat, lon := pointInShard(t, c.manifest, 0)
 	status, _ := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, lat, lon), "", nil)
 	if status != http.StatusOK {
-		t.Fatalf("small-reply locate under cap: status %d", status)
+		t.Fatalf("locate under the cap: status %d", status)
 	}
-	// A whole-box range reply cannot: deterministic 502, cap named.
+	rect := fmt.Sprintf(`{"min_lat":%v,"min_lon":%v,"max_lat":%v,"max_lon":%v}`,
+		c.manifest.Box.MinLat, c.manifest.Box.MinLon, c.manifest.Box.MaxLat, c.manifest.Box.MaxLon)
+	status, _ = doJSON(t, "POST", rts.URL+"/v1/range", rect, nil)
+	if status != http.StatusOK {
+		t.Fatalf("whole-box range under the cap: status %d", status)
+	}
+	// Whole-box stats replies cannot: deterministic 502, cap named.
 	var resp struct {
 		Error string `json:"error"`
 	}
-	body := fmt.Sprintf(`{"min_lat":%v,"min_lon":%v,"max_lat":%v,"max_lon":%v}`,
-		c.manifest.Box.MinLat, c.manifest.Box.MinLon, c.manifest.Box.MaxLat, c.manifest.Box.MaxLon)
-	status, _ = doJSON(t, "POST", rts.URL+"/v1/range", body, &resp)
+	body := fmt.Sprintf(`{"task":%d,"rect":%s}`, whole.Tasks()[0], rect)
+	status, _ = doJSON(t, "POST", rts.URL+"/v1/stats", body, &resp)
 	if status != http.StatusBadGateway {
-		t.Fatalf("oversized range reply: status %d, want 502", status)
+		t.Fatalf("oversized stats replies: status %d, want 502", status)
 	}
 	if !strings.Contains(resp.Error, "64-byte cap") {
 		t.Errorf("truncation error does not name the cap: %q", resp.Error)

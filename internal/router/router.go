@@ -2,27 +2,30 @@
 // one HTTP process that presents the whole-index /v1 query API while
 // the index itself lives split across N shard backends (each an
 // ordinary internal/server process serving one shard artifact from
-// fairindex.ExtractShard). Locate and locate_batch are answered from
-// the shard.Manifest itself, which carries the whole index's
-// cell→region table; range, kNN and window stats fan out to the shards
-// the manifest names and the per-shard answers are reassembled with
-// the exact merge kernels (fairindex.MergeNearest, MergeWindowStats,
-// shard.MergeOverlaps). Either way responses are bit-identical to a
-// single server holding the whole index, a property pinned by the
-// sharded-vs-whole HTTP parity suite and its fuzz target. Requests are
-// parsed and replies encoded by internal/wire, the same wire layer the
-// shard servers use.
+// fairindex.ExtractShard). Every query whose answer depends only on
+// the partition — locate, locate_batch, range and kNN — is answered
+// from a fairindex.Layout the router derives from the shard.Manifest,
+// which carries the whole index's cell→region table; no shard is
+// asked. Window stats are the only fan-out: the window resolves to a
+// region list from the same Layout, only the shards owning those
+// regions are asked for their raw per-region sufficient statistics,
+// and fairindex.MergeWindowStats refolds them. Either way responses
+// are bit-identical to a single server holding the whole index, a
+// property pinned by the sharded-vs-whole HTTP parity suite and its
+// fuzz target. Requests are parsed and replies encoded by
+// internal/wire, the same wire layer the shard servers use.
 //
-// Consistency model: a locate reads one manifest snapshot and stamps
-// that snapshot's generation, so it is exact for the generation it
-// names. Every fan-out binds to one manifest snapshot and
-// verifies each backend reply's Fairindex-Generation header against
-// the snapshot's expected shard fingerprint. A mismatch — a backend
-// serving a different artifact generation than the manifest describes,
-// as happens mid hot-reload — rejects the whole fan-out; the router
-// reloads its manifest (when a source is configured) and retries the
-// request once against the new snapshot, then answers 409. Responses
-// are therefore never assembled from mixed generations.
+// Consistency model: a manifest-answered query reads one manifest
+// snapshot and stamps that snapshot's generation, so it is exact for
+// the generation it names. A stats fan-out binds to one manifest
+// snapshot and verifies each backend reply's Fairindex-Generation
+// header against the snapshot's expected shard fingerprint. A mismatch
+// — a backend serving a different artifact generation than the
+// manifest describes, as happens mid hot-reload — rejects the whole
+// fan-out; the router reloads its manifest (when a source is
+// configured) and retries the request once against the new snapshot,
+// then answers 409. Responses are therefore never assembled from mixed
+// generations.
 //
 // Fault model: one manifest shard name may map to a replica set of
 // interchangeable backends serving the same artifact. Each per-shard
@@ -30,15 +33,13 @@
 // guided by a passive per-replica circuit breaker (health.go) — with
 // the per-shard time budget split across the remaining attempts, so
 // one dead replica degrades to its sibling instead of failing the
-// request. A shard "fails" only when every replica refused; only then
-// are RangeQuery and kNN exact-or-fail — an unreachable shard is a
-// 502, because a missing shard's regions would silently corrupt the
-// answer. Locates need no shard and answer regardless. Window
-// stats degrade instead: live shards' statistics are merged exactly
-// and the response carries "partial": true naming no invented
-// numbers — the aggregates are the true aggregates of the regions
-// that answered. Score and Report are whole-index operations (scoring
-// needs the true region centroid assignment) and answer 501.
+// request. A shard "fails" only when every replica refused. Only
+// window stats can see that, and they degrade instead of failing: live
+// shards' statistics are merged exactly and the response carries
+// "partial": true naming no invented numbers — the aggregates are the
+// true aggregates of the regions that answered. Score and Report are
+// whole-index operations (scoring needs the true region centroid
+// assignment) and answer 501.
 //
 // Replicas are deployment configuration, not artifact identity: the
 // manifest codec is unchanged, and every replica of a shard must
@@ -57,7 +58,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -67,7 +67,6 @@ import (
 	"time"
 
 	fairindex "fairindex"
-	"fairindex/internal/geo"
 	"fairindex/internal/shard"
 	"fairindex/internal/wire"
 )
@@ -121,10 +120,10 @@ type Router struct {
 }
 
 // routerState binds one manifest generation to the replica sets
-// serving it, with the coordinate mapper derived once.
+// serving it, with the region geometry derived once.
 type routerState struct {
 	manifest *shard.Manifest
-	mapper   geo.Mapper
+	layout   *fairindex.Layout
 	replicas [][]string // manifest shard order; each entry in config order
 }
 
@@ -242,11 +241,11 @@ func New(m *shard.Manifest, backends []Backend, opts ...Option) (*Router, error)
 
 // newRouterState resolves a manifest against the configured backends.
 func newRouterState(m *shard.Manifest, backends map[string][]string) (*routerState, error) {
-	mapper, err := geo.NewMapper(m.Grid, m.Box)
+	layout, err := fairindex.NewLayout(m.Grid, m.Box, m.CellRegion)
 	if err != nil {
 		return nil, fmt.Errorf("router: manifest geometry: %w", err)
 	}
-	st := &routerState{manifest: m, mapper: mapper, replicas: make([][]string, len(m.Shards))}
+	st := &routerState{manifest: m, layout: layout, replicas: make([][]string, len(m.Shards))}
 	named := make(map[string]bool, len(m.Shards))
 	for i, s := range m.Shards {
 		urls, ok := backends[s.Name]
@@ -557,15 +556,14 @@ func mismatched(st *routerState, replies map[int]shardReply) []int {
 	return bad
 }
 
-// scatterConsistent runs one generation-consistent fan-out: build
-// derives the calls from a manifest snapshot, the replies are checked
-// against that snapshot's fingerprints, and on any mismatch the
-// manifest is reloaded (when a source is configured) and the whole
-// fan-out rebuilt and retried exactly once. A mismatch surviving the
-// retry is a 409: the deployment is mid-transition and no consistent
-// answer exists.
-func (rt *Router) scatterConsistent(ctx context.Context, build func(*routerState) (map[int]shardCall, *httpError)) (*routerState, map[int]shardReply, *httpError) {
-	st := rt.state.Load()
+// scatterConsistent runs one generation-consistent fan-out starting
+// from snapshot st: build derives the calls from a manifest snapshot,
+// the replies are checked against that snapshot's fingerprints, and on
+// any mismatch the manifest is reloaded (when a source is configured)
+// and the whole fan-out rebuilt and retried exactly once. A mismatch
+// surviving the retry is a 409: the deployment is mid-transition and
+// no consistent answer exists.
+func (rt *Router) scatterConsistent(ctx context.Context, st *routerState, build func(*routerState) (map[int]shardCall, *httpError)) (*routerState, map[int]shardReply, *httpError) {
 	for attempt := 0; ; attempt++ {
 		calls, herr := build(st)
 		if herr != nil {
@@ -601,27 +599,6 @@ func (rt *Router) relay(w http.ResponseWriter, st *routerState, rep shardReply) 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(rep.status)
 	w.Write(rep.body)
-}
-
-// mergeable settles an exact-or-fail fan-out: a rejected fan-out is
-// answered with its own error, any failed shard with a 502, and a
-// client error from a shard is relayed. It reports whether the
-// replies are all successes, ready to merge; otherwise the response
-// has been written.
-func (rt *Router) mergeable(w http.ResponseWriter, st *routerState, replies map[int]shardReply, herr *httpError) bool {
-	if herr != nil {
-		writeError(w, herr.status, herr)
-		return false
-	}
-	if down := failedShards(st, replies); len(down) > 0 {
-		writeError(w, http.StatusBadGateway, rt.unreachableError(st, replies, down))
-		return false
-	}
-	if rep, ok := firstClientError(st, replies); ok {
-		rt.relay(w, st, rep)
-		return false
-	}
-	return true
 }
 
 // firstClientError scans replies in shard order for a 4xx to relay.
@@ -791,12 +768,14 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 // current generation at the point a whole-index server resolves its
 // index — after the request parses, before the query engine sees it —
 // so even a locally-rejected request carries the header exactly when a
-// server's would. Fan-out paths re-stamp with the snapshot that
+// server's would. The stats fan-out re-stamps with the snapshot that
 // answered.
+//
+// Locate, locate_batch, range and kNN call the snapshot's Layout — the
+// kernels the whole index answers with, refusals included — so no
+// shard is asked and the answer is exact for the generation the
+// snapshot stamps.
 
-// handleLocate answers a point query from the manifest's cell→region
-// table — the whole index's own table — so no shard is asked, and the
-// answer is exact for the generation the snapshot stamps.
 func (rt *Router) handleLocate(w http.ResponseWriter, r *http.Request) {
 	req, err := wire.ParseLocate(r)
 	if err != nil {
@@ -805,20 +784,14 @@ func (rt *Router) handleLocate(w http.ResponseWriter, r *http.Request) {
 	}
 	st := rt.state.Load()
 	setGeneration(w, st)
-	if math.IsNaN(req.Lat) || math.IsInf(req.Lat, 0) || math.IsNaN(req.Lon) || math.IsInf(req.Lon, 0) {
-		// fairindex.Index.Locate's exact refusal, replicated here so the
-		// router's 400 matches a whole-index server's byte for byte.
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("fairindex: non-finite coordinate (%v, %v)", req.Lat, req.Lon))
+	region, err := st.layout.Locate(req.Lat, req.Lon)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cell := st.mapper.CellOf(req.Lat, req.Lon)
-	writeJSON(w, http.StatusOK, wire.LocateResponse{Region: st.manifest.RegionOfCell(st.manifest.Grid.Index(cell))})
+	writeJSON(w, http.StatusOK, wire.LocateResponse{Region: region})
 }
 
-// handleLocateBatch answers a batch from the manifest's cell→region
-// table with the index's own batch kernel, so sentinels and per-point
-// error text are the whole index's.
 func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 	req, status, err := wire.ParseLocateBatch(r, wire.DefaultMaxBatch)
 	if err != nil {
@@ -828,60 +801,28 @@ func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 	st := rt.state.Load()
 	setGeneration(w, st)
 	regions := make([]int, len(req.Lats))
-	err = st.mapper.LocateRange(regions, st.manifest.CellRegion, req.Lats, req.Lons, 0)
+	err = st.layout.LocateBatchInto(regions, req.Lats, req.Lons)
 	if err := wire.WriteLocateBatch(w, wire.NewLocateBatchResponse(regions, err)); err != nil {
 		log.Printf("router: writing response: %v", err)
 	}
 }
 
-// handleRange fans the rectangle to every shard and concatenates the
-// translated per-shard overlap lists — shard ranges ascend, so the
-// concatenation is the whole index's ascending-id result.
 func (rt *Router) handleRange(w http.ResponseWriter, r *http.Request) {
 	var req wire.Rect
 	if err := wire.DecodeJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	setGeneration(w, rt.state.Load())
-	body, _ := json.Marshal(req) // decoded from JSON, so finite
-	st, replies, herr := rt.scatterConsistent(r.Context(), allShards(shardCall{method: http.MethodPost, path: "/v1/range", body: body}))
-	if !rt.mergeable(w, st, replies, herr) {
+	st := rt.state.Load()
+	setGeneration(w, st)
+	overlaps, err := st.layout.RangeQuery(req.BBox())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	lists := make([][]fairindex.RegionOverlap, len(st.manifest.Shards))
-	for i := range st.manifest.Shards {
-		var sub wire.RangeResponse
-		if err := json.Unmarshal(replies[i].body, &sub); err != nil {
-			writeError(w, http.StatusBadGateway, fmt.Errorf(
-				"router: shard %q: malformed range response: %v", st.manifest.Shards[i].Name, err))
-			return
-		}
-		lists[i] = st.manifest.TranslateOverlaps(i, sub.Overlaps())
-	}
-	setGeneration(w, st)
-	writeJSON(w, http.StatusOK, wire.NewRangeResponse(shard.MergeOverlaps(lists...)))
+	writeJSON(w, http.StatusOK, wire.NewRangeResponse(overlaps))
 }
 
-// allShards builds a fan-out sending the same call to every shard of
-// the snapshot.
-func allShards(call shardCall) func(*routerState) (map[int]shardCall, *httpError) {
-	return func(st *routerState) (map[int]shardCall, *httpError) {
-		calls := make(map[int]shardCall, len(st.manifest.Shards))
-		for i := range st.manifest.Shards {
-			calls[i] = call
-		}
-		return calls, nil
-	}
-}
-
-// handleKNN fans the query to every shard in squared-distance space,
-// merges on the exact (squared distance, id) selection key, and takes
-// square roots last. Each shard is asked for min(k, regions)+1
-// candidates: one spare so dropping a foreign-region sentinel per
-// shard cannot starve the merge, and no more than the whole index
-// could return — the whole index clamps k to its region count, so k
-// itself may sit at the request-size limit.
 func (rt *Router) handleKNN(w http.ResponseWriter, r *http.Request) {
 	req, err := wire.ParseKNN(r)
 	if err != nil {
@@ -893,53 +834,27 @@ func (rt *Router) handleKNN(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("k of %d exceeds limit %d", req.K, wire.DefaultMaxBatch))
 		return
 	}
-	setGeneration(w, rt.state.Load())
-	// Replicate NearestRegions' exact refusals before asking any shard
-	// for k+1 candidates (which would mask k < 1).
-	if math.IsNaN(req.Lat) || math.IsInf(req.Lat, 0) || math.IsNaN(req.Lon) || math.IsInf(req.Lon, 0) {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: non-finite coordinate (%v, %v)", fairindex.ErrQuery, req.Lat, req.Lon))
-		return
-	}
-	if req.K < 1 {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: k must be at least 1, got %d", fairindex.ErrQuery, req.K))
-		return
-	}
-	st, replies, herr := rt.scatterConsistent(r.Context(), func(st *routerState) (map[int]shardCall, *httpError) {
-		k := min(req.K, st.manifest.NumRegions) + 1
-		body, _ := json.Marshal(wire.KNNRequest{Lat: req.Lat, Lon: req.Lon, K: k, Squared: true}) // finite, checked above
-		return allShards(shardCall{method: http.MethodPost, path: "/v1/knn", body: body})(st)
-	})
-	if !rt.mergeable(w, st, replies, herr) {
-		return
-	}
-	lists := make([][]fairindex.RegionDistance, len(st.manifest.Shards))
-	for i := range st.manifest.Shards {
-		var sub wire.KNNResponse
-		if err := json.Unmarshal(replies[i].body, &sub); err != nil {
-			writeError(w, http.StatusBadGateway, fmt.Errorf(
-				"router: shard %q: malformed knn response: %v", st.manifest.Shards[i].Name, err))
-			return
-		}
-		lists[i] = st.manifest.TranslateNearest(i, sub.Distances())
-	}
-	merged := fairindex.MergeNearest(req.K, lists...)
-	if !req.Squared {
-		for i := range merged {
-			merged[i].Distance = math.Sqrt(merged[i].Distance)
-		}
-	}
+	st := rt.state.Load()
 	setGeneration(w, st)
-	writeJSON(w, http.StatusOK, wire.NewKNNResponse(merged, req.Squared))
+	nearest := st.layout.NearestRegions
+	if req.Squared {
+		nearest = st.layout.NearestRegionsSquared
+	}
+	neighbors, err := nearest(req.Lat, req.Lon, req.K)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, wire.NewKNNResponse(neighbors, req.Squared))
 }
 
-// handleStats fans one window out to the shards owning it, gathers
-// raw per-region sufficient statistics (the backends' "sums" surface)
-// and refolds them with fairindex.MergeWindowStats — the same fold the
-// whole index runs, so complete responses are bit-identical. Unlike
-// the point queries, stats degrade under shard failure: live shards'
-// regions are aggregated exactly and the response is marked partial.
+// handleStats resolves the window to a global region list, asks only
+// the shards owning those regions for their raw per-region sufficient
+// statistics (the backends' "sums" surface) and refolds them with
+// fairindex.MergeWindowStats — the same fold the whole index runs, so
+// complete responses are bit-identical. Stats degrade under shard
+// failure instead of failing: live shards' regions are aggregated
+// exactly and the response is marked partial.
 //
 // Refusals follow the whole index's order — rectangle, window size,
 // metric names, task, region ids — so a request with several faults
@@ -951,16 +866,11 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	setGeneration(w, rt.state.Load())
-	if req.Rect != nil {
-		if err := checkRect(req.Rect.BBox()); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	if len(req.Regions) > wire.DefaultMaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("window of %d regions exceeds limit %d", len(req.Regions), wire.DefaultMaxBatch))
+	st := rt.state.Load()
+	setGeneration(w, st)
+	regions, herr := statsWindow(st, req)
+	if herr != nil {
+		writeError(w, herr.status, herr)
 		return
 	}
 	if req.Metrics != nil {
@@ -972,24 +882,23 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	var rectBody []byte
-	if req.Rect != nil {
-		rectBody, _ = json.Marshal(wire.StatsRequest{Task: req.Task, Rect: req.Rect, Sums: true}) // finite, checked above
-	}
+	first := st
 	var regionErr error
-	st, replies, herr := rt.scatterConsistent(r.Context(), func(st *routerState) (map[int]shardCall, *httpError) {
-		if req.Rect != nil {
-			// Rect windows resolve per shard: each backend runs its own
-			// RangeQuery over the same geometry, so the union of owned
-			// results is exactly the whole index's window.
-			return allShards(shardCall{method: http.MethodPost, path: "/v1/stats", body: rectBody})(st)
+	st, replies, herr := rt.scatterConsistent(r.Context(), st, func(st *routerState) (map[int]shardCall, *httpError) {
+		if st != first {
+			// A reload moved the plan: resolve the window against the
+			// new generation's geometry.
+			var herr *httpError
+			if regions, herr = statsWindow(st, req); herr != nil {
+				return nil, herr
+			}
 		}
 		calls := make(map[int]shardCall, len(st.manifest.Shards))
-		// Explicit region lists are validated here in the global id
-		// space (the backends only see local ids), replicating the
-		// whole index's exact refusals.
+		// Region lists are validated here in the global id space (the
+		// backends only see local ids), replicating the whole index's
+		// exact refusals.
 		var local [][]int
-		local, regionErr = splitRegions(st.manifest, req.Regions)
+		local, regionErr = splitRegions(st.manifest, regions)
 		for s, ids := range local {
 			if len(ids) == 0 {
 				continue
@@ -1047,28 +956,16 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 				"router: shard %q: malformed stats response: %v", st.manifest.Shards[i].Name, err))
 			return
 		}
-		for _, rs := range sub.Regions {
-			global, ok := st.manifest.ToGlobal(i, rs.Region)
-			if !ok {
-				continue // foreign sentinel
-			}
+		local := make([]fairindex.RegionStat, len(sub.Regions))
+		for j, rs := range sub.Regions {
 			if rs.SumScore == nil || rs.SumLabel == nil {
 				writeError(w, http.StatusBadGateway, fmt.Errorf(
 					"router: shard %q: backend response lacks raw sums (pre-sharding server version?)", st.manifest.Shards[i].Name))
 				return
 			}
-			gathered = append(gathered, fairindex.RegionStat{
-				Region: global, Count: rs.Count,
-				SumScore: *rs.SumScore, SumLabel: *rs.SumLabel,
-			})
+			local[j] = fairindex.RegionStat{Region: rs.Region, Count: rs.Count, SumScore: *rs.SumScore, SumLabel: *rs.SumLabel}
 		}
-	}
-	// The rect path resolves the window server-side, so the whole
-	// server's post-resolution cap applies to the merged window here.
-	if len(gathered) > wire.DefaultMaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("window of %d regions exceeds limit %d", len(gathered), wire.DefaultMaxBatch))
-		return
+		gathered = append(gathered, st.manifest.TranslateStats(i, local)...)
 	}
 	var ws fairindex.WindowStats
 	if req.Metrics != nil {
@@ -1090,19 +987,26 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// checkRect replicates RangeQuery's refusals of a malformed window,
-// error text included: a non-finite rectangle cannot cross the JSON
-// wire to a shard, so the router must refuse it itself.
-func checkRect(q fairindex.BBox) error {
-	for _, v := range [4]float64{q.MinLat, q.MinLon, q.MaxLat, q.MaxLon} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: non-finite rectangle %+v", fairindex.ErrQuery, q)
+// statsWindow resolves a stats request's window against a snapshot,
+// as the whole index does: a rect through the snapshot's RangeQuery,
+// then the window-size cap, which a rect therefore cannot dodge.
+func statsWindow(st *routerState, req wire.StatsRequest) ([]int, *httpError) {
+	regions := req.Regions
+	if req.Rect != nil {
+		overlaps, err := st.layout.RangeQuery(req.Rect.BBox())
+		if err != nil {
+			return nil, &httpError{http.StatusBadRequest, err.Error()}
+		}
+		regions = make([]int, len(overlaps))
+		for i, ov := range overlaps {
+			regions[i] = ov.Region
 		}
 	}
-	if q.MinLat > q.MaxLat || q.MinLon > q.MaxLon {
-		return fmt.Errorf("%w: inverted rectangle %+v", fairindex.ErrQuery, q)
+	if len(regions) > wire.DefaultMaxBatch {
+		return nil, &httpError{http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("window of %d regions exceeds limit %d", len(regions), wire.DefaultMaxBatch)}
 	}
-	return nil
+	return regions, nil
 }
 
 // splitRegions validates a global region list the way the whole

@@ -211,6 +211,37 @@ func rawRequest(t *testing.T, method, url, body string) (string, int, string) {
 	return string(data), resp.StatusCode, resp.Header.Get(wire.GenerationHeader)
 }
 
+// request is one wire request a test replays against router and whole
+// server.
+type request struct{ method, path, body string }
+
+// requireWholeAnswers replays requests against the router and a
+// whole-index server and requires identical status, body and
+// generation header.
+func requireWholeAnswers(t *testing.T, routerURL, wholeURL string, reqs []request) {
+	t.Helper()
+	for _, rq := range reqs {
+		wantBody, wantStatus, wantGen := rawRequest(t, rq.method, wholeURL+rq.path, rq.body)
+		gotBody, gotStatus, gotGen := rawRequest(t, rq.method, routerURL+rq.path, rq.body)
+		if gotStatus != wantStatus || gotBody != wantBody || gotGen != wantGen {
+			t.Errorf("%s %s: router %d %q gen %q, whole %d %q gen %q",
+				rq.method, rq.path, gotStatus, gotBody, gotGen, wantStatus, wantBody, wantGen)
+		}
+	}
+}
+
+// deadShardGeometry is traffic a dead shard must not disturb: kNN and
+// range, answered from the manifest, and a stats window on one live
+// cell, which asks no dead shard and so is complete, not partial.
+func deadShardGeometry(task int, liveLat, liveLon, deadLat, deadLon float64) []request {
+	return []request{
+		{"GET", fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=3", liveLat, liveLon), ""},
+		{"POST", "/v1/knn", fmt.Sprintf(`{"lat":%v,"lon":%v,"k":3}`, deadLat, deadLon)},
+		{"POST", "/v1/range", `{"min_lat":33.8,"min_lon":-118.6,"max_lat":34.1,"max_lon":-118.2}`},
+		{"GET", fmt.Sprintf("/v1/stats?task=%d&rect=%v,%v,%v,%v", task, liveLat, liveLon, liveLat, liveLon), ""},
+	}
+}
+
 // TestRouterUnsupportedEndpoints pins the 501 contract for whole-index
 // operations.
 func TestRouterUnsupportedEndpoints(t *testing.T) {
@@ -326,14 +357,16 @@ func TestRouterShardsEndpoint(t *testing.T) {
 	}
 }
 
-// TestRouterKillOneShard pins the fault contract: geometry queries
-// needing the dead shard hard-fail with 502, locates answer from the
-// manifest whichever shard owns the point, and window stats degrade to
-// an exact partial aggregate over the live shards.
+// TestRouterKillOneShard pins the fault contract: locate, range and
+// kNN answer from the manifest whichever shard owns the point, and
+// window stats over the dead shard's regions degrade to an exact
+// partial aggregate over the live shards.
 func TestRouterKillOneShard(t *testing.T) {
 	whole := buildWhole(t)
 	c := newCluster(t, whole, 3)
 	_, rts := c.newRouter(t)
+	wts := httptest.NewServer(server.New(whole))
+	defer wts.Close()
 	task := whole.Tasks()[0]
 
 	deadLat, deadLon := pointInShard(t, c.manifest, 1)
@@ -373,16 +406,7 @@ func TestRouterKillOneShard(t *testing.T) {
 		t.Errorf("batch regions %v, want %v", batch.Regions, want)
 	}
 
-	// kNN and range: 502.
-	for _, rq := range []struct{ method, path, body string }{
-		{"GET", fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=3", liveLat, liveLon), ""},
-		{"POST", "/v1/range", `{"min_lat":33.8,"min_lon":-118.6,"max_lat":34.1,"max_lon":-118.2}`},
-	} {
-		status, _ := doJSON(t, rq.method, rts.URL+rq.path, rq.body, nil)
-		if status != http.StatusBadGateway {
-			t.Errorf("%s %s with dead shard: status %d, want 502", rq.method, rq.path, status)
-		}
-	}
+	requireWholeAnswers(t, rts.URL, wts.URL, deadShardGeometry(task, liveLat, liveLon, deadLat, deadLon))
 
 	// Window stats: partial, naming the dead shard, with the live
 	// regions' aggregates bit-identical to the whole index restricted
@@ -466,7 +490,8 @@ func requireStatsEqual(t *testing.T, got statsWire, want fairindex.WindowStats) 
 
 // TestRouterSlowShardTimeout pins per-shard timeout semantics with a
 // stub backend that answers correctly but too late: stats degrade to
-// partial, point queries 502.
+// partial, and a window only the slow shard owns has nothing left to
+// answer it — 502.
 func TestRouterSlowShardTimeout(t *testing.T) {
 	whole := buildWhole(t)
 	c := newCluster(t, whole, 2)
@@ -508,10 +533,10 @@ func TestRouterSlowShardTimeout(t *testing.T) {
 	}
 	requireStatsEqual(t, got, want)
 
-	// kNN needs every shard: the slow one times it out into a 502.
-	status, _ = doJSON(t, "GET", rts.URL+"/v1/knn?lat=34.0&lon=-118.4&k=3", "", nil)
+	body = []byte(fmt.Sprintf(`{"task":%d,"regions":[%d]}`, task, c.manifest.Shards[1].Lo))
+	status, _ = doJSON(t, "POST", rts.URL+"/v1/stats", string(body), nil)
 	if status != http.StatusBadGateway {
-		t.Errorf("knn with slow shard: status %d, want 502", status)
+		t.Errorf("stats owned by the slow shard alone: status %d, want 502", status)
 	}
 }
 
@@ -533,9 +558,10 @@ func TestRouterGenerationMismatch(t *testing.T) {
 	}
 	c.servers[1].Swap(otherShards[1])
 
-	for _, rq := range []struct{ method, path, body string }{
-		{"POST", "/v1/range", `{"min_lat":33.8,"min_lon":-118.6,"max_lat":34.2,"max_lon":-118.2}`},
-		{"GET", "/v1/knn?lat=34.0&lon=-118.4&k=3", ""},
+	box := c.manifest.Box
+	for _, rq := range []request{
+		{"POST", "/v1/stats", fmt.Sprintf(`{"task":%d,"regions":[%d]}`, task, c.manifest.Shards[1].Lo)},
+		{"GET", fmt.Sprintf("/v1/stats?task=%d&rect=%v,%v,%v,%v", task, box.MinLat, box.MinLon, box.MaxLat, box.MaxLon), ""},
 		{"POST", "/v1/stats", fmt.Sprintf(`{"task":%d,"rect":{"min_lat":33.7,"min_lon":-118.7,"max_lat":34.3,"max_lon":-118.1}}`, task)},
 	} {
 		status, _ := doJSON(t, rq.method, rts.URL+rq.path, rq.body, nil)
@@ -546,9 +572,10 @@ func TestRouterGenerationMismatch(t *testing.T) {
 }
 
 // TestRouterHotReloadRetry pins the recovery path: when the backends
-// move to a new generation and the manifest source follows, a fan-out
-// that observes the mismatch reloads the manifest and succeeds on its
-// single retry, and locates answer the new generation from then on.
+// move to a new generation and the manifest source follows, a stats
+// fan-out that observes the mismatch reloads the manifest and succeeds
+// on its single retry — its rect resolved against the new geometry —
+// and locates answer the new generation from then on.
 func TestRouterHotReloadRetry(t *testing.T) {
 	wholeA := buildWhole(t)
 	wholeB := buildWhole(t, fairindex.WithHeight(5), fairindex.WithSeed(11))
@@ -578,11 +605,11 @@ func TestRouterHotReloadRetry(t *testing.T) {
 
 	wts := httptest.NewServer(server.New(wholeB))
 	defer wts.Close()
-	const knn = "/v1/knn?lat=34.05&lon=-118.35&k=5"
-	wantBody, wantStatus, _ := rawRequest(t, "GET", wts.URL+knn, "")
-	body, status, gen := rawRequest(t, "GET", rts.URL+knn, "")
+	stats := fmt.Sprintf("/v1/stats?task=%d&rect=33.8,-118.6,34.1,-118.2&sums=true", wholeB.Tasks()[0])
+	wantBody, wantStatus, _ := rawRequest(t, "GET", wts.URL+stats, "")
+	body, status, gen := rawRequest(t, "GET", rts.URL+stats, "")
 	if status != http.StatusOK || status != wantStatus || body != wantBody {
-		t.Fatalf("knn after hot reload: status %d (whole B %d)\nrouter  %s\nwhole B %s", status, wantStatus, body, wantBody)
+		t.Fatalf("stats after hot reload: status %d (whole B %d)\nrouter  %s\nwhole B %s", status, wantStatus, body, wantBody)
 	}
 	genB, err := wholeB.Fingerprint()
 	if err != nil {
@@ -616,7 +643,7 @@ func TestRouterHotReloadRetry(t *testing.T) {
 }
 
 // TestRouterConsistencyUnderConcurrentReload hammers the router from
-// many goroutines with locates and kNN fan-outs while the deployment
+// many goroutines with locates and stats fan-outs while the deployment
 // flips generations, asserting every single response is internally
 // consistent: a 200 carries one generation's header AND that
 // generation's exact answer, transition windows yield only 409s (or
@@ -649,9 +676,10 @@ func TestRouterConsistencyUnderConcurrentReload(t *testing.T) {
 		return strconv.FormatUint(fp, 10)
 	}
 	locatePath := fmt.Sprintf("/v1/locate?lat=%v&lon=%v", probeLat, probeLon)
-	knnPath := fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=4", probeLat, probeLon)
+	box := c.manifest.Box
+	statsPath := fmt.Sprintf("/v1/stats?task=%d&rect=%v,%v,%v,%v", wholeA.Tasks()[0], box.MinLat, box.MinLon, box.MaxLat, box.MaxLon)
 	// want maps path → generation → the whole index's exact body.
-	want := map[string]map[string]string{locatePath: {}, knnPath: {}}
+	want := map[string]map[string]string{locatePath: {}, statsPath: {}}
 	for _, ix := range []*fairindex.Index{wholeA, wholeB} {
 		wts := httptest.NewServer(server.New(ix))
 		for path := range want {
@@ -677,7 +705,7 @@ func TestRouterConsistencyUnderConcurrentReload(t *testing.T) {
 			for i := 0; !stop.Load(); i++ {
 				path := locatePath
 				if i%2 == 1 {
-					path = knnPath
+					path = statsPath
 				}
 				resp, err := http.Get(rts.URL + path)
 				if err != nil {

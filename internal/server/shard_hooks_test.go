@@ -120,9 +120,9 @@ func TestStatsSums(t *testing.T) {
 	}
 }
 
-// TestKNNSquared pins the squared-distance option the router merges
-// in: squared responses carry NearestRegionsSquared's exact values and
-// echo the flag, default responses are unchanged Euclidean.
+// TestKNNSquared pins the squared-distance client option: squared
+// responses carry NearestRegionsSquared's exact values and echo the
+// flag, default responses are unchanged Euclidean.
 func TestKNNSquared(t *testing.T) {
 	idx, _ := buildIndex(t)
 	ts := httptest.NewServer(New(idx))

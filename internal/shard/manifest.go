@@ -1,17 +1,20 @@
 // Package shard implements the distributed-serving split of one
 // fairindex artifact into standalone per-shard artifacts, the
-// versioned manifest describing the split, and the translation
-// helpers the scatter-gather router (internal/router) uses to
-// reassemble exact whole-index answers from per-shard responses.
+// versioned manifest describing the split, and the id translation the
+// scatter-gather router (internal/router) uses to reassemble exact
+// whole-index window stats from per-shard responses.
 //
 // The split is by contiguous global region-id range: shard i serves
 // regions [Lo_i, Hi_i) of the whole index, renumbered locally to
 // start at 0, with one extra "foreign" sentinel region absorbing the
-// grid cells other shards own (see fairindex.ExtractShard). Because
-// every fairness aggregate in the system is built from additive
-// per-region sufficient statistics, the merge kernels are exact —
-// bit-identical to the whole index, not approximations; the parity
-// suite in this package pins that property. See docs/SHARDING.md.
+// grid cells other shards own (see fairindex.ExtractShard). The
+// manifest carries the whole index's cell→region table, from which
+// the router derives the region geometry (fairindex.NewLayout) and
+// answers locate, range and kNN itself. Every fairness aggregate is
+// built from additive per-region sufficient statistics, so the stats
+// merge is exact — bit-identical to the whole index, not an
+// approximation; the parity suite in this package pins that property.
+// See docs/SHARDING.md.
 package shard
 
 import (
@@ -66,7 +69,7 @@ type Manifest struct {
 	Box        geo.BBox
 	NumRegions int
 	// CellRegion is the whole index's row-major cell→region table; the
-	// router answers Locate from it.
+	// router derives its region geometry from it.
 	CellRegion []int
 	// Shards lists the plan's shards in ascending region-range order;
 	// the ranges are disjoint and total over [0, NumRegions).

@@ -1,21 +1,26 @@
 package shard_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	fairindex "fairindex"
 	"fairindex/internal/shard"
 )
 
-// The sharded-vs-whole parity suite: every query type answered
-// through the split+merge path must be bit-identical (Float64bits on
+// The sharded-vs-whole parity suite: every query type answered the
+// way the router answers it — locates by shard artifact, range and kNN
+// from the Layout the manifest's cell table determines, window stats
+// through the split+merge path — must be bit-identical (Float64bits on
 // every float) to the whole retained index, across partition methods
 // and shard counts. This is the property that makes the distributed
-// serving layer trustworthy — the merge kernels are exact because the
+// serving layer trustworthy — the stats merge is exact because the
 // per-region sufficient statistics are additive and every fold runs
 // in the same order as the whole index's.
 
@@ -158,7 +163,7 @@ func TestShardLocateParity(t *testing.T) {
 			// Route by cell via the manifest, then answer through the
 			// owning shard artifact.
 			cell := mapper.CellOf(lat, lon)
-			region := m.RegionOfCell(whole.Grid().Index(cell))
+			region := m.CellRegion[whole.Grid().Index(cell)]
 			si, local := m.ToLocal(region)
 			gotLocal, err := shards[si].Locate(lat, lon)
 			if err != nil {
@@ -203,7 +208,7 @@ func TestShardLocateBatchParity(t *testing.T) {
 				continue
 			}
 			cell := mapper.CellOf(lats[i], lons[i])
-			si, _ := m.ToLocal(m.RegionOfCell(whole.Grid().Index(cell)))
+			si, _ := m.ToLocal(m.CellRegion[whole.Grid().Index(cell)])
 			idxOf[si] = append(idxOf[si], i)
 			subLat[si] = append(subLat[si], lats[i])
 			subLon[si] = append(subLon[si], lons[i])
@@ -233,8 +238,20 @@ func TestShardLocateBatchParity(t *testing.T) {
 	})
 }
 
+// manifestLayout derives the region geometry the router answers range
+// and kNN with.
+func manifestLayout(t *testing.T, m *shard.Manifest) *fairindex.Layout {
+	t.Helper()
+	layout, err := fairindex.NewLayout(m.Grid, m.Box, m.CellRegion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return layout
+}
+
 func TestShardRangeQueryParity(t *testing.T) {
 	forEachSplit(t, func(t *testing.T, whole *fairindex.Index, m *shard.Manifest, shards []*fairindex.Index) {
+		layout := manifestLayout(t, m)
 		rng := rand.New(rand.NewSource(13))
 		for i := 0; i < 80; i++ {
 			q := sampleBox(rng, whole.Box())
@@ -242,15 +259,10 @@ func TestShardRangeQueryParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("query %d: %v", i, err)
 			}
-			lists := make([][]fairindex.RegionOverlap, len(shards))
-			for si, sx := range shards {
-				local, err := sx.RangeQuery(q)
-				if err != nil {
-					t.Fatalf("query %d shard %d: %v", i, si, err)
-				}
-				lists[si] = m.TranslateOverlaps(si, local)
+			got, err := layout.RangeQuery(q)
+			if err != nil {
+				t.Fatalf("query %d from the manifest: %v", i, err)
 			}
-			got := shard.MergeOverlaps(lists...)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("query %d (%+v):\n got %v\nwant %v", i, q, got, want)
 			}
@@ -260,35 +272,32 @@ func TestShardRangeQueryParity(t *testing.T) {
 
 func TestShardNearestRegionsParity(t *testing.T) {
 	forEachSplit(t, func(t *testing.T, whole *fairindex.Index, m *shard.Manifest, shards []*fairindex.Index) {
+		layout := manifestLayout(t, m)
 		rng := rand.New(rand.NewSource(14))
 		for i := 0; i < 60; i++ {
 			lat, lon := samplePoint(rng, whole.Box())
 			k := 1 + rng.Intn(whole.NumRegions()+2) // occasionally > NumRegions
-			want, err := whole.NearestRegions(lat, lon, k)
-			if err != nil {
-				t.Fatalf("query %d: %v", i, err)
-			}
-			lists := make([][]fairindex.RegionDistance, len(shards))
-			for si, sx := range shards {
-				// k+1 per shard: at most one sentinel candidate can be
-				// dropped, so k owned candidates always survive.
-				local, err := sx.NearestRegionsSquared(lat, lon, k+1)
-				if err != nil {
-					t.Fatalf("query %d shard %d: %v", i, si, err)
+			for _, squared := range []bool{false, true} {
+				nearestWhole, nearestManifest := whole.NearestRegions, layout.NearestRegions
+				if squared {
+					nearestWhole, nearestManifest = whole.NearestRegionsSquared, layout.NearestRegionsSquared
 				}
-				lists[si] = m.TranslateNearest(si, local)
-			}
-			got := fairindex.MergeNearest(k, lists...)
-			for j := range got {
-				got[j].Distance = math.Sqrt(got[j].Distance)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("query %d: merged %d regions, whole %d", i, len(got), len(want))
-			}
-			for j := range got {
-				if got[j].Region != want[j].Region ||
-					math.Float64bits(got[j].Distance) != math.Float64bits(want[j].Distance) {
-					t.Fatalf("query %d entry %d: merged %+v, whole %+v", i, j, got[j], want[j])
+				want, err := nearestWhole(lat, lon, k)
+				if err != nil {
+					t.Fatalf("query %d: %v", i, err)
+				}
+				got, err := nearestManifest(lat, lon, k)
+				if err != nil {
+					t.Fatalf("query %d from the manifest: %v", i, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("query %d: manifest %d regions, whole %d", i, len(got), len(want))
+				}
+				for j := range got {
+					if got[j].Region != want[j].Region ||
+						math.Float64bits(got[j].Distance) != math.Float64bits(want[j].Distance) {
+						t.Fatalf("query %d (squared %v) entry %d: manifest %+v, whole %+v", i, squared, j, got[j], want[j])
+					}
 				}
 			}
 		}
@@ -446,5 +455,39 @@ func TestExtractShardRejectsBadRanges(t *testing.T) {
 	}
 	if _, _, err := shard.Split(whole, n+1); err == nil {
 		t.Error("Split with more shards than regions accepted")
+	}
+}
+
+// TestSplitRejectsEditedCentroids pins Split's geometry check: the
+// router derives centroids from the manifest's cell table, so an
+// artifact whose stored centroids that table does not reproduce — a
+// hand-edited file — must not split, or the router's kNN answers would
+// differ from the whole index's.
+func TestSplitRejectsEditedCentroids(t *testing.T) {
+	whole := buildWhole(t, fairindex.WithHeight(3), fairindex.WithSeed(1))
+	if _, _, err := shard.Split(whole, 2); err != nil {
+		t.Fatalf("unedited artifact: %v", err)
+	}
+	blob, err := whole.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := whole.Centroid(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := binary.LittleEndian.AppendUint64(nil, math.Float64bits(c[0]))
+	pattern = binary.LittleEndian.AppendUint64(pattern, math.Float64bits(c[1]))
+	at := bytes.Index(blob, pattern)
+	if at < 0 || bytes.Contains(blob[at+1:], pattern) {
+		t.Fatalf("region 0's centroid bytes are not unique in the artifact (at %d)", at)
+	}
+	binary.LittleEndian.PutUint64(blob[at:], math.Float64bits(c[0]+1e-9))
+	var edited fairindex.Index
+	if err := edited.UnmarshalBinary(blob); err != nil {
+		t.Fatalf("edited artifact does not load: %v", err)
+	}
+	if _, _, err := shard.Split(&edited, 2); err == nil || !strings.Contains(err.Error(), "centroid") {
+		t.Fatalf("Split of an artifact with an edited centroid: err %v, want a centroid refusal", err)
 	}
 }

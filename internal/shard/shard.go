@@ -46,8 +46,40 @@ func Split(ix *fairindex.Index, n int) (*Manifest, []*fairindex.Index, error) {
 	if err := m.validate(); err != nil {
 		return nil, nil, err
 	}
+	if err := checkGeometry(ix, m); err != nil {
+		return nil, nil, err
+	}
 	m.derive()
 	return m, shards, nil
+}
+
+// checkGeometry refuses an index whose stored region geometry differs
+// from what its cell→region table determines. The router answers range
+// and kNN from a fairindex.Layout it derives from the manifest's table
+// alone, so a hand-edited artifact whose stored centroids, bounding
+// rects or cell counts disagree with its table would make those
+// answers differ from the whole index's.
+func checkGeometry(ix *fairindex.Index, m *Manifest) error {
+	derived, err := fairindex.NewLayout(m.Grid, m.Box, m.CellRegion)
+	if err != nil {
+		return fmt.Errorf("shard: %w", err)
+	}
+	for region := 0; region < m.NumRegions; region++ {
+		stored, _ := ix.Centroid(region)
+		want, _ := derived.Centroid(region)
+		if stored != want {
+			return fmt.Errorf("shard: region %d: stored centroid %v, cell table gives %v", region, stored, want)
+		}
+		storedRect, _ := ix.RegionRect(region)
+		wantRect, _ := derived.RegionRect(region)
+		storedCells, _ := ix.RegionCells(region)
+		wantCells, _ := derived.RegionCells(region)
+		if storedRect != wantRect || storedCells != wantCells {
+			return fmt.Errorf("shard: region %d: stored bounds %v (%d cells), cell table gives %v (%d cells)",
+				region, storedRect, storedCells, wantRect, wantCells)
+		}
+	}
+	return nil
 }
 
 // ShardOfRegion returns the index of the shard owning a global region
@@ -58,10 +90,6 @@ func (m *Manifest) ShardOfRegion(region int) int {
 	}
 	return m.regionShard[region]
 }
-
-// RegionOfCell returns the global region owning a row-major cell
-// index — the router's whole Locate answer, from the manifest alone.
-func (m *Manifest) RegionOfCell(cell int) int { return m.CellRegion[cell] }
 
 // Foreign reports whether shard i's artifact carries the foreign
 // sentinel region (true unless the shard owns every region).
@@ -98,61 +126,6 @@ func (m *Manifest) ToLocal(region int) (shard, local int) {
 		return -1, -1
 	}
 	return shard, region - m.Shards[shard].Lo
-}
-
-// TranslateOverlaps rewrites one shard's RangeQuery result into the
-// global id space in place, dropping the sentinel entry when present,
-// and returns the (possibly shortened) slice. Owned-region cell
-// counts and fractions are already exact — a shard carries its owned
-// regions' cells verbatim — so translation is pure renumbering.
-func (m *Manifest) TranslateOverlaps(i int, local []fairindex.RegionOverlap) []fairindex.RegionOverlap {
-	out := local[:0]
-	for _, ov := range local {
-		g, ok := m.ToGlobal(i, ov.Region)
-		if !ok {
-			continue
-		}
-		ov.Region = g
-		out = append(out, ov)
-	}
-	return out
-}
-
-// MergeOverlaps concatenates per-shard translated RangeQuery results
-// given in shard order. Shard ranges ascend, and each shard's result
-// ascends in local (hence global) id, so the concatenation is the
-// whole index's ascending-id result.
-func MergeOverlaps(lists ...[]fairindex.RegionOverlap) []fairindex.RegionOverlap {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]fairindex.RegionOverlap, 0, total)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	return out
-}
-
-// TranslateNearest rewrites one shard's NearestRegionsSquared result
-// into the global id space in place, dropping the sentinel candidate,
-// and returns the slice. Squared distances are preserved: merging
-// happens in squared space (fairindex.MergeNearest), where the order
-// is exactly the whole index's selection order.
-func (m *Manifest) TranslateNearest(i int, local []fairindex.RegionDistance) []fairindex.RegionDistance {
-	out := local[:0]
-	for _, rd := range local {
-		g, ok := m.ToGlobal(i, rd.Region)
-		if !ok {
-			continue
-		}
-		rd.Region = g
-		out = append(out, rd)
-	}
-	return out
 }
 
 // TranslateStats rewrites one shard's per-region stats into the

@@ -126,24 +126,14 @@ func NewRangeResponse(ovs []fairindex.RegionOverlap) RangeResponse {
 	return resp
 }
 
-// Overlaps decodes the response back into RangeQuery's form.
-func (r RangeResponse) Overlaps() []fairindex.RegionOverlap {
-	out := make([]fairindex.RegionOverlap, len(r.Regions))
-	for i, ov := range r.Regions {
-		out[i] = fairindex.RegionOverlap{Region: ov.Region, Cells: ov.Cells, Fraction: ov.Fraction}
-	}
-	return out
-}
-
 type KNNRequest struct {
 	Lat float64 `json:"lat"`
 	Lon float64 `json:"lon"`
 	K   int     `json:"k"`
 	// Squared requests squared centroid distances instead of the
-	// default Euclidean ones. Per-shard candidate lists merge exactly
-	// in squared space (sqrt can collapse distinct squared distances
-	// onto equal floats, reordering the id tie-break), so the shard
-	// router always queries backends with squared set.
+	// default Euclidean ones: the exact (squared distance, id) keys the
+	// search selects by, which sqrt can collapse onto equal floats. A
+	// client feature; server and router answer it alike.
 	Squared bool `json:"squared,omitempty"`
 }
 
@@ -155,7 +145,7 @@ type Neighbor struct {
 // Distance is a kNN centroid distance on the wire. A query point far
 // enough outside the grid overflows the (squared) distance to +Inf,
 // which a JSON number cannot carry: it travels as null and decodes
-// back to +Inf, so a router merges exactly what the shards computed.
+// back to +Inf, so a client reads exactly what the index computed.
 // Distances are never NaN, which keeps null unambiguous.
 type Distance float64
 
@@ -194,15 +184,6 @@ func NewKNNResponse(nds []fairindex.RegionDistance, squared bool) KNNResponse {
 		resp.Neighbors[i] = Neighbor{Region: nd.Region, Distance: Distance(nd.Distance)}
 	}
 	return resp
-}
-
-// Distances decodes the response back into NearestRegions' form.
-func (r KNNResponse) Distances() []fairindex.RegionDistance {
-	out := make([]fairindex.RegionDistance, len(r.Neighbors))
-	for i, nd := range r.Neighbors {
-		out[i] = fairindex.RegionDistance{Region: nd.Region, Distance: float64(nd.Distance)}
-	}
-	return out
 }
 
 // StatsRequest selects the window either as an explicit region list

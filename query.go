@@ -7,28 +7,15 @@ import (
 	"sort"
 
 	"fairindex/internal/calib"
-	"fairindex/internal/geo"
 )
 
-// This file is the Index's region-query engine: range queries over a
-// geographic window, k-nearest-region queries and fairness aggregates
-// over arbitrary region sets. Point lookups (index.go) answer "which
-// neighborhood is this coordinate in?"; these answer the FiSH-style
-// workload "which neighborhoods does this window touch, and is the
-// model fair over them?".
-//
-// All three run off small acceleration structures derived from the
-// partition at Build time and carried by the v2 serialization format
-// (recomputed when loading a v1 file):
-//
-//   - regionRects/regionCells: each region's bounding cell rectangle
-//     and cell count. RangeQuery prunes against the bounding rects and,
-//     for regions that exactly fill their rect (every KD-tree, quadtree
-//     and uniform-grid region does), counts overlap by rectangle
-//     intersection alone — no cell scan at all.
-//   - knnOrder: the region centroids arranged as an implicit balanced
-//     kd-tree (median layout), giving NearestRegions a pruned
-//     branch-and-bound search instead of a full centroid scan.
+// This file is the Index's region-query vocabulary and fairness
+// aggregates: the result types of range queries over a geographic
+// window and k-nearest-region queries (both answered by the Layout,
+// layout.go), and GroupStats over arbitrary region sets. Point lookups
+// answer "which neighborhood is this coordinate in?"; these answer
+// the FiSH-style workload "which neighborhoods does this window touch,
+// and is the model fair over them?".
 
 // Query errors.
 var (
@@ -98,325 +85,6 @@ type WindowStats struct {
 	// CalRatio fields above are always populated either way and keep
 	// their historical bit-exact computation.
 	Metrics map[string]float64
-}
-
-// RegionRect returns the bounding rectangle of a region's cells.
-func (ix *Index) RegionRect(region int) (CellRect, error) {
-	if region < 0 || region >= ix.numRegions {
-		return CellRect{}, fmt.Errorf("%w: region %d out of range [0,%d)", ErrQuery, region, ix.numRegions)
-	}
-	return ix.regionRects[region], nil
-}
-
-// RegionCells returns the number of grid cells a region covers.
-func (ix *Index) RegionCells(region int) (int, error) {
-	if region < 0 || region >= ix.numRegions {
-		return 0, fmt.Errorf("%w: region %d out of range [0,%d)", ErrQuery, region, ix.numRegions)
-	}
-	return ix.regionCells[region], nil
-}
-
-// queryCellRect maps a geographic query rectangle onto the grid:
-// the half-open rectangle of cells between the cells containing the
-// window's southwest and northeast corners (clamped to the grid,
-// matching Locate's convention for boundary and outside points). The
-// empty rectangle is returned when the window lies strictly outside
-// the index's bounding box. Degenerate windows (a line or a single
-// point, MinLat == MaxLat) are valid and resolve to the row/column of
-// cells containing them.
-func (ix *Index) queryCellRect(q BBox) (geo.CellRect, error) {
-	for _, v := range [4]float64{q.MinLat, q.MinLon, q.MaxLat, q.MaxLon} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return geo.CellRect{}, fmt.Errorf("%w: non-finite rectangle %+v", ErrQuery, q)
-		}
-	}
-	if q.MinLat > q.MaxLat || q.MinLon > q.MaxLon {
-		return geo.CellRect{}, fmt.Errorf("%w: inverted rectangle %+v", ErrQuery, q)
-	}
-	if q.MaxLat < ix.box.MinLat || q.MinLat > ix.box.MaxLat ||
-		q.MaxLon < ix.box.MinLon || q.MinLon > ix.box.MaxLon {
-		return geo.CellRect{}, nil
-	}
-	sw := ix.mapper.CellOf(q.MinLat, q.MinLon)
-	ne := ix.mapper.CellOf(q.MaxLat, q.MaxLon)
-	return geo.CellRect{Row0: sw.Row, Col0: sw.Col, Row1: ne.Row + 1, Col1: ne.Col + 1}, nil
-}
-
-// RangeQuery returns the regions intersecting an axis-aligned
-// geographic rectangle, ordered by ascending region id, with each
-// region's overlapping cell count and covered fraction. The window is
-// resolved at cell granularity (see queryCellRect); a window strictly
-// outside the index's bounding box yields an empty result, a
-// malformed (inverted or non-finite) rectangle an error.
-//
-// The scan is pruned by the per-region bounding rectangles: regions
-// whose bounds miss the window are skipped without touching the
-// cell→region table, and regions that exactly fill their bounding
-// rectangle are counted by rectangle intersection alone. Results are
-// identical to a brute-force scan of every grid cell (pinned by a
-// property test).
-func (ix *Index) RangeQuery(q BBox) ([]RegionOverlap, error) {
-	qr, err := ix.queryCellRect(q)
-	if err != nil {
-		return nil, err
-	}
-	if qr.Empty() {
-		return nil, nil
-	}
-	var out []RegionOverlap
-	v := ix.grid.V
-	for region, rect := range ix.regionRects {
-		inter := rect.Intersect(qr)
-		if inter.Empty() {
-			continue
-		}
-		cells := 0
-		if ix.regionCells[region] == rect.Area() {
-			// Solid region: its cells are exactly its bounding rect.
-			cells = inter.Area()
-		} else {
-			for row := inter.Row0; row < inter.Row1; row++ {
-				base := row * v
-				for col := inter.Col0; col < inter.Col1; col++ {
-					if ix.cellRegion[base+col] == region {
-						cells++
-					}
-				}
-			}
-		}
-		if cells > 0 {
-			out = append(out, RegionOverlap{
-				Region:   region,
-				Cells:    cells,
-				Fraction: float64(cells) / float64(ix.regionCells[region]),
-			})
-		}
-	}
-	return out, nil
-}
-
-// NearestRegions returns the k regions whose centroids are nearest to
-// the coordinate, ordered by ascending distance (ties broken by
-// ascending region id). Distance is planar Euclidean over degrees —
-// adequate at city scale; it is not a great-circle distance. The
-// point may lie outside the index's bounding box. k is clamped to
-// NumRegions; k < 1 and non-finite coordinates are errors.
-//
-// The search runs branch-and-bound over the centroid kd-tree built at
-// Build/UnmarshalBinary time; results are identical to a full sorted
-// centroid scan (pinned by a property test).
-func (ix *Index) NearestRegions(lat, lon float64, k int) ([]RegionDistance, error) {
-	res, err := ix.NearestRegionsSquared(lat, lon, k)
-	if err != nil {
-		return nil, err
-	}
-	for i := range res {
-		res[i].Distance = math.Sqrt(res[i].Distance)
-	}
-	return res, nil
-}
-
-// NearestRegionsSquared is NearestRegions without the final square
-// root: distances are squared planar Euclidean degrees, in the same
-// (squared distance, region id) order the search itself selects by.
-// This is the merge hook for sharded serving — squared distances are
-// the canonical selection key, so per-shard candidate lists merged on
-// (squared distance, id) reproduce the whole index's top-k exactly
-// even when two distinct squared distances would collide after the
-// square root. See MergeNearest.
-func (ix *Index) NearestRegionsSquared(lat, lon float64, k int) ([]RegionDistance, error) {
-	if math.IsNaN(lat) || math.IsInf(lat, 0) || math.IsNaN(lon) || math.IsInf(lon, 0) {
-		return nil, fmt.Errorf("%w: non-finite coordinate (%v, %v)", ErrQuery, lat, lon)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("%w: k must be at least 1, got %d", ErrQuery, k)
-	}
-	if k > ix.numRegions {
-		k = ix.numRegions
-	}
-	res := make([]RegionDistance, 0, k)
-	ix.knnVisit(&res, k, lat, lon, 0, len(ix.knnOrder), 0)
-	return res, nil
-}
-
-// MergeNearest merges candidate lists that are each sorted by
-// (Distance, Region) ascending — the order NearestRegionsSquared
-// returns — into the global top k under the same order. It is the
-// exact kNN merge kernel for sharded serving: feed it per-shard
-// squared-distance candidates (k+1 per shard, so dropping one
-// foreign-region entry per shard cannot starve the merge) with region
-// ids already translated to the global id space, then take the square
-// root of the merged distances. The merge itself performs no
-// per-region allocation.
-func MergeNearest(k int, lists ...[]RegionDistance) []RegionDistance {
-	if k < 1 {
-		return nil
-	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if k > total {
-		k = total
-	}
-	if k == 0 {
-		return nil
-	}
-	out := make([]RegionDistance, 0, k)
-	pos := make([]int, len(lists))
-	for len(out) < k {
-		best := -1
-		for i, l := range lists {
-			if pos[i] >= len(l) {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			a, b := l[pos[i]], lists[best][pos[best]]
-			if a.Distance < b.Distance ||
-				(a.Distance == b.Distance && a.Region < b.Region) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out = append(out, lists[best][pos[best]])
-		pos[best]++
-	}
-	return out
-}
-
-// centroidDegrees converts a region's stored normalized centroid to
-// geographic degrees.
-func (ix *Index) centroidDegrees(region int) (lat, lon float64) {
-	c := ix.centroids[region]
-	lat = ix.box.MinLat + c[0]*(ix.box.MaxLat-ix.box.MinLat)
-	lon = ix.box.MinLon + c[1]*(ix.box.MaxLon-ix.box.MinLon)
-	return lat, lon
-}
-
-// knnVisit recursively searches the implicit kd-tree rooted at the
-// median of knnOrder[lo:hi). axis 0 splits on latitude (rows), axis 1
-// on longitude (columns). res accumulates the best k candidates in
-// (squared distance, region id) order; subtrees are pruned when their
-// splitting plane is provably farther than the current worst
-// candidate.
-func (ix *Index) knnVisit(res *[]RegionDistance, k int, lat, lon float64, lo, hi, axis int) {
-	if lo >= hi {
-		return
-	}
-	mid := lo + (hi-lo)/2
-	region := ix.knnOrder[mid]
-	cLat, cLon := ix.centroidDegrees(region)
-	dLat, dLon := lat-cLat, lon-cLon
-	insertNeighbor(res, k, RegionDistance{Region: region, Distance: dLat*dLat + dLon*dLon})
-	delta := dLat
-	if axis == 1 {
-		delta = dLon
-	}
-	nearLo, nearHi, farLo, farHi := lo, mid, mid+1, hi
-	if delta > 0 {
-		nearLo, nearHi, farLo, farHi = mid+1, hi, lo, mid
-	}
-	ix.knnVisit(res, k, lat, lon, nearLo, nearHi, 1-axis)
-	// The far half only holds centroids at least |delta| away along
-	// the split axis. <= (not <): an equidistant centroid with a
-	// smaller region id must still displace the current worst.
-	if len(*res) < k || delta*delta <= (*res)[len(*res)-1].Distance {
-		ix.knnVisit(res, k, lat, lon, farLo, farHi, 1-axis)
-	}
-}
-
-// insertNeighbor inserts a candidate into the sorted top-k slice,
-// keeping (distance, region id) order and dropping the worst entry
-// when full.
-func insertNeighbor(res *[]RegionDistance, k int, nd RegionDistance) {
-	s := *res
-	pos := sort.Search(len(s), func(i int) bool {
-		if s[i].Distance != nd.Distance {
-			return s[i].Distance > nd.Distance
-		}
-		return s[i].Region > nd.Region
-	})
-	if len(s) < k {
-		s = append(s, RegionDistance{})
-	} else if pos >= k {
-		return
-	}
-	copy(s[pos+1:], s[pos:])
-	s[pos] = nd
-	*res = s
-}
-
-// buildKNNOrder arranges region ids as an implicit balanced kd-tree
-// over their centroids: the subtree spanning order[lo:hi) is rooted
-// at the median index lo+(hi-lo)/2, the left half holds centroids at
-// or below the root along the level's axis, the right half at or
-// above. Ties sort by region id, so the layout is deterministic.
-func buildKNNOrder(centroids [][2]float64) []int {
-	order := make([]int, len(centroids))
-	for i := range order {
-		order[i] = i
-	}
-	var build func(lo, hi, axis int)
-	build = func(lo, hi, axis int) {
-		if hi-lo <= 1 {
-			return
-		}
-		seg := order[lo:hi]
-		sort.Slice(seg, func(a, b int) bool {
-			ca, cb := centroids[seg[a]], centroids[seg[b]]
-			if ca[axis] != cb[axis] {
-				return ca[axis] < cb[axis]
-			}
-			return seg[a] < seg[b]
-		})
-		mid := lo + (hi-lo)/2
-		build(lo, mid, 1-axis)
-		build(mid+1, hi, 1-axis)
-	}
-	build(0, len(order), 0)
-	return order
-}
-
-// regionBounds computes each region's bounding cell rectangle and
-// cell count from the flat cell→region table.
-func regionBounds(grid geo.Grid, cellRegion []int, numRegions int) ([]geo.CellRect, []int) {
-	rects := make([]geo.CellRect, numRegions)
-	for i := range rects {
-		rects[i] = geo.CellRect{Row0: grid.U, Col0: grid.V} // empty sentinel
-	}
-	counts := make([]int, numRegions)
-	for i, region := range cellRegion {
-		c := grid.CellAt(i)
-		r := &rects[region]
-		if c.Row < r.Row0 {
-			r.Row0 = c.Row
-		}
-		if c.Row+1 > r.Row1 {
-			r.Row1 = c.Row + 1
-		}
-		if c.Col < r.Col0 {
-			r.Col0 = c.Col
-		}
-		if c.Col+1 > r.Col1 {
-			r.Col1 = c.Col + 1
-		}
-		counts[region]++
-	}
-	return rects, counts
-}
-
-// buildAccel (re)derives the query acceleration structures from the
-// partition and centroids. Build and the v1 decode path call it; the
-// v2 decode path restores the structures from the serialized artifact
-// instead.
-func (ix *Index) buildAccel() {
-	ix.regionRects, ix.regionCells = regionBounds(ix.grid, ix.cellRegion, ix.numRegions)
-	ix.knnOrder = buildKNNOrder(ix.centroids)
 }
 
 // GroupStats aggregates the stored per-region calibration report over

@@ -59,12 +59,13 @@ func (ix *Index) Fingerprint() (uint64, error) {
 //   - Locate/LocateBatch: bit-identical to the whole index for points
 //     in owned regions (local = global − lo); foreign points resolve
 //     to the sentinel.
-//   - RangeQuery, NearestRegionsSquared, GroupStats and
-//     GroupStatsMetrics over owned regions: bit-identical per-region
-//     values (the owned centroids, bounding rectangles and sufficient
-//     statistics are carried over verbatim), which is what the
-//     internal/shard merge kernels reassemble into whole-index
-//     answers.
+//   - GroupStats and GroupStatsMetrics over owned regions:
+//     bit-identical per-region values (the owned sufficient statistics
+//     are carried over verbatim), which the shard router's stats merge
+//     reassembles into whole-index answers. RangeQuery and
+//     NearestRegions keep the owned regions' exact values too (owned
+//     centroids and cells are carried verbatim), but the router answers
+//     range and kNN from its manifest's Layout and never asks a shard.
 //
 // Score and Report remain whole-index concerns: a shard keeps the
 // global models and reports verbatim, but scoring a foreign-region
@@ -103,25 +104,24 @@ func (ix *Index) ExtractShard(lo, hi int) (*Index, error) {
 	// unconditional); the recomputation supplies the sentinel's mean.
 	centroids := part.Centroids()
 	copy(centroids[:owned], ix.centroids[lo:hi])
+	layout, err := layoutOf(part, ix.box, centroids)
+	if err != nil {
+		return nil, fmt.Errorf("fairindex: shard [%d,%d): %w", lo, hi, err)
+	}
+	layout.derive()
 
 	out := &Index{
 		cfg:          ix.Config(),
 		datasetName:  ix.datasetName,
 		featureNames: append([]string(nil), ix.featureNames...),
 		taskNames:    append([]string(nil), ix.taskNames...),
-		grid:         ix.grid,
-		box:          ix.box,
-		mapper:       ix.mapper,
+		Layout:       layout,
 		part:         part,
-		cellRegion:   part.CellRegions(),
-		numRegions:   localN,
-		centroids:    centroids,
 		encoding:     ix.encoding,
 		codecVersion: indexVersion,
 		buildTime:    ix.buildTime,
 		trainTime:    ix.trainTime,
 	}
-	out.buildAccel()
 
 	// One atomic snapshot keeps all task slots mutually consistent.
 	ls := ix.live()

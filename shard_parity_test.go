@@ -18,9 +18,9 @@ import (
 	"fairindex/internal/wire"
 )
 
-// The HTTP sharded-vs-whole parity suite. The in-process merge kernels
-// are pinned bit-identical in internal/shard; this suite locks the
-// same property down at the wire: a router fronting real per-shard
+// The HTTP sharded-vs-whole parity suite. The manifest geometry and
+// the stats merge are pinned bit-identical in internal/shard; this
+// suite locks the same property down at the wire: a router fronting real per-shard
 // HTTP servers must produce byte-identical response bodies (and the
 // same generation header) as a single server holding the unsharded
 // artifact, for every query endpoint, across partition methods and
@@ -102,7 +102,7 @@ func parityBattery(whole *fairindex.Index) []parityRequest {
 	reqs = append(reqs, parityRequest{"POST", "/v1/locate_batch", `{"lats":[1.0],"lons":[]}`})
 	reqs = append(reqs, parityRequest{"POST", "/v1/locate_batch", `{"lats":[],"lons":[]}`})
 	// Far enough outside the grid to overflow an int conversion: the
-	// far-edge cells, routed by cell on the router.
+	// far-edge cells.
 	reqs = append(reqs,
 		parityRequest{"GET", "/v1/locate?lat=1e300&lon=-1e300", ""},
 		parityRequest{"POST", "/v1/locate", `{"lat":-1e300,"lon":1e300}`},
@@ -137,8 +137,8 @@ func parityBattery(whole *fairindex.Index) []parityRequest {
 	reqs = append(reqs, parityRequest{"GET", "/v1/knn?lat=1&lon=2&k=0", ""})
 	// Far enough out that every squared distance overflows to +Inf.
 	reqs = append(reqs, parityRequest{"GET", "/v1/knn?lat=1e200&lon=2&k=3", ""})
-	// k at the request-size limit: the whole index clamps it to its
-	// region count, so the router must not ask its shards for more.
+	// k at the request-size limit: the index clamps it to its region
+	// count.
 	lat, lon := point()
 	reqs = append(reqs,
 		parityRequest{"GET", fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=%d", lat, lon, wire.DefaultMaxBatch), ""},
@@ -289,7 +289,7 @@ func TestShardedHTTPParity(t *testing.T) {
 	}
 }
 
-// parityPaths are the endpoints a router serves by scatter-gather.
+// parityPaths are the router's query endpoints.
 var parityPaths = []string{"/v1/locate", "/v1/locate_batch", "/v1/range", "/v1/knn", "/v1/stats"}
 
 // handlerTransport delivers each request to the in-process handler
@@ -319,7 +319,7 @@ func serveRecorded(h http.Handler, method, target string, body []byte) (*httptes
 }
 
 // FuzzRouterParity extends the parity battery to generated requests:
-// any method (GET or POST), scatter-gather endpoint, query string and
+// any method (GET or POST), query endpoint, query string and
 // body must get a byte-identical status, body and generation header
 // from a router over a 3-shard split and from the whole-index server.
 // The battery is the seed corpus.
