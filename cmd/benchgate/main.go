@@ -9,7 +9,7 @@
 // (BenchmarkIndexBuild, BenchmarkIndexBuild10k — and, in the slow CI
 // job, BenchmarkIndexBuild100k) faster, but not slower.
 //
-//	go test -run '^$' -bench 'BenchmarkIndex|BenchmarkRegistry' -benchtime 200ms . | tee bench.out
+//	go test -run '^$' -bench 'BenchmarkIndex|BenchmarkRegistry|BenchmarkShardMerge|BenchmarkRouter|BenchmarkRebuildGate' -benchtime 200ms . | tee bench.out
 //	go run ./cmd/benchgate -bench bench.out -baseline BENCH_index.json
 //
 // The default time tolerance (2.5x) is deliberately loose: shared CI

@@ -51,11 +51,11 @@ func Evaluate(serving, candidate *fairindex.Index, budgets map[string]float64, p
 
 	dec := Decision{Promote: true}
 	for pi, probe := range probes {
-		sregs, err := windowRegions(serving, probe)
+		sregs, err := serving.RangeRegions(probe)
 		if err != nil {
 			return Decision{}, fmt.Errorf("rebuild: probe %d on serving index: %w", pi, err)
 		}
-		cregs, err := windowRegions(candidate, probe)
+		cregs, err := candidate.RangeRegions(probe)
 		if err != nil {
 			return Decision{}, fmt.Errorf("rebuild: probe %d on candidate: %w", pi, err)
 		}
@@ -93,20 +93,6 @@ func Evaluate(serving, candidate *fairindex.Index, budgets map[string]float64, p
 		}
 	}
 	return dec, nil
-}
-
-// windowRegions resolves a probe rectangle to the region ids the
-// index intersects with it.
-func windowRegions(ix *fairindex.Index, probe fairindex.BBox) ([]int, error) {
-	overlaps, err := ix.RangeQuery(probe)
-	if err != nil {
-		return nil, err
-	}
-	regs := make([]int, len(overlaps))
-	for i, ov := range overlaps {
-		regs[i] = ov.Region
-	}
-	return regs, nil
 }
 
 // PromoteFile atomically replaces the artifact at path with the

@@ -4,13 +4,15 @@
 // ordinary internal/server process serving one shard artifact from
 // fairindex.ExtractShard). Every query whose answer depends only on
 // the partition — locate, locate_batch, range and kNN — is answered
-// from a fairindex.Layout the router derives from the shard.Manifest,
-// which carries the whole index's cell→region table; no shard is
-// asked. Window stats are the only fan-out: the window resolves to a
-// region list from the same Layout, only the shards owning those
-// regions are asked for their raw per-region sufficient statistics,
-// and fairindex.MergeWindowStats refolds them. Either way responses
-// are bit-identical to a single server holding the whole index, a
+// by the shared wire.Geometry handlers, the very handlers a server
+// mounts, over a fairindex.Layout the router derives from the
+// shard.Manifest, which carries the whole index's cell→region table;
+// no shard is asked. Window stats are the only fan-out: the window
+// resolves to a region list with wire.WindowRegions over the same
+// Layout, only the shards owning those regions are asked for their
+// raw per-region sufficient statistics, and
+// fairindex.MergeWindowStats refolds them. Either way responses are
+// bit-identical to a single server holding the whole index, a
 // property pinned by the sharded-vs-whole HTTP parity suite and its
 // fuzz target. Requests are parsed and replies encoded by
 // internal/wire, the same wire layer the shard servers use.
@@ -222,16 +224,17 @@ func New(m *shard.Manifest, backends []Backend, opts ...Option) (*Router, error)
 	}
 	rt.state.Store(st)
 
+	geo := &wire.Geometry{Resolve: rt.resolveLayout, MaxBatch: wire.DefaultMaxBatch, Logger: log.Default()}
 	rt.mux = http.NewServeMux()
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /v1/shards", rt.handleShards)
 	rt.mux.HandleFunc("POST /v1/reload", rt.handleReload)
-	rt.mux.HandleFunc("GET /v1/locate", rt.handleLocate)
-	rt.mux.HandleFunc("POST /v1/locate", rt.handleLocate)
-	rt.mux.HandleFunc("POST /v1/locate_batch", rt.handleLocateBatch)
-	rt.mux.HandleFunc("POST /v1/range", rt.handleRange)
-	rt.mux.HandleFunc("GET /v1/knn", rt.handleKNN)
-	rt.mux.HandleFunc("POST /v1/knn", rt.handleKNN)
+	rt.mux.HandleFunc("GET /v1/locate", geo.Locate)
+	rt.mux.HandleFunc("POST /v1/locate", geo.Locate)
+	rt.mux.HandleFunc("POST /v1/locate_batch", geo.LocateBatch)
+	rt.mux.HandleFunc("POST /v1/range", geo.Range)
+	rt.mux.HandleFunc("GET /v1/knn", geo.KNN)
+	rt.mux.HandleFunc("POST /v1/knn", geo.KNN)
 	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	rt.mux.HandleFunc("POST /v1/stats", rt.handleStats)
 	rt.mux.HandleFunc("POST /v1/score", rt.handleUnsupported)
@@ -764,88 +767,16 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Every query handler parses with the wire package, then stamps the
-// current generation at the point a whole-index server resolves its
-// index — after the request parses, before the query engine sees it —
-// so even a locally-rejected request carries the header exactly when a
-// server's would. The stats fan-out re-stamps with the snapshot that
-// answered.
-//
-// Locate, locate_batch, range and kNN call the snapshot's Layout — the
-// kernels the whole index answers with, refusals included — so no
-// shard is asked and the answer is exact for the generation the
-// snapshot stamps.
-
-func (rt *Router) handleLocate(w http.ResponseWriter, r *http.Request) {
-	req, err := wire.ParseLocate(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+// resolveLayout binds a locate, locate_batch, range or kNN request
+// (the shared wire.Geometry handlers) to the current manifest
+// snapshot's Layout and stamps that snapshot's generation, at the
+// point a whole-index server resolves its index. No shard is asked:
+// the Layout runs the whole index's kernels, refusals included, so
+// the answer is exact for the generation the snapshot stamps.
+func (rt *Router) resolveLayout(w http.ResponseWriter, _ *http.Request) (*fairindex.Layout, bool) {
 	st := rt.state.Load()
 	setGeneration(w, st)
-	region, err := st.layout.Locate(req.Lat, req.Lon)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.LocateResponse{Region: region})
-}
-
-func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
-	req, status, err := wire.ParseLocateBatch(r, wire.DefaultMaxBatch)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	st := rt.state.Load()
-	setGeneration(w, st)
-	regions := make([]int, len(req.Lats))
-	err = st.layout.LocateBatchInto(regions, req.Lats, req.Lons)
-	if err := wire.WriteLocateBatch(w, wire.NewLocateBatchResponse(regions, err)); err != nil {
-		log.Printf("router: writing response: %v", err)
-	}
-}
-
-func (rt *Router) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req wire.Rect
-	if err := wire.DecodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	st := rt.state.Load()
-	setGeneration(w, st)
-	overlaps, err := st.layout.RangeQuery(req.BBox())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.NewRangeResponse(overlaps))
-}
-
-func (rt *Router) handleKNN(w http.ResponseWriter, r *http.Request) {
-	req, err := wire.ParseKNN(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.K > wire.DefaultMaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("k of %d exceeds limit %d", req.K, wire.DefaultMaxBatch))
-		return
-	}
-	st := rt.state.Load()
-	setGeneration(w, st)
-	nearest := st.layout.NearestRegions
-	if req.Squared {
-		nearest = st.layout.NearestRegionsSquared
-	}
-	neighbors, err := nearest(req.Lat, req.Lon, req.K)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.NewKNNResponse(neighbors, req.Squared))
+	return st.layout, true
 }
 
 // handleStats resolves the window to a global region list, asks only
@@ -868,9 +799,9 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st := rt.state.Load()
 	setGeneration(w, st)
-	regions, herr := statsWindow(st, req)
-	if herr != nil {
-		writeError(w, herr.status, herr)
+	regions, status, err := wire.WindowRegions(st.layout, req.Regions, req.Rect, wire.DefaultMaxBatch)
+	if err != nil {
+		writeError(w, status, err)
 		return
 	}
 	if req.Metrics != nil {
@@ -888,17 +819,18 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		if st != first {
 			// A reload moved the plan: resolve the window against the
 			// new generation's geometry.
-			var herr *httpError
-			if regions, herr = statsWindow(st, req); herr != nil {
-				return nil, herr
+			next, status, err := wire.WindowRegions(st.layout, req.Regions, req.Rect, wire.DefaultMaxBatch)
+			if err != nil {
+				return nil, &httpError{status, err.Error()}
 			}
+			regions = next
 		}
 		calls := make(map[int]shardCall, len(st.manifest.Shards))
 		// Region lists are validated here in the global id space (the
 		// backends only see local ids), replicating the whole index's
 		// exact refusals.
 		var local [][]int
-		local, regionErr = splitRegions(st.manifest, regions)
+		local, regionErr = splitRegions(st, regions)
 		for s, ids := range local {
 			if len(ids) == 0 {
 				continue
@@ -987,42 +919,16 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// statsWindow resolves a stats request's window against a snapshot,
-// as the whole index does: a rect through the snapshot's RangeQuery,
-// then the window-size cap, which a rect therefore cannot dodge.
-func statsWindow(st *routerState, req wire.StatsRequest) ([]int, *httpError) {
-	regions := req.Regions
-	if req.Rect != nil {
-		overlaps, err := st.layout.RangeQuery(req.Rect.BBox())
-		if err != nil {
-			return nil, &httpError{http.StatusBadRequest, err.Error()}
-		}
-		regions = make([]int, len(overlaps))
-		for i, ov := range overlaps {
-			regions[i] = ov.Region
-		}
+// splitRegions checks a global region list with the snapshot's
+// Layout, the check the whole index's GroupStats runs, and groups it
+// into per-shard local id lists.
+func splitRegions(st *routerState, regions []int) ([][]int, error) {
+	if _, err := st.layout.RegionSet(regions); err != nil {
+		return nil, err
 	}
-	if len(regions) > wire.DefaultMaxBatch {
-		return nil, &httpError{http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("window of %d regions exceeds limit %d", len(regions), wire.DefaultMaxBatch)}
-	}
-	return regions, nil
-}
-
-// splitRegions validates a global region list the way the whole
-// index's GroupStats does and groups it into per-shard local id lists.
-func splitRegions(m *shard.Manifest, regions []int) ([][]int, error) {
-	local := make([][]int, len(m.Shards))
-	seen := make(map[int]bool, len(regions))
+	local := make([][]int, len(st.manifest.Shards))
 	for _, region := range regions {
-		if region < 0 || region >= m.NumRegions {
-			return nil, fmt.Errorf("%w: region %d out of range [0,%d)", fairindex.ErrQuery, region, m.NumRegions)
-		}
-		if seen[region] {
-			return nil, fmt.Errorf("%w: duplicate region %d", fairindex.ErrQuery, region)
-		}
-		seen[region] = true
-		s, l := m.ToLocal(region)
+		s, l := st.manifest.ToLocal(region)
 		local[s] = append(local[s], l)
 	}
 	return local, nil

@@ -34,7 +34,6 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -77,8 +76,9 @@ func WithPath(path string) Option {
 	return func(s *Server) { s.path = path }
 }
 
-// WithMaxBatch caps the number of points one /v1/locate_batch request
-// may carry (default wire.DefaultMaxBatch).
+// WithMaxBatch caps request sizes (default wire.DefaultMaxBatch): the
+// points of one /v1/locate_batch, the records of one append, the k of
+// one kNN query and the regions of one stats or compare window.
 func WithMaxBatch(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
@@ -117,6 +117,7 @@ func newServer(opts ...Option) *Server {
 	for _, opt := range opts {
 		opt(s)
 	}
+	geo := &wire.Geometry{Resolve: s.resolveLayout, MaxBatch: s.maxBatch, Logger: s.logger}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/indexes", s.handleIndexes)
@@ -129,14 +130,14 @@ func newServer(opts ...Option) *Server {
 	// entry, and under /v1/i/{index}/ against a named one. The handler
 	// is shared; resolveIndex picks the entry from the path.
 	for _, p := range []string{"/v1", "/v1/i/{index}"} {
-		s.mux.HandleFunc("GET "+p+"/locate", s.handleLocate)
-		s.mux.HandleFunc("POST "+p+"/locate", s.handleLocate)
-		s.mux.HandleFunc("POST "+p+"/locate_batch", s.handleLocateBatch)
+		s.mux.HandleFunc("GET "+p+"/locate", geo.Locate)
+		s.mux.HandleFunc("POST "+p+"/locate", geo.Locate)
+		s.mux.HandleFunc("POST "+p+"/locate_batch", geo.LocateBatch)
 		s.mux.HandleFunc("POST "+p+"/score", s.handleScore)
 		s.mux.HandleFunc("GET "+p+"/report/{task}", s.handleReport)
-		s.mux.HandleFunc("POST "+p+"/range", s.handleRange)
-		s.mux.HandleFunc("GET "+p+"/knn", s.handleKNN)
-		s.mux.HandleFunc("POST "+p+"/knn", s.handleKNN)
+		s.mux.HandleFunc("POST "+p+"/range", geo.Range)
+		s.mux.HandleFunc("GET "+p+"/knn", geo.KNN)
+		s.mux.HandleFunc("POST "+p+"/knn", geo.KNN)
 		s.mux.HandleFunc("GET "+p+"/stats", s.handleStats)
 		s.mux.HandleFunc("POST "+p+"/stats", s.handleStats)
 		s.mux.HandleFunc("POST "+p+"/append", s.handleAppend)
@@ -291,6 +292,16 @@ func (s *Server) resolveIndex(w http.ResponseWriter, r *http.Request) (*fairinde
 	}
 	s.setGeneration(w, idx)
 	return idx, true
+}
+
+// resolveLayout is resolveIndex for the shared geometry handlers
+// (wire.Geometry): they need only the index's region geometry.
+func (s *Server) resolveLayout(w http.ResponseWriter, r *http.Request) (*fairindex.Layout, bool) {
+	idx, ok := s.resolveIndex(w, r)
+	if !ok {
+		return nil, false
+	}
+	return &idx.Layout, true
 }
 
 // setGeneration stamps the bound index's fingerprint on the response.
@@ -710,60 +721,6 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
-	req, err := wire.ParseLocate(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	idx, ok := s.resolveIndex(w, r)
-	if !ok {
-		return
-	}
-	region, err := idx.Locate(req.Lat, req.Lon)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, wire.LocateResponse{Region: region})
-}
-
-// regionsPool recycles the per-request /v1/locate_batch region
-// buffers: batches run up to maxBatch points, so allocating a fresh
-// result slice per request makes the batch hot path a steady GC
-// burden under load. Buffers are returned after the response is fully
-// serialized — LocateBatchInto overwrites every element, so a dirty
-// buffer is safe to reuse.
-var regionsPool = sync.Pool{New: func() any { return new([]int) }}
-
-func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
-	req, status, err := wire.ParseLocateBatch(r, s.maxBatch)
-	if err != nil {
-		s.writeError(w, status, err)
-		return
-	}
-	// One catalog resolution per request: the whole batch resolves
-	// against a single index snapshot even if a reload lands
-	// mid-request.
-	idx, ok := s.resolveIndex(w, r)
-	if !ok {
-		return
-	}
-	buf := regionsPool.Get().(*[]int)
-	defer regionsPool.Put(buf)
-	regions := *buf
-	if cap(regions) < len(req.Lats) {
-		regions = make([]int, len(req.Lats))
-	} else {
-		regions = regions[:len(req.Lats)]
-	}
-	*buf = regions
-	resp := wire.NewLocateBatchResponse(regions, idx.LocateBatchInto(regions, req.Lats, req.Lons))
-	if err := wire.WriteLocateBatch(w, resp); err != nil {
-		s.logger.Printf("server: writing response: %v", err)
-	}
-}
-
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	var req scoreRequest
 	if err := wire.DecodeJSON(r, &req); err != nil {
@@ -906,78 +863,13 @@ func metricMapJSON(m map[string]float64) map[string]wire.Float {
 	return out
 }
 
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req wire.Rect
-	if err := wire.DecodeJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	idx, ok := s.resolveIndex(w, r)
-	if !ok {
-		return
-	}
-	overlaps, err := idx.RangeQuery(req.BBox())
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, wire.NewRangeResponse(overlaps))
-}
-
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	req, err := wire.ParseKNN(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.K > s.maxBatch {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("k of %d exceeds limit %d", req.K, s.maxBatch))
-		return
-	}
-	idx, ok := s.resolveIndex(w, r)
-	if !ok {
-		return
-	}
-	var neighbors []fairindex.RegionDistance
-	if req.Squared {
-		neighbors, err = idx.NearestRegionsSquared(req.Lat, req.Lon, req.K)
-	} else {
-		neighbors, err = idx.NearestRegions(req.Lat, req.Lon, req.K)
-	}
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, wire.NewKNNResponse(neighbors, req.Squared))
-}
-
-// windowStats aggregates one window (explicit region list, or a rect
-// resolved through the index's own RangeQuery) against one index. It
-// is shared by /v1/stats and /v1/compare, so both endpoints enforce
-// the same window cap and produce the same wire shape. metrics
-// selects additional fairness metrics per wire.StatsRequest.Metrics
-// semantics: nil for the legacy shape, empty for all registered;
-// sums adds each region's raw sufficient statistics per
-// wire.StatsRequest.Sums.
-func (s *Server) windowStats(idx *fairindex.Index, task int, regionList []int, rect *wire.Rect, metrics []string, sums bool) (*wire.StatsResponse, int, error) {
-	regions := regionList
-	if rect != nil {
-		overlaps, err := idx.RangeQuery(rect.BBox())
-		if err != nil {
-			return nil, 0, err
-		}
-		regions = make([]int, len(overlaps))
-		for i, ov := range overlaps {
-			regions[i] = ov.Region
-		}
-	}
-	// Cap the window after rect resolution so a rectangle cannot
-	// smuggle in a larger window than an explicit region list may.
-	if len(regions) > s.maxBatch {
-		return nil, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("window of %d regions exceeds limit %d", len(regions), s.maxBatch)
-	}
+// windowStats aggregates one resolved window (wire.WindowRegions)
+// against one index. It is shared by /v1/stats and /v1/compare, so
+// both endpoints produce the same wire shape. metrics selects
+// additional fairness metrics per wire.StatsRequest.Metrics semantics:
+// nil for the legacy shape, empty for all registered; sums adds each
+// region's raw sufficient statistics per wire.StatsRequest.Sums.
+func windowStats(idx *fairindex.Index, task int, regions []int, metrics []string, sums bool) (*wire.StatsResponse, error) {
 	var (
 		ws  fairindex.WindowStats
 		err error
@@ -988,20 +880,10 @@ func (s *Server) windowStats(idx *fairindex.Index, task int, regionList []int, r
 		ws, err = idx.GroupStats(task, regions)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	resp := wire.NewStatsResponse(ws, sums)
-	return &resp, 0, nil
-}
-
-// writeStatsError routes windowStats failures: an explicit status
-// (the window cap) wins, anything else is a query-engine error.
-func (s *Server) writeStatsError(w http.ResponseWriter, status int, err error) {
-	if status != 0 {
-		s.writeError(w, status, err)
-		return
-	}
-	s.writeQueryError(w, err)
+	return &resp, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -1016,9 +898,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp, status, err := s.windowStats(idx, req.Task, req.Regions, req.Rect, req.Metrics, req.Sums)
+	regions, status, err := wire.WindowRegions(&idx.Layout, req.Regions, req.Rect, s.maxBatch)
 	if err != nil {
-		s.writeStatsError(w, status, err)
+		s.writeError(w, status, err)
+		return
+	}
+	resp, err := windowStats(idx, req.Task, regions, req.Metrics, req.Sums)
+	if err != nil {
+		s.writeQueryError(w, err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, *resp)
@@ -1095,9 +982,14 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	resp.Baseline = req.Indexes[0]
 	var base *wire.StatsResponse
 	for i, idx := range idxs {
-		stats, status, err := s.windowStats(idx, *req.Task, req.Regions, req.Rect, req.Metrics, false)
+		regions, status, err := wire.WindowRegions(&idx.Layout, req.Regions, req.Rect, s.maxBatch)
 		if err != nil {
-			s.writeStatsError(w, status, fmt.Errorf("index %q: %w", req.Indexes[i], err))
+			s.writeError(w, status, fmt.Errorf("index %q: %w", req.Indexes[i], err))
+			return
+		}
+		stats, err := windowStats(idx, *req.Task, regions, req.Metrics, false)
+		if err != nil {
+			s.writeQueryError(w, fmt.Errorf("index %q: %w", req.Indexes[i], err))
 			return
 		}
 		entry := compareEntryJSON{Name: req.Indexes[i], Stats: stats}

@@ -53,6 +53,33 @@ func TestGenerationHeader(t *testing.T) {
 	if got := resp.Header.Get(wire.GenerationHeader); got != want {
 		t.Errorf("POST /v1/stats: %s = %q, want %q", wire.GenerationHeader, got, want)
 	}
+
+	// The size caps split on resolution: k is capped before the index
+	// is resolved, so its 413 carries no generation; the stats window
+	// is capped after its rect resolves through the index, so its 413
+	// carries the generation.
+	if idx.NumRegions() <= 8 {
+		t.Fatalf("index has %d regions; the window-cap row needs more than 8", idx.NumRegions())
+	}
+	capped := httptest.NewServer(New(idx, WithMaxBatch(8)))
+	defer capped.Close()
+	box := idx.Box()
+	for _, tc := range []struct{ path, gen string }{
+		{fmt.Sprintf("/v1/stats?task=%d&rect=%v,%v,%v,%v", idx.Tasks()[0], box.MinLat, box.MinLon, box.MaxLat, box.MaxLon), want},
+		{"/v1/knn?lat=34.0&lon=-118.4&k=9", ""},
+	} {
+		resp, err := http.Get(capped.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("GET %s: status %d, want 413", tc.path, resp.StatusCode)
+		}
+		if got := resp.Header.Get(wire.GenerationHeader); got != tc.gen {
+			t.Errorf("GET %s: %s = %q, want %q", tc.path, wire.GenerationHeader, got, tc.gen)
+		}
+	}
 }
 
 // TestStatsSums pins the opt-in raw-sums surface: with "sums" the

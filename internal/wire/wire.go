@@ -2,12 +2,14 @@
 // server (internal/server) and the shard router (internal/router): the
 // request and response types of the query endpoints, the strict body
 // decoder, the GET query grammar, the NaN-safe float encoding and the
-// JSON reply writers. Both sides parse and encode through this one
-// package, so a router's merged reply is byte-identical to a
-// whole-index server's by construction — there is no second copy to
-// keep in step. Types only one side serves (the server's score, append,
-// compare, catalog and report shapes; the router's shard listing) stay
-// with that side.
+// JSON reply writers, plus the handlers of the partition-only queries
+// (Geometry: locate, locate_batch, range, kNN) and the stats window
+// step (WindowRegions), written once over fairindex.Layout. Both sides
+// parse, answer and encode through this one package, so a router's
+// reply is byte-identical to a whole-index server's by construction —
+// there is no second copy to keep in step. Types only one side serves
+// (the server's score, append, compare, catalog and report shapes; the
+// router's shard listing) stay with that side.
 package wire
 
 import (
@@ -397,7 +399,8 @@ func ParseKNN(r *http.Request) (KNNRequest, error) {
 
 // ParseStats reads a /v1/stats request and checks that it names
 // exactly one window. The GET form is ?task=N, the window as either
-// regions=1,2,3 or rect=minLat,minLon,maxLat,maxLon, optionally
+// regions=1,2,3 (repeatable: regions=1&regions=2,3 is the list 1,2,3)
+// or one rect=minLat,minLon,maxLat,maxLon, optionally
 // metrics=ence,stat_parity (metrics= alone, i.e. present but empty,
 // selects every registered metric), and optionally sums=true for raw
 // per-region sufficient statistics; other methods carry a JSON body.
@@ -426,7 +429,11 @@ func statsFromQuery(r *http.Request, req *StatsRequest) error {
 		}
 		req.Task = task
 	}
-	if raw := q.Get("regions"); raw != "" {
+	// Repeated regions= values fold into one list, as metrics= do.
+	for _, raw := range q["regions"] {
+		if raw == "" {
+			continue
+		}
 		for _, f := range strings.Split(raw, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil {
@@ -434,6 +441,9 @@ func statsFromQuery(r *http.Request, req *StatsRequest) error {
 			}
 			req.Regions = append(req.Regions, v)
 		}
+	}
+	if n := len(q["rect"]); n > 1 {
+		return fmt.Errorf("query parameter \"rect\" given %d times: want one window", n)
 	}
 	if raw := q.Get("rect"); raw != "" {
 		fields := strings.Split(raw, ",")

@@ -16,10 +16,11 @@ import (
 // geographic bounding box, the row-major cell→region table, the
 // region centroids, and the structures the region queries run on.
 // Every query whose answer depends only on the partition lives here —
-// Locate, LocateBatch, RangeQuery, NearestRegions — with its exact
-// arithmetic and refusals. An Index embeds its Layout; the shard
-// router derives one from a manifest's cell table with NewLayout and
-// answers those queries without asking a shard.
+// Locate, LocateBatch, RangeQuery, NearestRegions, and the window
+// stats' RangeRegions and RegionSet — with its exact arithmetic and
+// refusals. An Index embeds its Layout; the shard router derives one
+// from a manifest's cell table with NewLayout and answers those
+// queries without asking a shard.
 //
 // The query structures:
 //
@@ -304,6 +305,40 @@ func (l *Layout) RangeQuery(q BBox) ([]RegionOverlap, error) {
 		}
 	}
 	return out, nil
+}
+
+// RangeRegions returns the ids of the regions RangeQuery reports for
+// q, ascending, without their overlap detail: the region list of a
+// rectangle window, as window stats and the rebuild gate's probes use
+// it. Refusals are RangeQuery's.
+func (l *Layout) RangeRegions(q BBox) ([]int, error) {
+	overlaps, err := l.RangeQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int, len(overlaps))
+	for i, ov := range overlaps {
+		ids[i] = ov.Region
+	}
+	return ids, nil
+}
+
+// RegionSet checks a window's region list — every id in
+// [0, NumRegions), none repeated — and returns its membership mask,
+// indexed by region id. Scanned in order, the mask yields the window
+// in ascending id order without a sort. Refusals wrap ErrQuery.
+func (l *Layout) RegionSet(regions []int) ([]bool, error) {
+	seen := make([]bool, l.numRegions)
+	for _, region := range regions {
+		if region < 0 || region >= l.numRegions {
+			return nil, fmt.Errorf("%w: region %d out of range [0,%d)", ErrQuery, region, l.numRegions)
+		}
+		if seen[region] {
+			return nil, fmt.Errorf("%w: duplicate region %d", ErrQuery, region)
+		}
+		seen[region] = true
+	}
+	return seen, nil
 }
 
 // NearestRegions returns the k regions whose centroids are nearest to

@@ -174,21 +174,9 @@ func (ix *Index) windowOver(task int, stats []calib.SuffStats, regions []int) (W
 // a statistics snapshot into parallel ascending-id slices, the input
 // shape foldWindow and the metric layer share.
 func (ix *Index) windowSlices(stats []calib.SuffStats, regions []int) ([]int, []calib.SuffStats, error) {
-	// Region ids are dense, so a bitmap both rejects duplicates and —
-	// scanned in order — yields the ascending-id aggregation without a
-	// sort.
-	seen := make([]bool, ix.numRegions)
-	for _, region := range regions {
-		if region < 0 || region >= ix.numRegions {
-			return nil, nil, fmt.Errorf("%w: region %d out of range [0,%d)", ErrQuery, region, ix.numRegions)
-		}
-		if seen[region] {
-			return nil, nil, fmt.Errorf("%w: duplicate region %d", ErrQuery, region)
-		}
-		seen[region] = true
-	}
-	if len(regions) == 0 {
-		return nil, nil, nil
+	seen, err := ix.RegionSet(regions)
+	if err != nil || len(regions) == 0 {
+		return nil, nil, err
 	}
 	ids := make([]int, 0, len(regions))
 	window := make([]calib.SuffStats, 0, len(regions))

@@ -105,6 +105,18 @@ func TestRangeQueryMatchesBruteForce(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("query %d (%+v):\n got %v\nwant %v", i, q, got, want)
 				}
+				// RangeRegions is the same window's id list.
+				ids, err := idx.RangeRegions(q)
+				if err != nil {
+					t.Fatalf("query %d (%+v): RangeRegions: %v", i, q, err)
+				}
+				wantIDs := make([]int, len(got))
+				for j, ov := range got {
+					wantIDs[j] = ov.Region
+				}
+				if !reflect.DeepEqual(ids, wantIDs) {
+					t.Fatalf("query %d (%+v): RangeRegions %v, want %v", i, q, ids, wantIDs)
+				}
 			}
 		})
 	}

@@ -200,6 +200,12 @@ func parityBattery(whole *fairindex.Index) []parityRequest {
 		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&regions=0&sums=maybe", task), ""},
 		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&regions=0,1&metrics=", task), ""},
 		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d", task), ""},
+		// Repeated window parameters: regions= values fold into one
+		// list (a repeat across them is the duplicate-region 400), a
+		// second rect= is a 400.
+		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&regions=0&regions=1,2", task), ""},
+		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&regions=0&regions=0", task), ""},
+		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&rect=0,0,1,1&rect=0,0,2,2", task), ""},
 	)
 	for _, path := range parityPaths {
 		reqs = append(reqs,
