@@ -420,21 +420,21 @@ func driftTable(res fairindex.AppendResult, thresholds map[string]float64) strin
 	return b.String()
 }
 
-// buildTimings renders the build/train wall-time line, with the
-// worker budget and the parallel speedup the training pool achieved
-// (summed per-task CPU time over wall time) when tasks overlapped.
-// TrainWorkers is the build's worker *budget*; the task-level speedup
-// ratio is only meaningful when more than one task shared it (a
-// single-task build spends the budget inside the model's forward
-// passes, where per-task CPU ≈ wall time by construction).
+// buildTimings renders the build/train wall-time line with the
+// worker budget and, when tasks overlapped, the task overlap (summed
+// per-task train time over wall time). TrainWorkers is the build's
+// worker *budget*; the overlap is only meaningful when more than one
+// task shared it — a single-task build spends the budget inside its
+// fit, which the ratio cannot see (it reads 1.0 for any worker
+// count).
 func buildTimings(idx *fairindex.Index, total time.Duration) string {
 	line := fmt.Sprintf("timings: total %v (partition %v, final training %v",
 		total.Round(time.Millisecond), idx.BuildTime().Round(time.Millisecond),
 		idx.TrainTime().Round(time.Millisecond))
 	w := idx.TrainWorkers()
 	if len(idx.Tasks()) > 1 && w > 1 && idx.TrainTime() > 0 {
-		speedup := float64(idx.TrainCPUTime()) / float64(idx.TrainTime())
-		line += fmt.Sprintf(" across %d workers, speedup %.2fx", w, speedup)
+		overlap := float64(idx.TrainCPUTime()) / float64(idx.TrainTime())
+		line += fmt.Sprintf(" across %d workers, task overlap %.2fx", w, overlap)
 	} else if w == 1 {
 		line += " on 1 worker"
 	} else {

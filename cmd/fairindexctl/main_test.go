@@ -573,7 +573,7 @@ func TestServeMultiIndex(t *testing.T) {
 }
 
 // TestBuildTimings pins the observability line: totals, worker count
-// and (for parallel multi-task builds) the speedup figure.
+// and (for parallel multi-task builds) the task-overlap figure.
 func TestBuildTimings(t *testing.T) {
 	spec := dataset.LA()
 	spec.NumRecords = 200
@@ -605,8 +605,8 @@ func TestBuildTimings(t *testing.T) {
 		t.Fatalf("multi-task build used %d workers", multi.TrainWorkers())
 	}
 	line = buildTimings(multi, time.Second)
-	if !strings.Contains(line, "workers, speedup") {
-		t.Errorf("parallel line misses speedup: %q", line)
+	if !strings.Contains(line, "workers, task overlap") {
+		t.Errorf("parallel line misses task overlap: %q", line)
 	}
 }
 

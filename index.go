@@ -317,10 +317,14 @@ func (ix *Index) TrainTime() time.Duration { return ix.trainTime }
 // restored with UnmarshalBinary.
 func (ix *Index) TrainWorkers() int { return ix.trainWorkers }
 
-// TrainCPUTime returns the summed per-task training durations — the
-// sequential cost the build's worker pool amortized; the ratio
-// TrainCPUTime/TrainTime is the parallel speedup. Build-box
-// observability only: 0 on an Index restored with UnmarshalBinary.
+// TrainCPUTime returns the summed per-task training wall times. Its
+// ratio to TrainTime shows only how much the tasks overlapped: 1.0
+// for single-task methods whatever the worker count, since the
+// workers a fit splits its rows and gradient columns across run
+// inside one task's time; at most the task count for
+// MethodMultiObjectiveFairKD. It is not a CPU-time measurement nor the
+// build's parallel speedup. Build-box observability only: 0 on an
+// Index restored with UnmarshalBinary.
 func (ix *Index) TrainCPUTime() time.Duration { return ix.trainCPUTime }
 
 // Config returns the resolved build configuration (a copy).

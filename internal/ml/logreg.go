@@ -20,12 +20,14 @@ type LogReg struct {
 	Epochs       int
 	L2           float64
 
-	// Workers bounds the goroutines used for the per-row forward
-	// passes of Fit, FitGrouped and the PredictProba variants (<= 1 =
-	// single-threaded). Results are bit-identical for any value: rows
-	// are scored independently into a predictions buffer and every
-	// order-sensitive accumulation (gradients, weight totals) stays
-	// sequential in row order. Not part of the model; not serialized.
+	// Workers bounds the goroutines Fit, FitGrouped and the
+	// PredictProba variants use (<= 1 = single-threaded; fits under
+	// 2048 rows always run inline). Results are bit-identical for any
+	// value: the forward passes score rows independently, and the
+	// gradient runs each column's sum (and the bias and per-group
+	// residual sums) as its own task, still accumulated in row order —
+	// only the order across sums is parallel. Not part of the model;
+	// not serialized.
 	Workers int
 
 	std     *Standardizer
@@ -45,9 +47,9 @@ func (m *LogReg) Name() string { return "logreg" }
 
 // Fit implements Classifier. The dense training loop is bit-identical
 // to FitReference (the retained naive implementation): the scratch
-// pooling, the flat standardized matrix and the optionally parallel
-// forward pass change where intermediate values live, never the
-// floating-point operations or their order.
+// pooling, the flat standardized matrix, the optionally parallel
+// forward pass and the per-column gradient change where intermediate
+// values live, never the floating-point operations or their order.
 func (m *LogReg) Fit(X [][]float64, y []int, w []float64) error {
 	cols, err := checkMatrix(X, y)
 	if err != nil {
@@ -89,42 +91,35 @@ func (m *LogReg) Fit(X [][]float64, y []int, w []float64) error {
 	m.bias = 0
 	grad := grown(sc.grad, cols)
 	sc.grad = grad
-	preds := grown(sc.preds, n)
-	sc.preds = preds
+	resid := grown(sc.resid, n)
+	sc.resid = resid
 
-	for epoch := 0; epoch < m.Epochs; epoch++ {
-		// Forward pass: rows are independent given the epoch's weights,
-		// so chunks may run on separate goroutines.
-		parallelRows(n, m.Workers, func(lo, hi int) {
-			wt, bias := m.weights, m.bias
-			for i := lo; i < hi; i++ {
-				row := z[i*cols : i*cols+cols]
-				var u float64
-				for j, v := range row {
-					u += wt[j] * v
-				}
-				preds[i] = sigmoid(u + bias)
-			}
-		})
-		// Gradient accumulation: strictly sequential in row order — the
-		// summation order defines the result bits.
-		for j := range grad {
-			grad[j] = 0
-		}
-		var gradB float64
-		for i := 0; i < n; i++ {
-			g := w[i] * (preds[i] - label01(y[i]))
+	// Forward pass: rows are independent given the epoch's weights, so
+	// chunks may run on separate goroutines. It leaves the residual the
+	// gradient needs, w·(p−y), computed exactly as the reference does.
+	c := newCrew(n, m.Workers)
+	defer c.stop()
+	forward := func(t int) {
+		lo, hi := c.span(t)
+		wt, bias := m.weights, m.bias
+		for i := lo; i < hi; i++ {
 			row := z[i*cols : i*cols+cols]
+			var u float64
 			for j, v := range row {
-				grad[j] += g * v
+				u += wt[j] * v
 			}
-			gradB += g
+			resid[i] = w[i] * (sigmoid(u+bias) - label01(y[i]))
 		}
+	}
+	gr := newResidualGrad(z, cols, resid, grad, nil, nil)
+	for epoch := 0; epoch < m.Epochs; epoch++ {
+		c.each(c.chunks, forward)
+		gr.step(c)
 		inv := 1 / totalW
 		for j := 0; j < cols; j++ {
 			m.weights[j] -= m.LearningRate * (grad[j]*inv + m.L2*m.weights[j])
 		}
-		m.bias -= m.LearningRate * gradB * inv
+		m.bias -= m.LearningRate * gr.sum * inv
 	}
 	m.fitted = true
 	return nil

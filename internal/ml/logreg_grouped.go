@@ -82,10 +82,28 @@ func (m *LogReg) FitGrouped(d *GroupedDesign, y []int, w []float64) error {
 	sc.sharedDot = sdot
 	sgrad := grown(sc.sharedGrad, numG)
 	sc.sharedGrad = sgrad
-	preds := grown(sc.preds, n)
-	sc.preds = preds
+	resid := grown(sc.resid, n)
+	sc.resid = resid
 	group := d.Group
 
+	// Forward pass: rows independent, chunks may run in parallel; it
+	// leaves the residuals w·(p−y) for the gradient.
+	c := newCrew(n, m.Workers)
+	defer c.stop()
+	forward := func(t int) {
+		lo, hi := c.span(t)
+		wt, bias := m.weights, m.bias
+		for i := lo; i < hi; i++ {
+			row := zb[i*bcols : i*bcols+bcols]
+			var u float64
+			for j, v := range row {
+				u += wt[j] * v
+			}
+			resid[i] = w[i] * (sigmoid(u+sdot[group[i]]+bias) - label01(y[i]))
+		}
+	}
+	gr := newResidualGrad(zb, bcols, resid, grad[:bcols], group, sgrad)
+	sharedBlocks := columnBlocks(scols)
 	for epoch := 0; epoch < m.Epochs; epoch++ {
 		// Per-group shared-block dot products for this epoch's weights.
 		wShared := m.weights[bcols:]
@@ -97,49 +115,21 @@ func (m *LogReg) FitGrouped(d *GroupedDesign, y []int, w []float64) error {
 			}
 			sdot[r] = s
 		}
-		// Forward pass: rows independent, chunks may run in parallel.
-		parallelRows(n, m.Workers, func(lo, hi int) {
-			wt, bias := m.weights, m.bias
-			for i := lo; i < hi; i++ {
-				row := zb[i*bcols : i*bcols+bcols]
-				var u float64
-				for j, v := range row {
-					u += wt[j] * v
-				}
-				preds[i] = sigmoid(u + sdot[group[i]] + bias)
-			}
-		})
-		// Accumulation: strictly sequential in row order.
-		for j := range grad {
-			grad[j] = 0
-		}
-		for r := range sgrad {
-			sgrad[r] = 0
-		}
-		var gradB float64
-		for i := 0; i < n; i++ {
-			g := w[i] * (preds[i] - label01(y[i]))
-			row := zb[i*bcols : i*bcols+bcols]
-			for j, v := range row {
-				grad[j] += g * v
-			}
-			sgrad[group[i]] += g
-			gradB += g
-		}
-		// Fold the shared-column gradient, group-major (r ascending per
-		// column — the defined order).
-		for r := 0; r < numG; r++ {
-			gr := sgrad[r]
-			row := zs[r*scols : r*scols+scols]
-			for j, v := range row {
-				grad[bcols+j] += gr * v
-			}
+		c.each(c.chunks, forward)
+		// Base-column, bias and per-group residual sums, each in row
+		// order.
+		gr.step(c)
+		// Fold the shared-column gradient: each column sums its groups
+		// in ascending order — the defined order.
+		for b := 0; b < sharedBlocks; b++ {
+			lo, hi := blockBounds(scols, sharedBlocks, b)
+			columnSums(zs, scols, sgrad, grad[bcols:], lo, hi)
 		}
 		inv := 1 / totalW
 		for j := 0; j < cols; j++ {
 			m.weights[j] -= m.LearningRate * (grad[j]*inv + m.L2*m.weights[j])
 		}
-		m.bias -= m.LearningRate * gradB * inv
+		m.bias -= m.LearningRate * gr.sum * inv
 	}
 	m.fitted = true
 	return nil

@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -63,44 +64,57 @@ func sameModel(t *testing.T, a, b *LogReg, label string) {
 	}
 }
 
+// parallelRowsN is large enough that every worker count under test gets
+// its own row chunks (fits go parallel from 2·minChunk rows), and not a
+// multiple of any of them, so the last chunk is short. The cases at
+// this size run the parallel forward pass and gradient tasks; their
+// base-column counts hit every column-block width (1–4) and the empty
+// base block.
+const parallelRowsN = 4099
+
 // The optimized grouped fit must be bit-identical to the retained
 // naive reference for any worker count, weighted or not.
 func TestFitGroupedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, tc := range []struct{ n, bcols, numG, scols, workers int }{
-		{50, 3, 4, 6, 1},
-		{400, 5, 16, 18, 1},
-		{1200, 5, 32, 34, 4},
-		{300, 0, 8, 10, 3}, // no base columns
-		{257, 4, 1, 3, 2},  // single group
+	for _, tc := range []struct {
+		n, bcols, numG, scols int
+		workers               []int
+	}{
+		{50, 3, 4, 6, []int{1}},
+		{400, 5, 16, 18, []int{1}},
+		{1200, 5, 32, 34, []int{4}},
+		{300, 0, 8, 10, []int{3}}, // no base columns
+		{257, 4, 1, 3, []int{2}},  // single group
+		{parallelRowsN, 0, 9, 11, []int{2, 3, 4}},
+		{parallelRowsN, 1, 6, 8, []int{2, 3, 4}},
+		{parallelRowsN, 5, 12, 14, []int{2, 3, 4}},
+		{parallelRowsN, 7, 1, 3, []int{2, 3, 4}}, // single group
+		{parallelRowsN, 9, 5, 7, []int{2, 3, 4}},
 	} {
 		d, y, w := randGrouped(rng, tc.n, tc.bcols, tc.numG, tc.scols)
 		for _, weights := range [][]float64{nil, w} {
-			opt := NewLogReg()
-			opt.Epochs = 40
-			opt.Workers = tc.workers
-			if err := opt.FitGrouped(d, y, weights); err != nil {
-				t.Fatalf("FitGrouped: %v", err)
-			}
 			ref := NewLogReg()
 			ref.Epochs = 40
 			if err := ref.FitGroupedReference(d, y, weights); err != nil {
 				t.Fatalf("FitGroupedReference: %v", err)
 			}
-			sameModel(t, opt, ref, "grouped fit")
-
-			po, err := opt.PredictProbaGrouped(d)
-			if err != nil {
-				t.Fatal(err)
-			}
 			pr, err := ref.PredictProbaGroupedReference(d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range po {
-				if po[i] != pr[i] {
-					t.Fatalf("grouped predict row %d: %v vs %v", i, po[i], pr[i])
+			for _, workers := range tc.workers {
+				opt := NewLogReg()
+				opt.Epochs = 40
+				opt.Workers = workers
+				if err := opt.FitGrouped(d, y, weights); err != nil {
+					t.Fatalf("FitGrouped: %v", err)
 				}
+				sameModel(t, opt, ref, "grouped fit")
+				po, err := opt.PredictProbaGrouped(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameScores(t, po, pr, "grouped predict")
 			}
 		}
 	}
@@ -110,36 +124,107 @@ func TestFitGroupedMatchesReference(t *testing.T) {
 // retained pre-overhaul implementation for any worker count.
 func TestFitMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, workers := range []int{0, 1, 4} {
-		d, y, w := randGrouped(rng, 700, 6, 9, 5)
+	for _, tc := range []struct {
+		n, bcols, numG, scols int
+		workers               []int
+	}{
+		{700, 6, 9, 5, []int{0}},
+		{700, 6, 9, 5, []int{1}},
+		{700, 6, 9, 5, []int{4}},
+		{parallelRowsN, 1, 1, 0, []int{2, 3, 4}},
+		{parallelRowsN, 5, 1, 0, []int{2, 3, 4}},
+		{parallelRowsN, 7, 1, 0, []int{2, 3, 4}},
+		{parallelRowsN, 9, 1, 0, []int{2, 3, 4}},
+	} {
+		d, y, w := randGrouped(rng, tc.n, tc.bcols, tc.numG, tc.scols)
 		X := materialize(d)
 		for _, weights := range [][]float64{nil, w} {
-			opt := NewLogReg()
-			opt.Epochs = 35
-			opt.Workers = workers
-			if err := opt.Fit(X, y, weights); err != nil {
-				t.Fatalf("Fit: %v", err)
-			}
 			ref := NewLogReg()
 			ref.Epochs = 35
 			if err := ref.FitReference(X, y, weights); err != nil {
 				t.Fatalf("FitReference: %v", err)
 			}
-			sameModel(t, opt, ref, "dense fit")
-
-			po, err := opt.PredictProba(X)
-			if err != nil {
-				t.Fatal(err)
-			}
 			pr, err := ref.PredictProbaReference(X)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range po {
-				if po[i] != pr[i] {
-					t.Fatalf("dense predict row %d: %v vs %v", i, po[i], pr[i])
+			for _, workers := range tc.workers {
+				opt := NewLogReg()
+				opt.Epochs = 35
+				opt.Workers = workers
+				if err := opt.Fit(X, y, weights); err != nil {
+					t.Fatalf("Fit: %v", err)
 				}
+				sameModel(t, opt, ref, "dense fit")
+				po, err := opt.PredictProba(X)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameScores(t, po, pr, "dense predict")
 			}
+		}
+	}
+}
+
+// Scoring no rows returns an empty result.
+func TestPredictProbaNoRows(t *testing.T) {
+	d, y, _ := randGrouped(rand.New(rand.NewSource(1)), 40, 2, 3, 2)
+	m := NewLogReg()
+	m.Epochs = 2
+	m.Workers = 2
+	if err := m.FitGrouped(d, y, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := m.PredictProba(nil); err != nil || len(p) != 0 {
+		t.Fatalf("PredictProba(nil) = %v, %v", p, err)
+	}
+}
+
+func sameScores(t *testing.T, got, want []float64, label string) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s row %d: %v vs %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// An epoch must not allocate: the crew and every phase closure are set
+// up once per fit, so 5 and 50 epochs cost the same allocations. The
+// fits still start their helper goroutine (Workers 2 over 4096 rows);
+// one P and the least of three measurements keep the runtime's own
+// per-fit allocations — a goroutine descriptor when the P's free list
+// is empty, a scratch-pool refill after a GC — from varying between
+// them, while an allocation per epoch would show in every one.
+func TestFitAllocsIndependentOfEpochs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(5))
+	d, y, w := randGrouped(rng, 4096, 5, 8, 10)
+	X := materialize(d)
+	fits := map[string]func(m *LogReg) error{
+		"Fit":        func(m *LogReg) error { return m.Fit(X, y, w) },
+		"FitGrouped": func(m *LogReg) error { return m.FitGrouped(d, y, w) },
+	}
+	for name, fit := range fits {
+		allocs := func(epochs int) float64 {
+			m := NewLogReg()
+			m.Epochs = epochs
+			m.Workers = 2
+			least := math.Inf(1)
+			for range 3 {
+				least = min(least, testing.AllocsPerRun(5, func() {
+					if err := fit(m); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+			return least
+		}
+		if few, many := allocs(5), allocs(50); few != many {
+			t.Errorf("%s: %v allocs at 5 epochs, %v at 50", name, few, many)
 		}
 	}
 }

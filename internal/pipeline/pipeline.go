@@ -120,12 +120,13 @@ type Config struct {
 	PostProcess PostProcess
 	// TrainWorkers bounds the goroutines the build may use across all
 	// its parallel stages: the per-task training pool, the
-	// classifiers' forward passes and the KD builders' sibling
-	// recursion. 0 resolves to GOMAXPROCS; 1 forces a sequential
-	// build. Every produced artifact is bit-identical for any value —
-	// parallelism only ever computes independent rows/subtrees, never
-	// reorders a floating-point reduction (pinned by BuildReference
-	// parity tests). Not serialized into index artifacts.
+	// classifiers' forward passes and gradients, and the KD builders'
+	// sibling recursion. 0 resolves to GOMAXPROCS; 1 forces a
+	// sequential build. Every produced artifact is bit-identical for
+	// any value — parallelism only ever computes independent
+	// rows/subtrees or separate sums, and every reduction stays in row
+	// order per column (pinned by BuildReference parity tests). Not
+	// serialized into index artifacts.
 	TrainWorkers int
 	// StreamChunk is the batch size BuildSource's two-pass ingest
 	// decodes at a time (0 = stream.DefaultChunk). Like TrainWorkers
@@ -210,14 +211,14 @@ type Artifacts struct {
 	BuildTime, TrainTime time.Duration
 	// TrainWorkers is the resolved worker budget the build ran with
 	// (1 = fully sequential): the bound on goroutines across the
-	// per-task pool and the intra-model forward passes. Comparing the
-	// summed per-task TrainTimes against the wall-clock TrainTime
-	// gives the task-level parallel speedup.
+	// per-task pool and the intra-model fits. Comparing the summed
+	// per-task TrainTimes against the wall-clock TrainTime shows only
+	// how much the tasks overlapped, not the intra-model split.
 	TrainWorkers int
 }
 
-// TaskCPUTime sums the per-task training durations — the sequential
-// cost the worker pool amortized.
+// TaskCPUTime sums the per-task training wall times; over TrainTime
+// it measures how much the task pool overlapped the tasks.
 func (a *Artifacts) TaskCPUTime() time.Duration {
 	var sum time.Duration
 	for i := range a.Tasks {
@@ -400,7 +401,7 @@ func build(ds *dataset.Dataset, cfg Config, ref bool) (*Artifacts, error) {
 		return nil, err
 	}
 	// Budget split: with one task the whole budget goes to that task's
-	// forward passes; with several, tasks parallelize and share it.
+	// fit; with several, tasks parallelize and share it.
 	fitWorkers := workers
 	if len(tasks) > 1 {
 		fitWorkers = workers / len(tasks)
@@ -634,7 +635,8 @@ func deviationsFor(ds *dataset.Dataset, cfg Config, p *partition.Partition, task
 // scores and labels of the training records, in trainIdx order. It
 // always uses the dense training path (partition-shaping runs must
 // reproduce historical splits bit-for-bit); workers only parallelizes
-// the per-row forward passes, which is invisible in the output.
+// the fit's per-row and per-column work, which is invisible in the
+// output.
 func runOnPartition(ds *dataset.Dataset, cfg Config, p *partition.Partition, task int, trainIdx []int, enc dataset.Encoding, weights []float64, workers int, ref bool) (dev, scores []float64, labels []int, err error) {
 	regionOf, err := p.AssignCells(ds.Cells())
 	if err != nil {

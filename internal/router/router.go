@@ -362,18 +362,8 @@ type reloadResponse struct {
 	Reloads    int64  `json:"reloads"`
 }
 
-// writeJSON writes v with the given status, logging a failed body
-// write.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	if err := wire.WriteJSON(w, status, v); err != nil {
-		log.Printf("router: writing response: %v", err)
-	}
-}
-
-// writeError writes a JSON error body.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, wire.Error{Error: err.Error()})
-}
+// reply writes the router's own JSON replies.
+var reply = wire.Replier{Logger: log.Default(), Component: "router"}
 
 // setGeneration stamps the manifest generation — the whole source
 // index's fingerprint, so it matches what a whole-index server would
@@ -649,7 +639,7 @@ func (rt *Router) unreachableError(st *routerState, replies map[int]shardReply, 
 }
 
 func (rt *Router) handleUnsupported(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusNotImplemented, errors.New(
+	reply.Error(w, http.StatusNotImplemented, errors.New(
 		"router: score and report are whole-index operations; query a server holding the unsharded artifact"))
 }
 
@@ -661,7 +651,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// fleet monitor can spot a router pinned to an old manifest without
 	// issuing a data-path request.
 	setGeneration(w, st)
-	writeJSON(w, http.StatusOK, healthzResponse{
+	reply.JSON(w, http.StatusOK, healthzResponse{
 		Status:     "ok",
 		Shards:     len(st.manifest.Shards),
 		Regions:    st.manifest.NumRegions,
@@ -748,20 +738,20 @@ func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	setGeneration(w, st)
-	writeJSON(w, http.StatusOK, resp)
+	reply.JSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 	if rt.source == nil {
-		writeError(w, http.StatusConflict, errors.New("router: no manifest source configured for reload"))
+		reply.Error(w, http.StatusConflict, errors.New("router: no manifest source configured for reload"))
 		return
 	}
 	st, err := rt.reloadState()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		reply.Error(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, reloadResponse{
+	reply.JSON(w, http.StatusOK, reloadResponse{
 		Generation: strconv.FormatUint(st.manifest.Generation, 10),
 		Reloads:    rt.reloads.Load(),
 	})
@@ -794,21 +784,21 @@ func (rt *Router) resolveLayout(w http.ResponseWriter, _ *http.Request) (*fairin
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	req, err := wire.ParseStats(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		reply.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	st := rt.state.Load()
 	setGeneration(w, st)
 	regions, status, err := wire.WindowRegions(st.layout, req.Regions, req.Rect, wire.DefaultMaxBatch)
 	if err != nil {
-		writeError(w, status, err)
+		reply.Error(w, status, err)
 		return
 	}
 	if req.Metrics != nil {
 		// Resolving the names over an empty window is the merge's own
 		// metric check, run before any shard is asked about the task.
 		if _, err := fairindex.MergeWindowStatsMetrics(req.Task, nil, req.Metrics...); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			reply.Error(w, http.StatusBadRequest, err)
 			return
 		}
 	}
@@ -852,7 +842,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		return calls, nil
 	})
 	if herr != nil {
-		writeError(w, herr.status, herr)
+		reply.Error(w, herr.status, herr)
 		return
 	}
 	if rep, ok := firstClientError(st, replies); ok {
@@ -861,12 +851,12 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if regionErr != nil {
 		setGeneration(w, st)
-		writeError(w, http.StatusBadRequest, regionErr)
+		reply.Error(w, http.StatusBadRequest, regionErr)
 		return
 	}
 	down := failedShards(st, replies)
 	if len(down) == len(replies) {
-		writeError(w, http.StatusBadGateway, rt.unreachableError(st, replies, down))
+		reply.Error(w, http.StatusBadGateway, rt.unreachableError(st, replies, down))
 		return
 	}
 	downSet := make(map[int]bool, len(down))
@@ -884,14 +874,14 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		var sub wire.StatsResponse
 		if err := json.Unmarshal(rep.body, &sub); err != nil {
-			writeError(w, http.StatusBadGateway, fmt.Errorf(
+			reply.Error(w, http.StatusBadGateway, fmt.Errorf(
 				"router: shard %q: malformed stats response: %v", st.manifest.Shards[i].Name, err))
 			return
 		}
 		local := make([]fairindex.RegionStat, len(sub.Regions))
 		for j, rs := range sub.Regions {
 			if rs.SumScore == nil || rs.SumLabel == nil {
-				writeError(w, http.StatusBadGateway, fmt.Errorf(
+				reply.Error(w, http.StatusBadGateway, fmt.Errorf(
 					"router: shard %q: backend response lacks raw sums (pre-sharding server version?)", st.manifest.Shards[i].Name))
 				return
 			}
@@ -909,14 +899,14 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		// Merge errors wrap fairindex.ErrQuery; task and
 		// artifact-capability errors were already relayed from the
 		// backends above.
-		writeError(w, http.StatusBadRequest, err)
+		reply.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	resp := wire.NewStatsResponse(ws, req.Sums)
 	resp.Partial = len(down) > 0
 	resp.FailedShards = failedNames
 	setGeneration(w, st)
-	writeJSON(w, http.StatusOK, resp)
+	reply.JSON(w, http.StatusOK, resp)
 }
 
 // splitRegions checks a global region list with the snapshot's

@@ -61,6 +61,7 @@ type Server struct {
 	path      string // single-index mode: file backing the default entry
 	maxBatch  int
 	logger    *log.Logger
+	reply     wire.Replier // JSON replies, write failures logged on logger
 	started   time.Time
 	reloads   atomic.Int64
 	rebuilder atomic.Pointer[rebuild.Controller]
@@ -117,6 +118,7 @@ func newServer(opts ...Option) *Server {
 	for _, opt := range opts {
 		opt(s)
 	}
+	s.reply = wire.Replier{Logger: s.logger, Component: "server"}
 	geo := &wire.Geometry{Resolve: s.resolveLayout, MaxBatch: s.maxBatch, Logger: s.logger}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -329,7 +331,7 @@ func (s *Server) writeRegistryError(w http.ResponseWriter, err error) {
 	case errors.Is(err, registry.ErrNoDefault):
 		status = http.StatusConflict
 	}
-	s.writeError(w, status, err)
+	s.reply.Error(w, status, err)
 }
 
 // Server-only wire types; the query endpoints' shapes shared with the
@@ -623,19 +625,6 @@ func newReportResponse(tr fairindex.TaskResult) reportResponse {
 	return out
 }
 
-// writeJSON writes v with the given status, logging a failed body
-// write.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	if err := wire.WriteJSON(w, status, v); err != nil {
-		s.logger.Printf("server: writing response: %v", err)
-	}
-}
-
-// writeError writes a JSON error body.
-func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	s.writeJSON(w, status, wire.Error{Error: err.Error()})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthzResponse{
 		Status:    "ok",
@@ -654,7 +643,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Tasks = idx.Tasks()
 		s.setGeneration(w, idx)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.reply.JSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
@@ -689,7 +678,7 @@ func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 			resp.Indexes[i].Rebuild = rebuildStateOf(rb.Status(info.Name))
 		}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.reply.JSON(w, http.StatusOK, resp)
 }
 
 // handleRebuild kicks an asynchronous drift rebuild of one entry and
@@ -699,7 +688,7 @@ func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	rb := s.rebuilder.Load()
 	if rb == nil {
-		s.writeError(w, http.StatusNotImplemented, errors.New("no rebuild controller attached"))
+		s.reply.Error(w, http.StatusNotImplemented, errors.New("no rebuild controller attached"))
 		return
 	}
 	name := r.PathValue("index")
@@ -714,7 +703,7 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	started := rb.Kick(name)
-	s.writeJSON(w, http.StatusAccepted, rebuildResponse{
+	s.reply.JSON(w, http.StatusAccepted, rebuildResponse{
 		Index:   name,
 		Started: started,
 		Rebuild: rebuildStateOf(rb.Status(name)),
@@ -724,7 +713,7 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	var req scoreRequest
 	if err := wire.DecodeJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.reply.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	idx, ok := s.resolveIndex(w, r)
@@ -735,7 +724,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	// so Score below cannot fail for a reason Locate already accepted.
 	region, err := idx.Locate(req.Lat, req.Lon)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.reply.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	rec := fairindex.Record{Lat: req.Lat, Lon: req.Lon, X: req.Features}
@@ -745,16 +734,16 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, fairindex.ErrNoTask) {
 			status = http.StatusNotFound
 		}
-		s.writeError(w, status, err)
+		s.reply.Error(w, status, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, scoreResponse{Score: score, Region: region})
+	s.reply.JSON(w, http.StatusOK, scoreResponse{Score: score, Region: region})
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	task, err := strconv.Atoi(r.PathValue("task"))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("task id %q: %v", r.PathValue("task"), err))
+		s.reply.Error(w, http.StatusBadRequest, fmt.Errorf("task id %q: %v", r.PathValue("task"), err))
 		return
 	}
 	idx, ok := s.resolveIndex(w, r)
@@ -767,10 +756,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, fairindex.ErrNoTask) {
 			status = http.StatusNotFound
 		}
-		s.writeError(w, status, err)
+		s.reply.Error(w, status, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, newReportResponse(rep))
+	s.reply.JSON(w, http.StatusOK, newReportResponse(rep))
 }
 
 // writeQueryError maps query-engine errors onto HTTP statuses:
@@ -785,7 +774,7 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	case errors.Is(err, fairindex.ErrNoRegionStats):
 		status = http.StatusConflict
 	}
-	s.writeError(w, status, err)
+	s.reply.Error(w, status, err)
 }
 
 // handleAppend folds a batch of records into the resolved index's
@@ -796,15 +785,15 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var req appendRequest
 	if err := wire.DecodeJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.reply.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Records) == 0 {
-		s.writeError(w, http.StatusBadRequest, errors.New("empty batch"))
+		s.reply.Error(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
 	if len(req.Records) > s.maxBatch {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
+		s.reply.Error(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("batch of %d records exceeds limit %d", len(req.Records), s.maxBatch))
 		return
 	}
@@ -842,7 +831,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			Metrics: metricMapJSON(td.Metrics), Drifts: metricMapJSON(td.Drifts),
 		})
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.reply.JSON(w, http.StatusOK, resp)
 }
 
 // metricMapJSON converts a per-metric map to the wire form, dropping
@@ -889,7 +878,7 @@ func windowStats(idx *fairindex.Index, task int, regions []int, metrics []string
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	req, err := wire.ParseStats(r)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.reply.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	// One catalog resolution: the rect resolution and the stats
@@ -900,7 +889,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	regions, status, err := wire.WindowRegions(&idx.Layout, req.Regions, req.Rect, s.maxBatch)
 	if err != nil {
-		s.writeError(w, status, err)
+		s.reply.Error(w, status, err)
 		return
 	}
 	resp, err := windowStats(idx, req.Task, regions, req.Metrics, req.Sums)
@@ -908,7 +897,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, *resp)
+	s.reply.JSON(w, http.StatusOK, *resp)
 }
 
 // handleCompare fans one request out to N named indexes — the
@@ -917,28 +906,28 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	var req compareRequest
 	if err := wire.DecodeJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.reply.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Indexes) < 2 {
-		s.writeError(w, http.StatusBadRequest,
+		s.reply.Error(w, http.StatusBadRequest,
 			fmt.Errorf("\"indexes\" must name at least 2 indexes, got %d", len(req.Indexes)))
 		return
 	}
 	if len(req.Indexes) > maxCompareIndexes {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
+		s.reply.Error(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("comparing %d indexes exceeds limit %d", len(req.Indexes), maxCompareIndexes))
 		return
 	}
 	locateMode := req.Lat != nil && req.Lon != nil
 	statsMode := req.Task != nil && (req.Regions != nil) != (req.Rect != nil)
 	if locateMode == statsMode {
-		s.writeError(w, http.StatusBadRequest, errors.New(
+		s.reply.Error(w, http.StatusBadRequest, errors.New(
 			"exactly one compare mode: locate (\"lat\"+\"lon\") or stats (\"task\" plus one of \"regions\"/\"rect\")"))
 		return
 	}
 	if locateMode && req.Metrics != nil {
-		s.writeError(w, http.StatusBadRequest,
+		s.reply.Error(w, http.StatusBadRequest,
 			errors.New("\"metrics\" applies to stats mode only"))
 		return
 	}
@@ -950,7 +939,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	seen := make(map[string]bool, len(req.Indexes))
 	for i, name := range req.Indexes {
 		if seen[name] {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("duplicate index %q", name))
+			s.reply.Error(w, http.StatusBadRequest, fmt.Errorf("duplicate index %q", name))
 			return
 		}
 		seen[name] = true
@@ -968,13 +957,13 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		for i, idx := range idxs {
 			region, err := idx.Locate(*req.Lat, *req.Lon)
 			if err != nil {
-				s.writeError(w, http.StatusBadRequest, fmt.Errorf("index %q: %w", req.Indexes[i], err))
+				s.reply.Error(w, http.StatusBadRequest, fmt.Errorf("index %q: %w", req.Indexes[i], err))
 				return
 			}
 			r := region
 			resp.Indexes[i] = compareEntryJSON{Name: req.Indexes[i], Region: &r}
 		}
-		s.writeJSON(w, http.StatusOK, resp)
+		s.reply.JSON(w, http.StatusOK, resp)
 		return
 	}
 
@@ -984,7 +973,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	for i, idx := range idxs {
 		regions, status, err := wire.WindowRegions(&idx.Layout, req.Regions, req.Rect, s.maxBatch)
 		if err != nil {
-			s.writeError(w, status, fmt.Errorf("index %q: %w", req.Indexes[i], err))
+			s.reply.Error(w, status, fmt.Errorf("index %q: %w", req.Indexes[i], err))
 			return
 		}
 		stats, err := windowStats(idx, *req.Task, regions, req.Metrics, false)
@@ -1013,7 +1002,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Indexes[i] = entry
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.reply.JSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -1022,7 +1011,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrNoReloadPath) {
 			status = http.StatusConflict
 		}
-		s.writeError(w, status, err)
+		s.reply.Error(w, status, err)
 		return
 	}
 	resp := reloadResponse{
@@ -1033,7 +1022,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if idx := s.Index(); idx != nil {
 		resp.Regions = idx.NumRegions()
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.reply.JSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleReloadOne(w http.ResponseWriter, r *http.Request) {
@@ -1046,7 +1035,7 @@ func (s *Server) handleReloadOne(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, registry.ErrNoPath):
 			status = http.StatusConflict
 		}
-		s.writeError(w, status, err)
+		s.reply.Error(w, status, err)
 		return
 	}
 	s.reloads.Add(1)
@@ -1055,7 +1044,7 @@ func (s *Server) handleReloadOne(w http.ResponseWriter, r *http.Request) {
 		s.writeRegistryError(w, fmt.Errorf("%w: %q", registry.ErrNotFound, name))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, reloadOneResponse{
+	s.reply.JSON(w, http.StatusOK, reloadOneResponse{
 		Index:   name,
 		Reloads: info.Reloads,
 		Regions: info.Regions,

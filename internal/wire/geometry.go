@@ -45,7 +45,7 @@ var regionsPool = sync.Pool{New: func() any { return new([]int) }}
 func (g *Geometry) Locate(w http.ResponseWriter, r *http.Request) {
 	req, err := ParseLocate(r)
 	if err != nil {
-		g.writeError(w, http.StatusBadRequest, err)
+		g.reply().Error(w, http.StatusBadRequest, err)
 		return
 	}
 	l, ok := g.Resolve(w, r)
@@ -54,10 +54,10 @@ func (g *Geometry) Locate(w http.ResponseWriter, r *http.Request) {
 	}
 	region, err := l.Locate(req.Lat, req.Lon)
 	if err != nil {
-		g.writeError(w, http.StatusBadRequest, err)
+		g.reply().Error(w, http.StatusBadRequest, err)
 		return
 	}
-	g.writeJSON(w, http.StatusOK, LocateResponse{Region: region})
+	g.reply().JSON(w, http.StatusOK, LocateResponse{Region: region})
 }
 
 // LocateBatch answers POST /v1/locate_batch. One resolution per
@@ -66,7 +66,7 @@ func (g *Geometry) Locate(w http.ResponseWriter, r *http.Request) {
 func (g *Geometry) LocateBatch(w http.ResponseWriter, r *http.Request) {
 	req, status, err := ParseLocateBatch(r, g.MaxBatch)
 	if err != nil {
-		g.writeError(w, status, err)
+		g.reply().Error(w, status, err)
 		return
 	}
 	l, ok := g.Resolve(w, r)
@@ -78,16 +78,14 @@ func (g *Geometry) LocateBatch(w http.ResponseWriter, r *http.Request) {
 	regions := slices.Grow((*buf)[:0], len(req.Lats))[:len(req.Lats)]
 	*buf = regions
 	err = l.LocateBatchInto(regions, req.Lats, req.Lons)
-	if err := WriteLocateBatch(w, NewLocateBatchResponse(regions, err)); err != nil {
-		g.Logger.Printf("wire: writing response: %v", err)
-	}
+	g.reply().Written(WriteLocateBatch(w, NewLocateBatchResponse(regions, err)))
 }
 
 // Range answers POST /v1/range.
 func (g *Geometry) Range(w http.ResponseWriter, r *http.Request) {
 	var req Rect
 	if err := DecodeJSON(r, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, err)
+		g.reply().Error(w, http.StatusBadRequest, err)
 		return
 	}
 	l, ok := g.Resolve(w, r)
@@ -96,21 +94,21 @@ func (g *Geometry) Range(w http.ResponseWriter, r *http.Request) {
 	}
 	overlaps, err := l.RangeQuery(req.BBox())
 	if err != nil {
-		g.writeError(w, http.StatusBadRequest, err)
+		g.reply().Error(w, http.StatusBadRequest, err)
 		return
 	}
-	g.writeJSON(w, http.StatusOK, NewRangeResponse(overlaps))
+	g.reply().JSON(w, http.StatusOK, NewRangeResponse(overlaps))
 }
 
 // KNN answers GET and POST /v1/knn.
 func (g *Geometry) KNN(w http.ResponseWriter, r *http.Request) {
 	req, err := ParseKNN(r)
 	if err != nil {
-		g.writeError(w, http.StatusBadRequest, err)
+		g.reply().Error(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.K > g.MaxBatch {
-		g.writeError(w, http.StatusRequestEntityTooLarge,
+		g.reply().Error(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("k of %d exceeds limit %d", req.K, g.MaxBatch))
 		return
 	}
@@ -124,24 +122,14 @@ func (g *Geometry) KNN(w http.ResponseWriter, r *http.Request) {
 	}
 	neighbors, err := nearest(req.Lat, req.Lon, req.K)
 	if err != nil {
-		g.writeError(w, http.StatusBadRequest, err)
+		g.reply().Error(w, http.StatusBadRequest, err)
 		return
 	}
-	g.writeJSON(w, http.StatusOK, NewKNNResponse(neighbors, req.Squared))
+	g.reply().JSON(w, http.StatusOK, NewKNNResponse(neighbors, req.Squared))
 }
 
-// writeJSON writes v with the given status, logging a failed body
-// write.
-func (g *Geometry) writeJSON(w http.ResponseWriter, status int, v any) {
-	if err := WriteJSON(w, status, v); err != nil {
-		g.Logger.Printf("wire: writing response: %v", err)
-	}
-}
-
-// writeError writes a JSON error body.
-func (g *Geometry) writeError(w http.ResponseWriter, status int, err error) {
-	g.writeJSON(w, status, Error{Error: err.Error()})
-}
+// reply is the geometry handlers' replier.
+func (g *Geometry) reply() Replier { return Replier{Logger: g.Logger, Component: "wire"} }
 
 // WindowRegions resolves a stats window against l to its region list:
 // a rect through l.RangeRegions, an explicit list as given, then the

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"strconv"
@@ -317,6 +318,31 @@ func WriteJSON(w http.ResponseWriter, status int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	return json.NewEncoder(w).Encode(v)
+}
+
+// Replier writes one component's JSON replies and logs, on Logger, a
+// body that could not be written as "<Component>: writing response:
+// <err>".
+type Replier struct {
+	Logger    *log.Logger
+	Component string
+}
+
+// JSON writes v as the reply body with the given status.
+func (r Replier) JSON(w http.ResponseWriter, status int, v any) {
+	r.Written(WriteJSON(w, status, v))
+}
+
+// Error writes err as a JSON error body with the given status.
+func (r Replier) Error(w http.ResponseWriter, status int, err error) {
+	r.JSON(w, status, Error{Error: err.Error()})
+}
+
+// Written logs err, the result of writing a reply body, if non-nil.
+func (r Replier) Written(err error) {
+	if err != nil {
+		r.Logger.Printf("%s: writing response: %v", r.Component, err)
+	}
 }
 
 // DecodeJSON strictly decodes a single JSON object request body:

@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log"
 	"math"
 	"math/rand"
 	"net/http"
@@ -336,5 +338,28 @@ func BenchmarkParseLocateBatch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// brokenWriter is a ResponseWriter whose body writes fail, as when the
+// client has gone away.
+type brokenWriter struct{ httptest.ResponseRecorder }
+
+func (b *brokenWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// A Replier logs a body it could not write on its own logger, tagged
+// with its component; a written body logs nothing.
+func TestReplierLogsFailedWrites(t *testing.T) {
+	var logged bytes.Buffer
+	r := Replier{Logger: log.New(&logged, "", 0), Component: "server"}
+	r.Error(&brokenWriter{*httptest.NewRecorder()}, http.StatusBadRequest, errors.New("bad"))
+	if got, want := logged.String(), "server: writing response: client gone\n"; got != want {
+		t.Fatalf("logged %q, want %q", got, want)
+	}
+	logged.Reset()
+	rec := httptest.NewRecorder()
+	r.JSON(rec, http.StatusOK, LocateResponse{Region: 3})
+	if logged.Len() != 0 || rec.Code != http.StatusOK || rec.Body.String() != "{\"region\":3}\n" {
+		t.Fatalf("ok reply: code %d body %q log %q", rec.Code, rec.Body.String(), logged.String())
 	}
 }

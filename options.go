@@ -183,11 +183,13 @@ func WithPostProcess(p PostProcess) Option {
 }
 
 // WithTrainWorkers bounds the goroutines Build may use across its
-// parallel stages (per-task training pool, classifier forward passes,
-// KD sibling recursion). 0 — the default — resolves to GOMAXPROCS; 1
-// forces a fully sequential build. The produced Index is bit-identical
-// for any value, so this is purely a resource-control knob (e.g. to
-// keep a build box responsive while serving).
+// parallel stages (per-task training pool, classifier forward passes
+// and gradients, KD sibling recursion). 0 — the default — resolves to
+// GOMAXPROCS; 1 forces a fully sequential build. The produced Index is
+// bit-identical for any value — each gradient column, like every other
+// reduction, still sums in row order — so this is purely a
+// resource-control knob (e.g. to keep a build box responsive while
+// serving).
 func WithTrainWorkers(n int) Option {
 	return func(c *Config) error {
 		if n < 0 {

@@ -18,8 +18,11 @@ import (
 // only fields allowed to differ; the test zeroes them on both sides
 // before comparing.
 //
-// Run under -race in CI, this also proves the parallel stages share
-// nothing they should not.
+// The sweep's 420-record city trains every model inline (the
+// classifiers go parallel only from 2048 rows), so one case builds a
+// 5,000-record city on two workers: its fits run the parallel forward
+// passes and the per-column gradient tasks. Run under -race in CI,
+// this also proves the parallel stages share nothing they should not.
 func TestIndexBuildParity(t *testing.T) {
 	spec := dataset.LA()
 	spec.NumRecords = 420
@@ -35,41 +38,56 @@ func TestIndexBuildParity(t *testing.T) {
 	for _, m := range methods {
 		for _, height := range []int{3, 6} {
 			for _, seed := range []int64{2, 11, 77} {
-				cfg := Config{Method: m, Height: height, Seed: seed, TrainWorkers: 3}
-				opt, err := Build(ds, WithConfig(cfg))
-				if err != nil {
-					t.Fatalf("%v h=%d seed=%d: Build: %v", m, height, seed, err)
-				}
-				refArt, err := pipeline.BuildReference(ds, cfg)
-				if err != nil {
-					t.Fatalf("%v h=%d seed=%d: BuildReference: %v", m, height, seed, err)
-				}
-				ref, err := newIndex(ds, refArt)
-				if err != nil {
-					t.Fatalf("%v h=%d seed=%d: newIndex(reference): %v", m, height, seed, err)
-				}
-				// Durations are wall-clock observability, not artifact
-				// content; everything else must match bit for bit.
-				opt.buildTime, opt.trainTime = 0, 0
-				ref.buildTime, ref.trainTime = 0, 0
-				optBytes, err := opt.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				refBytes, err := ref.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(optBytes, refBytes) {
-					at := 0
-					for at < len(optBytes) && at < len(refBytes) && optBytes[at] == refBytes[at] {
-						at++
-					}
-					t.Fatalf("%v h=%d seed=%d: optimized .fidx (%d bytes) diverges from reference (%d bytes) at offset %d",
-						m, height, seed, len(optBytes), len(refBytes), at)
-				}
+				checkBuildParity(t, ds, Config{Method: m, Height: height, Seed: seed, TrainWorkers: 3})
 			}
 		}
+	}
+
+	spec.NumRecords = 5000
+	large, err := dataset.Generate(spec, geo.MustGrid(32, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Method{MethodFairKD, MethodIterativeFairKD} {
+		checkBuildParity(t, large, Config{Method: m, Height: 4, Seed: 11, TrainWorkers: 2})
+	}
+}
+
+// checkBuildParity fails t unless Build and pipeline.BuildReference
+// serialize cfg over ds to the same bytes, durations zeroed.
+func checkBuildParity(t *testing.T, ds *dataset.Dataset, cfg Config) {
+	t.Helper()
+	opt, err := Build(ds, WithConfig(cfg))
+	if err != nil {
+		t.Fatalf("%+v: Build: %v", cfg, err)
+	}
+	refArt, err := pipeline.BuildReference(ds, cfg)
+	if err != nil {
+		t.Fatalf("%+v: BuildReference: %v", cfg, err)
+	}
+	ref, err := newIndex(ds, refArt)
+	if err != nil {
+		t.Fatalf("%+v: newIndex(reference): %v", cfg, err)
+	}
+	// Durations are wall-clock observability, not artifact content;
+	// everything else must match bit for bit.
+	opt.buildTime, opt.trainTime = 0, 0
+	ref.buildTime, ref.trainTime = 0, 0
+	optBytes, err := opt.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refBytes, err := ref.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(optBytes, refBytes) {
+		at := 0
+		for at < len(optBytes) && at < len(refBytes) && optBytes[at] == refBytes[at] {
+			at++
+		}
+		t.Fatalf("%+v n=%d: optimized .fidx (%d bytes) diverges from reference (%d bytes) at offset %d",
+			cfg, ds.Len(), len(optBytes), len(refBytes), at)
 	}
 }
 
@@ -84,31 +102,6 @@ func TestIndexBuildParityPostProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, post := range []PostProcess{PostPlatt, PostIsotonic} {
-		cfg := Config{Method: MethodFairKD, Height: 4, Seed: 5, TrainWorkers: 4, PostProcess: post}
-		opt, err := Build(ds, WithConfig(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		refArt, err := pipeline.BuildReference(ds, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := newIndex(ds, refArt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt.buildTime, opt.trainTime = 0, 0
-		ref.buildTime, ref.trainTime = 0, 0
-		optBytes, err := opt.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		refBytes, err := ref.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(optBytes, refBytes) {
-			t.Fatalf("post-process %v: optimized and reference artifacts differ", post)
-		}
+		checkBuildParity(t, ds, Config{Method: MethodFairKD, Height: 4, Seed: 5, TrainWorkers: 4, PostProcess: post})
 	}
 }
