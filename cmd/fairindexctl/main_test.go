@@ -440,6 +440,26 @@ func TestServeArgValidation(t *testing.T) {
 	if _, err := newServeServer([]indexSpec{}, t.TempDir(), 0, "", nil); err == nil {
 		t.Error("expected error for an empty artifact directory")
 	}
+	// A sole artifact holding garbage is the implicit default, which
+	// boot resolves: serve refuses it instead of starting to answer 502.
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.fidx")
+	if err := os.WriteFile(bad, []byte("not an index"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		entries []indexSpec
+		dir     string
+	}{
+		{entries: []indexSpec{{name: "bad", path: bad}}},
+		{dir: dir},
+	} {
+		_, err := newServeServer(tc.entries, tc.dir, 0, "", nil)
+		if err == nil || !strings.Contains(err.Error(), `loading "bad"`) {
+			t.Errorf("corrupt sole artifact (entries %v, dir %q): boot error %v, want the default entry's load failure",
+				tc.entries, tc.dir, err)
+		}
+	}
 }
 
 // TestParseIndexSpec covers [name=]path parsing and default naming.

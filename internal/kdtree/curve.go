@@ -3,7 +3,6 @@ package kdtree
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"fairindex/internal/geo"
 	"fairindex/internal/partition"
@@ -111,12 +110,10 @@ func BuildFairCurveWorkers(grid geo.Grid, cells []geo.Cell, deviations []float64
 
 	// Phase 1: recursive deviation-median cuts over [lo, hi) curve
 	// intervals, sibling subtrees on the pool (prefix is read-only).
-	var sem chan struct{}
-	if workers > 1 {
-		sem = make(chan struct{}, workers-1)
-	}
-	var cut func(lo, hi, depth int) *curveSeg
-	cut = func(lo, hi, depth int) *curveSeg {
+	pool := newForkPool(workers)
+	var cut func(span [2]int, depth int) *curveSeg
+	cut = func(span [2]int, depth int) *curveSeg {
+		lo, hi := span[0], span[1]
 		seg := &curveSeg{lo: lo, hi: hi}
 		if depth >= height || hi-lo <= 1 {
 			return seg
@@ -133,27 +130,10 @@ func BuildFairCurveWorkers(grid geo.Grid, cells []geo.Cell, deviations []float64
 				bestK, bestScore, bestDist = k, score, dist
 			}
 		}
-		if sem != nil {
-			select {
-			case sem <- struct{}{}:
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					seg.left = cut(lo, bestK, depth+1)
-					<-sem
-				}()
-				seg.right = cut(bestK, hi, depth+1)
-				wg.Wait()
-				return seg
-			default:
-			}
-		}
-		seg.left = cut(lo, bestK, depth+1)
-		seg.right = cut(bestK, hi, depth+1)
+		seg.left, seg.right = forkJoin(pool, cut, [2]int{lo, bestK}, [2]int{bestK, hi}, depth+1)
 		return seg
 	}
-	root := cut(0, len(order), 0)
+	root := cut([2]int{0, len(order)}, 0)
 
 	// Phase 2: sequential depth-first id assignment over the leaves.
 	segmentOf := make([]int, grid.NumCells())

@@ -1,10 +1,6 @@
 package kdtree
 
-import (
-	"sync"
-
-	"fairindex/internal/geo"
-)
+import "fairindex/internal/geo"
 
 // grower is the shared recursive construction engine behind the
 // median and fair KD builders: pick the depth's axis, scan split
@@ -19,17 +15,48 @@ type grower struct {
 	sums   *CellSums
 	height int
 	score  func(left, right geo.CellRect) float64
-	sem    chan struct{} // parallelism budget; nil = sequential
+	pool   forkPool
+	growFn func(geo.CellRect, int) *Node // g.grow, bound once for forkJoin
 }
 
 // newGrower returns a grower with a worker budget of workers-1 extra
 // goroutines (<= 1 disables parallelism).
 func newGrower(sums *CellSums, height int, workers int, score func(left, right geo.CellRect) float64) *grower {
-	g := &grower{sums: sums, height: height, score: score}
-	if workers > 1 {
-		g.sem = make(chan struct{}, workers-1)
-	}
+	g := &grower{sums: sums, height: height, score: score, pool: newForkPool(workers)}
+	g.growFn = g.grow
 	return g
+}
+
+// forkPool is the parallelism budget of the recursive builders: a
+// semaphore of workers-1 extra goroutines (nil = sequential).
+type forkPool chan struct{}
+
+func newForkPool(workers int) forkPool {
+	if workers <= 1 {
+		return nil
+	}
+	return make(forkPool, workers-1)
+}
+
+// forkJoin returns f(a, depth) and f(b, depth), evaluating f(a) on
+// another goroutine when the pool has a free slot and inline before
+// f(b) otherwise. Each result lands in its fixed return slot, so the
+// tree built from them never depends on scheduling. f is a function
+// value the caller binds once: the inline path allocates nothing.
+func forkJoin[A, R any](p forkPool, f func(A, int) R, a, b A, depth int) (R, R) {
+	select {
+	case p <- struct{}{}: // a nil pool never has a slot
+		ra := make(chan R, 1)
+		go func() {
+			r := f(a, depth)
+			<-p // free the slot before the join can observe the result
+			ra <- r
+		}()
+		rb := f(b, depth)
+		return <-ra, rb
+	default:
+		return f(a, depth), f(b, depth)
+	}
 }
 
 // grow builds the subtree rooted at rect.
@@ -51,25 +78,6 @@ func (g *grower) grow(rect geo.CellRect, depth int) *Node {
 	left, right := splitRect(rect, axis, k)
 	n.Axis = axis
 	n.SplitK = k
-	if g.sem != nil {
-		select {
-		case g.sem <- struct{}{}:
-			// Budget available: evaluate the left subtree on another
-			// goroutine while this one takes the right.
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				n.Left = g.grow(left, depth+1)
-				<-g.sem
-			}()
-			n.Right = g.grow(right, depth+1)
-			wg.Wait()
-			return n
-		default:
-		}
-	}
-	n.Left = g.grow(left, depth+1)
-	n.Right = g.grow(right, depth+1)
+	n.Left, n.Right = forkJoin(g.pool, g.growFn, left, right, depth+1)
 	return n
 }

@@ -3,7 +3,6 @@ package kdtree
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"fairindex/internal/geo"
 	"fairindex/internal/partition"
@@ -63,10 +62,8 @@ func BuildFairQuadtreeWorkers(grid geo.Grid, cells []geo.Cell, deviations []floa
 		return nil, err
 	}
 	defer sums.release()
-	g := &quadGrower{sums: sums, height: height}
-	if workers > 1 {
-		g.sem = make(chan struct{}, workers-1)
-	}
+	g := &quadGrower{sums: sums, height: height, pool: newForkPool(workers)}
+	g.growFn, g.pairFn = g.grow, g.growPair
 	t := &QuadTree{Grid: grid, Height: height}
 	t.Root = g.grow(grid.Bounds(), 0)
 	return t, nil
@@ -78,43 +75,31 @@ func BuildFairQuadtreeWorkers(grid geo.Grid, cells []geo.Cell, deviations []floa
 type quadGrower struct {
 	sums   *CellSums
 	height int
-	sem    chan struct{} // parallelism budget; nil = sequential
+	pool   forkPool
+	// g.grow and g.growPair, bound once for forkJoin.
+	growFn func(geo.CellRect, int) *QuadNode
+	pairFn func([2]geo.CellRect, int) [2]*QuadNode
 }
 
-// grow recursively splits rect at the fairest (row, col) point.
+// grow recursively splits rect at the fairest (row, col) point; an
+// empty rect (a quadrant the split left empty) has no node.
 func (g *quadGrower) grow(rect geo.CellRect, depth int) *QuadNode {
+	if rect.Empty() {
+		return nil
+	}
 	n := &QuadNode{Rect: rect, Depth: depth}
 	if depth >= g.height || (rect.Rows() <= 1 && rect.Cols() <= 1) {
 		return n
 	}
 	kr, kc := bestQuadSplit(g.sums, rect)
 	n.SplitRow, n.SplitCol = kr, kc
-	// Children build into fixed quadrant slots (possibly on pooled
-	// goroutines) and are compacted in quadrant order afterwards, so
-	// the child order never depends on scheduling.
-	var kids [4]*QuadNode
-	var wg sync.WaitGroup
-	for i, q := range quadrants(rect, kr, kc) {
-		if q.Empty() {
-			continue
-		}
-		if g.sem != nil {
-			select {
-			case g.sem <- struct{}{}:
-				wg.Add(1)
-				go func(slot int, q geo.CellRect) {
-					defer wg.Done()
-					kids[slot] = g.grow(q, depth+1)
-					<-g.sem
-				}(i, q)
-				continue
-			default:
-			}
-		}
-		kids[i] = g.grow(q, depth+1)
-	}
-	wg.Wait()
-	for _, k := range kids {
+	// Children build into fixed quadrant slots (the two halves and
+	// their quadrants possibly on pooled goroutines) and are compacted
+	// in quadrant order afterwards, so the child order never depends
+	// on scheduling.
+	q := quadrants(rect, kr, kc)
+	top, bottom := forkJoin(g.pool, g.pairFn, [2]geo.CellRect{q[0], q[1]}, [2]geo.CellRect{q[2], q[3]}, depth+1)
+	for _, k := range [4]*QuadNode{top[0], top[1], bottom[0], bottom[1]} {
 		if k != nil {
 			n.Children = append(n.Children, k)
 		}
@@ -126,6 +111,12 @@ func (g *quadGrower) grow(rect geo.CellRect, depth int) *QuadNode {
 		n.SplitRow, n.SplitCol = 0, 0
 	}
 	return n
+}
+
+// growPair grows two sibling quadrants.
+func (g *quadGrower) growPair(qs [2]geo.CellRect, depth int) [2]*QuadNode {
+	a, b := forkJoin(g.pool, g.growFn, qs[0], qs[1], depth)
+	return [2]*QuadNode{a, b}
 }
 
 // quadrants returns the four half-open quadrants of rect around the

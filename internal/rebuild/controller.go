@@ -30,7 +30,6 @@ type Controller struct {
 	reg     *registry.Registry
 	source  SourceFunc
 	budgets map[string]float64
-	probes  []fairindex.BBox
 	base    time.Duration // first backoff delay
 	max     time.Duration // backoff ceiling
 	logger  *log.Logger
@@ -64,12 +63,6 @@ func WithBudgets(budgets map[string]float64) Option {
 			c.budgets[name] = b
 		}
 	}
-}
-
-// WithProbes sets the probe window set the gate evaluates over
-// (default: one window covering the serving index's whole box).
-func WithProbes(probes ...fairindex.BBox) Option {
-	return func(c *Controller) { c.probes = append([]fairindex.BBox(nil), probes...) }
 }
 
 // WithBackoff sets the build-failure retry schedule: the first retry
@@ -178,18 +171,6 @@ func (c *Controller) Status(name string) Status {
 		return Status{Name: name, State: StateIdle}
 	}
 	return st.status.clone()
-}
-
-// Statuses reports the rebuild state of every entry the controller
-// has touched, keyed by name.
-func (c *Controller) Statuses() map[string]Status {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]Status, len(c.states))
-	for name, st := range c.states {
-		out[name] = st.status.clone()
-	}
-	return out
 }
 
 // Close unsubscribes from the drift hook, cancels pending backoff
@@ -363,7 +344,7 @@ func (c *Controller) attempt(name string) (Result, error) {
 	// set, so a threshold the operator disarmed stays disarmed. (A copy
 	// of an armed set always passes validation.)
 	_ = candidate.SetDriftThresholds(serving.DriftThresholds())
-	dec, err := Evaluate(serving, candidate, c.budgets, c.probes)
+	dec, err := Evaluate(serving, candidate, c.budgets, nil) // nil probes: the whole serving box
 	if err != nil {
 		return res, fmt.Errorf("rebuild %q: gate: %w", name, err)
 	}

@@ -72,9 +72,9 @@ type Registry struct {
 	// clock is the logical LRU clock; every Lookup ticks it.
 	clock atomic.Int64
 
-	// defName is atomic (not mu-guarded) because Default() sits on the
-	// request hot path; nil means "no explicit default".
-	defName atomic.Pointer[string]
+	// defName is the WithDefault name, fixed at construction ("" = no
+	// explicit default), so the hot path reads it without a lock.
+	defName string
 
 	// mu serializes catalog mutations (Add, Rescan, eviction). The
 	// lock order is Entry.loadMu before Registry.mu; mu is never held
@@ -145,9 +145,10 @@ func WithMaxLoaded(n int) Option {
 }
 
 // WithDefault names the entry unnamed (single-index) requests resolve
-// to. Without it, a sole entry is the implicit default.
+// to; it need not exist yet (a later Add or Rescan may introduce it).
+// Without it, a sole entry is the implicit default.
 func WithDefault(name string) Option {
-	return func(r *Registry) { r.defName.Store(&name) }
+	return func(r *Registry) { r.defName = name }
 }
 
 // WithDriftThresholds arms drift monitoring on every index the
@@ -279,16 +280,12 @@ func (r *Registry) insert(e *Entry) error {
 	return nil
 }
 
-// SetDefault names the entry unnamed requests resolve to; it need not
-// exist yet (a later Add or Rescan may introduce it).
-func (r *Registry) SetDefault(name string) { r.defName.Store(&name) }
-
 // DefaultName returns the effective default entry name: the
 // configured one, else the sole registered entry, else "". Lock-free
 // (it sits on the unnamed-route request path).
 func (r *Registry) DefaultName() string {
-	if def := r.defName.Load(); def != nil && *def != "" {
-		return *def
+	if r.defName != "" {
+		return r.defName
 	}
 	m := r.snapshot()
 	if len(m) == 1 {
@@ -534,7 +531,7 @@ func (r *Registry) ReloadLoaded() error {
 //
 // Swap(name, nil) unloads the entry: the index is dropped (a
 // file-backed entry reloads lazily on next use; a pinned one stays
-// empty until the next Swap/SetIndex). An unload is bookkeeping, not
+// empty until the next Swap). An unload is bookkeeping, not
 // a new generation — it does not count as a reload and it preserves
 // lastErr, so the diagnostic from a preceding failed load survives
 // into /v1/indexes.
@@ -554,24 +551,6 @@ func (r *Registry) Swap(name string, idx *fairindex.Index) (*fairindex.Index, er
 	}
 	e.loadMu.Unlock()
 	return old, nil
-}
-
-// SetIndex stores an entry's Index without counting a reload — the
-// initial-population step for an entry whose artifact the caller
-// already has in memory (e.g. a server opened from a single file).
-func (r *Registry) SetIndex(name string, idx *fairindex.Index) error {
-	e, ok := r.snapshot()[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	e.loadMu.Lock()
-	if idx != nil {
-		r.installed(e, idx)
-	}
-	e.idx.Store(idx)
-	e.lastErr.Store(nil)
-	e.loadMu.Unlock()
-	return nil
 }
 
 // Rescan re-lists the configured directory: new *.fidx files become

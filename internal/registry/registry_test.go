@@ -127,7 +127,13 @@ func TestRegistryDefault(t *testing.T) {
 	if _, err := r.Default(); !errors.Is(err, ErrNoDefault) {
 		t.Errorf("two-entry Default error = %v, want ErrNoDefault", err)
 	}
-	r.SetDefault("solo")
+	// An explicit default resolves among several entries.
+	r = New(WithDefault("solo"))
+	for _, name := range []string{"solo", "other"} {
+		if err := r.AddIndex(name, idx); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got, err := r.Default(); err != nil || got != idx {
 		t.Fatalf("explicit Default = %v, %v", got, err)
 	}
@@ -585,32 +591,6 @@ func TestRegistryEvictionSparesFailedEntries(t *testing.T) {
 	}
 }
 
-// TestRegistrySetIndexDoesNotCountReload: seeding an entry with an
-// in-memory artifact is not a reload.
-func TestRegistrySetIndexDoesNotCountReload(t *testing.T) {
-	idx := buildIndex(t)
-	r := New(WithLogger(quietLogger()))
-	if err := r.Add("la", "somewhere/la.fidx"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetIndex("la", idx); err != nil {
-		t.Fatal(err)
-	}
-	info, ok := r.Info("la")
-	if !ok || info.State != StateLoaded || info.Reloads != 0 {
-		t.Fatalf("after SetIndex: %+v, %v", info, ok)
-	}
-	if got, err := r.Lookup("la"); err != nil || got != idx {
-		t.Fatalf("Lookup after SetIndex = %v, %v", got, err)
-	}
-	if err := r.SetIndex("nope", idx); !errors.Is(err, ErrNotFound) {
-		t.Errorf("SetIndex(nope) error = %v, want ErrNotFound", err)
-	}
-	if _, ok := r.Info("nope"); ok {
-		t.Error("Info(nope) = ok")
-	}
-}
-
 // TestRegistryInfoFields pins the listing surface /v1/indexes is
 // built from.
 func TestRegistryInfoFields(t *testing.T) {
@@ -645,6 +625,9 @@ func TestRegistryInfoFields(t *testing.T) {
 	}
 	if r.Len() != 1 {
 		t.Errorf("Len = %d", r.Len())
+	}
+	if _, ok := r.Info("nope"); ok {
+		t.Error("Info(nope) = ok")
 	}
 }
 

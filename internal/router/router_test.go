@@ -71,6 +71,15 @@ func newCluster(t *testing.T, whole *fairindex.Index, n int) *cluster {
 	return c
 }
 
+// swap moves shard i's backend to another artifact generation through
+// its registry, the call rebuild promotions use.
+func (c *cluster) swap(t *testing.T, i int, idx *fairindex.Index) {
+	t.Helper()
+	if _, err := c.servers[i].Registry().Swap(server.DefaultIndexName, idx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // backendList names the cluster's backends for router.New.
 func (c *cluster) backendList() []router.Backend {
 	out := make([]router.Backend, len(c.backends))
@@ -556,7 +565,7 @@ func TestRouterGenerationMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.servers[1].Swap(otherShards[1])
+	c.swap(t, 1, otherShards[1])
 
 	box := c.manifest.Box
 	for _, rq := range []request{
@@ -599,8 +608,8 @@ func TestRouterHotReloadRetry(t *testing.T) {
 	// backends (matching the operational order: publish the new plan,
 	// then HUP the servers).
 	current.Store(mB)
-	for i, srv := range c.servers {
-		srv.Swap(shardsB[i])
+	for i := range c.servers {
+		c.swap(t, i, shardsB[i])
 	}
 
 	wts := httptest.NewServer(server.New(wholeB))
@@ -741,8 +750,8 @@ func TestRouterConsistencyUnderConcurrentReload(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		if flip%2 == 0 {
 			current.Store(mB)
-			for i, srv := range c.servers {
-				srv.Swap(shardsB[i])
+			for i := range c.servers {
+				c.swap(t, i, shardsB[i])
 			}
 		} else {
 			current.Store(c.manifest)
@@ -752,8 +761,8 @@ func TestRouterConsistencyUnderConcurrentReload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, srv := range c.servers {
-				srv.Swap(shardsA[i])
+			for i := range c.servers {
+				c.swap(t, i, shardsA[i])
 			}
 		}
 	}

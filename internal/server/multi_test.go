@@ -30,6 +30,17 @@ func buildTwoPartitionings(t *testing.T) (fair, zip *fairindex.Index) {
 	return fairIdx, zipIdx
 }
 
+// openDir serves every artifact in dir through registry.Open +
+// NewMulti, entries loading lazily on first use.
+func openDir(t *testing.T, dir string, opts ...registry.Option) *Server {
+	t.Helper()
+	reg, err := registry.Open(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewMulti(reg)
+}
+
 // TestServerMultiIndexEndToEnd serves a fair and a zipcode
 // partitioning of the same city from one process and checks the whole
 // multi-index surface: named routes answer from the right artifact,
@@ -42,10 +53,7 @@ func TestServerMultiIndexEndToEnd(t *testing.T) {
 	writeIndexFile(t, fairIdx, dir, "la-fair.fidx")
 	writeIndexFile(t, zipIdx, dir, "la-zip.fidx")
 
-	srv, err := OpenDir(dir, []registry.Option{registry.WithDefault("la-fair")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := openDir(t, dir, registry.WithDefault("la-fair"))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := ts.Client()
@@ -206,10 +214,7 @@ func TestServerNamedRouteErrors(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "bad.fidx"), []byte("corrupt"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := OpenDir(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := openDir(t, dir)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := ts.Client()
@@ -293,10 +298,7 @@ func TestServerTwoIndexConcurrentReload(t *testing.T) {
 	dir := t.TempDir()
 	writeIndexFile(t, idxA, dir, "hot.fidx")
 	writeIndexFile(t, stable, dir, "stable.fidx")
-	srv, err := OpenDir(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := openDir(t, dir)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

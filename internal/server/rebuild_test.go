@@ -178,7 +178,7 @@ func TestServerRebuildPromotionE2E(t *testing.T) {
 	if err := reg.Add("la", path); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewMulti(reg, WithLogger(quietLog()))
+	srv := NewMulti(reg)
 	ctrl, err := rebuild.New(reg,
 		func(string) (fairindex.Source, func() error, error) {
 			return fairindex.NewDatasetSource(all), nil, nil
@@ -279,7 +279,7 @@ func TestServerRebuildRefusalE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.Close()
-	srv := NewMulti(reg, WithLogger(quietLog()))
+	srv := NewMulti(reg)
 	srv.SetRebuilder(ctrl)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

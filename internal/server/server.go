@@ -43,8 +43,8 @@ import (
 	"fairindex/internal/wire"
 )
 
-// DefaultIndexName is the registry entry name the single-index
-// constructors (New, Open) register their artifact under.
+// DefaultIndexName is the registry entry name New registers its
+// pinned index under.
 const DefaultIndexName = "default"
 
 // maxCompareIndexes bounds how many indexes one /v1/compare request
@@ -52,16 +52,14 @@ const DefaultIndexName = "default"
 const maxCompareIndexes = 16
 
 // Server serves fairness-aware spatial indexes over HTTP. Create one
-// with New or Open (single index, backward compatible) or NewMulti /
-// OpenDir (a whole catalog), then use it as an http.Handler. All
-// methods are safe for concurrent use.
+// with New (one in-memory index) or NewMulti (a registry catalog,
+// file-backed entries loading lazily), then use it as an
+// http.Handler. All methods are safe for concurrent use.
 type Server struct {
 	reg       *registry.Registry
 	mux       *http.ServeMux
-	path      string // single-index mode: file backing the default entry
 	maxBatch  int
-	logger    *log.Logger
-	reply     wire.Replier // JSON replies, write failures logged on logger
+	reply     wire.Replier // JSON replies, write failures logged on the standard logger
 	started   time.Time
 	reloads   atomic.Int64
 	rebuilder atomic.Pointer[rebuild.Controller]
@@ -70,13 +68,6 @@ type Server struct {
 // Option configures a Server.
 type Option func(*Server)
 
-// WithPath sets the index file the default entry reloads from in
-// single-index mode. Open sets it automatically; NewMulti/OpenDir
-// ignore it (entries carry their own paths).
-func WithPath(path string) Option {
-	return func(s *Server) { s.path = path }
-}
-
 // WithMaxBatch caps request sizes (default wire.DefaultMaxBatch): the
 // points of one /v1/locate_batch, the records of one append, the k of
 // one kNN query and the regions of one stats or compare window.
@@ -84,16 +75,6 @@ func WithMaxBatch(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
 			s.maxBatch = n
-		}
-	}
-}
-
-// WithLogger routes request-path warnings (reload failures) to l; the
-// default discards nothing and writes to the standard logger.
-func WithLogger(l *log.Logger) Option {
-	return func(s *Server) {
-		if l != nil {
-			s.logger = l
 		}
 	}
 }
@@ -112,14 +93,13 @@ func (s *Server) SetRebuilder(c *rebuild.Controller) { s.rebuilder.Store(c) }
 func newServer(opts ...Option) *Server {
 	s := &Server{
 		maxBatch: wire.DefaultMaxBatch,
-		logger:   log.Default(),
 		started:  time.Now(),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.reply = wire.Replier{Logger: s.logger, Component: "server"}
-	geo := &wire.Geometry{Resolve: s.resolveLayout, MaxBatch: s.maxBatch, Logger: s.logger}
+	s.reply = wire.Replier{Logger: log.Default(), Component: "server"}
+	geo := &wire.Geometry{Resolve: s.resolveLayout, MaxBatch: s.maxBatch, Logger: log.Default()}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/indexes", s.handleIndexes)
@@ -147,32 +127,16 @@ func newServer(opts ...Option) *Server {
 	return s
 }
 
-// New returns a single-index Server serving idx as the default entry.
+// New returns a Server over one in-memory index, registered as the
+// pinned default entry: it has no backing file, so /v1/reload answers
+// 409 (swap it with Registry().Swap instead).
 func New(idx *fairindex.Index, opts ...Option) *Server {
 	s := newServer(opts...)
-	s.reg = registry.New(registry.WithLogger(s.logger), registry.WithDefault(DefaultIndexName))
-	if s.path != "" {
-		// File-backed default entry: /v1/reload re-reads the file.
-		// SetIndex seeds the already-loaded artifact without counting
-		// a phantom reload at boot.
-		if err := s.reg.Add(DefaultIndexName, s.path); err != nil {
-			panic("server: registering default entry: " + err.Error()) // fresh registry, cannot collide
-		}
-		s.reg.SetIndex(DefaultIndexName, idx)
-	} else if err := s.reg.AddIndex(DefaultIndexName, idx); err != nil {
-		panic("server: registering default entry: " + err.Error())
+	s.reg = registry.New(registry.WithDefault(DefaultIndexName))
+	if err := s.reg.AddIndex(DefaultIndexName, idx); err != nil {
+		panic("server: registering default entry: " + err.Error()) // fresh registry: only a nil idx fails
 	}
 	return s
-}
-
-// Open loads a serialized index from path and returns a single-index
-// Server with hot reload from that path enabled.
-func Open(path string, opts ...Option) (*Server, error) {
-	idx, err := fairindex.LoadIndex(path)
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	return New(idx, append([]Option{WithPath(path)}, opts...)...), nil
 }
 
 // NewMulti returns a Server over an externally configured registry:
@@ -182,20 +146,6 @@ func NewMulti(reg *registry.Registry, opts ...Option) *Server {
 	s := newServer(opts...)
 	s.reg = reg
 	return s
-}
-
-// OpenDir returns a Server over every *.fidx artifact in dir,
-// discovered now and on each reload/SIGHUP rescan. Entries load
-// lazily on first use; regOpts configure the registry (e.g.
-// registry.WithMaxLoaded, registry.WithDefault).
-func OpenDir(dir string, regOpts []registry.Option, opts ...Option) (*Server, error) {
-	s := newServer(opts...)
-	reg, err := registry.Open(dir, append([]registry.Option{registry.WithLogger(s.logger)}, regOpts...)...)
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	s.reg = reg
-	return s, nil
 }
 
 // Registry returns the backing index catalog.
@@ -210,25 +160,6 @@ func (s *Server) Index() *fairindex.Index {
 	}
 	return idx
 }
-
-// Swap atomically replaces the served default index and returns the
-// previous one. In-flight requests keep using the index they loaded.
-func (s *Server) Swap(idx *fairindex.Index) *fairindex.Index {
-	name := s.reg.DefaultName()
-	if name == "" {
-		return nil
-	}
-	old, err := s.reg.Swap(name, idx)
-	if err != nil {
-		return nil
-	}
-	s.reloads.Add(1)
-	return old
-}
-
-// Reloads returns how many times the server successfully reloaded or
-// swapped indexes (per-entry counts are in /v1/indexes).
-func (s *Server) Reloads() int64 { return s.reloads.Load() }
 
 // ErrNoReloadPath reports a Reload on a Server with neither an
 // artifact directory nor any file-backed entry to re-read.
@@ -312,7 +243,7 @@ func (s *Server) resolveLayout(w http.ResponseWriter, r *http.Request) (*fairind
 func (s *Server) setGeneration(w http.ResponseWriter, idx *fairindex.Index) {
 	fp, err := idx.Fingerprint()
 	if err != nil {
-		s.logger.Printf("server: fingerprinting served index: %v", err)
+		log.Printf("server: fingerprinting served index: %v", err)
 		return
 	}
 	wire.SetGeneration(w, fp)

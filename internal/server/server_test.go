@@ -17,6 +17,7 @@ import (
 	fairindex "fairindex"
 	"fairindex/internal/dataset"
 	"fairindex/internal/geo"
+	"fairindex/internal/registry"
 	"fairindex/internal/wire"
 )
 
@@ -51,6 +52,21 @@ func writeIndexFile(t *testing.T, idx *fairindex.Index, dir, name string) string
 		t.Fatal(err)
 	}
 	return path
+}
+
+// serveFile builds the catalog `fairindexctl serve city.fidx` builds:
+// registry.New + Add + NewMulti, with the sole entry (named after the
+// file base) as the implicit default, which serve resolves at boot.
+func serveFile(t *testing.T, path string) *Server {
+	t.Helper()
+	reg := registry.New()
+	if err := reg.Add(strings.TrimSuffix(filepath.Base(path), registry.Ext), path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Default(); err != nil {
+		t.Fatal(err)
+	}
+	return NewMulti(reg)
 }
 
 // postJSON posts a JSON body and decodes the JSON response into out.
@@ -95,11 +111,7 @@ func getJSON(t *testing.T, client *http.Client, url string, out any) int {
 // in-process Index.
 func TestServerEndToEnd(t *testing.T) {
 	idx, ds := buildIndex(t)
-	path := writeIndexFile(t, idx, t.TempDir(), "city.fidx")
-	srv, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveFile(t, writeIndexFile(t, idx, t.TempDir(), "city.fidx"))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := ts.Client()
@@ -313,7 +325,8 @@ func TestServerBatchRejectsNonFiniteJSON(t *testing.T) {
 // goroutines while the index file is rewritten and hot-reloaded —
 // run under -race this is the serving subsystem's central safety
 // proof: every response is internally consistent with one of the two
-// index generations, and no request ever errors.
+// index generations, and no request ever errors. The catalog is the
+// file-backed registry `fairindexctl serve` builds (serveFile).
 func TestServerHotReloadUnderLoad(t *testing.T) {
 	idxA, ds := buildIndex(t, fairindex.WithHeight(3), fairindex.WithSeed(1))
 	idxB, _ := buildIndex(t, fairindex.WithHeight(6), fairindex.WithSeed(2))
@@ -321,11 +334,7 @@ func TestServerHotReloadUnderLoad(t *testing.T) {
 		t.Fatalf("want distinguishable generations, both have %d regions", idxA.NumRegions())
 	}
 	dir := t.TempDir()
-	path := writeIndexFile(t, idxA, dir, "city.fidx")
-	srv, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveFile(t, writeIndexFile(t, idxA, dir, "city.fidx"))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -433,8 +442,12 @@ func TestServerHotReloadUnderLoad(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if srv.Reloads() < 20 {
-		t.Errorf("reloads = %d, want >= 20", srv.Reloads())
+	var health healthzResponse
+	if code := getJSON(t, ts.Client(), ts.URL+"/healthz", &health); code != http.StatusOK {
+		t.Fatalf("healthz status %d", code)
+	}
+	if health.Reloads < 20 {
+		t.Errorf("reloads = %d, want >= 20", health.Reloads)
 	}
 
 	// After the dust settles the server serves exactly the last
@@ -445,14 +458,17 @@ func TestServerHotReloadUnderLoad(t *testing.T) {
 	}
 }
 
-// TestServerSwapKeepsOldRequestsSafe pins the invariant that Swap
-// returns the previous index intact (an in-flight request may still
-// be reading it).
+// TestServerSwapKeepsOldRequestsSafe pins the invariant that
+// registry.Swap, the call rebuild promotions use, returns the previous
+// index intact (an in-flight request may still be reading it).
 func TestServerSwapKeepsOldRequestsSafe(t *testing.T) {
 	idxA, ds := buildIndex(t, fairindex.WithHeight(3), fairindex.WithSeed(1))
 	idxB, _ := buildIndex(t, fairindex.WithHeight(5), fairindex.WithSeed(2))
 	srv := New(idxA)
-	old := srv.Swap(idxB)
+	old, err := srv.Registry().Swap(DefaultIndexName, idxB)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if old != idxA {
 		t.Fatal("Swap did not return the previous index")
 	}
@@ -464,22 +480,19 @@ func TestServerSwapKeepsOldRequestsSafe(t *testing.T) {
 	if srv.Index() != idxB {
 		t.Fatal("Swap did not install the new index")
 	}
-	if srv.Reloads() != 1 {
-		t.Errorf("reloads = %d", srv.Reloads())
+	// A swap counts on its entry; /healthz counts Reload and
+	// reload-one only.
+	if info, _ := srv.Registry().Info(DefaultIndexName); info.Reloads != 1 {
+		t.Errorf("entry reloads = %d", info.Reloads)
 	}
-}
-
-// TestOpenErrors: missing and corrupt index files fail Open cleanly.
-func TestOpenErrors(t *testing.T) {
-	if _, err := Open(filepath.Join(t.TempDir(), "missing.fidx")); err == nil {
-		t.Error("expected error for missing file")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.fidx")
-	if err := os.WriteFile(bad, []byte("not an index"), 0o644); err != nil {
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var health healthzResponse
+	if err := json.NewDecoder(w.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(bad); err == nil {
-		t.Error("expected error for corrupt file")
+	if health.Reloads != 0 {
+		t.Errorf("healthz reloads = %d after a swap, want 0", health.Reloads)
 	}
 }
 
@@ -489,10 +502,7 @@ func TestReloadKeepsServingOnFailure(t *testing.T) {
 	idx, _ := buildIndex(t)
 	dir := t.TempDir()
 	path := writeIndexFile(t, idx, dir, "city.fidx")
-	srv, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveFile(t, path)
 	if err := os.WriteFile(path, []byte("corrupt"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -79,6 +80,38 @@ func TestGenerationHeader(t *testing.T) {
 		if got := resp.Header.Get(wire.GenerationHeader); got != tc.gen {
 			t.Errorf("GET %s: %s = %q, want %q", tc.path, wire.GenerationHeader, got, tc.gen)
 		}
+	}
+}
+
+// TestGenerationHeaderAfterAppend: a server whose first request is an
+// append still stamps the loaded artifact's fingerprint, the one a
+// shard manifest records, so a router does not refuse its stats.
+func TestGenerationHeaderAfterAppend(t *testing.T) {
+	idx, ds := buildIndex(t)
+	fp, err := idx.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(serveFile(t, writeIndexFile(t, idx, t.TempDir(), "city.fidx")))
+	defer ts.Close()
+
+	r := ds.Records[0]
+	body, err := json.Marshal(map[string]any{"records": []map[string]any{
+		{"lat": r.Lat, "lon": r.Lon, "features": r.X, "labels": r.Labels},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/append", string(body), nil); code != http.StatusOK {
+		t.Fatalf("append status %d", code)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got, want := resp.Header.Get(wire.GenerationHeader), strconv.FormatUint(fp, 10); got != want {
+		t.Errorf("healthz after append: %s = %q, want the loaded artifact's %q", wire.GenerationHeader, got, want)
 	}
 }
 

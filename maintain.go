@@ -25,7 +25,8 @@ type maintState struct {
 	// replaces the whole map); ENCE is the calib.MetricENCE key.
 	thresholds atomic.Pointer[map[string]float64]
 	// Fingerprint cache (shard.go): the artifact's content hash,
-	// computed lazily once per built/loaded Index.
+	// computed once per built/loaded Index, on the first Fingerprint
+	// call or before the first AppendBatch fold, whichever is first.
 	fpOnce sync.Once
 	fp     uint64
 	fpErr  error
@@ -218,6 +219,12 @@ func (ix *Index) AppendBatch(recs []Record) (AppendResult, error) {
 		}
 	}
 
+	// Pin the generation before the first fold publishes: the
+	// fingerprint hashes the serialized live statistics, so taking it
+	// lazily after a fold would identify the folded state instead of
+	// the built or loaded artifact. An error stays cached for later
+	// Fingerprint callers.
+	_, _ = ix.Fingerprint()
 	m := ix.maint
 	m.mu.Lock()
 	old := m.cur.Load()

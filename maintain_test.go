@@ -173,6 +173,49 @@ func TestAppendSurvivesSerialization(t *testing.T) {
 	}
 }
 
+// TestFingerprintIgnoresAppends pins the generation contract: an
+// artifact's fingerprint is that of the bytes it was built or loaded
+// from, whether the first Fingerprint call comes before or after an
+// append. A shard server whose first request is an append must stamp
+// the generation its manifest records.
+func TestFingerprintIgnoresAppends(t *testing.T) {
+	build, extra := splitCity(t, 460, 60)
+	idx, err := Build(build, WithConfig(Config{Method: MethodFairKD, Height: 3, Seed: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := idx.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func() *Index {
+		ix := new(Index)
+		if err := ix.UnmarshalBinary(blob); err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	first, appendedFirst := load(), load()
+	want, err := first.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.AppendBatch(extra); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := appendedFirst.AppendBatch(extra); err != nil {
+		t.Fatal(err)
+	}
+	for name, ix := range map[string]*Index{"fingerprinted first": first, "appended first": appendedFirst} {
+		if got, err := ix.Fingerprint(); err != nil || got != want {
+			t.Errorf("%s: fingerprint %d, %v; want the loaded bytes' %d", name, got, err, want)
+		}
+	}
+	if built, err := idx.Fingerprint(); err != nil || built != want {
+		t.Errorf("built index fingerprint %d, %v; want %d", built, err, want)
+	}
+}
+
 func TestAppendDriftThreshold(t *testing.T) {
 	build, extra := splitCity(t, 460, 60)
 	idx, err := Build(build, WithConfig(Config{Method: MethodFairKD, Height: 4, Seed: 3}))

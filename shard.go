@@ -22,11 +22,12 @@ import (
 // produces identical bytes, so a re-split, re-trained or re-saved
 // artifact changes fingerprint while a load/save round trip does not.
 //
-// The hash is computed once, on first call, and cached: it identifies
-// the artifact as built or loaded. Records folded in later by
-// AppendBatch change the serialized form but not the cached
-// fingerprint — a serving generation is the loaded artifact, not its
-// live statistics.
+// The hash is computed once and cached: it identifies the artifact as
+// built or loaded. Loading hashes nothing; the hash is taken on the
+// first Fingerprint call or, if an append comes first, by AppendBatch
+// before it publishes its first fold. Records folded in by AppendBatch
+// therefore change the serialized form but never the fingerprint — a
+// serving generation is the loaded artifact, not its live statistics.
 func (ix *Index) Fingerprint() (uint64, error) {
 	if ix.maint == nil {
 		return 0, fmt.Errorf("fairindex: fingerprint of an uninitialized Index")
