@@ -776,3 +776,133 @@ func TestRouterConsistencyUnderConcurrentReload(t *testing.T) {
 		t.Error("no fan-out observed a generation flip")
 	}
 }
+
+// stubShard starts a backend that answers every request with status
+// and body, stamped with shard s's manifest fingerprint as a backend
+// of the right generation would be.
+func stubShard(t *testing.T, m *shard.Manifest, s, status int, body string) string {
+	t.Helper()
+	gen := strconv.FormatUint(m.Shards[s].Fingerprint, 10)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(wire.GenerationHeader, gen)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		io.WriteString(w, body)
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// requireErrorReply requires one exact router error reply: status,
+// the JSON error body the shared replier writes, and the manifest
+// generation header.
+func requireErrorReply(t *testing.T, method, url, body string, wantStatus int, wantMsg string, wantGen uint64) {
+	t.Helper()
+	want, err := json.Marshal(wire.Error{Error: wantMsg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, status, gen := rawRequest(t, method, url, body)
+	if status != wantStatus || got != string(want)+"\n" || gen != strconv.FormatUint(wantGen, 10) {
+		t.Errorf("%s %s: got %d %q gen %q, want %d %q gen %d", method, url, status, got, gen, wantStatus, want, wantGen)
+	}
+}
+
+// wholeBoxStats is a stats request whose window spans every shard.
+func wholeBoxStats(m *shard.Manifest, task int) string {
+	return fmt.Sprintf(`{"task":%d,"rect":{"min_lat":%v,"min_lon":%v,"max_lat":%v,"max_lon":%v}}`,
+		task, m.Box.MinLat, m.Box.MinLon, m.Box.MaxLat, m.Box.MaxLon)
+}
+
+// TestRouterStatsMalformedShardReply pins the 502 for a shard that
+// answers 200 with a body that is not JSON.
+func TestRouterStatsMalformedShardReply(t *testing.T) {
+	whole := buildWhole(t)
+	c := newCluster(t, whole, 2)
+	backends := c.backendList()
+	const garbage = "not json"
+	backends[1].URLs = []string{stubShard(t, c.manifest, 1, http.StatusOK, garbage)}
+	rt, err := router.New(c.manifest, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt)
+	defer rts.Close()
+
+	var sub wire.StatsResponse
+	decodeErr := json.Unmarshal([]byte(garbage), &sub)
+	requireErrorReply(t, "POST", rts.URL+"/v1/stats", wholeBoxStats(c.manifest, whole.Tasks()[0]),
+		http.StatusBadGateway, fmt.Sprintf("router: shard %q: malformed stats response: %v", "s1", decodeErr), c.manifest.Generation)
+}
+
+// TestRouterStatsReplyWithoutSums pins the 502 for a shard whose
+// stats reply lacks the raw per-region sums the merge refolds.
+func TestRouterStatsReplyWithoutSums(t *testing.T) {
+	whole := buildWhole(t)
+	c := newCluster(t, whole, 2)
+	backends := c.backendList()
+	backends[0].URLs = []string{stubShard(t, c.manifest, 0, http.StatusOK,
+		`{"task":0,"count":3,"mean_conf":0.5,"pos_rate":0.5,"miscal":0,"cal_ratio":1,"ence":0,"regions":[{"region":0,"count":3}]}`)}
+	rt, err := router.New(c.manifest, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt)
+	defer rts.Close()
+
+	requireErrorReply(t, "POST", rts.URL+"/v1/stats", wholeBoxStats(c.manifest, whole.Tasks()[0]),
+		http.StatusBadGateway, `router: shard "s0": backend response lacks raw sums (pre-sharding server version?)`, c.manifest.Generation)
+}
+
+// TestRouterStatsAllShardsDown pins the 502 when no asked shard
+// answers: every shard is listed as "name: error" in manifest order,
+// a replica set's error naming its exhausted replicas.
+func TestRouterStatsAllShardsDown(t *testing.T) {
+	whole := buildWhole(t)
+	c := newCluster(t, whole, 2)
+	backends := c.backendList()
+	const down = `{"error":"down"}`
+	backends[0].URLs = []string{
+		stubShard(t, c.manifest, 0, http.StatusServiceUnavailable, down),
+		stubShard(t, c.manifest, 0, http.StatusServiceUnavailable, down),
+	}
+	backends[1].URLs = []string{stubShard(t, c.manifest, 1, http.StatusInternalServerError, down)}
+	rt, err := router.New(c.manifest, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt)
+	defer rts.Close()
+
+	requireErrorReply(t, "POST", rts.URL+"/v1/stats", wholeBoxStats(c.manifest, whole.Tasks()[0]),
+		http.StatusBadGateway,
+		`router: shard backend(s) unavailable: s0: router: all 2 replicas of shard "s0" failed, last: backend status 503; s1: backend status 500`,
+		c.manifest.Generation)
+}
+
+// TestRouterGenerationMismatchAfterReload pins the 409 when a
+// mismatch survives the one reload-and-retry: the reply names the
+// mismatched shards in manifest order and the manifest is reloaded
+// exactly once.
+func TestRouterGenerationMismatchAfterReload(t *testing.T) {
+	whole := buildWhole(t)
+	other := buildWhole(t, fairindex.WithHeight(3), fairindex.WithSeed(99))
+	c := newCluster(t, whole, 3)
+	rt, rts := c.newRouter(t, router.WithManifestSource(func() (*shard.Manifest, error) { return c.manifest, nil }))
+
+	_, otherShards, err := shard.Split(other, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.swap(t, 2, otherShards[2])
+	c.swap(t, 0, otherShards[0])
+
+	before := rt.Reloads()
+	requireErrorReply(t, "POST", rts.URL+"/v1/stats", wholeBoxStats(c.manifest, whole.Tasks()[0]),
+		http.StatusConflict,
+		"router: generation mismatch on shard(s) s0, s2: backends serve a different artifact generation than the manifest",
+		c.manifest.Generation)
+	if got := rt.Reloads() - before; got != 1 {
+		t.Errorf("manifest reloaded %d times, want 1", got)
+	}
+}
