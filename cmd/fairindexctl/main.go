@@ -20,7 +20,10 @@
 //		fold new records into a saved index's live per-region
 //		statistics (partition and models unchanged) and report the
 //		drift they caused as a per-metric table; with -out the folded
-//		statistics are persisted so drift survives the next load.
+//		statistics are persisted. Only ENCE drift survives the next
+//		load (its build-time value is stored): every other metric's
+//		drift is measured from the statistics as loaded and restarts
+//		at 0.
 //		-threshold arms the rebuild recommendation on ENCE drift and
 //		-drift-metric (repeatable) on any registered fairness metric,
 //		for this invocation (thresholds are runtime policy, not part

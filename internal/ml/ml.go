@@ -56,44 +56,13 @@ var (
 )
 
 // validateFit checks the shared Fit preconditions and returns the
-// effective weight slice (uniform if w is nil).
+// effective weight slice (uniform if w is nil). The weights come from
+// a scratch of their own, never pooled, so they may outlive the call.
 func validateFit(X [][]float64, y []int, w []float64) ([]float64, error) {
-	if len(X) == 0 {
-		return nil, ErrNoData
+	if _, err := checkMatrix(X, y); err != nil {
+		return nil, err
 	}
-	if len(y) != len(X) {
-		return nil, fmt.Errorf("%w: %d rows vs %d labels", ErrShape, len(X), len(y))
-	}
-	cols := len(X[0])
-	if cols == 0 {
-		return nil, fmt.Errorf("%w: rows have no columns", ErrShape)
-	}
-	for i, row := range X {
-		if len(row) != cols {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(row), cols)
-		}
-	}
-	if w == nil {
-		w = make([]float64, len(X))
-		for i := range w {
-			w[i] = 1
-		}
-		return w, nil
-	}
-	if len(w) != len(X) {
-		return nil, fmt.Errorf("%w: %d weights for %d rows", ErrBadWeights, len(w), len(X))
-	}
-	var total float64
-	for i, wi := range w {
-		if wi < 0 {
-			return nil, fmt.Errorf("%w: negative weight %v at row %d", ErrBadWeights, wi, i)
-		}
-		total += wi
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("%w: weights sum to %v", ErrBadWeights, total)
-	}
-	return w, nil
+	return effectiveWeights(len(X), w, new(fitScratch))
 }
 
 // validatePredict checks the shared PredictProba preconditions.

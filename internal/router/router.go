@@ -9,12 +9,12 @@
 // shard.Manifest, which carries the whole index's cell→region table;
 // no shard is asked. Window stats are the only fan-out: the window
 // resolves to a region list with wire.WindowRegions over the same
-// Layout, only the shards owning those regions are asked for their
-// raw per-region sufficient statistics, and
-// fairindex.MergeWindowStats refolds them. Either way responses are
-// bit-identical to a single server holding the whole index, a
-// property pinned by the sharded-vs-whole HTTP parity suite and its
-// fuzz target. Requests are parsed and replies encoded by
+// Layout, each shard owning some of those regions gets one POST
+// /v1/stats asking for their raw per-region sufficient statistics,
+// and fairindex.MergeWindowStats refolds the replies. Either way
+// responses are bit-identical to a single server holding the whole
+// index, a property pinned by the sharded-vs-whole HTTP parity suite
+// and its fuzz target. Requests are parsed and replies encoded by
 // internal/wire, the same wire layer the shard servers use.
 //
 // Consistency model: a manifest-answered query reads one manifest
@@ -24,10 +24,10 @@
 // header against the snapshot's expected shard fingerprint. A mismatch
 // — a backend serving a different artifact generation than the
 // manifest describes, as happens mid hot-reload — rejects the whole
-// fan-out; the router reloads its manifest (when a source is
-// configured) and retries the request once against the new snapshot,
-// then answers 409. Responses are therefore never assembled from mixed
-// generations.
+// fan-out; the stats handler reloads the manifest (when a source is
+// configured), resolves the window again on the new snapshot's Layout
+// and retries once, then answers 409. Responses are therefore never
+// assembled from mixed generations.
 //
 // Fault model: one manifest shard name may map to a replica set of
 // interchangeable backends serving the same artifact. Each per-shard
@@ -61,7 +61,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -372,16 +371,9 @@ func setGeneration(w http.ResponseWriter, st *routerState) {
 	wire.SetGeneration(w, st.manifest.Generation)
 }
 
-// Scatter machinery.
+// Stats fan-out.
 
-// shardCall is one backend request of a fan-out.
-type shardCall struct {
-	method string
-	path   string
-	body   []byte // nil for GET
-}
-
-// shardReply is one backend's answer: transport error, or status plus
+// shardReply is one shard's answer: transport error, or status plus
 // body plus the generation header.
 type shardReply struct {
 	status int
@@ -390,48 +382,46 @@ type shardReply struct {
 	err    error
 }
 
-// httpError is a terminal handler outcome: status plus message,
-// written by the handler that receives it.
-type httpError struct {
-	status int
-	msg    string
+// failed reports whether the reply is a shard failure, and so whether
+// a replica attempt moves on to the next replica: transport errors and
+// backend 5xx are; any reply below 500 — including 4xx
+// (input-determined, identical on every replica) and generation
+// mismatches (a plan-level transition owned by the manifest
+// reload-retry discipline) — is terminal.
+func (rep shardReply) failed() bool {
+	return rep.err != nil || rep.status >= 500
 }
 
-func (e *httpError) Error() string { return e.msg }
+// failure describes a failed reply.
+func (rep shardReply) failure() error {
+	if rep.err != nil {
+		return rep.err
+	}
+	return fmt.Errorf("backend status %d", rep.status)
+}
 
-// scatter fans calls out to their shards concurrently and collects
-// every reply; each per-shard call runs the replica failover loop
-// under its own time budget.
-func (rt *Router) scatter(ctx context.Context, st *routerState, calls map[int]shardCall) map[int]shardReply {
-	replies := make(map[int]shardReply, len(calls))
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	for i, call := range calls {
+// scatter posts bodies[i] to shard i's /v1/stats, all concurrently,
+// and returns the replies in shard order; a nil body leaves its shard
+// unasked and its reply zero. Each per-shard call runs the replica
+// failover loop under its own time budget.
+func (rt *Router) scatter(ctx context.Context, st *routerState, bodies [][]byte) []shardReply {
+	replies := make([]shardReply, len(bodies))
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		if body == nil {
+			continue
+		}
 		wg.Add(1)
-		go func(i int, call shardCall) {
+		go func() {
 			defer wg.Done()
-			rep := rt.callShard(ctx, st, i, call)
-			mu.Lock()
-			replies[i] = rep
-			mu.Unlock()
-		}(i, call)
+			replies[i] = rt.callShard(ctx, st, i, body)
+		}()
 	}
 	wg.Wait()
 	return replies
 }
 
-// failsOver reports whether a replica attempt's outcome should move
-// on to the next replica: transport errors and backend 5xx do; any
-// reply below 500 — including 4xx (input-determined, identical on
-// every replica) and generation mismatches (a plan-level transition
-// owned by the manifest reload-retry discipline) — is terminal.
-func failsOver(rep shardReply) bool {
-	return rep.err != nil || rep.status >= 500
-}
-
-// callShard answers one shard's request by trying its replicas in
+// callShard posts one stats body to a shard by trying its replicas in
 // rotation order under a single time budget of
 // min(rt.timeout, remaining caller deadline) — attempts never outlive
 // the caller, and each attempt's own timeout is its fair share of
@@ -439,7 +429,7 @@ func failsOver(rep shardReply) bool {
 // cannot starve its siblings. The reply is the first terminal one, or
 // the last failure once every replica refused — the only way a shard
 // fails.
-func (rt *Router) callShard(ctx context.Context, st *routerState, shardIdx int, call shardCall) shardReply {
+func (rt *Router) callShard(ctx context.Context, st *routerState, shardIdx int, body []byte) shardReply {
 	name := st.manifest.Shards[shardIdx].Name
 	urls := st.replicas[shardIdx]
 	order, probe := rt.replicaOrder(name, urls)
@@ -464,12 +454,12 @@ func (rt *Router) callShard(ctx context.Context, st *routerState, shardIdx int, 
 		h := rt.health[url]
 		h.recordAttempt()
 		actx, cancel := context.WithTimeout(ctx, time.Until(deadline)/time.Duration(len(order)-idx))
-		rep := rt.doCall(actx, url, call)
+		rep := rt.doCall(actx, url, http.MethodPost, "/v1/stats", body)
 		cancel()
 		switch {
 		case errors.Is(rep.err, context.Canceled):
 			// A vanished client says nothing about the replica.
-		case failsOver(rep):
+		case rep.failed():
 			h.recordFailure(time.Now(), rep.err)
 		default:
 			h.recordSuccess()
@@ -477,39 +467,31 @@ func (rt *Router) callShard(ctx context.Context, st *routerState, shardIdx int, 
 		if idx == probe {
 			h.releaseProbe()
 		}
-		if !failsOver(rep) {
+		if !rep.failed() {
 			return rep
 		}
 		last = rep
 	}
 	if len(order) > 1 {
 		last.err = fmt.Errorf("router: all %d replicas of shard %q failed, last: %w",
-			len(order), name, replyError(last))
+			len(order), name, last.failure())
 	}
 	return last
 }
 
-// replyError normalizes a failed reply into one error for wrapping.
-func replyError(rep shardReply) error {
-	if rep.err != nil {
-		return rep.err
+// doCall performs one HTTP request against one replica; a non-nil
+// body is sent as JSON. A response body exceeding the reply cap is an
+// explicit failure, never a silent truncation.
+func (rt *Router) doCall(ctx context.Context, url, method, path string, body []byte) shardReply {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	return fmt.Errorf("backend status %d", rep.status)
-}
-
-// doCall performs one HTTP request against one replica. A response
-// body exceeding the reply cap is an explicit failure, never a silent
-// truncation.
-func (rt *Router) doCall(ctx context.Context, url string, call shardCall) shardReply {
-	var body io.Reader
-	if call.body != nil {
-		body = bytes.NewReader(call.body)
-	}
-	req, err := http.NewRequestWithContext(ctx, call.method, url+call.path, body)
+	req, err := http.NewRequestWithContext(ctx, method, url+path, rd)
 	if err != nil {
 		return shardReply{err: err}
 	}
-	if call.body != nil {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := rt.client.Do(req)
@@ -527,13 +509,14 @@ func (rt *Router) doCall(ctx context.Context, url string, call shardCall) shardR
 	return shardReply{status: resp.StatusCode, body: data, gen: resp.Header.Get(wire.GenerationHeader)}
 }
 
-// mismatched returns the shards whose reply's generation header does
-// not name the fingerprint the manifest snapshot expects. Transport
-// failures are not mismatches (the fault path owns them), and an
-// error reply without the header is a registry-level failure, not a
+// mismatched names, in manifest order, the shards whose reply's
+// generation header does not name the fingerprint the manifest
+// snapshot expects. Transport failures are not mismatches (the fault
+// path owns them), and an error reply without the header — an unasked
+// shard's zero reply among them — is a registry-level failure, not a
 // generation signal.
-func mismatched(st *routerState, replies map[int]shardReply) []int {
-	var bad []int
+func mismatched(st *routerState, replies []shardReply) []string {
+	var bad []string
 	for i, rep := range replies {
 		if rep.err != nil {
 			continue
@@ -542,100 +525,54 @@ func mismatched(st *routerState, replies map[int]shardReply) []int {
 			continue
 		}
 		if rep.gen != strconv.FormatUint(st.manifest.Shards[i].Fingerprint, 10) {
-			bad = append(bad, i)
+			bad = append(bad, st.manifest.Shards[i].Name)
 		}
 	}
-	sort.Ints(bad)
 	return bad
 }
 
-// scatterConsistent runs one generation-consistent fan-out starting
-// from snapshot st: build derives the calls from a manifest snapshot,
-// the replies are checked against that snapshot's fingerprints, and on
-// any mismatch the manifest is reloaded (when a source is configured)
-// and the whole fan-out rebuilt and retried exactly once. A mismatch
-// surviving the retry is a 409: the deployment is mid-transition and
-// no consistent answer exists.
-func (rt *Router) scatterConsistent(ctx context.Context, st *routerState, build func(*routerState) (map[int]shardCall, *httpError)) (*routerState, map[int]shardReply, *httpError) {
-	for attempt := 0; ; attempt++ {
-		calls, herr := build(st)
-		if herr != nil {
-			return nil, nil, herr
-		}
-		replies := rt.scatter(ctx, st, calls)
-		bad := mismatched(st, replies)
-		if len(bad) == 0 {
-			return st, replies, nil
-		}
-		if attempt == 0 && rt.source != nil {
-			next, err := rt.reloadState()
-			if err == nil {
-				st = next
-				continue
-			}
-			log.Printf("router: manifest reload after generation mismatch failed: %v", err)
-		}
-		names := make([]string, len(bad))
-		for j, i := range bad {
-			names[j] = st.manifest.Shards[i].Name
-		}
-		return nil, nil, &httpError{http.StatusConflict, fmt.Sprintf(
-			"router: generation mismatch on shard(s) %s: backends serve a different artifact generation than the manifest",
-			strings.Join(names, ", "))}
-	}
-}
-
-// relay forwards one backend reply verbatim — used for client errors
-// (4xx), which are input-determined and identical across shards.
-func (rt *Router) relay(w http.ResponseWriter, st *routerState, rep shardReply) {
-	setGeneration(w, st)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(rep.status)
-	w.Write(rep.body)
-}
-
-// firstClientError scans replies in shard order for a 4xx to relay.
-func firstClientError(st *routerState, replies map[int]shardReply) (shardReply, bool) {
-	for i := range st.manifest.Shards {
-		rep, ok := replies[i]
-		if !ok || rep.err != nil {
-			continue
-		}
-		if rep.status >= 400 && rep.status < 500 {
-			return rep, true
+// statsBodies groups a global region list into per-shard sums
+// requests over shard-local ids, nil for a shard not asked. The list
+// is checked here with the snapshot's Layout — the check the whole
+// index's GroupStats runs — because the backends only see local ids;
+// its refusal is returned for the caller to answer. An empty or
+// refused window still asks the first shard, so the backends validate
+// the task (404 on an unknown one) as the whole index would.
+func statsBodies(st *routerState, task int, regions []int) ([][]byte, error) {
+	local := make([][]int, len(st.manifest.Shards))
+	_, err := st.layout.RegionSet(regions)
+	if err == nil {
+		for _, region := range regions {
+			s, l := st.manifest.ToLocal(region)
+			local[s] = append(local[s], l)
 		}
 	}
-	return shardReply{}, false
-}
-
-// failedShards lists the shards (manifest order) whose reply failed at
-// the transport layer or with a backend-side 5xx.
-func failedShards(st *routerState, replies map[int]shardReply) []int {
-	var down []int
-	for i := range st.manifest.Shards {
-		rep, ok := replies[i]
-		if !ok {
-			continue // shard not part of this fan-out
-		}
-		if rep.err != nil || rep.status >= 500 {
-			down = append(down, i)
+	bodies := make([][]byte, len(local))
+	asked := false
+	for s, ids := range local {
+		if len(ids) > 0 {
+			bodies[s] = statsBody(task, ids)
+			asked = true
 		}
 	}
-	return down
+	if !asked {
+		bodies[0] = statsBody(task, nil)
+	}
+	return bodies, err
 }
 
-// unreachableError describes dead shards for a hard-failure response.
-func (rt *Router) unreachableError(st *routerState, replies map[int]shardReply, down []int) error {
-	parts := make([]string, len(down))
-	for j, i := range down {
-		rep := replies[i]
-		if rep.err != nil {
-			parts[j] = fmt.Sprintf("%s: %v", st.manifest.Shards[i].Name, rep.err)
-		} else {
-			parts[j] = fmt.Sprintf("%s: backend status %d", st.manifest.Shards[i].Name, rep.status)
+// statsBody encodes one shard's sums request, wire.StatsRequest's
+// bytes, by hand: omitempty would drop an empty list and turn the
+// request into the regions-vs-rect 400.
+func statsBody(task int, ids []int) []byte {
+	b := fmt.Appendf(nil, `{"task":%d,"regions":[`, task)
+	for j, id := range ids {
+		if j > 0 {
+			b = append(b, ',')
 		}
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	return fmt.Errorf("router: shard backend(s) unavailable: %s", strings.Join(parts, "; "))
+	return append(b, `],"sums":true}`...)
 }
 
 func (rt *Router) handleUnsupported(w http.ResponseWriter, r *http.Request) {
@@ -671,72 +608,67 @@ func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
 		Regions:    st.manifest.NumRegions,
 		Shards:     make([]shardInfoJSON, len(st.manifest.Shards)),
 	}
-	probe := shardCall{method: http.MethodGet, path: "/healthz"}
+	now := time.Now()
 	var wg sync.WaitGroup
 	for i, s := range st.manifest.Shards {
-		wg.Add(1)
-		go func(i int, s shard.Shard) {
-			defer wg.Done()
-			urls := st.replicas[i]
-			info := shardInfoJSON{
-				Name:        s.Name,
-				Lo:          s.Lo,
-				Hi:          s.Hi,
-				Fingerprint: strconv.FormatUint(s.Fingerprint, 10),
-				Replicas:    make([]replicaInfoJSON, len(urls)),
-			}
-			now := time.Now()
-			var inner sync.WaitGroup
-			for j, url := range urls {
-				inner.Add(1)
-				go func(j int, url string) {
-					defer inner.Done()
-					actx, acancel := context.WithTimeout(r.Context(), rt.timeout)
-					defer acancel()
-					rep := rt.doCall(actx, url, probe)
-					hs := rt.health[url].snapshot(url, now)
-					ri := replicaInfoJSON{
-						URL:          url,
-						Breaker:      hs.State,
-						ConsecFails:  hs.ConsecFails,
-						Attempts:     hs.Attempts,
-						Failures:     hs.Failures,
-						LastError:    hs.LastErr,
-						RetryAfterMS: hs.RetryAfterMS,
-					}
-					switch {
-					case rep.err != nil:
-						ri.Status = fmt.Sprintf("unreachable: %v", rep.err)
-					case rep.status != http.StatusOK:
-						ri.Status = fmt.Sprintf("unhealthy: status %d", rep.status)
-					default:
-						ri.Status = "ok"
-					}
-					if rep.err == nil {
-						ri.Generation = rep.gen
-						ri.Match = rep.gen == info.Fingerprint
-					}
-					info.Replicas[j] = ri
-				}(j, url)
-			}
-			inner.Wait()
-			// Summarize: first ok replica speaks for the shard, else the
-			// first replica's failure does.
-			summary := info.Replicas[0]
-			for _, ri := range info.Replicas {
-				if ri.Status == "ok" {
-					summary = ri
-					break
+		info := &resp.Shards[i]
+		*info = shardInfoJSON{
+			Name:        s.Name,
+			Lo:          s.Lo,
+			Hi:          s.Hi,
+			Fingerprint: strconv.FormatUint(s.Fingerprint, 10),
+			Replicas:    make([]replicaInfoJSON, len(st.replicas[i])),
+		}
+		for j, url := range st.replicas[i] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				actx, cancel := context.WithTimeout(r.Context(), rt.timeout)
+				defer cancel()
+				rep := rt.doCall(actx, url, http.MethodGet, "/healthz", nil)
+				hs := rt.health[url].snapshot(url, now)
+				ri := replicaInfoJSON{
+					URL:          url,
+					Breaker:      hs.State,
+					ConsecFails:  hs.ConsecFails,
+					Attempts:     hs.Attempts,
+					Failures:     hs.Failures,
+					LastError:    hs.LastErr,
+					RetryAfterMS: hs.RetryAfterMS,
 				}
-			}
-			info.URL = summary.URL
-			info.Status = summary.Status
-			info.Generation = summary.Generation
-			info.Match = summary.Match
-			resp.Shards[i] = info
-		}(i, s)
+				switch {
+				case rep.err != nil:
+					ri.Status = fmt.Sprintf("unreachable: %v", rep.err)
+				case rep.status != http.StatusOK:
+					ri.Status = fmt.Sprintf("unhealthy: status %d", rep.status)
+				default:
+					ri.Status = "ok"
+				}
+				if rep.err == nil {
+					ri.Generation = rep.gen
+					ri.Match = rep.gen == info.Fingerprint
+				}
+				info.Replicas[j] = ri
+			}()
+		}
 	}
 	wg.Wait()
+	for i := range resp.Shards {
+		info := &resp.Shards[i]
+		// Summarize: first ok replica speaks for the shard, else the
+		// first replica's failure does.
+		summary := info.Replicas[0]
+		for _, ri := range info.Replicas {
+			if ri.Status == "ok" {
+				summary = ri
+				break
+			}
+		}
+		info.URL = summary.URL
+		info.Status = summary.Status
+		info.Generation = summary.Generation
+		info.Match = summary.Match
+	}
 	setGeneration(w, st)
 	reply.JSON(w, http.StatusOK, resp)
 }
@@ -777,6 +709,12 @@ func (rt *Router) resolveLayout(w http.ResponseWriter, _ *http.Request) (*fairin
 // failure instead of failing: live shards' regions are aggregated
 // exactly and the response is marked partial.
 //
+// The fan-out binds to one manifest snapshot. When a reply's
+// generation does not match it, the manifest is reloaded (when a
+// source is configured), the window resolved again on the new Layout
+// and the fan-out retried once; a mismatch surviving that is a 409:
+// the deployment is mid-transition and no consistent answer exists.
+//
 // Refusals follow the whole index's order — rectangle, window size,
 // metric names, task, region ids — so a request with several faults
 // gets the same answer from both. The backends validate the task, so
@@ -803,91 +741,90 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	first := st
-	var regionErr error
-	st, replies, herr := rt.scatterConsistent(r.Context(), st, func(st *routerState) (map[int]shardCall, *httpError) {
-		if st != first {
-			// A reload moved the plan: resolve the window against the
-			// new generation's geometry.
-			next, status, err := wire.WindowRegions(st.layout, req.Regions, req.Rect, wire.DefaultMaxBatch)
-			if err != nil {
-				return nil, &httpError{status, err.Error()}
-			}
-			regions = next
+	var (
+		bodies    [][]byte
+		replies   []shardReply
+		regionErr error
+	)
+	for attempt := 0; ; attempt++ {
+		bodies, regionErr = statsBodies(st, req.Task, regions)
+		replies = rt.scatter(r.Context(), st, bodies)
+		bad := mismatched(st, replies)
+		if len(bad) == 0 {
+			break
 		}
-		calls := make(map[int]shardCall, len(st.manifest.Shards))
-		// Region lists are validated here in the global id space (the
-		// backends only see local ids), replicating the whole index's
-		// exact refusals.
-		var local [][]int
-		local, regionErr = splitRegions(st, regions)
-		for s, ids := range local {
-			if len(ids) == 0 {
+		if attempt == 0 && rt.source != nil {
+			next, err := rt.reloadState()
+			if err == nil {
+				st = next
+				if regions, status, err = wire.WindowRegions(st.layout, req.Regions, req.Rect, wire.DefaultMaxBatch); err != nil {
+					reply.Error(w, status, err)
+					return
+				}
 				continue
 			}
-			body, err := json.Marshal(wire.StatsRequest{Task: req.Task, Regions: ids, Sums: true})
-			if err != nil {
-				return nil, &httpError{http.StatusInternalServerError, err.Error()}
-			}
-			calls[s] = shardCall{method: http.MethodPost, path: "/v1/stats", body: body}
+			log.Printf("router: manifest reload after generation mismatch failed: %v", err)
 		}
-		if len(calls) == 0 {
-			// Empty or refused window: probe the first shard so task
-			// validation (404 on an unknown task) still happens somewhere.
-			// Written by hand because omitempty would drop the empty list
-			// and turn the request into the regions-vs-rect 400.
-			calls[0] = shardCall{method: http.MethodPost, path: "/v1/stats",
-				body: []byte(fmt.Sprintf(`{"task":%d,"regions":[],"sums":true}`, req.Task))}
-		}
-		return calls, nil
-	})
-	if herr != nil {
-		reply.Error(w, herr.status, herr)
+		reply.Error(w, http.StatusConflict, fmt.Errorf(
+			"router: generation mismatch on shard(s) %s: backends serve a different artifact generation than the manifest",
+			strings.Join(bad, ", ")))
 		return
 	}
-	if rep, ok := firstClientError(st, replies); ok {
-		rt.relay(w, st, rep)
-		return
+
+	for _, rep := range replies {
+		if rep.err == nil && rep.status >= 400 && rep.status < 500 {
+			// Client errors are input-determined and identical on every
+			// shard: relay the first one verbatim.
+			setGeneration(w, st)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(rep.status)
+			w.Write(rep.body)
+			return
+		}
 	}
 	if regionErr != nil {
 		setGeneration(w, st)
 		reply.Error(w, http.StatusBadRequest, regionErr)
 		return
 	}
-	down := failedShards(st, replies)
-	if len(down) == len(replies) {
-		reply.Error(w, http.StatusBadGateway, rt.unreachableError(st, replies, down))
-		return
-	}
-	downSet := make(map[int]bool, len(down))
-	var failedNames []string
-	for _, i := range down {
-		downSet[i] = true
-		failedNames = append(failedNames, st.manifest.Shards[i].Name)
-	}
-
-	var gathered []fairindex.RegionStat
-	for i := range st.manifest.Shards {
-		rep, ok := replies[i]
-		if !ok || downSet[i] {
+	var (
+		gathered    []fairindex.RegionStat
+		failedNames []string
+		failures    []string
+		answered    int
+	)
+	for i, rep := range replies {
+		if bodies[i] == nil {
 			continue
 		}
+		name := st.manifest.Shards[i].Name
+		if rep.failed() {
+			failedNames = append(failedNames, name)
+			failures = append(failures, fmt.Sprintf("%s: %v", name, rep.failure()))
+			continue
+		}
+		answered++
 		var sub wire.StatsResponse
 		if err := json.Unmarshal(rep.body, &sub); err != nil {
 			reply.Error(w, http.StatusBadGateway, fmt.Errorf(
-				"router: shard %q: malformed stats response: %v", st.manifest.Shards[i].Name, err))
+				"router: shard %q: malformed stats response: %v", name, err))
 			return
 		}
 		local := make([]fairindex.RegionStat, len(sub.Regions))
 		for j, rs := range sub.Regions {
 			if rs.SumScore == nil || rs.SumLabel == nil {
 				reply.Error(w, http.StatusBadGateway, fmt.Errorf(
-					"router: shard %q: backend response lacks raw sums (pre-sharding server version?)", st.manifest.Shards[i].Name))
+					"router: shard %q: backend response lacks raw sums (pre-sharding server version?)", name))
 				return
 			}
 			local[j] = fairindex.RegionStat{Region: rs.Region, Count: rs.Count, SumScore: *rs.SumScore, SumLabel: *rs.SumLabel}
 		}
 		gathered = append(gathered, st.manifest.TranslateStats(i, local)...)
+	}
+	if answered == 0 {
+		reply.Error(w, http.StatusBadGateway, fmt.Errorf(
+			"router: shard backend(s) unavailable: %s", strings.Join(failures, "; ")))
+		return
 	}
 	var ws fairindex.WindowStats
 	if req.Metrics != nil {
@@ -903,23 +840,8 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := wire.NewStatsResponse(ws, req.Sums)
-	resp.Partial = len(down) > 0
+	resp.Partial = len(failedNames) > 0
 	resp.FailedShards = failedNames
 	setGeneration(w, st)
 	reply.JSON(w, http.StatusOK, resp)
-}
-
-// splitRegions checks a global region list with the snapshot's
-// Layout, the check the whole index's GroupStats runs, and groups it
-// into per-shard local id lists.
-func splitRegions(st *routerState, regions []int) ([][]int, error) {
-	if _, err := st.layout.RegionSet(regions); err != nil {
-		return nil, err
-	}
-	local := make([][]int, len(st.manifest.Shards))
-	for _, region := range regions {
-		s, l := st.manifest.ToLocal(region)
-		local[s] = append(local[s], l)
-	}
-	return local, nil
 }

@@ -124,9 +124,10 @@ type TaskDrift struct {
 	// Metrics holds the live value of each monitored metric over the
 	// task's full region set.
 	Metrics map[string]float64
-	// Drifts holds |live − build-time| per monitored metric. A NaN
-	// drift (a metric undefined on either side, e.g. cal_ratio with
-	// no positives) never triggers a rebuild recommendation.
+	// Drifts holds |live − baseline| per monitored metric, with the
+	// baseline MetricDrift defines. A NaN drift (a metric undefined on
+	// either side, e.g. cal_ratio with no positives) never triggers a
+	// rebuild recommendation.
 	Drifts map[string]float64
 }
 
@@ -288,7 +289,8 @@ func (ix *Index) monitoredMetrics() []string {
 // metricValues computes one metric's (live, baseline) pair for a task
 // slot against one live snapshot. The ENCE pair reuses the
 // incrementally maintained values, keeping legacy drift bit-exact;
-// other metrics evaluate over the live and build-time statistics.
+// other metrics evaluate over the live statistics and those the index
+// was built or loaded with.
 func (ix *Index) metricValues(name string, slot int, ls *liveStats) (live, base float64) {
 	if name == calib.MetricENCE {
 		if ls != nil {
@@ -363,11 +365,13 @@ func (ix *Index) Appended() int {
 }
 
 // MetricDrift returns one task's drift under a named registered
-// metric: |metric over live statistics − metric over build-time
-// statistics|. For "ence" it is |live ENCE − build-time ENCE|, the
-// value TaskDrift.Drift carries, bit for bit. A NaN result means the
-// metric is undefined on at least one side (e.g. cal_ratio with no
-// positives); NaN drift never triggers a rebuild recommendation.
+// metric: |metric over live statistics − metric over the statistics
+// the index was built or loaded with|. For "ence" it is |live ENCE −
+// build-time ENCE|, the value TaskDrift.Drift carries, bit for bit;
+// the artifact stores that baseline, so only ENCE drift survives a
+// save and reload. A NaN result means the metric is undefined on at
+// least one side (e.g. cal_ratio with no positives); NaN drift never
+// triggers a rebuild recommendation.
 // Indexes restored from pre-v2 artifacts carry no statistics for
 // non-ENCE metrics and fail with ErrNoRegionStats.
 func (ix *Index) MetricDrift(task int, metric string) (float64, error) {
