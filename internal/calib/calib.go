@@ -75,18 +75,6 @@ func MiscalAbs(scores []float64, labels []int) float64 {
 	return math.Abs(MeanScore(scores) - PositiveRate(labels))
 }
 
-// SignedDeviation returns the unnormalized signed deviation
-// Σ (s_u − y_u) over all instances. Dividing by the instance count
-// gives e − o; the unnormalized form is what the fair split objective
-// (Eq. 9) consumes.
-func SignedDeviation(scores []float64, labels []int) float64 {
-	var sum float64
-	for i, s := range scores {
-		sum += s - float64(label01(labels[i]))
-	}
-	return sum
-}
-
 func label01(y int) int {
 	if y != 0 {
 		return 1

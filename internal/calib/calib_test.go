@@ -95,17 +95,3 @@ func TestMiscalAbs(t *testing.T) {
 		})
 	}
 }
-
-func TestSignedDeviation(t *testing.T) {
-	scores := []float64{0.8, 0.3, 0.5}
-	labels := []int{1, 0, 1}
-	// (0.8-1) + (0.3-0) + (0.5-1) = -0.4
-	if got := SignedDeviation(scores, labels); !almostEqual(got, -0.4, 1e-12) {
-		t.Errorf("SignedDeviation = %v, want -0.4", got)
-	}
-	// Consistency: SignedDeviation / n == e - o.
-	n := float64(len(scores))
-	if got := SignedDeviation(scores, labels) / n; !almostEqual(got, MeanScore(scores)-PositiveRate(labels), 1e-12) {
-		t.Errorf("deviation/n = %v inconsistent with e-o", got)
-	}
-}

@@ -59,42 +59,3 @@ func binOf(s float64, bins int) int {
 	}
 	return b
 }
-
-// ReliabilityBin describes one bin of a reliability diagram.
-type ReliabilityBin struct {
-	Lo, Hi    float64 // score range [Lo, Hi)
-	Count     int     // instances in the bin
-	MeanScore float64 // e(B)
-	PosRate   float64 // o(B)
-}
-
-// Reliability returns the per-bin reliability diagram backing an ECE
-// computation. Useful for reporting and plotting.
-func Reliability(scores []float64, labels []int, bins int) ([]ReliabilityBin, error) {
-	if err := checkPair(scores, labels); err != nil {
-		return nil, err
-	}
-	if bins <= 0 {
-		return nil, fmt.Errorf("calib: ECE bin count must be positive, got %d", bins)
-	}
-	out := make([]ReliabilityBin, bins)
-	width := 1.0 / float64(bins)
-	for b := range out {
-		out[b].Lo = float64(b) * width
-		out[b].Hi = float64(b+1) * width
-	}
-	for i, s := range scores {
-		b := binOf(s, bins)
-		out[b].Count++
-		out[b].MeanScore += s
-		out[b].PosRate += float64(label01(labels[i]))
-	}
-	for b := range out {
-		if out[b].Count > 0 {
-			c := float64(out[b].Count)
-			out[b].MeanScore /= c
-			out[b].PosRate /= c
-		}
-	}
-	return out, nil
-}

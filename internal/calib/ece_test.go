@@ -113,43 +113,6 @@ func TestECELowerBoundsOverallMiscal(t *testing.T) {
 	}
 }
 
-func TestReliability(t *testing.T) {
-	scores := []float64{0.05, 0.95, 0.95}
-	labels := []int{0, 1, 0}
-	bins, err := Reliability(scores, labels, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bins) != 10 {
-		t.Fatalf("got %d bins, want 10", len(bins))
-	}
-	if bins[0].Count != 1 || !almostEqual(bins[0].MeanScore, 0.05, 1e-12) {
-		t.Errorf("bin 0 = %+v", bins[0])
-	}
-	if bins[9].Count != 2 || !almostEqual(bins[9].PosRate, 0.5, 1e-12) {
-		t.Errorf("bin 9 = %+v", bins[9])
-	}
-	total := 0
-	for _, b := range bins {
-		total += b.Count
-		if b.Hi <= b.Lo {
-			t.Errorf("bin has non-positive width: %+v", b)
-		}
-	}
-	if total != len(scores) {
-		t.Errorf("bins cover %d instances, want %d", total, len(scores))
-	}
-}
-
-func TestReliabilityValidation(t *testing.T) {
-	if _, err := Reliability([]float64{0.1}, []int{}, 5); err == nil {
-		t.Error("expected mismatch error")
-	}
-	if _, err := Reliability(nil, nil, -1); err == nil {
-		t.Error("expected bin count error")
-	}
-}
-
 func TestBinOfClamping(t *testing.T) {
 	if got := binOf(-0.1, 10); got != 0 {
 		t.Errorf("binOf(-0.1) = %d, want 0", got)

@@ -53,132 +53,51 @@ func (e Encoding) String() string {
 // from the location attribute, so feature-importance reports can
 // aggregate them back into a single "Neighborhood" entry (Figure 9).
 //
-// It comes in two layouts sharing the same column order (continuous
-// features first, then location columns):
-//
-//   - Encode materializes dense rows in X;
-//   - EncodeGrouped leaves X nil and fills the factorized view
-//     instead: row i is conceptually concat(Base[i], Shared[Group[i]]).
-//     Every location column depends only on the record's region, so
-//     the wide location block is stored once per region — the layout
-//     ml.GroupedDesign trains on without ever materializing the
-//     O(records × regions) one-hot matrix.
+// Columns are the continuous features first, then the location
+// columns. Every location column depends only on the record's region,
+// so the matrix is stored factorized: row i is concat(Base[i],
+// Shared[Group[i]]), with the wide location block kept once per
+// region. The grouped logistic-regression kernels (ml.GroupedDesign)
+// train on this layout directly, never materializing the
+// O(records × regions) one-hot matrix; every other consumer asks Rows
+// for the dense rows it needs.
 type Encoded struct {
-	X       [][]float64 // dense rows; nil when built by EncodeGrouped
 	Names   []string
 	LocCols []int // indices into Names of location-derived columns
 
-	// Factorized layout (EncodeGrouped only).
 	Base   [][]float64 // per-record continuous features (shares Record.X backing)
 	Group  []int       // per-record region id
 	Shared [][]float64 // per-region location columns
 }
 
-// Grouped reports whether the Encoded carries the factorized layout.
-func (e *Encoded) Grouped() bool { return e.X == nil }
-
-// Encode builds a design matrix from the dataset's continuous
+// Encode builds the design matrix of the dataset's continuous
 // features plus the neighborhood attribute.
 //
 // regionOf[i] is the region id of record i in [0, numRegions);
 // centroids[r] is the region's normalized (row, col) centroid in
-// [0,1]² (ignored by EncOneHot).
+// [0,1]² (ignored by EncOneHot). Base rows alias the records' feature
+// slices and Group aliases regionOf (no copies); callers must not
+// mutate either while the Encoded is in use.
 func Encode(ds *Dataset, regionOf []int, numRegions int, centroids [][2]float64, enc Encoding) (*Encoded, error) {
 	enc = enc.Resolve()
 	if len(regionOf) != ds.Len() {
 		return nil, fmt.Errorf("dataset: regionOf has %d entries, want %d", len(regionOf), ds.Len())
 	}
-	if enc != EncOneHot && len(centroids) < numRegions {
-		return nil, fmt.Errorf("dataset: %d centroids for %d regions", len(centroids), numRegions)
+	locDims, err := locationWidth(enc, numRegions, centroids)
+	if err != nil {
+		return nil, err
 	}
 	base := ds.NumFeatures()
-	var locDims int
-	switch enc {
-	case EncCentroid:
-		locDims = 2
-	case EncOneHot:
-		locDims = numRegions
-	case EncCentroidOneHot:
-		locDims = 2 + numRegions
-	default:
-		return nil, fmt.Errorf("dataset: unknown encoding %v", enc)
-	}
-
-	out := &Encoded{
-		X:     make([][]float64, ds.Len()),
-		Names: make([]string, 0, base+locDims),
-	}
-	out.Names = append(out.Names, ds.FeatureNames...)
-	switch enc {
-	case EncCentroid:
-		out.Names = append(out.Names, "loc:row", "loc:col")
-	case EncOneHot:
-		for r := 0; r < numRegions; r++ {
-			out.Names = append(out.Names, fmt.Sprintf("loc:N%d", r))
-		}
-	case EncCentroidOneHot:
-		out.Names = append(out.Names, "loc:row", "loc:col")
-		for r := 0; r < numRegions; r++ {
-			out.Names = append(out.Names, fmt.Sprintf("loc:N%d", r))
-		}
-	}
-	out.LocCols = make([]int, locDims)
-	for i := range out.LocCols {
-		out.LocCols[i] = base + i
-	}
-
-	for i := range ds.Records {
-		row, err := EncodeRow(ds.Records[i].X, regionOf[i], numRegions, centroids, enc)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: record %d: %w", i, err)
-		}
-		out.X[i] = row
-	}
-	return out, nil
-}
-
-// EncodeGrouped builds the factorized form of the same design matrix
-// Encode would produce: identical column order, names and location
-// metadata, but the location block is stored once per region instead
-// of once per record. Base rows alias the records' feature slices and
-// Group aliases regionOf (no copies); callers must not mutate either
-// while the Encoded is in use.
-func EncodeGrouped(ds *Dataset, regionOf []int, numRegions int, centroids [][2]float64, enc Encoding) (*Encoded, error) {
-	enc = enc.Resolve()
-	if len(regionOf) != ds.Len() {
-		return nil, fmt.Errorf("dataset: regionOf has %d entries, want %d", len(regionOf), ds.Len())
-	}
-	if enc != EncOneHot && len(centroids) < numRegions {
-		return nil, fmt.Errorf("dataset: %d centroids for %d regions", len(centroids), numRegions)
-	}
-	base := ds.NumFeatures()
-	var locDims int
-	switch enc {
-	case EncCentroid:
-		locDims = 2
-	case EncOneHot:
-		locDims = numRegions
-	case EncCentroidOneHot:
-		locDims = 2 + numRegions
-	default:
-		return nil, fmt.Errorf("dataset: unknown encoding %v", enc)
-	}
-
 	out := &Encoded{
 		Names: make([]string, 0, base+locDims),
 		Base:  make([][]float64, ds.Len()),
 		Group: regionOf,
 	}
 	out.Names = append(out.Names, ds.FeatureNames...)
-	switch enc {
-	case EncCentroid:
+	if enc != EncOneHot {
 		out.Names = append(out.Names, "loc:row", "loc:col")
-	case EncOneHot:
-		for r := 0; r < numRegions; r++ {
-			out.Names = append(out.Names, fmt.Sprintf("loc:N%d", r))
-		}
-	case EncCentroidOneHot:
-		out.Names = append(out.Names, "loc:row", "loc:col")
+	}
+	if enc != EncCentroid {
 		for r := 0; r < numRegions; r++ {
 			out.Names = append(out.Names, fmt.Sprintf("loc:N%d", r))
 		}
@@ -196,60 +115,92 @@ func EncodeGrouped(ds *Dataset, regionOf []int, numRegions int, centroids [][2]f
 		out.Base[i] = ds.Records[i].X
 	}
 	// One shared location row per region, laid out as a single backing
-	// array. The values match EncodeRow's location block exactly.
+	// array.
 	backing := make([]float64, numRegions*locDims)
 	out.Shared = make([][]float64, numRegions)
-	for r := 0; r < numRegions; r++ {
+	for r := range out.Shared {
 		row := backing[r*locDims : (r+1)*locDims : (r+1)*locDims]
-		switch enc {
-		case EncCentroid:
-			row[0] = centroids[r][0]
-			row[1] = centroids[r][1]
-		case EncOneHot:
-			row[r] = 1
-		case EncCentroidOneHot:
-			row[0] = centroids[r][0]
-			row[1] = centroids[r][1]
-			row[2+r] = 1
-		}
+		writeLocation(row, enc, r, centroids)
 		out.Shared[r] = row
 	}
 	return out, nil
 }
 
+// Rows materializes the dense design rows of the records idx lists,
+// in idx order (every record when idx is nil): row k is
+// concat(Base[idx[k]], Shared[Group[idx[k]]]), len(Names) columns,
+// all rows carved out of one backing array. Values are copied, never
+// recomputed, so a row is bit-equal to EncodeRow's for its record.
+func (e *Encoded) Rows(idx []int) [][]float64 {
+	n := len(idx)
+	if idx == nil {
+		n = len(e.Base)
+	}
+	width := len(e.Names)
+	backing := make([]float64, n*width)
+	rows := make([][]float64, n)
+	for k := range rows {
+		i := k
+		if idx != nil {
+			i = idx[k]
+		}
+		row := backing[k*width : (k+1)*width : (k+1)*width]
+		copy(row[copy(row, e.Base[i]):], e.Shared[e.Group[i]])
+		rows[k] = row
+	}
+	return rows
+}
+
 // EncodeRow builds the model feature row for a single record: its
 // continuous features x followed by the location columns for its
-// region under the given encoding. This is the per-record core of
-// Encode, exposed so a serving index can score one individual without
+// region under the given encoding — one row of Encode's matrix,
+// exposed so a serving index can score one individual without
 // materializing a whole dataset.
 func EncodeRow(x []float64, region, numRegions int, centroids [][2]float64, enc Encoding) ([]float64, error) {
 	enc = enc.Resolve()
 	if region < 0 || region >= numRegions {
 		return nil, fmt.Errorf("dataset: region %d out of range [0,%d)", region, numRegions)
 	}
-	if enc != EncOneHot && len(centroids) < numRegions {
-		return nil, fmt.Errorf("dataset: %d centroids for %d regions", len(centroids), numRegions)
+	locDims, err := locationWidth(enc, numRegions, centroids)
+	if err != nil {
+		return nil, err
 	}
-	base := len(x)
-	var row []float64
+	row := make([]float64, len(x)+locDims)
+	writeLocation(row[copy(row, x):], enc, region, centroids)
+	return row, nil
+}
+
+// locationWidth returns how many location columns enc adds for
+// numRegions regions, checking that centroids cover every region
+// where the encoding reads them.
+func locationWidth(enc Encoding, numRegions int, centroids [][2]float64) (int, error) {
+	if enc != EncOneHot && len(centroids) < numRegions {
+		return 0, fmt.Errorf("dataset: %d centroids for %d regions", len(centroids), numRegions)
+	}
 	switch enc {
 	case EncCentroid:
-		row = make([]float64, base+2)
-		row[base] = centroids[region][0]
-		row[base+1] = centroids[region][1]
+		return 2, nil
 	case EncOneHot:
-		row = make([]float64, base+numRegions)
-		row[base+region] = 1
+		return numRegions, nil
 	case EncCentroidOneHot:
-		row = make([]float64, base+2+numRegions)
-		row[base] = centroids[region][0]
-		row[base+1] = centroids[region][1]
-		row[base+2+region] = 1
+		return 2 + numRegions, nil
 	default:
-		return nil, fmt.Errorf("dataset: unknown encoding %v", enc)
+		return 0, fmt.Errorf("dataset: unknown encoding %v", enc)
 	}
-	copy(row, x)
-	return row, nil
+}
+
+// writeLocation writes region's location columns under a resolved,
+// known enc into the zeroed dst: the centroid pair first (all but
+// EncOneHot), then the region's one-hot indicator (all but
+// EncCentroid).
+func writeLocation(dst []float64, enc Encoding, region int, centroids [][2]float64) {
+	if enc != EncOneHot {
+		dst[0], dst[1] = centroids[region][0], centroids[region][1]
+		dst = dst[2:]
+	}
+	if enc != EncCentroid {
+		dst[region] = 1
+	}
 }
 
 // AggregateImportance folds per-column importances back onto the

@@ -21,8 +21,9 @@ func TestEncodeCentroid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(enc.X) != 3 {
-		t.Fatalf("rows = %d", len(enc.X))
+	rows := enc.Rows(nil)
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d", len(rows))
 	}
 	wantNames := []string{"f1", "f2", "loc:row", "loc:col"}
 	if !reflect.DeepEqual(enc.Names, wantNames) {
@@ -31,10 +32,10 @@ func TestEncodeCentroid(t *testing.T) {
 	if !reflect.DeepEqual(enc.LocCols, []int{2, 3}) {
 		t.Errorf("LocCols = %v", enc.LocCols)
 	}
-	if got := enc.X[0]; !reflect.DeepEqual(got, []float64{1, 2, 0.25, 0.25}) {
+	if got := rows[0]; !reflect.DeepEqual(got, []float64{1, 2, 0.25, 0.25}) {
 		t.Errorf("row 0 = %v", got)
 	}
-	if got := enc.X[2]; !reflect.DeepEqual(got, []float64{5, 6, 0.75, 0.75}) {
+	if got := rows[2]; !reflect.DeepEqual(got, []float64{5, 6, 0.75, 0.75}) {
 		t.Errorf("row 2 = %v", got)
 	}
 }
@@ -45,10 +46,11 @@ func TestEncodeOneHot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := enc.X[0]; !reflect.DeepEqual(got, []float64{1, 2, 1, 0}) {
+	rows := enc.Rows(nil)
+	if got := rows[0]; !reflect.DeepEqual(got, []float64{1, 2, 1, 0}) {
 		t.Errorf("row 0 = %v", got)
 	}
-	if got := enc.X[1]; !reflect.DeepEqual(got, []float64{3, 4, 0, 1}) {
+	if got := rows[1]; !reflect.DeepEqual(got, []float64{3, 4, 0, 1}) {
 		t.Errorf("row 1 = %v", got)
 	}
 	for _, c := range enc.LocCols {
@@ -64,7 +66,8 @@ func TestEncodeCentroidOneHot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := enc.X[1]; !reflect.DeepEqual(got, []float64{3, 4, 0.75, 0.75, 0, 1}) {
+	rows := enc.Rows(nil)
+	if got := rows[1]; !reflect.DeepEqual(got, []float64{3, 4, 0.75, 0.75, 0, 1}) {
 		t.Errorf("row 1 = %v", got)
 	}
 	if len(enc.LocCols) != 4 {

@@ -2,6 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -68,4 +71,108 @@ func FuzzDatasetCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzEncodeRows holds the one encoder to its per-record core: over
+// random small grids, records, region assignments and centroids under
+// every encoding, Encode(...).Rows(idx) must equal EncodeRow for each
+// record bit for bit, len(Names) columns wide, and whatever one of
+// them rejects — a region out of range, too few centroids, an unknown
+// encoding — the other must reject too.
+func FuzzEncodeRows(f *testing.F) {
+	for enc := int8(-1); enc <= 5; enc++ {
+		f.Add(int64(enc)+7, uint8(4), uint8(4), uint8(3), uint8(3), uint8(12), uint8(2), enc, false)
+	}
+	f.Add(int64(1), uint8(2), uint8(3), uint8(4), uint8(2), uint8(5), uint8(1), int8(EncCentroid), false)       // too few centroids
+	f.Add(int64(2), uint8(3), uint8(3), uint8(2), uint8(2), uint8(6), uint8(0), int8(EncOneHot), true)          // region out of range
+	f.Add(int64(3), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3), int8(EncCentroidOneHot), false) // no regions
+	f.Fuzz(func(t *testing.T, seed int64, rows, cols, numRegions, numCentroids, numRecords, numFeatures uint8, rawEnc int8, badRegion bool) {
+		rng := rand.New(rand.NewSource(seed))
+		grid := geo.MustGrid(1+int(rows%8), 1+int(cols%8))
+		regions := int(numRegions % 16)
+		enc := Encoding(rawEnc)
+
+		// Regions own cells; a region's centroid is one of its grid
+		// cells' normalized center.
+		regionOfCell := make([]int, grid.NumCells())
+		for c := range regionOfCell {
+			regionOfCell[c] = rng.Intn(regions + 1) // regions itself is out of range
+			if !badRegion && regions > 0 {
+				regionOfCell[c] %= regions
+			}
+		}
+		centroids := make([][2]float64, numCentroids%16)
+		for r := range centroids {
+			cell := grid.CellAt(rng.Intn(grid.NumCells()))
+			centroids[r] = [2]float64{(float64(cell.Row) + 0.5) / float64(grid.U), (float64(cell.Col) + 0.5) / float64(grid.V)}
+		}
+
+		// Features are arbitrary bit patterns (NaN payloads, -0, ±Inf
+		// included): Rows must copy them, never recompute them.
+		ds := &Dataset{Grid: grid, FeatureNames: make([]string, numFeatures%5)}
+		for j := range ds.FeatureNames {
+			ds.FeatureNames[j] = fmt.Sprintf("f%d", j)
+		}
+		n := 1 + int(numRecords%32)
+		regionOf := make([]int, n)
+		for i := 0; i < n; i++ {
+			cell := grid.CellAt(rng.Intn(grid.NumCells()))
+			x := make([]float64, len(ds.FeatureNames))
+			for j := range x {
+				x[j] = math.Float64frombits(rng.Uint64())
+			}
+			ds.Records = append(ds.Records, Record{Cell: cell, X: x})
+			regionOf[i] = regionOfCell[grid.Index(cell)]
+		}
+
+		e, encodeErr := Encode(ds, regionOf, regions, centroids, enc)
+		want := make([][]float64, n)
+		var rowErr error
+		for i, rec := range ds.Records {
+			if want[i], rowErr = EncodeRow(rec.X, regionOf[i], regions, centroids, enc); rowErr != nil {
+				break
+			}
+		}
+		if (encodeErr == nil) != (rowErr == nil) {
+			t.Fatalf("Encode error %v, EncodeRow error %v", encodeErr, rowErr)
+		}
+		if encodeErr != nil {
+			return
+		}
+		if len(e.Names) != len(ds.FeatureNames)+len(e.LocCols) {
+			t.Fatalf("%d names for %d features and %d location columns", len(e.Names), len(ds.FeatureNames), len(e.LocCols))
+		}
+		idx := make([]int, rng.Intn(2*n+1))
+		for k := range idx {
+			idx[k] = rng.Intn(n)
+		}
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		for _, tc := range []struct{ arg, records []int }{{nil, all}, {idx, idx}} {
+			got := e.Rows(tc.arg)
+			if len(got) != len(tc.records) {
+				t.Fatalf("Rows: %d rows, want %d", len(got), len(tc.records))
+			}
+			for k, i := range tc.records {
+				if len(got[k]) != len(e.Names) || !sameBits(got[k], want[i]) {
+					t.Fatalf("Rows row %d (record %d) = %v, EncodeRow = %v, %d names", k, i, got[k], want[i], len(e.Names))
+				}
+			}
+		}
+	})
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,15 +1,17 @@
 package dataset
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
 	"fairindex/internal/geo"
 )
 
-// EncodeGrouped must describe exactly the matrix Encode materializes:
-// same names, same location columns, and concat(Base[i],
-// Shared[Group[i]]) bit-equal to the dense row.
+// The factorized layout must describe exactly the dense rows
+// EncodeRow builds: Rows, over every record or any index list, is
+// bit-equal to EncodeRow record by record, len(Names) columns wide,
+// with each row capped at its own width inside the shared backing.
 func TestEncodeGroupedMatchesDense(t *testing.T) {
 	grid := geo.MustGrid(16, 16)
 	spec := LA()
@@ -27,52 +29,40 @@ func TestEncodeGroupedMatchesDense(t *testing.T) {
 	for r := range centroids {
 		centroids[r] = [2]float64{float64(r) / 10, 1 - float64(r)/10}
 	}
+	idx := []int{299, 0, 17, 17, 150}
 	for _, enc := range []Encoding{EncDefault, EncCentroid, EncOneHot, EncCentroidOneHot} {
-		dense, err := Encode(ds, regionOf, numRegions, centroids, enc)
+		e, err := Encode(ds, regionOf, numRegions, centroids, enc)
 		if err != nil {
 			t.Fatalf("%v: Encode: %v", enc, err)
 		}
-		grouped, err := EncodeGrouped(ds, regionOf, numRegions, centroids, enc)
-		if err != nil {
-			t.Fatalf("%v: EncodeGrouped: %v", enc, err)
+		if got, want := len(e.LocCols), len(e.Names)-ds.NumFeatures(); got != want {
+			t.Fatalf("%v: %d location columns, want %d", enc, got, want)
 		}
-		if !grouped.Grouped() || dense.Grouped() {
-			t.Fatalf("%v: Grouped() flags wrong", enc)
-		}
-		if len(grouped.Names) != len(dense.Names) {
-			t.Fatalf("%v: %d names vs %d", enc, len(grouped.Names), len(dense.Names))
-		}
-		for i := range dense.Names {
-			if grouped.Names[i] != dense.Names[i] {
-				t.Fatalf("%v: name %d %q vs %q", enc, i, grouped.Names[i], dense.Names[i])
+		check := func(rows [][]float64, records []int) {
+			t.Helper()
+			if len(rows) != len(records) {
+				t.Fatalf("%v: %d rows, want %d", enc, len(rows), len(records))
 			}
-		}
-		if len(grouped.LocCols) != len(dense.LocCols) {
-			t.Fatalf("%v: loc col counts differ", enc)
-		}
-		for i := range dense.LocCols {
-			if grouped.LocCols[i] != dense.LocCols[i] {
-				t.Fatalf("%v: loc col %d differs", enc, i)
-			}
-		}
-		for i := range dense.X {
-			row := dense.X[i]
-			base := grouped.Base[i]
-			shared := grouped.Shared[grouped.Group[i]]
-			if len(base)+len(shared) != len(row) {
-				t.Fatalf("%v: row %d width %d vs %d", enc, i, len(base)+len(shared), len(row))
-			}
-			for j, v := range base {
-				if row[j] != v {
-					t.Fatalf("%v: row %d base col %d: %v vs %v", enc, i, j, v, row[j])
+			for k, i := range records {
+				want, err := EncodeRow(ds.Records[i].X, regionOf[i], numRegions, centroids, enc)
+				if err != nil {
+					t.Fatalf("%v: EncodeRow(%d): %v", enc, i, err)
 				}
-			}
-			for j, v := range shared {
-				if row[len(base)+j] != v {
-					t.Fatalf("%v: row %d shared col %d: %v vs %v", enc, i, j, v, row[len(base)+j])
+				if len(rows[k]) != len(e.Names) || cap(rows[k]) != len(e.Names) {
+					t.Fatalf("%v: row %d len %d cap %d, want %d", enc, k, len(rows[k]), cap(rows[k]), len(e.Names))
+				}
+				if !reflect.DeepEqual(rows[k], want) {
+					t.Fatalf("%v: row %d (record %d) = %v, want %v", enc, k, i, rows[k], want)
 				}
 			}
 		}
+		all := make([]int, ds.Len())
+		for i := range all {
+			all[i] = i
+		}
+		check(e.Rows(nil), all)
+		check(e.Rows(idx), idx)
+		check(e.Rows([]int{}), nil)
 	}
 }
 
@@ -84,15 +74,15 @@ func TestEncodeGroupedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EncodeGrouped(ds, make([]int, 3), 2, make([][2]float64, 2), EncCentroid); err == nil {
+	if _, err := Encode(ds, make([]int, 3), 2, make([][2]float64, 2), EncCentroid); err == nil {
 		t.Fatal("expected regionOf length error")
 	}
-	if _, err := EncodeGrouped(ds, make([]int, ds.Len()), 4, make([][2]float64, 2), EncCentroid); err == nil {
+	if _, err := Encode(ds, make([]int, ds.Len()), 4, make([][2]float64, 2), EncCentroid); err == nil {
 		t.Fatal("expected centroid count error")
 	}
 	bad := make([]int, ds.Len())
 	bad[5] = 9
-	if _, err := EncodeGrouped(ds, bad, 4, make([][2]float64, 4), EncCentroid); err == nil {
+	if _, err := Encode(ds, bad, 4, make([][2]float64, 4), EncCentroid); err == nil {
 		t.Fatal("expected region range error")
 	}
 }

@@ -5,27 +5,6 @@ import (
 	"math/rand"
 )
 
-// SplitIndices partitions {0..n-1} into a train and test set with the
-// given test fraction, using a deterministic shuffle for the seed.
-// testFrac must lie in [0,1); at least one record always remains in
-// the train set.
-func SplitIndices(n int, testFrac float64, seed int64) (train, test []int, err error) {
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("dataset: cannot split %d records", n)
-	}
-	if testFrac < 0 || testFrac >= 1 {
-		return nil, nil, fmt.Errorf("dataset: test fraction %v out of [0,1)", testFrac)
-	}
-	perm := rand.New(rand.NewSource(seed)).Perm(n)
-	nTest := int(float64(n) * testFrac)
-	if nTest >= n {
-		nTest = n - 1
-	}
-	test = append([]int(nil), perm[:nTest]...)
-	train = append([]int(nil), perm[nTest:]...)
-	return train, test, nil
-}
-
 // StratifiedSplit partitions {0..len(labels)-1} into train/test sets
 // preserving the label proportions, deterministically for the seed.
 // Used by the experiment harnesses so that small test sets keep both

@@ -6,57 +6,6 @@ import (
 	"testing"
 )
 
-func TestSplitIndices(t *testing.T) {
-	train, test, err := SplitIndices(10, 0.3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(test) != 3 || len(train) != 7 {
-		t.Fatalf("split sizes = %d/%d, want 7/3", len(train), len(test))
-	}
-	all := append(append([]int(nil), train...), test...)
-	sort.Ints(all)
-	for i, v := range all {
-		if v != i {
-			t.Fatalf("split is not a partition of indices: %v", all)
-		}
-	}
-}
-
-func TestSplitIndicesDeterministic(t *testing.T) {
-	tr1, te1, _ := SplitIndices(50, 0.2, 42)
-	tr2, te2, _ := SplitIndices(50, 0.2, 42)
-	if !reflect.DeepEqual(tr1, tr2) || !reflect.DeepEqual(te1, te2) {
-		t.Error("same seed produced different splits")
-	}
-	tr3, _, _ := SplitIndices(50, 0.2, 43)
-	if reflect.DeepEqual(tr1, tr3) {
-		t.Error("different seeds produced identical splits")
-	}
-}
-
-func TestSplitIndicesErrors(t *testing.T) {
-	if _, _, err := SplitIndices(0, 0.2, 1); err == nil {
-		t.Error("expected error for n=0")
-	}
-	if _, _, err := SplitIndices(10, 1.0, 1); err == nil {
-		t.Error("expected error for frac=1")
-	}
-	if _, _, err := SplitIndices(10, -0.1, 1); err == nil {
-		t.Error("expected error for negative frac")
-	}
-}
-
-func TestSplitIndicesAlwaysKeepsTrain(t *testing.T) {
-	train, test, err := SplitIndices(1, 0.9, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(train) != 1 || len(test) != 0 {
-		t.Errorf("split of 1 record = %d/%d, want 1/0", len(train), len(test))
-	}
-}
-
 func TestStratifiedSplitPreservesRates(t *testing.T) {
 	labels := make([]int, 100)
 	for i := 0; i < 30; i++ {

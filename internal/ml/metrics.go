@@ -73,56 +73,3 @@ func AUC(scores []float64, y []int) (float64, error) {
 	}
 	return (rankSumPos - nPos*(nPos+1)/2) / (nPos * nNeg), nil
 }
-
-// ConfusionMatrix holds binary classification counts at a threshold.
-type ConfusionMatrix struct {
-	TP, FP, TN, FN int
-}
-
-// Confusion computes the confusion matrix at a threshold.
-func Confusion(scores []float64, y []int, threshold float64) (ConfusionMatrix, error) {
-	var cm ConfusionMatrix
-	if len(scores) != len(y) {
-		return cm, fmt.Errorf("%w: %d scores vs %d labels", ErrShape, len(scores), len(y))
-	}
-	for i, s := range scores {
-		pred := s >= threshold
-		pos := y[i] != 0
-		switch {
-		case pred && pos:
-			cm.TP++
-		case pred && !pos:
-			cm.FP++
-		case !pred && pos:
-			cm.FN++
-		default:
-			cm.TN++
-		}
-	}
-	return cm, nil
-}
-
-// Precision returns TP/(TP+FP), or 0 if no positive predictions.
-func (cm ConfusionMatrix) Precision() float64 {
-	if cm.TP+cm.FP == 0 {
-		return 0
-	}
-	return float64(cm.TP) / float64(cm.TP+cm.FP)
-}
-
-// Recall returns TP/(TP+FN), or 0 if no positive instances.
-func (cm ConfusionMatrix) Recall() float64 {
-	if cm.TP+cm.FN == 0 {
-		return 0
-	}
-	return float64(cm.TP) / float64(cm.TP+cm.FN)
-}
-
-// F1 returns the harmonic mean of precision and recall.
-func (cm ConfusionMatrix) F1() float64 {
-	p, r := cm.Precision(), cm.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}

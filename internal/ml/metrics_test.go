@@ -62,34 +62,3 @@ func TestAUC(t *testing.T) {
 		t.Error("expected shape error")
 	}
 }
-
-func TestConfusion(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.2, 0.4}
-	y := []int{1, 0, 1, 0}
-	cm, err := Confusion(scores, y, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm != (ConfusionMatrix{TP: 1, FP: 1, TN: 1, FN: 1}) {
-		t.Errorf("confusion = %+v", cm)
-	}
-	if math.Abs(cm.Precision()-0.5) > 1e-12 {
-		t.Errorf("precision = %v", cm.Precision())
-	}
-	if math.Abs(cm.Recall()-0.5) > 1e-12 {
-		t.Errorf("recall = %v", cm.Recall())
-	}
-	if math.Abs(cm.F1()-0.5) > 1e-12 {
-		t.Errorf("f1 = %v", cm.F1())
-	}
-	if _, err := Confusion(scores, y[:2], 0.5); err == nil {
-		t.Error("expected shape error")
-	}
-}
-
-func TestConfusionDegenerate(t *testing.T) {
-	var cm ConfusionMatrix
-	if cm.Precision() != 0 || cm.Recall() != 0 || cm.F1() != 0 {
-		t.Error("empty confusion matrix metrics should be 0")
-	}
-}

@@ -383,20 +383,12 @@ func build(ds *dataset.Dataset, cfg Config, ref bool) (*Artifacts, error) {
 	trainStart := time.Now()
 	// The record→region assignment and the encoded feature matrix are
 	// task-independent: compute them once here and share them
-	// read-only across the workers instead of once per task. The
-	// default logistic-regression model trains on the factorized
-	// (grouped) encoding, so the O(records × regions) one-hot matrix
-	// is never materialized; other model families get dense rows.
+	// read-only across the workers instead of once per task.
 	regionOf, err := part.AssignCells(ds.Cells())
 	if err != nil {
 		return nil, err
 	}
-	var encoded *dataset.Encoded
-	if cfg.Model == ml.ModelLogReg {
-		encoded, err = dataset.EncodeGrouped(ds, regionOf, part.NumRegions(), part.Centroids(), cfg.Encoding)
-	} else {
-		encoded, err = dataset.Encode(ds, regionOf, part.NumRegions(), part.Centroids(), cfg.Encoding)
-	}
+	encoded, err := dataset.Encode(ds, regionOf, part.NumRegions(), part.Centroids(), cfg.Encoding)
 	if err != nil {
 		return nil, err
 	}
@@ -634,9 +626,9 @@ func deviationsFor(ds *dataset.Dataset, cfg Config, p *partition.Partition, task
 // the train split (optionally weighted) and returns deviations,
 // scores and labels of the training records, in trainIdx order. It
 // always uses the dense training path (partition-shaping runs must
-// reproduce historical splits bit-for-bit); workers only parallelizes
-// the fit's per-row and per-column work, which is invisible in the
-// output.
+// reproduce historical splits bit-for-bit), materializing only the
+// training rows; workers only parallelizes the fit's per-row and
+// per-column work, which is invisible in the output.
 func runOnPartition(ds *dataset.Dataset, cfg Config, p *partition.Partition, task int, trainIdx []int, enc dataset.Encoding, weights []float64, workers int, ref bool) (dev, scores []float64, labels []int, err error) {
 	regionOf, err := p.AssignCells(ds.Cells())
 	if err != nil {
@@ -650,7 +642,7 @@ func runOnPartition(ds *dataset.Dataset, cfg Config, p *partition.Partition, tas
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	trainX := dataset.Gather(encoded.X, trainIdx)
+	trainX := encoded.Rows(trainIdx)
 	trainY := dataset.Gather(allLabels, trainIdx)
 
 	clf, err := ml.New(cfg.Model)

@@ -99,11 +99,10 @@ type TrainedTask struct {
 // record→region assignment and encoded feature matrix — computed once
 // by Build and shared read-only across the parallel task workers.
 //
-// When encoded carries the factorized layout (the logistic-regression
-// default), training and scoring run the grouped kernels; fitWorkers
-// bounds their forward-pass goroutines. ref selects the retained
-// naive reference kernels (BuildReference) — bit-identical outputs,
-// different machinery.
+// The logistic regression trains and scores with the grouped kernels
+// over the factorized layout; fitWorkers bounds their forward-pass
+// goroutines. ref selects the retained naive reference kernels
+// (BuildReference) — bit-identical outputs, different machinery.
 func trainTask(ds *dataset.Dataset, cfg Config, part *partition.Partition, regionOf []int, encoded *dataset.Encoded, task int, trainIdx, testIdx []int, fitWorkers int, ref bool) (*TrainedTask, error) {
 	labels, err := ds.Labels(task)
 	if err != nil {
@@ -202,45 +201,35 @@ func trainTask(ds *dataset.Dataset, cfg Config, part *partition.Partition, regio
 }
 
 // fitAndScore trains clf on the encoded train split and scores every
-// record. It dispatches on the encoding layout: the grouped layout
-// trains the logistic regression with the factorized kernels (the
-// only model Build pairs with it); dense rows use the classic path.
+// record. The logistic regression trains and scores on the factorized
+// layout with the grouped kernels; every other model gets dense rows.
 // With ref it runs the retained reference kernels instead — same
 // arithmetic, naive execution.
 func fitAndScore(clf ml.Classifier, encoded *dataset.Encoded, trainIdx []int, trainY []int, weights []float64, ref bool) ([]float64, error) {
-	if encoded.Grouped() {
-		lr, ok := clf.(*ml.LogReg)
-		if !ok {
-			return nil, fmt.Errorf("pipeline: grouped encoding requires logistic regression, got %s", clf.Name())
-		}
-		trainDesign := &ml.GroupedDesign{
-			Base:   dataset.Gather(encoded.Base, trainIdx),
-			Group:  dataset.Gather(encoded.Group, trainIdx),
-			Shared: encoded.Shared,
-		}
-		allDesign := &ml.GroupedDesign{Base: encoded.Base, Group: encoded.Group, Shared: encoded.Shared}
-		if ref {
-			if err := lr.FitGroupedReference(trainDesign, trainY, weights); err != nil {
-				return nil, err
-			}
-			return lr.PredictProbaGroupedReference(allDesign)
-		}
-		if err := lr.FitGrouped(trainDesign, trainY, weights); err != nil {
+	lr, ok := clf.(*ml.LogReg)
+	if !ok {
+		all := encoded.Rows(nil)
+		if err := clf.Fit(dataset.Gather(all, trainIdx), trainY, weights); err != nil {
 			return nil, err
 		}
-		return lr.PredictProbaGrouped(allDesign)
+		return clf.PredictProba(all)
 	}
-	trainX := dataset.Gather(encoded.X, trainIdx)
-	if lr, ok := clf.(*ml.LogReg); ok && ref {
-		if err := lr.FitReference(trainX, trainY, weights); err != nil {
+	trainDesign := &ml.GroupedDesign{
+		Base:   dataset.Gather(encoded.Base, trainIdx),
+		Group:  dataset.Gather(encoded.Group, trainIdx),
+		Shared: encoded.Shared,
+	}
+	allDesign := &ml.GroupedDesign{Base: encoded.Base, Group: encoded.Group, Shared: encoded.Shared}
+	if ref {
+		if err := lr.FitGroupedReference(trainDesign, trainY, weights); err != nil {
 			return nil, err
 		}
-		return lr.PredictProbaReference(encoded.X)
+		return lr.PredictProbaGroupedReference(allDesign)
 	}
-	if err := clf.Fit(trainX, trainY, weights); err != nil {
+	if err := lr.FitGrouped(trainDesign, trainY, weights); err != nil {
 		return nil, err
 	}
-	return clf.PredictProba(encoded.X)
+	return lr.PredictProbaGrouped(allDesign)
 }
 
 // ratioOrNaN wraps calib.Ratio, mapping the undefined case to NaN.

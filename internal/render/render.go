@@ -4,7 +4,6 @@
 package render
 
 import (
-	"fmt"
 	"strings"
 
 	"fairindex/internal/geo"
@@ -44,33 +43,6 @@ func Partition(p *partition.Partition, maxSide int) string {
 			b.WriteByte(glyphs[region%len(glyphs)])
 		}
 		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Histogram renders per-region populations as a horizontal bar chart
-// (one row per region, ordered by id), capped at barWidth characters.
-func Histogram(pop []int, barWidth int) string {
-	if barWidth <= 0 {
-		barWidth = 40
-	}
-	max := 0
-	for _, n := range pop {
-		if n > max {
-			max = n
-		}
-	}
-	var b strings.Builder
-	for r, n := range pop {
-		bar := 0
-		if max > 0 {
-			bar = n * barWidth / max
-		}
-		fmt.Fprintf(&b, "%-5s |%s%s| %d\n",
-			fmt.Sprintf("N%d", r),
-			strings.Repeat("#", bar),
-			strings.Repeat(" ", barWidth-bar),
-			n)
 	}
 	return b.String()
 }

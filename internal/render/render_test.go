@@ -64,27 +64,3 @@ func TestPartitionDownsampling(t *testing.T) {
 		t.Error("default maxSide not applied")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	got := Histogram([]int{10, 5, 0}, 10)
-	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.Contains(lines[0], "##########") {
-		t.Errorf("max bar not full: %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "#####") || strings.Contains(lines[1], "######") {
-		t.Errorf("half bar wrong: %q", lines[1])
-	}
-	if strings.Contains(lines[2], "#") {
-		t.Errorf("zero bar should be empty: %q", lines[2])
-	}
-	if !strings.HasSuffix(lines[0], " 10") {
-		t.Errorf("count missing: %q", lines[0])
-	}
-	// Degenerate bar width falls back to the default.
-	if got := Histogram([]int{1}, 0); !strings.Contains(got, "#") {
-		t.Error("default bar width not applied")
-	}
-}

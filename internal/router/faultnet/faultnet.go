@@ -60,8 +60,7 @@ type Proxy struct {
 	mu    sync.Mutex
 	fault Fault
 
-	calls   atomic.Int64 // requests that reached the proxy
-	faulted atomic.Int64 // requests a fault consumed
+	calls atomic.Int64 // requests that reached the proxy
 }
 
 // New starts a fault proxy in front of backend. Close it when done.
@@ -88,9 +87,6 @@ func (p *Proxy) Set(f Fault) {
 // Calls returns how many requests reached the proxy.
 func (p *Proxy) Calls() int64 { return p.calls.Load() }
 
-// Faulted returns how many requests a fault consumed.
-func (p *Proxy) Faulted() int64 { return p.faulted.Load() }
-
 // ServeHTTP implements http.Handler with the configured fault.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n := p.calls.Add(1)
@@ -99,7 +95,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.mu.Unlock()
 	switch f.Mode {
 	case Kill:
-		p.faulted.Add(1)
 		hj, ok := w.(http.Hijacker)
 		if !ok {
 			// Last resort on a non-hijackable writer: a 5xx still reads
@@ -112,7 +107,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			conn.Close()
 		}
 	case BlackHole:
-		p.faulted.Add(1)
 		// Drain the request first: the net/http server only watches for
 		// client disconnects once the body is consumed, and a black hole
 		// that never unblocks on caller cancellation would leak every
@@ -123,13 +117,11 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-time.After(f.Delay):
 		case <-r.Context().Done():
-			p.faulted.Add(1)
 			return
 		}
 		p.backend.ServeHTTP(w, r)
 	case Flaky:
 		if (n*f.Percent)/100 != ((n-1)*f.Percent)/100 {
-			p.faulted.Add(1)
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprintf(w, `{"error":"faultnet: injected failure %d"}`, n)

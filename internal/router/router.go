@@ -374,12 +374,17 @@ func setGeneration(w http.ResponseWriter, st *routerState) {
 // Stats fan-out.
 
 // shardReply is one shard's answer: transport error, or status plus
-// body plus the generation header.
+// body plus the generation header. A shard whose replicas all failed
+// answers with the last replica's reply, status and generation kept,
+// so a mismatch reads the same for one replica or several; tried
+// counts the replicas asked and shard names them for failure.
 type shardReply struct {
 	status int
 	body   []byte
 	gen    string
 	err    error
+	shard  string
+	tried  int
 }
 
 // failed reports whether the reply is a shard failure, and so whether
@@ -392,12 +397,17 @@ func (rep shardReply) failed() bool {
 	return rep.err != nil || rep.status >= 500
 }
 
-// failure describes a failed reply.
+// failure describes a failed reply, naming the exhausted replica set
+// when the shard has more than one replica.
 func (rep shardReply) failure() error {
-	if rep.err != nil {
-		return rep.err
+	err := rep.err
+	if err == nil {
+		err = fmt.Errorf("backend status %d", rep.status)
 	}
-	return fmt.Errorf("backend status %d", rep.status)
+	if rep.tried > 1 {
+		return fmt.Errorf("router: all %d replicas of shard %q failed, last: %w", rep.tried, rep.shard, err)
+	}
+	return err
 }
 
 // scatter posts bodies[i] to shard i's /v1/stats, all concurrently,
@@ -472,10 +482,7 @@ func (rt *Router) callShard(ctx context.Context, st *routerState, shardIdx int, 
 		}
 		last = rep
 	}
-	if len(order) > 1 {
-		last.err = fmt.Errorf("router: all %d replicas of shard %q failed, last: %w",
-			len(order), name, last.failure())
-	}
+	last.shard, last.tried = name, len(order)
 	return last
 }
 
@@ -757,6 +764,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			next, err := rt.reloadState()
 			if err == nil {
 				st = next
+				setGeneration(w, st)
 				if regions, status, err = wire.WindowRegions(st.layout, req.Regions, req.Rect, wire.DefaultMaxBatch); err != nil {
 					reply.Error(w, status, err)
 					return
@@ -775,7 +783,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		if rep.err == nil && rep.status >= 400 && rep.status < 500 {
 			// Client errors are input-determined and identical on every
 			// shard: relay the first one verbatim.
-			setGeneration(w, st)
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(rep.status)
 			w.Write(rep.body)
@@ -783,7 +790,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if regionErr != nil {
-		setGeneration(w, st)
 		reply.Error(w, http.StatusBadRequest, regionErr)
 		return
 	}
@@ -842,6 +848,5 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := wire.NewStatsResponse(ws, req.Sums)
 	resp.Partial = len(failedNames) > 0
 	resp.FailedShards = failedNames
-	setGeneration(w, st)
 	reply.JSON(w, http.StatusOK, resp)
 }

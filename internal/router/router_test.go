@@ -906,3 +906,78 @@ func TestRouterGenerationMismatchAfterReload(t *testing.T) {
 		t.Errorf("manifest reloaded %d times, want 1", got)
 	}
 }
+
+// TestRouterStats5xxGenerationAnyReplicaCount pins that a shard's
+// failed reply keeps its generation whatever the replica count: a
+// shard whose every replica answers 500 stamped with another shard's
+// fingerprint is a generation mismatch (409), not a failed shard,
+// with one replica or two.
+func TestRouterStats5xxGenerationAnyReplicaCount(t *testing.T) {
+	whole := buildWhole(t)
+	c := newCluster(t, whole, 2)
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			backends := c.backendList()
+			backends[1].URLs = nil
+			for range replicas {
+				backends[1].URLs = append(backends[1].URLs,
+					stubShard(t, c.manifest, 0, http.StatusInternalServerError, `{"error":"down"}`))
+			}
+			rt, err := router.New(c.manifest, backends)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rts := httptest.NewServer(rt)
+			defer rts.Close()
+			requireErrorReply(t, "POST", rts.URL+"/v1/stats", wholeBoxStats(c.manifest, whole.Tasks()[0]),
+				http.StatusConflict,
+				"router: generation mismatch on shard(s) s1: backends serve a different artifact generation than the manifest",
+				c.manifest.Generation)
+		})
+	}
+}
+
+// TestRouterStatsReloadStampsNewGeneration pins the generation a reply
+// carries after a mismatch reloaded the manifest: backends that answer
+// a foreign generation once and then fail make the retried fan-out a
+// 502, stamped with the reloaded manifest's generation.
+func TestRouterStatsReloadStampsNewGeneration(t *testing.T) {
+	wholeA := buildWhole(t)
+	wholeB := buildWhole(t, fairindex.WithHeight(5), fairindex.WithSeed(11))
+	c := newCluster(t, wholeA, 2)
+	mB, _, err := shard.Split(wholeB, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := c.backendList()
+	for i := range backends {
+		var calls atomic.Int64
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			if calls.Add(1) == 1 {
+				w.Header().Set(wire.GenerationHeader, "1")
+				io.WriteString(w, `{}`)
+				return
+			}
+			w.WriteHeader(http.StatusInternalServerError)
+			io.WriteString(w, `{"error":"down"}`)
+		}))
+		t.Cleanup(ts.Close)
+		backends[i].URLs = []string{ts.URL}
+	}
+	rt, err := router.New(c.manifest, backends,
+		router.WithManifestSource(func() (*shard.Manifest, error) { return mB, nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt)
+	defer rts.Close()
+
+	requireErrorReply(t, "POST", rts.URL+"/v1/stats", wholeBoxStats(mB, wholeB.Tasks()[0]),
+		http.StatusBadGateway,
+		"router: shard backend(s) unavailable: s0: backend status 500; s1: backend status 500",
+		mB.Generation)
+	if got := rt.Reloads(); got != 1 {
+		t.Errorf("manifest reloaded %d times, want 1", got)
+	}
+}
