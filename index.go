@@ -12,7 +12,6 @@ import (
 	"fairindex/internal/dataset"
 	"fairindex/internal/geo"
 	"fairindex/internal/ml"
-	"fairindex/internal/partition"
 	"fairindex/internal/pipeline"
 )
 
@@ -47,7 +46,6 @@ type Index struct {
 	// Build and UnmarshalBinary set it; it is never reassigned.
 	Layout
 
-	part     *partition.Partition
 	encoding Encoding // resolved final-training encoding
 
 	tasks []indexTask
@@ -113,7 +111,7 @@ func Build(ds *Dataset, opts ...Option) (*Index, error) {
 // newIndex assembles the serving artifact from trained pipeline
 // output.
 func newIndex(ds *Dataset, art *pipeline.Artifacts) (*Index, error) {
-	layout, err := layoutOf(art.Partition, ds.Box, art.Partition.Centroids())
+	layout, err := newLayout(art.Partition.Grid(), ds.Box, art.Partition.NumRegions(), art.Partition.CellRegions(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("fairindex: index needs a dataset with a valid bounding box: %w", err)
 	}
@@ -124,7 +122,6 @@ func newIndex(ds *Dataset, art *pipeline.Artifacts) (*Index, error) {
 		featureNames: append([]string(nil), ds.FeatureNames...),
 		taskNames:    append([]string(nil), ds.TaskNames...),
 		Layout:       layout,
-		part:         art.Partition,
 		encoding:     art.Config.Encoding.Resolve(),
 		codecVersion: indexVersion,
 		buildTime:    art.BuildTime,
@@ -302,9 +299,6 @@ func (ix *Index) Tasks() []int {
 	return out
 }
 
-// Partition returns the underlying neighborhood partition.
-func (ix *Index) Partition() *Partition { return ix.part }
-
 // BuildTime returns the partition construction duration.
 func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
@@ -344,8 +338,7 @@ func (ix *Index) Config() Config {
 //	        reweight, postProcess)
 //	dataset meta (name, feature names, task names)
 //	bounding box (4 × float64, exact bits)
-//	partition (grid, cell→region table, centroids — see
-//	           partition.AppendBinary)
+//	partition (grid, region count, cell→region table, centroids)
 //	[v2] query acceleration (per-region bounding rects as 4 varints
 //	     each, per-region cell counts, centroid kd-tree layout — see
 //	     query.go)
@@ -400,8 +393,18 @@ func (ix *Index) MarshalBinary() ([]byte, error) {
 	b = binenc.AppendFloat64(b, ix.box.MaxLat)
 	b = binenc.AppendFloat64(b, ix.box.MaxLon)
 
-	// Partition (grid + cell→region table + centroids).
-	b = ix.part.AppendBinary(b)
+	// Partition (grid + cell→region table + centroids, bit-exact so a
+	// decoded Layout reproduces the centroid encoding the models were
+	// trained with).
+	b = binenc.AppendVarint(b, int64(ix.grid.U))
+	b = binenc.AppendVarint(b, int64(ix.grid.V))
+	b = binenc.AppendVarint(b, int64(ix.numRegions))
+	b = binenc.AppendInts(b, ix.cellRegion)
+	b = binenc.AppendUvarint(b, uint64(2*len(ix.centroids)))
+	for _, c := range ix.centroids {
+		b = binenc.AppendFloat64(b, c[0])
+		b = binenc.AppendFloat64(b, c[1])
+	}
 
 	// Query acceleration (v2): bounding rects, cell counts, kd layout.
 	for _, r := range ix.regionRects {
@@ -514,19 +517,29 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 		MinLat: r.Float64(), MinLon: r.Float64(),
 		MaxLat: r.Float64(), MaxLon: r.Float64(),
 	}
+
+	// The cell→region table is read once, into the slice the Layout
+	// keeps, and validated once by newLayout.
+	grid := geo.Grid{U: r.Int(), V: r.Int()}
+	numRegions := r.Int()
+	cellRegion := r.Ints()
+	flat := r.Float64s()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrIndexFormat, err)
 	}
-
-	part, centroids, err := partition.DecodeBinary(r)
+	if len(flat)%2 != 0 || len(flat)/2 != numRegions {
+		return fmt.Errorf("%w: %d centroid values for %d regions", ErrIndexFormat, len(flat), numRegions)
+	}
+	centroids := make([][2]float64, numRegions)
+	for i := range centroids {
+		centroids[i] = [2]float64{flat[2*i], flat[2*i+1]}
+	}
+	layout, err := newLayout(grid, box, numRegions, cellRegion, centroids)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrIndexFormat, err)
 	}
-	out.part = part
+	out.Layout = layout
 	out.encoding = out.cfg.Encoding.Resolve()
-	if out.Layout, err = layoutOf(part, box, centroids); err != nil {
-		return fmt.Errorf("%w: %v", ErrIndexFormat, err)
-	}
 	if version >= 2 {
 		if err := out.readAccel(r); err != nil {
 			return err

@@ -1,8 +1,11 @@
 package fairindex_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"runtime"
 	"strings"
@@ -53,8 +56,13 @@ func TestIndexBuildDefaults(t *testing.T) {
 }
 
 func TestIndexLocateMatchesPartition(t *testing.T) {
-	idx, ds := buildSmallIndex(t, fairindex.WithMethod(fairindex.MethodFairKD), fairindex.WithHeight(5), fairindex.WithSeed(1))
-	part := idx.Partition()
+	cfg := fairindex.Config{Method: fairindex.MethodFairKD, Height: 5, Seed: 1}
+	idx, ds := buildSmallIndex(t, fairindex.WithConfig(cfg))
+	res, err := fairindex.Run(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := res.Partition
 	for i, rec := range ds.Records {
 		want, err := part.RegionOfCell(rec.Cell)
 		if err != nil {
@@ -274,6 +282,50 @@ func TestIndexScoreInRange(t *testing.T) {
 		if _, err := idx.Score(bad, 0); err == nil {
 			t.Error("expected feature-width error")
 		}
+	}
+}
+
+// TestRoundTripKeepsStoredCentroids pins that the codec writes the
+// centroids it read: an artifact whose stored centroid bits differ
+// from what its cell table recomputes (patched here the way a hand
+// edit would) re-marshals byte for byte, so its fingerprint is the
+// hash of its file.
+func TestRoundTripKeepsStoredCentroids(t *testing.T) {
+	idx, _ := buildSmallIndex(t, fairindex.WithHeight(3), fairindex.WithSeed(1))
+	blob, err := idx.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := idx.Centroid(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := binary.LittleEndian.AppendUint64(nil, math.Float64bits(c[0]))
+	pattern = binary.LittleEndian.AppendUint64(pattern, math.Float64bits(c[1]))
+	at := bytes.Index(blob, pattern)
+	if at < 0 || bytes.Contains(blob[at+1:], pattern) {
+		t.Fatalf("region 0's centroid bytes are not unique in the artifact (at %d)", at)
+	}
+	binary.LittleEndian.PutUint64(blob[at:], math.Float64bits(c[0]+1e-9))
+
+	var edited fairindex.Index
+	if err := edited.UnmarshalBinary(blob); err != nil {
+		t.Fatalf("edited artifact does not load: %v", err)
+	}
+	if got, _ := edited.Centroid(0); got[0] != c[0]+1e-9 {
+		t.Fatalf("loaded centroid %v, want the stored %v", got[0], c[0]+1e-9)
+	}
+	again, err := edited.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Fatal("re-marshaled artifact differs from the file it was loaded from")
+	}
+	h := fnv.New64a()
+	h.Write(blob)
+	if fp, err := edited.Fingerprint(); err != nil || fp != h.Sum64() {
+		t.Errorf("fingerprint %x (err %v), want the file's hash %x", fp, err, h.Sum64())
 	}
 }
 

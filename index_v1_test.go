@@ -43,7 +43,15 @@ func marshalBinaryV1(ix *Index) ([]byte, error) {
 	b = binenc.AppendFloat64(b, ix.box.MaxLat)
 	b = binenc.AppendFloat64(b, ix.box.MaxLon)
 
-	b = ix.part.AppendBinary(b)
+	b = binenc.AppendVarint(b, int64(ix.grid.U))
+	b = binenc.AppendVarint(b, int64(ix.grid.V))
+	b = binenc.AppendVarint(b, int64(ix.numRegions))
+	b = binenc.AppendInts(b, ix.cellRegion)
+	b = binenc.AppendUvarint(b, uint64(2*len(ix.centroids)))
+	for _, c := range ix.centroids {
+		b = binenc.AppendFloat64(b, c[0])
+		b = binenc.AppendFloat64(b, c[1])
+	}
 
 	b = binenc.AppendVarint(b, int64(ix.buildTime))
 	b = binenc.AppendVarint(b, int64(ix.trainTime))

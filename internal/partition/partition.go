@@ -34,37 +34,45 @@ type Partition struct {
 // Grid is a local alias to keep the exported API tidy.
 type Grid = geo.Grid
 
-// New builds a partition from an explicit cell→region assignment and
-// validates it: the slice must cover the grid exactly, ids must be
-// dense in [0, numRegions) and every region must own at least one
-// cell.
-func New(grid geo.Grid, numRegions int, cellRegion []int) (*Partition, error) {
+// Validate checks an explicit cell→region assignment: the slice must
+// cover the grid exactly, ids must be dense in [0, numRegions) and
+// every region must own at least one cell.
+func Validate(grid geo.Grid, numRegions int, cellRegion []int) error {
 	if !grid.Valid() {
-		return nil, geo.ErrBadGrid
+		return fmt.Errorf("%w: %dx%d", geo.ErrBadGrid, grid.U, grid.V)
 	}
 	if len(cellRegion) != grid.NumCells() {
-		return nil, fmt.Errorf("%w: %d entries for %d cells", ErrWrongLength, len(cellRegion), grid.NumCells())
+		return fmt.Errorf("%w: %d entries for %d cells", ErrWrongLength, len(cellRegion), grid.NumCells())
 	}
 	if numRegions <= 0 {
-		return nil, fmt.Errorf("partition: region count must be positive, got %d", numRegions)
+		return fmt.Errorf("partition: region count must be positive, got %d", numRegions)
 	}
 	// Pigeonhole bound before the region-coverage allocation: more
 	// regions than cells guarantees an empty region, and rejecting it
 	// here keeps a hostile decoded region count from sizing `seen`.
 	if numRegions > len(cellRegion) {
-		return nil, fmt.Errorf("%w: %d regions over %d cells", ErrEmptyRegion, numRegions, len(cellRegion))
+		return fmt.Errorf("%w: %d regions over %d cells", ErrEmptyRegion, numRegions, len(cellRegion))
 	}
 	seen := make([]bool, numRegions)
 	for i, r := range cellRegion {
 		if r < 0 || r >= numRegions {
-			return nil, fmt.Errorf("%w: cell %d assigned to region %d of %d", ErrBadAssignment, i, r, numRegions)
+			return fmt.Errorf("%w: cell %d assigned to region %d of %d", ErrBadAssignment, i, r, numRegions)
 		}
 		seen[r] = true
 	}
 	for r, ok := range seen {
 		if !ok {
-			return nil, fmt.Errorf("%w: region %d", ErrEmptyRegion, r)
+			return fmt.Errorf("%w: region %d", ErrEmptyRegion, r)
 		}
+	}
+	return nil
+}
+
+// New builds a partition from a copy of an explicit cell→region
+// assignment that Validate accepts.
+func New(grid geo.Grid, numRegions int, cellRegion []int) (*Partition, error) {
+	if err := Validate(grid, numRegions, cellRegion); err != nil {
+		return nil, err
 	}
 	p := &Partition{
 		grid:       grid,
@@ -147,6 +155,13 @@ func (p *Partition) Grid() geo.Grid { return p.grid }
 // NumRegions returns the number of regions.
 func (p *Partition) NumRegions() int { return p.numRegions }
 
+// CellRegions returns a copy of the flat row-major cell→region lookup
+// table. Index it with Grid().Index(cell) for an O(1), tree-free
+// region lookup.
+func (p *Partition) CellRegions() []int {
+	return append([]int(nil), p.cellRegion...)
+}
+
 // RegionOfCell returns the region owning the cell. The cell must be
 // in bounds.
 func (p *Partition) RegionOfCell(c geo.Cell) (int, error) {
@@ -196,12 +211,18 @@ func (p *Partition) PopulationPerRegion(cellCounts []int) ([]int, error) {
 // (row+0.5)/U, (col+0.5)/V over its cells, each component in (0,1).
 // This feeds the centroid location encoding.
 func (p *Partition) Centroids() [][2]float64 {
-	sums := make([][2]float64, p.numRegions)
-	counts := make([]int, p.numRegions)
-	for i, r := range p.cellRegion {
-		c := p.grid.CellAt(i)
-		sums[r][0] += (float64(c.Row) + 0.5) / float64(p.grid.U)
-		sums[r][1] += (float64(c.Col) + 0.5) / float64(p.grid.V)
+	return Centroids(p.grid, p.numRegions, p.cellRegion)
+}
+
+// Centroids returns the normalized region centroids of a validated
+// cell→region table, as Partition.Centroids defines them.
+func Centroids(grid geo.Grid, numRegions int, cellRegion []int) [][2]float64 {
+	sums := make([][2]float64, numRegions)
+	counts := make([]int, numRegions)
+	for i, r := range cellRegion {
+		c := grid.CellAt(i)
+		sums[r][0] += (float64(c.Row) + 0.5) / float64(grid.U)
+		sums[r][1] += (float64(c.Col) + 0.5) / float64(grid.V)
 		counts[r]++
 	}
 	for r := range sums {

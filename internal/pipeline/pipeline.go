@@ -612,29 +612,29 @@ func initialRun(ds *dataset.Dataset, cfg Config, trainIdx []int, task, workers i
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return runOnPartition(ds, cfg, p0, task, trainIdx, dataset.EncCentroid, nil, workers, ref)
+	return runOnPartition(ds, cfg, p0, task, trainIdx, workers, ref)
 }
 
 // deviationsFor retrains on an arbitrary partition (Iterative level
 // callback) and returns training-record deviations.
 func deviationsFor(ds *dataset.Dataset, cfg Config, p *partition.Partition, task int, trainIdx []int, workers int, ref bool) ([]float64, error) {
-	dev, _, _, err := runOnPartition(ds, cfg, p, task, trainIdx, dataset.EncCentroid, nil, workers, ref)
+	dev, _, _, err := runOnPartition(ds, cfg, p, task, trainIdx, workers, ref)
 	return dev, err
 }
 
-// runOnPartition encodes the dataset against a partition, trains on
-// the train split (optionally weighted) and returns deviations,
-// scores and labels of the training records, in trainIdx order. It
-// always uses the dense training path (partition-shaping runs must
-// reproduce historical splits bit-for-bit), materializing only the
-// training rows; workers only parallelizes the fit's per-row and
-// per-column work, which is invisible in the output.
-func runOnPartition(ds *dataset.Dataset, cfg Config, p *partition.Partition, task int, trainIdx []int, enc dataset.Encoding, weights []float64, workers int, ref bool) (dev, scores []float64, labels []int, err error) {
+// runOnPartition encodes the dataset against a partition with the
+// centroid encoding, trains on the unweighted train split and returns
+// deviations, scores and labels of the training records, in trainIdx
+// order. It always uses the dense training path (partition-shaping
+// runs must reproduce historical splits bit-for-bit), materializing
+// only the training rows; workers only parallelizes the fit's per-row
+// and per-column work, which is invisible in the output.
+func runOnPartition(ds *dataset.Dataset, cfg Config, p *partition.Partition, task int, trainIdx []int, workers int, ref bool) (dev, scores []float64, labels []int, err error) {
 	regionOf, err := p.AssignCells(ds.Cells())
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	encoded, err := dataset.Encode(ds, regionOf, p.NumRegions(), p.Centroids(), enc)
+	encoded, err := dataset.Encode(ds, regionOf, p.NumRegions(), p.Centroids(), dataset.EncCentroid)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -652,7 +652,7 @@ func runOnPartition(ds *dataset.Dataset, cfg Config, p *partition.Partition, tas
 	setFitWorkers(clf, workers)
 	if ref {
 		if lr, ok := clf.(*ml.LogReg); ok {
-			if err := lr.FitReference(trainX, trainY, weights); err != nil {
+			if err := lr.FitReference(trainX, trainY, nil); err != nil {
 				return nil, nil, nil, err
 			}
 			scores, err = lr.PredictProbaReference(trainX)
@@ -662,7 +662,7 @@ func runOnPartition(ds *dataset.Dataset, cfg Config, p *partition.Partition, tas
 			return deviationsOf(scores, trainY), scores, trainY, nil
 		}
 	}
-	if err := clf.Fit(trainX, trainY, weights); err != nil {
+	if err := clf.Fit(trainX, trainY, nil); err != nil {
 		return nil, nil, nil, err
 	}
 	scores, err = clf.PredictProba(trainX)

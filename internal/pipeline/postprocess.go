@@ -116,20 +116,6 @@ func fitPostCalibrators(kind PostProcess, allScores []float64, labels, regionOf,
 	return regionCal, nil
 }
 
-// postProcessScores recalibrates allScores in place per neighborhood:
-// fitPostCalibrators followed by applyPostCalibrators. PostNone is a
-// no-op.
-func postProcessScores(kind PostProcess, allScores []float64, labels, regionOf, trainIdx []int, numRegions int) error {
-	if kind == PostNone {
-		return nil
-	}
-	cals, err := fitPostCalibrators(kind, allScores, labels, regionOf, trainIdx, numRegions)
-	if err != nil {
-		return err
-	}
-	return applyPostCalibrators(cals, allScores, regionOf)
-}
-
 // applyPostCalibrators recalibrates scores in place, routing each row
 // through its region's calibrator.
 func applyPostCalibrators(regionCal []ml.ScoreCalibrator, scores []float64, regionOf []int) error {

@@ -36,16 +36,6 @@ func TestNewCalibratorUnknown(t *testing.T) {
 	}
 }
 
-func TestPostProcessScoresNoneIsNoop(t *testing.T) {
-	scores := []float64{0.2, 0.9}
-	if err := postProcessScores(PostNone, scores, []int{0, 1}, []int{0, 0}, []int{0, 1}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if scores[0] != 0.2 || scores[1] != 0.9 {
-		t.Error("PostNone modified scores")
-	}
-}
-
 func TestPostProcessScoresRecalibratesRegions(t *testing.T) {
 	// Two regions with opposite systematic bias: region 0 scores are
 	// 0.3 below truth, region 1 scores 0.3 above. Per-region
@@ -73,7 +63,11 @@ func TestPostProcessScoresRecalibratesRegions(t *testing.T) {
 		scores[i] = base + 0.05*float64(i%4)/4
 	}
 	before := regionMiscal(scores, labels, regionOf, 2)
-	if err := postProcessScores(PostIsotonic, scores, labels, regionOf, trainIdx, 2); err != nil {
+	cals, err := fitPostCalibrators(PostIsotonic, scores, labels, regionOf, trainIdx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := applyPostCalibrators(cals, scores, regionOf); err != nil {
 		t.Fatal(err)
 	}
 	after := regionMiscal(scores, labels, regionOf, 2)
@@ -118,7 +112,11 @@ func TestPostProcessScoresSmallRegionFallsBack(t *testing.T) {
 	for i := range trainIdx {
 		trainIdx[i] = i
 	}
-	if err := postProcessScores(PostPlatt, scores, labels, regionOf, trainIdx, 2); err != nil {
+	cals, err := fitPostCalibrators(PostPlatt, scores, labels, regionOf, trainIdx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := applyPostCalibrators(cals, scores, regionOf); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range scores {
@@ -132,7 +130,7 @@ func TestRunWithPostProcessing(t *testing.T) {
 	// Height 3 keeps regions populated enough (~60 train records each)
 	// for the per-region calibrators to engage; with finer partitions
 	// most regions fall back to the global calibrator, which offers no
-	// per-neighborhood guarantee (see postProcessScores docs). The
+	// per-neighborhood guarantee (see fitPostCalibrators docs). The
 	// centroid encoding leaves systematic per-region miscalibration
 	// for the post-processor to remove.
 	ds := testCity(t)

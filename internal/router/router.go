@@ -5,11 +5,11 @@
 // fairindex.ExtractShard). Every query whose answer depends only on
 // the partition — locate, locate_batch, range and kNN — is answered
 // by the shared wire.Geometry handlers, the very handlers a server
-// mounts, over a fairindex.Layout the router derives from the
-// shard.Manifest, which carries the whole index's cell→region table;
-// no shard is asked. Window stats are the only fan-out: the window
-// resolves to a region list with wire.WindowRegions over the same
-// Layout, each shard owning some of those regions gets one POST
+// mounts, over the fairindex.Layout the shard.Manifest builds from the
+// whole index's cell→region table when it is validated; no shard is
+// asked. Window stats are the only fan-out: the window resolves to a
+// region list with wire.WindowRegions over the same Layout, each
+// shard owning some of those regions gets one POST
 // /v1/stats asking for their raw per-region sufficient statistics,
 // and fairindex.MergeWindowStats refolds the replies. Either way
 // responses are bit-identical to a single server holding the whole
@@ -120,11 +120,10 @@ type Router struct {
 	reloads  atomic.Int64
 }
 
-// routerState binds one manifest generation to the replica sets
-// serving it, with the region geometry derived once.
+// routerState binds one manifest generation, and the region geometry
+// its validation built, to the replica sets serving it.
 type routerState struct {
 	manifest *shard.Manifest
-	layout   *fairindex.Layout
 	replicas [][]string // manifest shard order; each entry in config order
 }
 
@@ -241,13 +240,13 @@ func New(m *shard.Manifest, backends []Backend, opts ...Option) (*Router, error)
 	return rt, nil
 }
 
-// newRouterState resolves a manifest against the configured backends.
+// newRouterState resolves a validated manifest (from shard.Decode or
+// shard.Split, which build its Layout) against the configured backends.
 func newRouterState(m *shard.Manifest, backends map[string][]string) (*routerState, error) {
-	layout, err := fairindex.NewLayout(m.Grid, m.Box, m.CellRegion)
-	if err != nil {
-		return nil, fmt.Errorf("router: manifest geometry: %w", err)
+	if m == nil || m.Layout() == nil {
+		return nil, errors.New("router: manifest was not validated; load it with shard.Decode or build it with shard.Split")
 	}
-	st := &routerState{manifest: m, layout: layout, replicas: make([][]string, len(m.Shards))}
+	st := &routerState{manifest: m, replicas: make([][]string, len(m.Shards))}
 	named := make(map[string]bool, len(m.Shards))
 	for i, s := range m.Shards {
 		urls, ok := backends[s.Name]
@@ -547,7 +546,7 @@ func mismatched(st *routerState, replies []shardReply) []string {
 // the task (404 on an unknown one) as the whole index would.
 func statsBodies(st *routerState, task int, regions []int) ([][]byte, error) {
 	local := make([][]int, len(st.manifest.Shards))
-	_, err := st.layout.RegionSet(regions)
+	_, err := st.manifest.Layout().RegionSet(regions)
 	if err == nil {
 		for _, region := range regions {
 			s, l := st.manifest.ToLocal(region)
@@ -705,7 +704,7 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) resolveLayout(w http.ResponseWriter, _ *http.Request) (*fairindex.Layout, bool) {
 	st := rt.state.Load()
 	setGeneration(w, st)
-	return st.layout, true
+	return st.manifest.Layout(), true
 }
 
 // handleStats resolves the window to a global region list, asks only
@@ -734,7 +733,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st := rt.state.Load()
 	setGeneration(w, st)
-	regions, status, err := wire.WindowRegions(st.layout, req.Regions, req.Rect, wire.DefaultMaxBatch)
+	regions, status, err := wire.WindowRegions(st.manifest.Layout(), req.Regions, req.Rect, wire.DefaultMaxBatch)
 	if err != nil {
 		reply.Error(w, status, err)
 		return
@@ -765,7 +764,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			if err == nil {
 				st = next
 				setGeneration(w, st)
-				if regions, status, err = wire.WindowRegions(st.layout, req.Regions, req.Rect, wire.DefaultMaxBatch); err != nil {
+				if regions, status, err = wire.WindowRegions(st.manifest.Layout(), req.Regions, req.Rect, wire.DefaultMaxBatch); err != nil {
 					reply.Error(w, status, err)
 					return
 				}

@@ -981,3 +981,33 @@ func TestRouterStatsReloadStampsNewGeneration(t *testing.T) {
 		t.Errorf("manifest reloaded %d times, want 1", got)
 	}
 }
+
+// TestRouterRefusesUnvalidatedManifest pins that a manifest assembled
+// by hand, never validated by shard.Decode or shard.Split, carries no
+// Layout to answer from: router.New and a reload both refuse it, and
+// a refused reload keeps the serving manifest.
+func TestRouterRefusesUnvalidatedManifest(t *testing.T) {
+	c := newCluster(t, buildWhole(t), 2)
+	literal := &shard.Manifest{
+		Generation: c.manifest.Generation,
+		Grid:       c.manifest.Grid,
+		Box:        c.manifest.Box,
+		NumRegions: c.manifest.NumRegions,
+		CellRegion: c.manifest.CellRegion,
+		Shards:     c.manifest.Shards,
+	}
+	if _, err := router.New(literal, c.backendList()); err == nil || !strings.Contains(err.Error(), "shard.Decode") {
+		t.Fatalf("router.New over an unvalidated manifest: err %v, want a refusal naming shard.Decode", err)
+	}
+	rt, err := router.New(c.manifest, c.backendList(),
+		router.WithManifestSource(func() (*shard.Manifest, error) { return literal, nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Reload(); err == nil || !strings.Contains(err.Error(), "shard.Split") {
+		t.Fatalf("reload to an unvalidated manifest: err %v, want a refusal naming shard.Split", err)
+	}
+	if rt.Manifest() != c.manifest || rt.Reloads() != 0 {
+		t.Errorf("a refused reload replaced the manifest (reloads %d)", rt.Reloads())
+	}
+}

@@ -2,6 +2,8 @@ package shard_test
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"fairindex/internal/geo"
@@ -26,9 +28,10 @@ func seedManifest() *shard.Manifest {
 
 // FuzzShardManifest pins the manifest decoder's contract: any byte
 // stream either fails Decode or yields a plan whose shard ranges are
-// disjoint, total and ascending over [0, NumRegions) and whose
+// disjoint, total and ascending over [0, NumRegions), whose
 // re-encoding reproduces the input byte-identically (canonical
-// round trip).
+// round trip), and whose derived Layout has NumRegions regions and
+// locates every cell to its table entry.
 func FuzzShardManifest(f *testing.F) {
 	valid := seedManifest().Encode()
 	f.Add(valid)
@@ -62,6 +65,15 @@ func FuzzShardManifest(f *testing.F) {
 		if next != m.NumRegions {
 			t.Fatalf("ranges cover [0,%d) of %d regions", next, m.NumRegions)
 		}
+		layout := m.Layout()
+		if layout == nil || layout.NumRegions() != m.NumRegions {
+			t.Fatalf("accepted manifest's Layout %v does not hold its %d regions", layout, m.NumRegions)
+		}
+		for i, want := range m.CellRegion {
+			if got, err := layout.LocateCell(m.Grid.CellAt(i)); err != nil || got != want {
+				t.Fatalf("cell %d: Layout locates region %d (err %v), table says %d", i, got, err, want)
+			}
+		}
 		if enc := m.Encode(); !bytes.Equal(enc, data) {
 			t.Fatalf("accepted manifest does not round-trip byte-identically:\n in  %x\n out %x", data, enc)
 		}
@@ -84,5 +96,43 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 	nc = append(nc, valid[5:]...)
 	if _, err := shard.Decode(nc); err == nil {
 		t.Fatal("non-minimal varint encoding accepted")
+	}
+}
+
+// TestDecodeRejectsBadCellTables pins the refusals of the manifest's
+// cell→region table, which validation checks by building its Layout:
+// each plan below encodes canonically and Decode refuses it with
+// ErrManifest.
+func TestDecodeRejectsBadCellTables(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(m *shard.Manifest)
+		want string // the refusal's reason
+	}{
+		{"regions one above the table", func(m *shard.Manifest) {
+			m.NumRegions = 4
+			m.Shards[1].Hi = 4
+		}, "cell table holds 3 regions, manifest declares 4"},
+		{"regions one below the table", func(m *shard.Manifest) {
+			m.NumRegions = 2
+			m.Shards = m.Shards[:1]
+		}, "cell table holds 3 regions, manifest declares 2"},
+		{"region owning no cell", func(m *shard.Manifest) {
+			m.NumRegions = 4
+			m.CellRegion = []int{0, 0, 2, 2, 0, 3, 3, 2}
+			m.Shards[1].Hi = 4
+		}, "region covers no cells: region 1"},
+		{"negative region id", func(m *shard.Manifest) { m.CellRegion[3] = -1 }, "cell 3 assigned to region -1"},
+		{"table of the wrong length", func(m *shard.Manifest) { m.CellRegion = m.CellRegion[:7] }, "7 entries for 8 cells"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := seedManifest()
+			tc.edit(m)
+			_, err := shard.Decode(m.Encode())
+			if !errors.Is(err, shard.ErrManifest) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Decode: err %v, want ErrManifest: ...%s", err, tc.want)
+			}
+		})
 	}
 }

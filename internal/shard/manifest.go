@@ -8,8 +8,8 @@
 // regions [Lo_i, Hi_i) of the whole index, renumbered locally to
 // start at 0, with one extra "foreign" sentinel region absorbing the
 // grid cells other shards own (see fairindex.ExtractShard). The
-// manifest carries the whole index's cell→region table, from which
-// the router derives the region geometry (fairindex.NewLayout) and
+// manifest carries the whole index's cell→region table; validating it
+// builds the region geometry (Manifest.Layout), from which the router
 // answers locate, range and kNN itself. Every fairness aggregate is
 // built from additive per-region sufficient statistics, so the stats
 // merge is exact — bit-identical to the whole index, not an
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 
+	fairindex "fairindex"
 	"fairindex/internal/binenc"
 	"fairindex/internal/geo"
 )
@@ -69,14 +70,15 @@ type Manifest struct {
 	Box        geo.BBox
 	NumRegions int
 	// CellRegion is the whole index's row-major cell→region table; the
-	// router derives its region geometry from it.
+	// region geometry (Layout) is derived from it.
 	CellRegion []int
 	// Shards lists the plan's shards in ascending region-range order;
 	// the ranges are disjoint and total over [0, NumRegions).
 	Shards []Shard
 
-	// regionShard maps each global region id to the index of its
-	// owning shard. Derived, not serialized.
+	// layout (CellRegion's geometry) and regionShard (global region id
+	// → owning shard index) are derived by validation, not serialized.
+	layout      *fairindex.Layout
 	regionShard []int
 }
 
@@ -179,12 +181,11 @@ func Decode(data []byte) (*Manifest, error) {
 	if !bytes.Equal(m.Encode(), data) {
 		return nil, fmt.Errorf("%w: non-canonical encoding", ErrManifest)
 	}
-	m.derive()
 	return m, nil
 }
 
 // validate enforces the split invariants on a decoded (or
-// hand-assembled) manifest.
+// hand-assembled) manifest and derives its Layout and region→shard map.
 func (m *Manifest) validate() error {
 	if m.Grid.U < 1 || m.Grid.V < 1 || m.Grid.U > maxManifestDim || m.Grid.V > maxManifestDim {
 		return fmt.Errorf("%w: grid %dx%d", ErrManifest, m.Grid.U, m.Grid.V)
@@ -194,26 +195,12 @@ func (m *Manifest) validate() error {
 			return fmt.Errorf("%w: non-finite bounding box %+v", ErrManifest, m.Box)
 		}
 	}
-	if _, err := geo.NewMapper(m.Grid, m.Box); err != nil {
+	layout, err := fairindex.NewLayout(m.Grid, m.Box, m.CellRegion)
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrManifest, err)
 	}
-	if m.NumRegions < 1 || m.NumRegions > m.Grid.NumCells() {
-		return fmt.Errorf("%w: %d regions on a %d-cell grid", ErrManifest, m.NumRegions, m.Grid.NumCells())
-	}
-	if len(m.CellRegion) != m.Grid.NumCells() {
-		return fmt.Errorf("%w: cell table holds %d of %d cells", ErrManifest, len(m.CellRegion), m.Grid.NumCells())
-	}
-	counts := make([]int, m.NumRegions)
-	for i, region := range m.CellRegion {
-		if region < 0 || region >= m.NumRegions {
-			return fmt.Errorf("%w: cell %d maps to region %d of %d", ErrManifest, i, region, m.NumRegions)
-		}
-		counts[region]++
-	}
-	for region, n := range counts {
-		if n == 0 {
-			return fmt.Errorf("%w: region %d owns no cells", ErrManifest, region)
-		}
+	if layout.NumRegions() != m.NumRegions {
+		return fmt.Errorf("%w: cell table holds %d regions, manifest declares %d", ErrManifest, layout.NumRegions(), m.NumRegions)
 	}
 	if len(m.Shards) > m.NumRegions {
 		return fmt.Errorf("%w: %d shards over %d regions", ErrManifest, len(m.Shards), m.NumRegions)
@@ -236,8 +223,19 @@ func (m *Manifest) validate() error {
 	if next != m.NumRegions {
 		return fmt.Errorf("%w: shard ranges cover [0,%d) of %d regions", ErrManifest, next, m.NumRegions)
 	}
+	m.layout, m.regionShard = layout, make([]int, m.NumRegions)
+	for i, s := range m.Shards {
+		for g := s.Lo; g < s.Hi; g++ {
+			m.regionShard[g] = i
+		}
+	}
 	return nil
 }
+
+// Layout returns the region geometry of the manifest's cell→region
+// table, built when Decode or Split validated the manifest; nil for a
+// manifest assembled by hand that never went through either.
+func (m *Manifest) Layout() *fairindex.Layout { return m.layout }
 
 // validShardName reports whether a name is usable in artifact file
 // names and -shard name=url flags.
@@ -255,14 +253,4 @@ func validShardName(name string) bool {
 		}
 	}
 	return true
-}
-
-// derive builds the region→shard lookup table.
-func (m *Manifest) derive() {
-	m.regionShard = make([]int, m.NumRegions)
-	for i, s := range m.Shards {
-		for g := s.Lo; g < s.Hi; g++ {
-			m.regionShard[g] = i
-		}
-	}
 }

@@ -25,8 +25,11 @@ func Split(ix *fairindex.Index, n int) (*Manifest, []*fairindex.Index, error) {
 		Grid:       ix.Grid(),
 		Box:        ix.Box(),
 		NumRegions: ix.NumRegions(),
-		CellRegion: ix.Partition().CellRegions(),
+		CellRegion: make([]int, ix.Grid().NumCells()),
 		Shards:     make([]Shard, 0, n),
+	}
+	for i := range m.CellRegion {
+		m.CellRegion[i], _ = ix.LocateCell(m.Grid.CellAt(i))
 	}
 	shards := make([]*fairindex.Index, 0, n)
 	for i := 0; i < n; i++ {
@@ -49,21 +52,17 @@ func Split(ix *fairindex.Index, n int) (*Manifest, []*fairindex.Index, error) {
 	if err := checkGeometry(ix, m); err != nil {
 		return nil, nil, err
 	}
-	m.derive()
 	return m, shards, nil
 }
 
 // checkGeometry refuses an index whose stored region geometry differs
 // from what its cell→region table determines. The router answers range
-// and kNN from a fairindex.Layout it derives from the manifest's table
-// alone, so a hand-edited artifact whose stored centroids, bounding
-// rects or cell counts disagree with its table would make those
-// answers differ from the whole index's.
+// and kNN from the validated manifest's Layout, which is derived from
+// its table alone, so a hand-edited artifact whose stored centroids,
+// bounding rects or cell counts disagree with its table would make
+// those answers differ from the whole index's.
 func checkGeometry(ix *fairindex.Index, m *Manifest) error {
-	derived, err := fairindex.NewLayout(m.Grid, m.Box, m.CellRegion)
-	if err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
+	derived := m.Layout()
 	for region := 0; region < m.NumRegions; region++ {
 		stored, _ := ix.Centroid(region)
 		want, _ := derived.Centroid(region)

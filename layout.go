@@ -18,9 +18,9 @@ import (
 // Every query whose answer depends only on the partition lives here —
 // Locate, LocateBatch, RangeQuery, NearestRegions, and the window
 // stats' RangeRegions and RegionSet — with its exact arithmetic and
-// refusals. An Index embeds its Layout; the shard router derives one
-// from a manifest's cell table with NewLayout and answers those
-// queries without asking a shard.
+// refusals. It is the one holder of the cell→region table: an Index
+// embeds it, the codec encodes it, and a validated shard manifest
+// builds one with NewLayout for the router to answer from.
 //
 // The query structures:
 //
@@ -50,21 +50,18 @@ type Layout struct {
 	knnOrder    []int
 }
 
-// NewLayout derives the region geometry of a cell→region table over a
-// grid and bounding box. Region ids must be dense from 0, every region
-// must own at least one cell, and the box must be mappable. Centroids
-// are computed from the table exactly as Build computes them, so the
-// Layout of an index's own table answers bit-identically to the index.
+// NewLayout derives the region geometry of a copy of a cell→region
+// table over a grid and bounding box. Region ids must be dense from 0,
+// every region must own at least one cell, and the box must be
+// mappable. Centroids are computed from the table exactly as Build
+// computes them, so the Layout of an index's own table answers
+// bit-identically to the index.
 func NewLayout(grid Grid, box BBox, cellRegion []int) (*Layout, error) {
 	numRegions := 0
 	for _, region := range cellRegion {
 		numRegions = max(numRegions, region+1)
 	}
-	part, err := partition.New(grid, numRegions, cellRegion)
-	if err != nil {
-		return nil, fmt.Errorf("fairindex: layout: %w", err)
-	}
-	l, err := layoutOf(part, box, part.Centroids())
+	l, err := newLayout(grid, box, numRegions, append([]int(nil), cellRegion...), nil)
 	if err != nil {
 		return nil, fmt.Errorf("fairindex: layout: %w", err)
 	}
@@ -72,19 +69,26 @@ func NewLayout(grid Grid, box BBox, cellRegion []int) (*Layout, error) {
 	return &l, nil
 }
 
-// layoutOf wraps a validated partition and its centroids; the caller
-// fills the query structures (derive, or the v2 decoder's readAccel).
-func layoutOf(part *partition.Partition, box geo.BBox, centroids [][2]float64) (Layout, error) {
-	mapper, err := geo.NewMapper(part.Grid(), box)
+// newLayout validates a cell→region table once and takes ownership of
+// it; nil centroids are computed from the table. The caller fills the
+// query structures (derive, or the v2 decoder's readAccel).
+func newLayout(grid geo.Grid, box geo.BBox, numRegions int, cellRegion []int, centroids [][2]float64) (Layout, error) {
+	if err := partition.Validate(grid, numRegions, cellRegion); err != nil {
+		return Layout{}, err
+	}
+	mapper, err := geo.NewMapper(grid, box)
 	if err != nil {
 		return Layout{}, err
 	}
+	if centroids == nil {
+		centroids = partition.Centroids(grid, numRegions, cellRegion)
+	}
 	return Layout{
-		grid:       part.Grid(),
+		grid:       grid,
 		box:        box,
 		mapper:     mapper,
-		cellRegion: part.CellRegions(),
-		numRegions: part.NumRegions(),
+		cellRegion: cellRegion,
+		numRegions: numRegions,
 		centroids:  centroids,
 	}, nil
 }

@@ -94,18 +94,13 @@ func (ix *Index) ExtractShard(lo, hi int) (*Index, error) {
 			cellRegion[i] = owned // sentinel
 		}
 	}
-	part, err := partition.New(ix.grid, localN, cellRegion)
-	if err != nil {
-		return nil, fmt.Errorf("fairindex: shard [%d,%d): %w", lo, hi, err)
-	}
-
 	// Owned centroids are copied verbatim from the whole index (the
-	// recomputation below is bit-identical for them — same cells, same
+	// recomputation is bit-identical for them — same cells, same
 	// row-major fold — but verbatim bits make the invariant
 	// unconditional); the recomputation supplies the sentinel's mean.
-	centroids := part.Centroids()
+	centroids := partition.Centroids(ix.grid, localN, cellRegion)
 	copy(centroids[:owned], ix.centroids[lo:hi])
-	layout, err := layoutOf(part, ix.box, centroids)
+	layout, err := newLayout(ix.grid, ix.box, localN, cellRegion, centroids)
 	if err != nil {
 		return nil, fmt.Errorf("fairindex: shard [%d,%d): %w", lo, hi, err)
 	}
@@ -117,7 +112,6 @@ func (ix *Index) ExtractShard(lo, hi int) (*Index, error) {
 		featureNames: append([]string(nil), ix.featureNames...),
 		taskNames:    append([]string(nil), ix.taskNames...),
 		Layout:       layout,
-		part:         part,
 		encoding:     ix.encoding,
 		codecVersion: indexVersion,
 		buildTime:    ix.buildTime,
