@@ -11,12 +11,15 @@ import "fmt"
 // 100k–1M records: the wide shared block (centroid + one-hot columns)
 // is touched once per group per epoch instead of once per row.
 //
+// A dense matrix is the design with no shared block (Shared empty,
+// Group nil); the grouped references need a shared block.
+//
 // A GroupedDesign may share backing arrays with the caller; fitters
 // only read it.
 type GroupedDesign struct {
 	Base   [][]float64 // n rows × B per-row columns (B may be 0)
-	Group  []int       // n group ids in [0, len(Shared))
-	Shared [][]float64 // G rows × S shared columns
+	Group  []int       // n group ids in [0, len(Shared)); nil with no shared block
+	Shared [][]float64 // G rows × S shared columns; empty with no shared block
 }
 
 // Rows returns the number of design rows.
@@ -42,12 +45,20 @@ func (d *GroupedDesign) SharedCols() int {
 func (d *GroupedDesign) Cols() int { return d.BaseCols() + d.SharedCols() }
 
 // Row materializes one dense row in the column order the fitters use
-// (base columns first, then shared). Reference code and tests use it;
-// the optimized paths never materialize rows.
+// (base columns first, then shared). Tests use it; the kernels never
+// materialize rows.
 func (d *GroupedDesign) Row(i int) []float64 {
 	out := make([]float64, 0, d.Cols())
 	out = append(out, d.Base[i]...)
-	return append(out, d.Shared[d.Group[i]]...)
+	return append(out, d.sharedRow(i)...)
+}
+
+// sharedRow returns row i's shared columns, nil with no shared block.
+func (d *GroupedDesign) sharedRow(i int) []float64 {
+	if d.Group == nil {
+		return nil
+	}
+	return d.Shared[d.Group[i]]
 }
 
 // validate checks the shape invariants shared by the grouped fitters.
@@ -56,7 +67,7 @@ func (d *GroupedDesign) validate() error {
 	if n == 0 {
 		return ErrNoData
 	}
-	if len(d.Group) != n {
+	if (d.Group != nil || len(d.Shared) > 0) && len(d.Group) != n {
 		return fmt.Errorf("%w: %d base rows vs %d group ids", ErrShape, n, len(d.Group))
 	}
 	b := len(d.Base[0])

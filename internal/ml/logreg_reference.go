@@ -3,13 +3,17 @@ package ml
 import "fmt"
 
 // This file retains the naive logistic-regression implementations the
-// optimized paths are pinned against. They are deliberately
+// one training kernel and the one scoring kernel are pinned against.
+// The kernel runs a dense matrix as a design with no shared block, so
+// FitReference and PredictProbaReference specify it on dense rows and
+// the grouped twins specify it on factorized designs (they index
+// Group, so they need a shared block). They are deliberately
 // sequential and allocation-heavy: fresh buffers everywhere, no
 // scratch pooling, no flat matrices, no worker pools. Their value is
-// that they share none of the optimized paths' machinery while
-// defining the exact same floating-point operations in the exact same
-// order — so a parity test that demands bit-identical outputs
-// (internal/pipeline TestBuildReferenceParity and the root
+// that they share none of the kernels' machinery while defining the
+// exact same floating-point operations in the exact same order — so a
+// parity test that demands bit-identical outputs (FuzzLogRegKernels,
+// internal/pipeline TestBuildReferenceParity and the root
 // TestIndexBuildParity) proves the optimizations are pure-perf.
 //
 // Do not "improve" these: every allocation and loop below is the

@@ -123,6 +123,29 @@ func TestLogRegConstantColumn(t *testing.T) {
 	}
 }
 
+// Scoring one row — every Index.Score and every AppendBatch record —
+// allocates only the output slice, at any Workers setting: the dense
+// design stays on the caller's stack and the row is scored inline.
+func TestPredictProbaSingleRowAllocs(t *testing.T) {
+	X, y := noisyData(50, 3)
+	for _, workers := range []int{0, 1, 4} {
+		m := NewLogReg()
+		m.Epochs = 5
+		m.Workers = workers
+		if err := m.Fit(X, y, nil); err != nil {
+			t.Fatal(err)
+		}
+		row := X[:1]
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := m.PredictProba(row); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 1 {
+			t.Errorf("Workers %d: PredictProba of one row made %v allocations, want 1 (the output)", workers, allocs)
+		}
+	}
+}
+
 func TestSigmoidStability(t *testing.T) {
 	tests := []struct {
 		z    float64

@@ -7,14 +7,14 @@ import (
 )
 
 // fitScratch holds the reusable buffers of the allocation-free
-// training paths. One scratch serves one Fit/Predict call; the pool
-// recycles it across calls — including the pipeline's repeated
+// training kernel. One scratch serves one Fit or FitGrouped call; the
+// pool recycles it across calls — including the pipeline's repeated
 // per-task and multi-objective runs — so steady-state training does
-// not grow the heap with O(n·cols) garbage per call.
+// not grow the heap with O(n·cols) garbage per call. A dense fit uses
+// only the base-block buffers.
 type fitScratch struct {
-	zdense     []float64 // n×C standardized dense matrix, flat (dense path)
-	zbase      []float64 // n×B standardized base block, flat (grouped path)
-	zshared    []float64 // G×S standardized shared block, flat (grouped path)
+	zbase      []float64 // n×B standardized base block, flat
+	zshared    []float64 // G×S standardized shared block, flat
 	sharedDot  []float64 // G per-epoch shared-block partial dot products
 	sharedGrad []float64 // G per-epoch gradient group sums
 	resid      []float64 // n per-epoch residuals w·(p−y)
@@ -88,17 +88,6 @@ func checkMatrix(X [][]float64, y []int) (cols int, err error) {
 // goroutine hand-offs would cost more than they save.
 const minChunk = 1024
 
-// parallelRows runs fn over [0, n) split into contiguous chunks on up
-// to workers goroutines. fn(lo, hi) must only write state owned by
-// rows [lo, hi), so the result is independent of the chunking — this
-// is what keeps the parallel forward passes bit-identical to a
-// sequential run. With workers <= 1 (or a small n) fn runs inline.
-func parallelRows(n, workers int, fn func(lo, hi int)) {
-	c := newCrew(n, workers)
-	c.each(c.chunks, func(t int) { fn(c.span(t)) })
-	c.stop()
-}
-
 // crew is one fit's worker set: the calling goroutine plus helpers
 // started once and reused by every epoch's phases, so an epoch starts
 // no goroutine and allocates nothing as long as its task functions are
@@ -133,16 +122,20 @@ func newCrew(n, workers int) *crew {
 				c.work()
 				c.done.Done()
 			}
+			c.done.Done() // exited, for stop
 		}()
 	}
 	return c
 }
 
-// stop ends the crew's helpers.
+// stop ends the crew's helpers and waits for them to exit, so the
+// next crew reuses their goroutines instead of allocating new ones.
 func (c *crew) stop() {
+	c.done.Add(len(c.start))
 	for _, wake := range c.start {
 		close(wake)
 	}
+	c.done.Wait()
 }
 
 // span returns the rows [lo, hi) of chunk t of the crew's n rows.

@@ -68,3 +68,53 @@ func (s *Standardizer) Transform(X [][]float64) [][]float64 {
 	}
 	return out
 }
+
+// fitStandardizerGrouped computes the weighted column means and
+// scales FitStandardizer would produce on the materialized matrix.
+// The per-column accumulation order is identical (rows ascending,
+// base-then-shared within each row), so the result is bit-identical
+// to the dense path — standardization is deliberately NOT part of the
+// grouped re-association.
+func fitStandardizerGrouped(d *GroupedDesign, w []float64) (*Standardizer, error) {
+	bcols := d.BaseCols()
+	cols := bcols + d.SharedCols()
+	st := &Standardizer{
+		Mean:  make([]float64, cols),
+		Scale: make([]float64, cols),
+	}
+	var totalW float64
+	for i, row := range d.Base {
+		wi := w[i]
+		for j, v := range row {
+			st.Mean[j] += wi * v
+		}
+		for j, v := range d.sharedRow(i) {
+			st.Mean[bcols+j] += wi * v
+		}
+		totalW += wi
+	}
+	if totalW <= 0 {
+		return nil, fmt.Errorf("%w: weights sum to %v", ErrBadWeights, totalW)
+	}
+	for j := range st.Mean {
+		st.Mean[j] /= totalW
+	}
+	for i, row := range d.Base {
+		wi := w[i]
+		for j, v := range row {
+			dv := v - st.Mean[j]
+			st.Scale[j] += wi * dv * dv
+		}
+		for j, v := range d.sharedRow(i) {
+			dv := v - st.Mean[bcols+j]
+			st.Scale[bcols+j] += wi * dv * dv
+		}
+	}
+	for j := range st.Scale {
+		st.Scale[j] = math.Sqrt(st.Scale[j] / totalW)
+		if st.Scale[j] < 1e-12 {
+			st.Scale[j] = 1 // constant column: center only
+		}
+	}
+	return st, nil
+}

@@ -625,10 +625,11 @@ func deviationsFor(ds *dataset.Dataset, cfg Config, p *partition.Partition, task
 // runOnPartition encodes the dataset against a partition with the
 // centroid encoding, trains on the unweighted train split and returns
 // deviations, scores and labels of the training records, in trainIdx
-// order. It always uses the dense training path (partition-shaping
-// runs must reproduce historical splits bit-for-bit), materializing
-// only the training rows; workers only parallelizes the fit's per-row
-// and per-column work, which is invisible in the output.
+// order. It always trains on dense rows, every location column in the
+// base block (partition-shaping runs must reproduce historical splits
+// bit-for-bit), materializing only the training rows; workers only
+// parallelizes the fit's per-row and per-column work, which is
+// invisible in the output.
 func runOnPartition(ds *dataset.Dataset, cfg Config, p *partition.Partition, task int, trainIdx []int, workers int, ref bool) (dev, scores []float64, labels []int, err error) {
 	regionOf, err := p.AssignCells(ds.Cells())
 	if err != nil {
@@ -650,26 +651,27 @@ func runOnPartition(ds *dataset.Dataset, cfg Config, p *partition.Partition, tas
 		return nil, nil, nil, err
 	}
 	setFitWorkers(clf, workers)
-	if ref {
-		if lr, ok := clf.(*ml.LogReg); ok {
-			if err := lr.FitReference(trainX, trainY, nil); err != nil {
-				return nil, nil, nil, err
-			}
-			scores, err = lr.PredictProbaReference(trainX)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return deviationsOf(scores, trainY), scores, trainY, nil
-		}
-	}
-	if err := clf.Fit(trainX, trainY, nil); err != nil {
-		return nil, nil, nil, err
-	}
-	scores, err = clf.PredictProba(trainX)
+	scores, err = fitScoreDense(clf, trainX, trainY, nil, trainX, ref)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return deviationsOf(scores, trainY), scores, trainY, nil
+}
+
+// fitScoreDense trains clf on the dense rows trainX and scores the
+// dense rows scoreX. With ref a logistic regression runs the dense
+// reference pair (FitReference, PredictProbaReference) instead.
+func fitScoreDense(clf ml.Classifier, trainX [][]float64, trainY []int, weights []float64, scoreX [][]float64, ref bool) ([]float64, error) {
+	if lr, ok := clf.(*ml.LogReg); ok && ref {
+		if err := lr.FitReference(trainX, trainY, weights); err != nil {
+			return nil, err
+		}
+		return lr.PredictProbaReference(scoreX)
+	}
+	if err := clf.Fit(trainX, trainY, weights); err != nil {
+		return nil, err
+	}
+	return clf.PredictProba(scoreX)
 }
 
 // deviationsOf returns the signed deviations s_i − y_i.

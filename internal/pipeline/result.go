@@ -202,17 +202,15 @@ func trainTask(ds *dataset.Dataset, cfg Config, part *partition.Partition, regio
 
 // fitAndScore trains clf on the encoded train split and scores every
 // record. The logistic regression trains and scores on the factorized
-// layout with the grouped kernels; every other model gets dense rows.
-// With ref it runs the retained reference kernels instead — same
-// arithmetic, naive execution.
+// layout with the grouped kernels; every other model gets dense rows
+// through fitScoreDense. With ref the logistic regression runs the
+// retained grouped reference kernels instead — same arithmetic, naive
+// execution.
 func fitAndScore(clf ml.Classifier, encoded *dataset.Encoded, trainIdx []int, trainY []int, weights []float64, ref bool) ([]float64, error) {
 	lr, ok := clf.(*ml.LogReg)
 	if !ok {
 		all := encoded.Rows(nil)
-		if err := clf.Fit(dataset.Gather(all, trainIdx), trainY, weights); err != nil {
-			return nil, err
-		}
-		return clf.PredictProba(all)
+		return fitScoreDense(clf, dataset.Gather(all, trainIdx), trainY, weights, all, ref)
 	}
 	trainDesign := &ml.GroupedDesign{
 		Base:   dataset.Gather(encoded.Base, trainIdx),

@@ -508,3 +508,75 @@ func TestAppendDriftExactlyOnThreshold(t *testing.T) {
 		t.Errorf("drift one ulp under the threshold recommended a rebuild (drift %v)", drift)
 	}
 }
+
+// TestShardDriftStartsAtZero pins a shard's ENCE drift baseline: the
+// ENCE of the statistics the shard carries at the split, not the
+// whole index's. A fresh shard has no drift and recommends no rebuild
+// under any positive threshold; after an append its drift is |live −
+// ENCE at the split|, and a save and reload keep that baseline.
+func TestShardDriftStartsAtZero(t *testing.T) {
+	build, extra := splitCity(t, 460, 60)
+	// The centroid encoding keeps a record's width independent of the
+	// region count, so the shard can score appended records.
+	idx, err := Build(build, WithConfig(Config{Method: MethodFairKD, Height: 4, Seed: 3, Encoding: EncCentroid}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := idx.ExtractShard(0, idx.NumRegions()/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atSplit := make(map[int]float64)
+	differs := false
+	for _, task := range sh.Tasks() {
+		rep, err := sh.Report(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		atSplit[task] = rep.ENCE
+		whole, err := idx.Report(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		differs = differs || rep.ENCE != whole.ENCE
+		if d, err := sh.MetricDrift(task, MetricENCE); err != nil || d != 0 {
+			t.Errorf("task %d: fresh shard ENCE drift %v, %v; want 0", task, d, err)
+		}
+	}
+	if !differs {
+		t.Fatal("test needs a shard whose ENCE differs from the whole index's")
+	}
+	if err := sh.SetDriftThresholds(map[string]float64{MetricENCE: math.SmallestNonzeroFloat64}); err != nil {
+		t.Fatal(err)
+	}
+	if sh.RebuildRecommended() {
+		t.Error("fresh shard recommends a rebuild")
+	}
+
+	res, err := sh.AppendBatch(extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := sh.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Index
+	if err := back.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	for _, td := range res.Tasks {
+		want := math.Abs(td.ENCE - atSplit[td.Task])
+		if want == 0 {
+			t.Fatalf("task %d: test needs a drift-producing append; got exactly 0", td.Task)
+		}
+		if td.Drift != want {
+			t.Errorf("task %d: append drift %v, want |%v − %v| = %v", td.Task, td.Drift, td.ENCE, atSplit[td.Task], want)
+		}
+		for name, ix := range map[string]*Index{"live": sh, "reloaded": &back} {
+			if d, err := ix.MetricDrift(td.Task, MetricENCE); err != nil || d != want {
+				t.Errorf("task %d: %s MetricDrift %v, %v; want %v", td.Task, name, d, err, want)
+			}
+		}
+	}
+}

@@ -69,7 +69,9 @@ func (ix *Index) Fingerprint() (uint64, error) {
 //     range and kNN from its manifest's Layout and never asks a shard.
 //
 // Score and Report remain whole-index concerns: a shard keeps the
-// global models and reports verbatim, but scoring a foreign-region
+// global models and reports verbatim — except the stored build-time
+// ENCE, the drift baseline, which becomes the ENCE of the shard's own
+// statistics at the split — but scoring a foreign-region
 // point would use the sentinel's centroid, so distributed scoring is
 // not supported (the router rejects it). The shard's statistics are
 // taken from one atomic live snapshot, so a shard split is internally
@@ -143,6 +145,9 @@ func (ix *Index) ExtractShard(lo, hi int) (*Index, error) {
 			copy(nt.stats, src[lo:hi])
 			// The sentinel keeps zero statistics: foreign populations
 			// belong to other shards, and zero adds nothing to any merge.
+			// The drift baseline is the ENCE of the statistics the shard
+			// carries, so a fresh shard reports no drift.
+			nt.report.ENCE = calib.ENCEFromStats(nt.stats)
 		}
 		out.tasks = append(out.tasks, nt)
 	}
