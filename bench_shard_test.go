@@ -85,18 +85,7 @@ func BenchmarkShardMergeGroupStats(b *testing.B) {
 // wire overhead over the in-process kernel.
 func BenchmarkRouterLocateBatch(b *testing.B) {
 	_, m, shards, _ := shardFixture(b)
-	backends := make([]router.Backend, len(shards))
-	for i, sx := range shards {
-		ts := httptest.NewServer(server.New(sx))
-		defer ts.Close()
-		backends[i] = router.Backend{Name: m.Shards[i].Name, URLs: []string{ts.URL}}
-	}
-	rt, err := router.New(m, backends)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rts := httptest.NewServer(rt)
-	defer rts.Close()
+	rts := routerFixture(b, m, shards, 1)
 
 	ds, err := fullLA()
 	if err != nil {
@@ -140,29 +129,73 @@ func BenchmarkRouterLocateBatch(b *testing.B) {
 // budget arithmetic without ever failing over.
 func BenchmarkRouterStatsFailover(b *testing.B) {
 	whole, m, shards, _ := shardFixture(b)
+	rts := routerFixture(b, m, shards, 2)
+	task := whole.Tasks()[0]
+	bodies := make([]string, 64)
+	for i := range bodies {
+		bodies[i] = fmt.Sprintf(`{"task":%d,"regions":[%d]}`, task, (i*131)%m.NumRegions)
+	}
+	postStats(b, rts, bodies)
+}
+
+// BenchmarkRouterStatsWindow is the routed workload's window stats:
+// a rectangle over the middle of the box, 40% of each side, spanning
+// several shards, with every registered metric, through a router over
+// 4 shards x 2 live replicas. Each request fans out to the owning
+// shards and merges their sums replies, so the shard replies' codec,
+// the router's read of them and its merged reply are all on the path.
+func BenchmarkRouterStatsWindow(b *testing.B) {
+	whole, m, shards, _ := shardFixture(b)
+	box := whole.Box()
+	dLat, dLon := box.MaxLat-box.MinLat, box.MaxLon-box.MinLon
+	rect := fairindex.BBox{
+		MinLat: box.MinLat + 0.3*dLat, MinLon: box.MinLon + 0.3*dLon,
+		MaxLat: box.MaxLat - 0.3*dLat, MaxLon: box.MaxLon - 0.3*dLon,
+	}
+	ovs, err := whole.RangeQuery(rect)
+	if err != nil {
+		b.Fatal(err)
+	}
+	owners := map[int]bool{}
+	for _, ov := range ovs {
+		s, _ := m.ToLocal(ov.Region)
+		owners[s] = true
+	}
+	if len(owners) < 2 {
+		b.Fatalf("window spans %d shard(s), want several", len(owners))
+	}
+	rts := routerFixture(b, m, shards, 2)
+	body := fmt.Sprintf(`{"task":%d,"rect":{"min_lat":%v,"min_lon":%v,"max_lat":%v,"max_lon":%v},"metrics":[]}`,
+		whole.Tasks()[0], rect.MinLat, rect.MinLon, rect.MaxLat, rect.MaxLon)
+	postStats(b, rts, []string{body})
+}
+
+// routerFixture serves each shard from replicas live servers behind a
+// router; the servers close when the benchmark ends.
+func routerFixture(b *testing.B, m *shard.Manifest, shards []*fairindex.Index, replicas int) *httptest.Server {
+	b.Helper()
 	backends := make([]router.Backend, len(shards))
 	for i, sx := range shards {
 		srv := server.New(sx)
-		a := httptest.NewServer(srv)
-		defer a.Close()
-		bb := httptest.NewServer(srv)
-		defer bb.Close()
-		backends[i] = router.Backend{Name: m.Shards[i].Name, URLs: []string{a.URL, bb.URL}}
+		backends[i].Name = m.Shards[i].Name
+		for range replicas {
+			ts := httptest.NewServer(srv)
+			b.Cleanup(ts.Close)
+			backends[i].URLs = append(backends[i].URLs, ts.URL)
+		}
 	}
 	rt, err := router.New(m, backends)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rts := httptest.NewServer(rt)
-	defer rts.Close()
+	b.Cleanup(rts.Close)
+	return rts
+}
 
+// postStats times POST /v1/stats through rts, cycling through bodies.
+func postStats(b *testing.B, rts *httptest.Server, bodies []string) {
 	client := rts.Client()
-	task := whole.Tasks()[0]
-	bodies := make([]string, 64)
-	for i := range bodies {
-		bodies[i] = fmt.Sprintf(`{"task":%d,"regions":[%d]}`, task, (i*131)%m.NumRegions)
-	}
-
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -135,7 +135,7 @@ func run(args []string, w *os.File) error {
 	benchPath := fs.String("bench", "", "`go test -bench` output file (required)")
 	basePath := fs.String("baseline", "BENCH_index.json", "baseline JSON file")
 	watch := fs.String("watch",
-		"BenchmarkIndexLocate,BenchmarkIndexLocateBatch,BenchmarkIndexRangeQuery,BenchmarkIndexNearestRegions,BenchmarkIndexGroupStats,BenchmarkIndexGroupStatsMetrics,BenchmarkIndexUnmarshal,BenchmarkRegistryLookup,BenchmarkIndexBuild,BenchmarkIndexBuild10k,BenchmarkShardMergeGroupStats,BenchmarkRouterLocateBatch,BenchmarkRouterStatsFailover,BenchmarkRebuildGate",
+		"BenchmarkIndexLocate,BenchmarkIndexLocateBatch,BenchmarkIndexRangeQuery,BenchmarkIndexNearestRegions,BenchmarkIndexGroupStats,BenchmarkIndexGroupStatsMetrics,BenchmarkIndexUnmarshal,BenchmarkRegistryLookup,BenchmarkIndexBuild,BenchmarkIndexBuild10k,BenchmarkShardMergeGroupStats,BenchmarkRouterLocateBatch,BenchmarkRouterStatsFailover,BenchmarkRouterStatsWindow,BenchmarkRebuildGate",
 		"comma-separated benchmarks the gate enforces")
 	maxRatio := fs.Float64("max-ratio", 2.5, "fail when measured/baseline ns/op exceeds this")
 	maxAllocRatio := fs.Float64("max-alloc-ratio", 0,

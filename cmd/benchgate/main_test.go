@@ -37,6 +37,7 @@ const baseline = `{
     "BenchmarkShardMergeGroupStats": {"ns_per_op": 12500, "allocs_per_op": 3},
     "BenchmarkRouterLocateBatch": {"ns_per_op": 2300000, "allocs_per_op": 900},
     "BenchmarkRouterStatsFailover": {"ns_per_op": 114000, "allocs_per_op": 222},
+    "BenchmarkRouterStatsWindow": {"ns_per_op": 530000, "allocs_per_op": 416},
     "BenchmarkRebuildGate": {"ns_per_op": 32000, "allocs_per_op": 39}
   }
 }`
@@ -55,6 +56,7 @@ BenchmarkIndexBuild10k-4  	    5	 155000000 ns/op	 5941552 B/op	   11900 allocs/
 BenchmarkShardMergeGroupStats-4  	  100	     12800 ns/op	   16432 B/op	       3 allocs/op
 BenchmarkRouterLocateBatch-4  	   50	   2350000 ns/op	  401822 B/op	     895 allocs/op
 BenchmarkRouterStatsFailover-4   	  100	    118000 ns/op	   27210 B/op	     222 allocs/op
+BenchmarkRouterStatsWindow-4   	   50	    540000 ns/op	   66140 B/op	     416 allocs/op
 BenchmarkRebuildGate-4  	  100	     32500 ns/op	   72672 B/op	      39 allocs/op
 `
 

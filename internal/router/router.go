@@ -55,7 +55,6 @@ package router
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -784,7 +783,8 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			// shard: relay the first one verbatim.
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(rep.status)
-			w.Write(rep.body)
+			_, err := w.Write(rep.body)
+			reply.Written(err)
 			return
 		}
 	}
@@ -793,7 +793,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var (
-		gathered    []fairindex.RegionStat
+		gathered    = make([]fairindex.RegionStat, 0, len(regions))
 		failedNames []string
 		failures    []string
 		answered    int
@@ -809,22 +809,12 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		answered++
-		var sub wire.StatsResponse
-		if err := json.Unmarshal(rep.body, &sub); err != nil {
-			reply.Error(w, http.StatusBadGateway, fmt.Errorf(
-				"router: shard %q: malformed stats response: %v", name, err))
+		n := len(gathered)
+		if gathered, err = wire.DecodeStatsSums(gathered, rep.body); err != nil {
+			reply.Error(w, http.StatusBadGateway, fmt.Errorf("router: shard %q: %v", name, err))
 			return
 		}
-		local := make([]fairindex.RegionStat, len(sub.Regions))
-		for j, rs := range sub.Regions {
-			if rs.SumScore == nil || rs.SumLabel == nil {
-				reply.Error(w, http.StatusBadGateway, fmt.Errorf(
-					"router: shard %q: backend response lacks raw sums (pre-sharding server version?)", name))
-				return
-			}
-			local[j] = fairindex.RegionStat{Region: rs.Region, Count: rs.Count, SumScore: *rs.SumScore, SumLabel: *rs.SumLabel}
-		}
-		gathered = append(gathered, st.manifest.TranslateStats(i, local)...)
+		gathered = append(gathered[:n], st.manifest.TranslateStats(i, gathered[n:])...)
 	}
 	if answered == 0 {
 		reply.Error(w, http.StatusBadGateway, fmt.Errorf(
@@ -847,5 +837,5 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := wire.NewStatsResponse(ws, req.Sums)
 	resp.Partial = len(failedNames) > 0
 	resp.FailedShards = failedNames
-	reply.JSON(w, http.StatusOK, resp)
+	reply.Written(wire.WriteStats(w, resp))
 }

@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,17 +17,22 @@ import (
 	"fairindex/internal/wire"
 )
 
-// benchServer lazily builds the paper-sized LA index and an HTTP
-// server over it, shared by the serving benchmarks.
-var benchServer = sync.OnceValues(func() (*httptest.Server, error) {
+// benchIndex lazily builds the paper-sized LA index the serving
+// benchmarks share.
+var benchIndex = sync.OnceValues(func() (*fairindex.Index, error) {
 	ds, err := dataset.Generate(dataset.LA(), geo.MustGrid(64, 64))
 	if err != nil {
 		return nil, err
 	}
-	idx, err := fairindex.Build(ds,
+	return fairindex.Build(ds,
 		fairindex.WithMethod(fairindex.MethodFairKD),
 		fairindex.WithHeight(8),
 		fairindex.WithSeed(11))
+})
+
+// benchServer lazily starts an HTTP server over benchIndex.
+var benchServer = sync.OnceValues(func() (*httptest.Server, error) {
+	idx, err := benchIndex()
 	if err != nil {
 		return nil, err
 	}
@@ -100,3 +107,51 @@ func BenchmarkServerLocate(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServerStats measures the /v1/stats handler in process, with
+// no connection: parse, window resolution, the fold of every
+// registered metric over a 60-region window, and the reply. With
+// "sums" the reply carries each region's raw sums, as a shard answers
+// the router.
+func BenchmarkServerStats(b *testing.B) {
+	idx, err := benchIndex()
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := New(idx)
+	var regions strings.Builder
+	for i := 0; i < 60; i++ {
+		if i > 0 {
+			regions.WriteByte(',')
+		}
+		fmt.Fprint(&regions, i*idx.NumRegions()/60)
+	}
+	for _, bc := range []struct{ name, sums string }{{"no_sums", ""}, {"sums", `,"sums":true`}} {
+		b.Run(bc.name, func(b *testing.B) {
+			body := []byte(fmt.Sprintf(`{"task":%d,"regions":[%s],"metrics":[]%s}`, idx.Tasks()[0], regions.String(), bc.sums))
+			br := bytes.NewReader(body)
+			w := &discardWriter{header: http.Header{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				br.Reset(body)
+				clear(w.header)
+				srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/stats", br))
+				if w.status != http.StatusOK {
+					b.Fatalf("status %d", w.status)
+				}
+			}
+		})
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps the status and drops
+// the body, so a handler benchmark times the handler alone.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }

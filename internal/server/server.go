@@ -828,7 +828,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, err)
 		return
 	}
-	s.reply.JSON(w, http.StatusOK, *resp)
+	s.reply.Written(wire.WriteStats(w, *resp))
 }
 
 // handleCompare fans one request out to N named indexes — the

@@ -165,7 +165,8 @@ func scanLocateBatch(data []byte) (LocateBatchRequest, bool) {
 	return LocateBatchRequest{Lats: b, Lons: a}, true
 }
 
-// scanner walks a JSON text for scanLocateBatch.
+// scanner walks a JSON text for the strict scanners of batch.go and
+// stats.go.
 type scanner struct {
 	b []byte
 	i int
@@ -238,15 +239,9 @@ func (s *scanner) array(elem func() bool) bool {
 // floats appends a JSON array of numbers to dst.
 func (s *scanner) floats(dst []float64) ([]float64, bool) {
 	ok := s.array(func() bool {
-		lit, ok := s.number()
-		if !ok {
-			return false
-		}
-		// The call encoding/json makes for a float64 field; a range
-		// error is its "cannot unmarshal" error, so it falls back.
-		f, err := strconv.ParseFloat(string(lit), 64)
+		f, ok := s.float()
 		dst = append(dst, f)
-		return err == nil
+		return ok
 	})
 	return dst, ok
 }

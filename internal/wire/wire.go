@@ -10,6 +10,16 @@
 // there is no second copy to keep in step. Types only one side serves
 // (the server's score, append, compare, catalog and report shapes; the
 // router's shard listing) stay with that side.
+//
+// The two hot wire crossings are coded by hand, with encoding/json
+// kept as the definition of their format: the locate_batch request and
+// reply (batch.go), and the /v1/stats reply, both ways (stats.go) —
+// WriteStats writes every stats reply server and router send, and
+// DecodeStatsSums reads each shard's sums reply in the router. Each
+// falls back to encoding/json on any input or reply outside the subset
+// it covers, and a differential fuzz target (FuzzLocateBatchDecode,
+// FuzzStatsCodec) holds it to encoding/json's bytes, values and error
+// texts.
 package wire
 
 import (
@@ -263,6 +273,10 @@ func NewStatsResponse(ws fairindex.WindowStats, sums bool) StatsResponse {
 			resp.Metrics[name] = Float(v)
 		}
 	}
+	var raw []float64 // the sums' backing store: one allocation, not two per region
+	if sums {
+		raw = make([]float64, 2*len(ws.Regions))
+	}
 	for i, rs := range ws.Regions {
 		resp.Regions[i] = RegionStat{
 			Region:   rs.Region,
@@ -273,9 +287,9 @@ func NewStatsResponse(ws fairindex.WindowStats, sums bool) StatsResponse {
 			CalRatio: Float(rs.CalRatio),
 		}
 		if sums {
-			sc, sl := rs.SumScore, rs.SumLabel
-			resp.Regions[i].SumScore = &sc
-			resp.Regions[i].SumLabel = &sl
+			raw[2*i], raw[2*i+1] = rs.SumScore, rs.SumLabel
+			resp.Regions[i].SumScore = &raw[2*i]
+			resp.Regions[i].SumLabel = &raw[2*i+1]
 		}
 	}
 	return resp
@@ -303,11 +317,21 @@ type Float float64
 
 // MarshalJSON implements json.Marshaler.
 func (f Float) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
+	return f.appendJSON(make([]byte, 0, 32)), nil
+}
+
+// appendJSON appends f's wire form: null unless finite.
+func (f Float) appendJSON(dst []byte) []byte {
+	if !f.finite() {
+		return append(dst, "null"...)
 	}
-	return AppendFloat(make([]byte, 0, 32), v), nil
+	return AppendFloat(dst, float64(f))
+}
+
+// finite reports whether f is neither NaN nor ±Inf.
+func (f Float) finite() bool {
+	v := float64(f)
+	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
 // WriteJSON writes v as the reply body with the given status; an
