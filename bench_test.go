@@ -519,6 +519,45 @@ func BenchmarkIndexGroupStatsMetrics(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexAppendBatch folds 200-record batches of the paper LA
+// records into a private copy of the paper index with ence and
+// stat_parity armed: locate and score every record, copy-on-write
+// fold of the per-region statistics, and the drift report over both
+// monitored metrics.
+func BenchmarkIndexAppendBatch(b *testing.B) {
+	const batch = 200
+	shared, err := fullIndex()
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := shared.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var idx fairindex.Index
+	if err := idx.UnmarshalBinary(blob); err != nil {
+		b.Fatal(err)
+	}
+	if err := idx.SetDriftThresholds(map[string]float64{
+		fairindex.MetricENCE: 0.05, fairindex.MetricStatParity: 0.05,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	ds, err := fullLA()
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := len(ds.Records) / batch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := (i % batches) * batch
+		if _, err := idx.AppendBatch(ds.Records[off : off+batch]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkIndexMarshal(b *testing.B) {
 	idx, err := fullIndex()
 	if err != nil {

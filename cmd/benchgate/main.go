@@ -3,9 +3,10 @@
 // watched benchmark regresses beyond the tolerance factor. It is the
 // CI guard on the Index hot paths: later PRs may make Locate,
 // LocateBatch, the region queries (RangeQuery, NearestRegions,
-// GroupStats), artifact decoding (UnmarshalBinary, which the registry
-// runs on the request path when it loads lazily), the multi-index
-// registry lookup and the build pipeline
+// GroupStats), the append fold (AppendBatch), artifact decoding
+// (UnmarshalBinary, which the registry runs on the request path when
+// it loads lazily), the multi-index registry lookup and the build
+// pipeline
 // (BenchmarkIndexBuild, BenchmarkIndexBuild10k — and, in the slow CI
 // job, BenchmarkIndexBuild100k) faster, but not slower.
 //
@@ -76,9 +77,12 @@ type measurement struct {
 //	BenchmarkIndexLocate-8   	49510341	         7.6 ns/op
 //	BenchmarkIndexBuild-8    	      33	  36579574 ns/op	 2110672 B/op	    2972 allocs/op
 //
-// The -8 GOMAXPROCS suffix is optional and stripped; B/op and
-// allocs/op appear only for benchmarks reporting allocations.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.eE+]+) ns/op(?:\s+[0-9.eE+]+ B/op)?(?:\s+([0-9]+) allocs/op)?`)
+// The -8 GOMAXPROCS suffix is optional and stripped. After ns/op the
+// line is a list of `value unit` pairs, and allocs/op is read by its
+// unit name: it appears only for benchmarks reporting allocations,
+// and b.ReportMetric units (e.g. `29.00 regions`) print between ns/op
+// and B/op.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.eE+]+) ns/op(?:\s+\S+ \S+)*?(?:\s+([0-9]+) allocs/op)?\s*$`)
 
 // parseBenchOutput extracts the best (minimum) ns/op — and, when
 // reported, allocs/op — per benchmark name from `go test -bench`
@@ -135,7 +139,7 @@ func run(args []string, w *os.File) error {
 	benchPath := fs.String("bench", "", "`go test -bench` output file (required)")
 	basePath := fs.String("baseline", "BENCH_index.json", "baseline JSON file")
 	watch := fs.String("watch",
-		"BenchmarkIndexLocate,BenchmarkIndexLocateBatch,BenchmarkIndexRangeQuery,BenchmarkIndexNearestRegions,BenchmarkIndexGroupStats,BenchmarkIndexGroupStatsMetrics,BenchmarkIndexUnmarshal,BenchmarkRegistryLookup,BenchmarkIndexBuild,BenchmarkIndexBuild10k,BenchmarkShardMergeGroupStats,BenchmarkRouterLocateBatch,BenchmarkRouterStatsFailover,BenchmarkRouterStatsWindow,BenchmarkRebuildGate",
+		"BenchmarkIndexLocate,BenchmarkIndexLocateBatch,BenchmarkIndexRangeQuery,BenchmarkIndexNearestRegions,BenchmarkIndexGroupStats,BenchmarkIndexGroupStatsMetrics,BenchmarkIndexAppendBatch,BenchmarkIndexUnmarshal,BenchmarkRegistryLookup,BenchmarkIndexBuild,BenchmarkIndexBuild10k,BenchmarkShardMergeGroupStats,BenchmarkRouterLocateBatch,BenchmarkRouterStatsFailover,BenchmarkRouterStatsWindow,BenchmarkRebuildGate",
 		"comma-separated benchmarks the gate enforces")
 	maxRatio := fs.Float64("max-ratio", 2.5, "fail when measured/baseline ns/op exceeds this")
 	maxAllocRatio := fs.Float64("max-alloc-ratio", 0,

@@ -30,6 +30,7 @@ const baseline = `{
     "BenchmarkIndexNearestRegions": {"ns_per_op": 1000},
     "BenchmarkIndexGroupStats": {"ns_per_op": 3000},
     "BenchmarkIndexGroupStatsMetrics": {"ns_per_op": 9500, "allocs_per_op": 7},
+    "BenchmarkIndexAppendBatch": {"ns_per_op": 320000, "allocs_per_op": 614},
     "BenchmarkIndexUnmarshal": {"ns_per_op": 70000},
     "BenchmarkRegistryLookup": {"ns_per_op": 18},
     "BenchmarkIndexBuild": {"ns_per_op": 36000000, "allocs_per_op": 3000},
@@ -49,6 +50,7 @@ const healthyQueries = `BenchmarkIndexRangeQuery-4  	  100	      3100 ns/op
 BenchmarkIndexNearestRegions-4 	  100	      1050 ns/op
 BenchmarkIndexGroupStats-4  	  100	      3050 ns/op
 BenchmarkIndexGroupStatsMetrics-4  	  100	      9600 ns/op	   10688 B/op	       7 allocs/op
+BenchmarkIndexAppendBatch-4  	  100	    330000 ns/op	  426866 B/op	     614 allocs/op
 BenchmarkIndexUnmarshal-4  	  100	     71000 ns/op
 BenchmarkRegistryLookup-4  	 1000	        19 ns/op
 BenchmarkIndexBuild-4  	   10	  37000000 ns/op	 2110672 B/op	    2980 allocs/op
@@ -235,5 +237,30 @@ func TestBenchLineParsing(t *testing.T) {
 	m = benchLine.FindStringSubmatch("BenchmarkIndexMarshal-2 \t  27072\t     43168 ns/op\t  18632 B/op")
 	if m == nil || m[3] != "" {
 		t.Errorf("B/op-only line parsed as %v", m)
+	}
+}
+
+// TestGateAllocsAfterReportedMetrics: b.ReportMetric units print
+// between ns/op and B/op, and allocs/op is still read by its unit
+// name, so an alloc-gated benchmark may report its own metrics.
+func TestGateAllocsAfterReportedMetrics(t *testing.T) {
+	line := "BenchmarkRouterStatsWindow-4   \t   50\t    540000 ns/op\t        29.00 regions\t         2.000 shards\t   66140 B/op\t     416 allocs/op"
+	m := benchLine.FindStringSubmatch(line)
+	if m == nil || m[1] != "BenchmarkRouterStatsWindow" || m[2] != "540000" || m[3] != "416" {
+		t.Fatalf("reported-metric line parsed as %v", m)
+	}
+	healthy := `BenchmarkIndexLocate-4    	49510341	         8.1 ns/op
+BenchmarkIndexLocateBatch-4 	   57247	      8100 ns/op
+` + strings.Replace(healthyQueries,
+		"BenchmarkRouterStatsWindow-4   	   50	    540000 ns/op	   66140 B/op	     416 allocs/op", line, 1)
+	if !strings.Contains(healthy, "regions") {
+		t.Fatal("fixture lost the reported-metric line")
+	}
+	if err := gate(t, baseline, healthy, "-max-alloc-ratio", "2"); err != nil {
+		t.Fatalf("reported metrics hid allocs/op from the gate: %v", err)
+	}
+	blown := strings.Replace(healthy, "416 allocs/op", "4160 allocs/op", 1)
+	if err := gate(t, baseline, blown, "-max-alloc-ratio", "2"); err == nil {
+		t.Fatal("10x allocation regression behind reported metrics passed the gate")
 	}
 }

@@ -246,18 +246,22 @@ func (ix *Index) scoreInRegion(it *indexTask, x []float64, region int) (float64,
 }
 
 // Report returns the build-time metric report for a task, with one
-// live exception: the ENCE field tracks the current per-region
-// statistics, so it stays exact as AppendBatch folds new records in.
-// Without appends the live value is bit-identical to the stored one
-// (both fold the same per-region statistics in the same order); every
-// other metric is the build-time evaluation.
+// live exception: the ENCE field is folded over the current
+// per-region statistics, so it stays exact as AppendBatch folds new
+// records in. Without appends the live value is bit-identical to the
+// stored one (both fold the same per-region statistics in the same
+// order); an index restored from a v1 artifact, which has no
+// statistics, keeps the stored value. Every other metric is the
+// build-time evaluation.
 func (ix *Index) Report(task int) (TaskResult, error) {
 	slot, err := ix.taskSlot(task)
 	if err != nil {
 		return TaskResult{}, err
 	}
 	tr := ix.tasks[slot].report
-	tr.ENCE = ix.liveENCE(slot)
+	if stats := ix.statsFor(slot); stats != nil {
+		tr.ENCE = calib.ENCEFromStats(stats)
+	}
 	return tr, nil
 }
 

@@ -123,8 +123,8 @@ func (c *Controller) Bind() {
 	c.mu.Lock()
 	c.bound = true
 	c.mu.Unlock()
-	c.reg.SetOnDrift(func(name string, drift float64) {
-		c.logger.Printf("rebuild: drift trigger for %q (max drift %.4g)", name, drift)
+	c.reg.SetOnDrift(func(name string) {
+		c.logger.Printf("rebuild: drift trigger for %q", name)
 		c.Kick(name)
 	})
 }

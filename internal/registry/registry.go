@@ -92,7 +92,7 @@ type Registry struct {
 	// bind itself (SetOnDrift) after the registry is constructed,
 	// concurrently with appends.
 	driftThresholds map[string]float64
-	onDrift         atomic.Pointer[func(name string, drift float64)]
+	onDrift         atomic.Pointer[func(name string)]
 }
 
 // Entry is one named index slot: a backing file plus the atomically
@@ -173,15 +173,17 @@ func WithDriftThresholds(thresholds map[string]float64) Option {
 }
 
 // SetOnDrift installs (or, with nil, removes) the rebuild
-// control-plane hook: fn runs the first time an entry's appended
-// batches push its drift across an armed threshold (once per loaded
-// artifact generation — a reload or swap re-arms it). Typical callers
+// control-plane hook: fn runs with the entry's name the first time
+// its appended batches push any armed metric's drift across its
+// threshold (once per loaded artifact generation — a reload or swap
+// re-arms it). Which metrics crossed is in Append's result and the
+// registry's log line. Typical callers
 // rebuild the artifact and Reload the entry; a rebuild controller
 // binds here around an already-running registry. fn is called
 // synchronously from Append without registry locks held, so it may
 // call back into the registry. Safe for concurrent use with Append;
 // an append in flight may still fire the previous hook.
-func (r *Registry) SetOnDrift(fn func(name string, drift float64)) {
+func (r *Registry) SetOnDrift(fn func(name string)) {
 	if fn == nil {
 		r.onDrift.Store(nil)
 		return
@@ -407,7 +409,7 @@ func (r *Registry) Append(name string, recs []fairindex.Record) (fairindex.Appen
 		r.logger.Printf("registry: %q drift crossed an armed threshold (%s) — rebuild recommended",
 			name, driftSummary(res, idx.DriftThresholds()))
 		if fn := r.onDrift.Load(); fn != nil {
-			(*fn)(name, res.Drift)
+			(*fn)(name)
 		}
 	}
 	return res, nil

@@ -665,9 +665,9 @@ func TestRegistryAppendAndDriftHook(t *testing.T) {
 	var fired atomic.Int32
 	r := New(WithLogger(quietLogger()),
 		WithDriftThresholds(map[string]float64{fairindex.MetricENCE: 1e-12}))
-	r.SetOnDrift(func(name string, drift float64) {
-		if name != "la" || drift <= 0 {
-			t.Errorf("hook fired with name=%q drift=%v", name, drift)
+	r.SetOnDrift(func(name string) {
+		if name != "la" {
+			t.Errorf("hook fired with name=%q", name)
 		}
 		fired.Add(1)
 	})
@@ -815,7 +815,7 @@ func TestRegistryAppendRescanRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetOnDrift(func(name string, drift float64) { fired.Add(1) })
+	r.SetOnDrift(func(name string) { fired.Add(1) })
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

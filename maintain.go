@@ -3,7 +3,8 @@ package fairindex
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -39,12 +40,6 @@ type liveStats struct {
 	// slot; a nil slot marks an artifact that predates region stats
 	// (v1) and cannot accept appends.
 	stats [][]calib.SuffStats
-	// ence is each task slot's ENCE over its live stats. At build
-	// time it is bit-identical to the stored report value (both are
-	// population-weighted folds of the same per-region statistics in
-	// the same order), which is what makes |live − stored| a sound
-	// drift measure across save/reload cycles.
-	ence []float64
 	// appended counts records folded since the Index was built or
 	// loaded. It is runtime observability, not serialized: the folded
 	// statistics themselves persist through MarshalBinary.
@@ -54,19 +49,10 @@ type liveStats struct {
 // initMaint publishes the initial maintenance snapshot over the
 // build- or load-time per-region statistics, with nothing armed.
 func (ix *Index) initMaint() {
-	ls := &liveStats{
-		stats: make([][]calib.SuffStats, len(ix.tasks)),
-		ence:  make([]float64, len(ix.tasks)),
-	}
+	ls := &liveStats{stats: make([][]calib.SuffStats, len(ix.tasks))}
 	for i := range ix.tasks {
-		it := &ix.tasks[i]
-		if it.stats == nil {
-			ls.ence[i] = it.report.ENCE
-			continue
-		}
 		// Share the baseline slice; folds are copy-on-write.
-		ls.stats[i] = it.stats
-		ls.ence[i] = calib.ENCEFromStats(it.stats)
+		ls.stats[i] = ix.tasks[i].stats
 	}
 	m := &maintState{}
 	m.cur.Store(ls)
@@ -91,14 +77,6 @@ func (ix *Index) statsFor(slot int) []calib.SuffStats {
 		return ls.stats[slot]
 	}
 	return ix.tasks[slot].stats
-}
-
-// liveENCE returns a task slot's ENCE over its live statistics.
-func (ix *Index) liveENCE(slot int) float64 {
-	if ls := ix.live(); ls != nil {
-		return ls.ence[slot]
-	}
-	return ix.tasks[slot].report.ENCE
 }
 
 // driftThresholds reads the armed per-metric threshold map (shared,
@@ -231,7 +209,6 @@ func (ix *Index) AppendBatch(recs []Record) (AppendResult, error) {
 	old := m.cur.Load()
 	next := &liveStats{
 		stats:    make([][]calib.SuffStats, len(old.stats)),
-		ence:     make([]float64, len(old.ence)),
 		appended: old.appended + n,
 	}
 	for k := range old.stats {
@@ -249,7 +226,6 @@ func (ix *Index) AppendBatch(recs []Record) (AppendResult, error) {
 			}
 		}
 		next.stats[k] = st
-		next.ence[k] = calib.ENCEFromStats(st)
 	}
 	m.cur.Store(next)
 	m.mu.Unlock()
@@ -270,49 +246,49 @@ func DriftExceeds(drift, threshold float64) bool {
 	return threshold > 0 && !math.IsNaN(drift) && drift >= threshold
 }
 
-// monitoredMetrics returns the metric names a drift report covers:
-// ENCE (always) plus every armed threshold metric, sorted for
+// monitoredMetrics returns the metrics a drift report covers: ENCE
+// (always) plus every armed threshold metric, sorted by name for
 // deterministic report order.
-func (ix *Index) monitoredMetrics() []string {
+func (ix *Index) monitoredMetrics() []calib.Metric {
 	thr := ix.driftThresholds()
-	names := make([]string, 0, len(thr)+1)
-	names = append(names, calib.MetricENCE)
+	ence, _ := calib.MetricByName(calib.MetricENCE)
+	mets := make([]calib.Metric, 0, len(thr)+1)
+	mets = append(mets, ence)
 	for name := range thr {
 		if name != calib.MetricENCE {
-			names = append(names, name)
+			// SetDriftThresholds arms only registered names, and a
+			// registration is never removed.
+			m, _ := calib.MetricByName(name)
+			mets = append(mets, m)
 		}
 	}
-	sort.Strings(names)
-	return names
+	slices.SortFunc(mets, func(a, b calib.Metric) int { return strings.Compare(a.Name(), b.Name()) })
+	return mets
 }
 
-// metricValues computes one metric's (live, baseline) pair for a task
-// slot against one live snapshot. The ENCE pair reuses the
-// incrementally maintained values, keeping legacy drift bit-exact;
-// other metrics evaluate over the live statistics and those the index
-// was built or loaded with.
-func (ix *Index) metricValues(name string, slot int, ls *liveStats) (live, base float64) {
-	if name == calib.MetricENCE {
-		if ls != nil {
-			return ls.ence[slot], ix.tasks[slot].report.ENCE
+// metricValues computes one metric's live value for a task slot over
+// one live snapshot's statistics, and its drift |live − baseline|.
+// ENCE's baseline is the stored report value, the only baseline the
+// artifact keeps, so ENCE drift survives a save and reload; every
+// other metric's baseline is the metric over the statistics the index
+// was built or loaded with. A task without statistics (a v1 artifact)
+// has only its stored ENCE: zero drift for ENCE, ErrNoRegionStats for
+// any other metric.
+func (ix *Index) metricValues(m calib.Metric, slot int, ls *liveStats) (live, drift float64, err error) {
+	it := &ix.tasks[slot]
+	isENCE := m.Name() == calib.MetricENCE
+	if it.stats == nil {
+		if isENCE {
+			return it.report.ENCE, 0, nil
 		}
-		return ix.liveENCE(slot), ix.tasks[slot].report.ENCE
+		return 0, 0, ErrNoRegionStats
 	}
-	m, ok := calib.MetricByName(name)
-	if !ok {
-		return math.NaN(), math.NaN()
+	live = m.Compute(ls.stats[slot])
+	base := it.report.ENCE
+	if !isENCE {
+		base = m.Compute(it.stats)
 	}
-	stats := ix.tasks[slot].stats
-	if stats == nil {
-		return math.NaN(), math.NaN()
-	}
-	liveStats := stats
-	if ls != nil {
-		liveStats = ls.stats[slot]
-	} else if cur := ix.statsFor(slot); cur != nil {
-		liveStats = cur
-	}
-	return m.Compute(liveStats), m.Compute(stats)
+	return live, math.Abs(live - base), nil
 }
 
 // appendResult assembles the drift report for one published snapshot.
@@ -322,29 +298,28 @@ func (ix *Index) appendResult(n int, ls *liveStats) AppendResult {
 	for k := range ix.tasks {
 		td := TaskDrift{
 			Task:    ix.tasks[k].task,
-			ENCE:    ls.ence[k],
-			Drift:   math.Abs(ls.ence[k] - ix.tasks[k].report.ENCE),
 			Metrics: make(map[string]float64, len(monitored)),
 			Drifts:  make(map[string]float64, len(monitored)),
 		}
-		for _, name := range monitored {
-			live, base := ix.metricValues(name, k, ls)
-			td.Metrics[name] = live
-			td.Drifts[name] = math.Abs(live - base)
+		for _, m := range monitored {
+			// Every task of a folded index has statistics, so no
+			// metric fails here.
+			live, d, _ := ix.metricValues(m, k, ls)
+			name := m.Name()
+			td.Metrics[name], td.Drifts[name] = live, d
 			// NaN (a metric undefined on either side) never displaces
 			// the running max; any defined drift — including 0 — makes
 			// the monitored metric show up in the report.
-			if d := td.Drifts[name]; !math.IsNaN(d) {
+			if !math.IsNaN(d) {
 				if cur, ok := res.Drifts[name]; !ok || d > cur {
 					res.Drifts[name] = d
 				}
 			}
 		}
+		td.ENCE, td.Drift = td.Metrics[calib.MetricENCE], td.Drifts[calib.MetricENCE]
 		res.Tasks = append(res.Tasks, td)
-		if td.Drift > res.Drift {
-			res.Drift = td.Drift
-		}
 	}
+	res.Drift = res.Drifts[calib.MetricENCE]
 	thr := ix.driftThresholds()
 	for name, t := range thr {
 		if d, ok := res.Drifts[name]; ok && DriftExceeds(d, t) {
@@ -366,8 +341,8 @@ func (ix *Index) Appended() int {
 
 // MetricDrift returns one task's drift under a named registered
 // metric: |metric over live statistics − metric over the statistics
-// the index was built or loaded with|. For "ence" it is |live ENCE −
-// build-time ENCE|, the value TaskDrift.Drift carries, bit for bit;
+// the index was built or loaded with|. For "ence" the baseline is the
+// stored build-time ENCE, the value TaskDrift.Drift measures against;
 // the artifact stores that baseline, so only ENCE drift survives a
 // save and reload. A NaN result means the metric is undefined on at
 // least one side (e.g. cal_ratio with no positives); NaN drift never
@@ -379,25 +354,39 @@ func (ix *Index) MetricDrift(task int, metric string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if metric == calib.MetricENCE {
-		return math.Abs(ix.liveENCE(slot) - ix.tasks[slot].report.ENCE), nil
+	m, err := resolveDriftMetric(metric)
+	if err != nil {
+		return 0, err
 	}
-	if _, ok := calib.MetricByName(metric); !ok {
-		return 0, fmt.Errorf("%w: unknown metric %q (registered: %v)", ErrQuery, metric, calib.MetricNames())
-	}
-	if ix.tasks[slot].stats == nil {
-		return 0, ErrNoRegionStats
-	}
-	live, base := ix.metricValues(metric, slot, nil)
-	return math.Abs(live - base), nil
+	_, d, err := ix.metricValues(m, slot, ix.live())
+	return d, err
 }
 
 // MaxMetricDrift returns the largest per-task drift under a named
 // metric (NaN per-task drifts are skipped).
 func (ix *Index) MaxMetricDrift(metric string) (float64, error) {
+	m, err := resolveDriftMetric(metric)
+	if err != nil {
+		return 0, err
+	}
+	return ix.maxDrift(m, ix.live())
+}
+
+// resolveDriftMetric looks up a metric named in a drift query.
+func resolveDriftMetric(name string) (calib.Metric, error) {
+	m, ok := calib.MetricByName(name)
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown metric %q (registered: %v)", ErrQuery, name, calib.MetricNames())
+	}
+	return m, nil
+}
+
+// maxDrift returns a metric's largest per-task drift over one live
+// snapshot, skipping NaN drifts.
+func (ix *Index) maxDrift(m calib.Metric, ls *liveStats) (float64, error) {
 	var out float64
 	for slot := range ix.tasks {
-		d, err := ix.MetricDrift(ix.tasks[slot].task, metric)
+		_, d, err := ix.metricValues(m, slot, ls)
 		if err != nil {
 			return 0, err
 		}
@@ -452,11 +441,10 @@ func (ix *Index) SetDriftThresholds(thresholds map[string]float64) error {
 // diverge from the build-time calibration to make retraining
 // worthwhile.
 func (ix *Index) RebuildRecommended() bool {
+	ls := ix.live()
 	for name, thr := range ix.driftThresholds() {
-		if thr <= 0 {
-			continue
-		}
-		d, err := ix.MaxMetricDrift(name)
+		m, _ := calib.MetricByName(name) // armed names are registered
+		d, err := ix.maxDrift(m, ls)
 		if err == nil && DriftExceeds(d, thr) {
 			return true
 		}

@@ -349,6 +349,38 @@ func TestAppendV1Artifact(t *testing.T) {
 	if !errors.Is(appendErr, ErrNoRegionStats) {
 		t.Errorf("AppendBatch on v1 artifact = %v, want ErrNoRegionStats", appendErr)
 	}
+
+	// Drift on a v1 task: its stored ENCE is the only value it has,
+	// so ENCE reads it back with zero drift and every other metric
+	// has no statistics to evaluate.
+	if err := back.SetDriftThresholds(map[string]float64{MetricENCE: 1e-12, MetricStatParity: 1e-12}); err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range back.Tasks() {
+		want, err := idx.Report(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := back.Report(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ENCE != want.ENCE {
+			t.Errorf("task %d: v1 Report ENCE %v, want stored %v", task, got.ENCE, want.ENCE)
+		}
+		if d, err := back.MetricDrift(task, MetricENCE); err != nil || d != 0 {
+			t.Errorf("task %d: v1 ence drift = %v, %v; want 0, nil", task, d, err)
+		}
+		if _, err := back.MetricDrift(task, MetricStatParity); !errors.Is(err, ErrNoRegionStats) {
+			t.Errorf("task %d: v1 stat_parity drift error = %v, want ErrNoRegionStats", task, err)
+		}
+	}
+	if _, err := back.MaxMetricDrift(MetricStatParity); !errors.Is(err, ErrNoRegionStats) {
+		t.Errorf("v1 MaxMetricDrift(stat_parity) error = %v, want ErrNoRegionStats", err)
+	}
+	if back.RebuildRecommended() {
+		t.Error("v1 artifact recommends a rebuild with ence and stat_parity armed")
+	}
 }
 
 // TestConcurrentAppendAndQuery drives appends and the full query

@@ -117,7 +117,11 @@ func (ix *Index) GroupStats(task int, regions []int) (WindowStats, error) {
 	if stats == nil {
 		return WindowStats{}, ErrNoRegionStats
 	}
-	return ix.windowOver(task, stats, regions)
+	ids, window, err := ix.windowSlices(stats, regions)
+	if err != nil {
+		return WindowStats{}, err
+	}
+	return foldWindow(task, ids, window), nil
 }
 
 // GroupStatsMetrics is GroupStats with explicit fairness-metric
@@ -130,6 +134,26 @@ func (ix *Index) GroupStats(task int, regions []int) (WindowStats, error) {
 // internally consistent under concurrent appends. Unknown metric
 // names are an error wrapping ErrQuery.
 func (ix *Index) GroupStatsMetrics(task int, regions []int, names ...string) (WindowStats, error) {
+	return windowMetrics(task, names, func() ([]int, []calib.SuffStats, error) {
+		slot, err := ix.taskSlot(task)
+		if err != nil {
+			return nil, nil, err
+		}
+		stats := ix.statsFor(slot)
+		if stats == nil {
+			return nil, nil, ErrNoRegionStats
+		}
+		return ix.windowSlices(stats, regions)
+	})
+}
+
+// windowMetrics is the metric-evaluation step GroupStatsMetrics and
+// MergeWindowStatsMetrics share: it resolves the named metrics (every
+// registered metric when names is empty; an unknown name wraps
+// ErrQuery) before gathering the window, folds the legacy aggregate
+// and evaluates each metric over the window's per-region statistics,
+// one entry per region in ascending id order, matching out.Regions.
+func windowMetrics(task int, names []string, gather func() ([]int, []calib.SuffStats, error)) (WindowStats, error) {
 	if len(names) == 0 {
 		names = Metrics()
 	}
@@ -137,37 +161,16 @@ func (ix *Index) GroupStatsMetrics(task int, regions []int, names ...string) (Wi
 	if err != nil {
 		return WindowStats{}, fmt.Errorf("%w: %v", ErrQuery, err)
 	}
-	slot, err := ix.taskSlot(task)
-	if err != nil {
-		return WindowStats{}, err
-	}
-	stats := ix.statsFor(slot)
-	if stats == nil {
-		return WindowStats{}, ErrNoRegionStats
-	}
-	ids, window, err := ix.windowSlices(stats, regions)
+	ids, window, err := gather()
 	if err != nil {
 		return WindowStats{}, err
 	}
 	out := foldWindow(task, ids, window)
-	// The metric contract takes one SuffStats entry per window region
-	// (ascending id, matching out.Regions).
 	out.Metrics = make(map[string]float64, len(mets))
 	for _, m := range mets {
 		out.Metrics[m.Name()] = m.Compute(window)
 	}
 	return out, nil
-}
-
-// windowOver aggregates one window against one statistics snapshot —
-// the shared core of GroupStats and GroupStatsMetrics. The legacy
-// aggregate arithmetic here is pinned bit-exactly by golden tests.
-func (ix *Index) windowOver(task int, stats []calib.SuffStats, regions []int) (WindowStats, error) {
-	ids, window, err := ix.windowSlices(stats, regions)
-	if err != nil {
-		return WindowStats{}, err
-	}
-	return foldWindow(task, ids, window), nil
 }
 
 // windowSlices validates a query's region list and resolves it against
@@ -192,7 +195,7 @@ func (ix *Index) windowSlices(stats []calib.SuffStats, regions []int) ([]int, []
 
 // foldWindow runs the legacy window aggregation over parallel
 // ascending-id slices of region ids and their sufficient statistics.
-// Every caller — local queries via windowOver, cross-shard merges via
+// Every caller — local queries via GroupStats, cross-shard merges via
 // MergeWindowStats — funnels through this one fold, so the
 // floating-point operation order (and hence the exact bit pattern of
 // every aggregate) is identical no matter how the statistics were
@@ -252,23 +255,9 @@ func MergeWindowStats(task int, regions []RegionStat) (WindowStats, error) {
 // bit-identical to GroupStatsMetrics on the whole index because the
 // metric layer consumes the same ascending-id SuffStats window.
 func MergeWindowStatsMetrics(task int, regions []RegionStat, names ...string) (WindowStats, error) {
-	if len(names) == 0 {
-		names = Metrics()
-	}
-	mets, err := calib.ResolveMetrics(names)
-	if err != nil {
-		return WindowStats{}, fmt.Errorf("%w: %v", ErrQuery, err)
-	}
-	ids, window, err := mergeWindowSlices(regions)
-	if err != nil {
-		return WindowStats{}, err
-	}
-	out := foldWindow(task, ids, window)
-	out.Metrics = make(map[string]float64, len(mets))
-	for _, m := range mets {
-		out.Metrics[m.Name()] = m.Compute(window)
-	}
-	return out, nil
+	return windowMetrics(task, names, func() ([]int, []calib.SuffStats, error) {
+		return mergeWindowSlices(regions)
+	})
 }
 
 // mergeWindowSlices validates and sorts merged per-region summaries
