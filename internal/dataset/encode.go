@@ -157,17 +157,41 @@ func (e *Encoded) Rows(idx []int) [][]float64 {
 // exposed so a serving index can score one individual without
 // materializing a whole dataset.
 func EncodeRow(x []float64, region, numRegions int, centroids [][2]float64, enc Encoding) ([]float64, error) {
-	enc = enc.Resolve()
-	if region < 0 || region >= numRegions {
-		return nil, fmt.Errorf("dataset: region %d out of range [0,%d)", region, numRegions)
-	}
-	locDims, err := locationWidth(enc, numRegions, centroids)
+	width, err := RowWidth(len(x), numRegions, centroids, enc)
 	if err != nil {
 		return nil, err
 	}
-	row := make([]float64, len(x)+locDims)
-	writeLocation(row[copy(row, x):], enc, region, centroids)
+	row := make([]float64, width)
+	if err := EncodeRowInto(row, x, region, numRegions, centroids, enc); err != nil {
+		return nil, err
+	}
 	return row, nil
+}
+
+// RowWidth returns the width of a model feature row over features
+// continuous features: EncodeRow's length, EncodeRowInto's dst.
+func RowWidth(features, numRegions int, centroids [][2]float64, enc Encoding) (int, error) {
+	locDims, err := locationWidth(enc.Resolve(), numRegions, centroids)
+	return features + locDims, err
+}
+
+// EncodeRowInto writes EncodeRow's row for x into dst, which must be
+// RowWidth columns wide, so a caller scoring many records can encode
+// them into scratch of its own.
+func EncodeRowInto(dst, x []float64, region, numRegions int, centroids [][2]float64, enc Encoding) error {
+	if region < 0 || region >= numRegions {
+		return fmt.Errorf("dataset: region %d out of range [0,%d)", region, numRegions)
+	}
+	width, err := RowWidth(len(x), numRegions, centroids, enc)
+	if err != nil {
+		return err
+	}
+	if len(dst) != width {
+		return fmt.Errorf("dataset: row of %d columns, want %d", len(dst), width)
+	}
+	clear(dst[copy(dst, x):])
+	writeLocation(dst[len(x):], enc.Resolve(), region, centroids)
+	return nil
 }
 
 // locationWidth returns how many location columns enc adds for

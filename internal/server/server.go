@@ -281,21 +281,6 @@ type scoreResponse struct {
 	Region int     `json:"region"`
 }
 
-// appendRequest carries a batch of new records for POST .../append.
-// Each record needs coordinates, the index's full feature vector and
-// one 0/1 label per index task — the same shape the build ingested.
-type appendRequest struct {
-	Records []appendRecordJSON `json:"records"`
-}
-
-type appendRecordJSON struct {
-	ID       string    `json:"id,omitempty"`
-	Lat      float64   `json:"lat"`
-	Lon      float64   `json:"lon"`
-	Features []float64 `json:"features"`
-	Labels   []int     `json:"labels"`
-}
-
 type taskDriftJSON struct {
 	Task  int        `json:"task"`
 	ENCE  wire.Float `json:"ence"`
@@ -714,18 +699,9 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 // drift. Appends address an index generation by name; the unprefixed
 // route targets the catalog default.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	var req appendRequest
-	if err := wire.DecodeJSON(r, &req); err != nil {
-		s.reply.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Records) == 0 {
-		s.reply.Error(w, http.StatusBadRequest, errors.New("empty batch"))
-		return
-	}
-	if len(req.Records) > s.maxBatch {
-		s.reply.Error(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d records exceeds limit %d", len(req.Records), s.maxBatch))
+	recs, status, err := wire.ParseAppend(r, s.maxBatch)
+	if err != nil {
+		s.reply.Error(w, status, err)
 		return
 	}
 	name := r.PathValue("index")
@@ -734,10 +710,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			s.writeRegistryError(w, registry.ErrNoDefault)
 			return
 		}
-	}
-	recs := make([]fairindex.Record, len(req.Records))
-	for i, rr := range req.Records {
-		recs[i] = fairindex.Record{ID: rr.ID, Lat: rr.Lat, Lon: rr.Lon, X: rr.Features, Labels: rr.Labels}
 	}
 	res, err := s.reg.Append(name, recs)
 	if err != nil {

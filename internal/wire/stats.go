@@ -1,13 +1,13 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"slices"
 	"strconv"
+	"sync"
 
 	fairindex "fairindex"
 )
@@ -15,8 +15,9 @@ import (
 // The /v1/stats codec. Window stats are the router's only fan-out, and
 // their cost is the wire, not the fold: reflection-driven encoding/json
 // spends ~10x the aggregation's time encoding a 60-region reply, and
-// more again decoding each shard's sums reply in the router. So the
-// reply is written, and a shard's sums reply read, by hand here, with
+// more again decoding each shard's sums reply in the router, and the
+// request each shard decodes. So the reply is written, and a shard's
+// sums reply and every POST request read, by hand here, with
 // encoding/json kept as the definition of the format, as for
 // locate_batch (batch.go):
 //
@@ -30,14 +31,19 @@ import (
 //     object with exactly the keys encoding/json writes for
 //     NewStatsResponse(ws, true) — no metrics, partial or
 //     failed_shards — in that order, each once and spelled exactly;
-//     numbers in the JSON number grammar, parsed by the strconv calls
-//     encoding/json makes (a Float value the reader drops only where it
-//     could fall outside float64's range); null only where a Float
-//     field takes it. Any other input falls back to json.Unmarshal on
-//     the same bytes, so every refusal keeps its text.
+//     numbers in the JSON number grammar, converted exactly as
+//     encoding/json's strconv calls convert them (number.go; a Float
+//     value the reader drops is converted only where it could fall
+//     outside float64's range); null only where a Float field takes
+//     it. Any other input falls back to json.Unmarshal on the same
+//     bytes, so every refusal keeps its text;
+//   - ParseStats reads a POST request with the strict scanner
+//     (scanStatsRequest) and falls back to encoding/json on the same
+//     bytes, as ParseLocateBatch does.
 //
-// FuzzStatsCodec pins both directions against encoding/json, and
-// TestStatsCodecAllocs what each allocates.
+// FuzzStatsCodec pins both reply directions against encoding/json,
+// FuzzStatsRequestDecode the request, and TestStatsCodecAllocs and
+// TestRequestCodecAllocs what each allocates.
 
 // WriteStats writes a 200 /v1/stats reply, byte-identical to
 // WriteJSON(w, http.StatusOK, resp).
@@ -148,6 +154,76 @@ func plainKey(name string) bool {
 	return true
 }
 
+// The members of a stats request and of its rect.
+var (
+	statsRequestKeys = []string{"task", "regions", "rect", "metrics", "sums"}
+	rectKeys         = []string{"min_lat", "min_lon", "max_lat", "max_lon"}
+)
+
+// intPool recycles the scratch a stats request's region list is read
+// into before it is copied out at its final length.
+var intPool = sync.Pool{New: func() any { return new([]int) }}
+
+// scanStatsRequest is the strict scanner for a POST /v1/stats body:
+// one object with members among task, regions, rect, metrics and sums,
+// each at most once and in any order, and a rect with members among
+// its four coordinates likewise; metric names of printable ASCII
+// without escapes, and no null. ok is false for any other input.
+func scanStatsRequest(data []byte) (StatsRequest, bool) {
+	ip := intPool.Get().(*[]int)
+	defer intPool.Put(ip)
+	s := scanner{b: data}
+	var (
+		req     StatsRequest
+		regions = (*ip)[:0]
+		rect    [4]float64
+		names   [16][]byte // room for every registered metric
+		metrics = names[:0]
+	)
+	seen, ok := s.members(statsRequestKeys, func(i int) bool {
+		var ok bool
+		switch i {
+		case 0:
+			req.Task, ok = s.integer()
+		case 1:
+			regions, ok = s.ints(regions)
+		case 2:
+			_, ok = s.members(rectKeys, func(j int) bool {
+				var ok bool
+				rect[j], ok = s.float()
+				return ok
+			})
+		case 3:
+			ok = s.array(func() bool {
+				name, ok := s.str()
+				metrics = append(metrics, name)
+				return ok
+			})
+		case 4:
+			req.Sums, ok = s.boolean()
+		}
+		return ok
+	})
+	*ip = regions
+	if !ok || !s.end() {
+		return StatsRequest{}, false
+	}
+	// A list given, even empty, is non-nil, as encoding/json decodes it.
+	if seen&(1<<1) != 0 {
+		req.Regions = append(make([]int, 0, len(regions)), regions...)
+	}
+	if seen&(1<<2) != 0 {
+		req.Rect = &Rect{MinLat: rect[0], MinLon: rect[1], MaxLat: rect[2], MaxLon: rect[3]}
+	}
+	if seen&(1<<3) != 0 {
+		req.Metrics = make([]string, len(metrics))
+		for i, name := range metrics {
+			req.Metrics[i] = string(name)
+		}
+	}
+	return req, true
+}
+
 // DecodeStatsSums appends to dst the regions of a shard's /v1/stats
 // reply to a sums request — id, count and the raw sums, in reply order
 // — and returns the extended slice. It refuses, with dst unchanged, a
@@ -244,44 +320,23 @@ func (s *scanner) object(keys []string, value func(i int) bool) bool {
 	return s.next('}')
 }
 
-// integer consumes a number as encoding/json decodes an int field.
-func (s *scanner) integer() (int, bool) {
-	lit, ok := s.number()
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(string(lit), 10, 64)
-	return int(n), err == nil && int64(int(n)) == n
-}
-
-// float consumes a number as encoding/json decodes a float64 field; a
-// range error is its "cannot unmarshal" error, so it falls back.
-func (s *scanner) float() (float64, bool) {
-	lit, ok := s.number()
-	if !ok {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(string(lit), 64)
-	return f, err == nil
-}
-
 // wireFloat consumes a Float field's value, which the sums reader
 // drops: null, which encoding/json decodes as a no-op, or a number it
-// decodes without error. A number of at most 308 bytes without an
-// exponent is below 1e308, inside float64's range, so only the others
-// need ParseFloat's verdict.
+// decodes without error. Only a value past float64's range is an
+// error, and a number below 10^19·10^289 is inside it, so only a
+// larger exponent needs the conversion's verdict.
 func (s *scanner) wireFloat() bool {
 	if len(s.b)-s.i >= 4 && string(s.b[s.i:s.i+4]) == "null" {
 		s.i += 4
 		return true
 	}
-	lit, ok := s.number()
+	n, ok := s.number()
 	if !ok {
 		return false
 	}
-	if len(lit) <= 308 && !bytes.ContainsAny(lit, "eE") {
+	if n.exp <= 308-maxMantDigits {
 		return true
 	}
-	_, err := strconv.ParseFloat(string(lit), 64)
+	_, err := n.float()
 	return err == nil
 }

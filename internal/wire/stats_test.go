@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -418,6 +419,59 @@ func TestStatsCodecAllocs(t *testing.T) {
 		}},
 	} {
 		if got := testing.AllocsPerRun(100, tc.run); got > tc.max {
+			t.Errorf("%s: %v allocs per call, want at most %v", tc.name, got, tc.max)
+		}
+	}
+}
+
+// TestRequestCodecAllocs pins what the scanned request bodies allocate
+// once their pools are warm, however long they are: an append batch's
+// records share one features list, one labels list and one id string
+// besides the two record slices; a stats request allocates its region
+// list, its rect, and its metric list and names. encoding/json back on
+// the path costs several per record or region.
+func TestRequestCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	appendBody := appendBody(t, 200)
+	regions := make([]int, 60)
+	for i := range regions {
+		regions[i] = 3 * i
+	}
+	statsBody, err := json.Marshal(StatsRequest{Task: 1, Regions: regions, Metrics: []string{"ence", "stat_parity"}, Sums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rectBody := []byte(`{"task":0,"rect":{"min_lat":33.6,"min_lon":-118.7,"max_lat":34.4,"max_lon":-117.8}}`)
+	for _, tc := range []struct {
+		name string
+		body []byte
+		max  float64
+		run  func(*http.Request) error
+	}{
+		{"ParseAppend", appendBody, 5, func(r *http.Request) error {
+			_, _, err := ParseAppend(r, DefaultMaxBatch)
+			return err
+		}},
+		{"ParseStats/regions", statsBody, 4, func(r *http.Request) error {
+			_, err := ParseStats(r)
+			return err
+		}},
+		{"ParseStats/rect", rectBody, 1, func(r *http.Request) error {
+			_, err := ParseStats(r)
+			return err
+		}},
+	} {
+		br := bytes.NewReader(tc.body)
+		r := httptest.NewRequest(http.MethodPost, "/", br)
+		got := testing.AllocsPerRun(100, func() {
+			br.Reset(tc.body)
+			if err := tc.run(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.max {
 			t.Errorf("%s: %v allocs per call, want at most %v", tc.name, got, tc.max)
 		}
 	}

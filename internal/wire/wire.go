@@ -8,17 +8,21 @@
 // parse, answer and encode through this one package, so a router's
 // reply is byte-identical to a whole-index server's by construction —
 // there is no second copy to keep in step. Types only one side serves
-// (the server's score, append, compare, catalog and report shapes; the
-// router's shard listing) stay with that side.
+// (the server's score, compare, catalog and report shapes and its
+// append reply; the router's shard listing) stay with that side.
 //
-// The two hot wire crossings are coded by hand, with encoding/json
-// kept as the definition of their format: the locate_batch request and
-// reply (batch.go), and the /v1/stats reply, both ways (stats.go) —
+// The hot wire crossings are coded by hand, with encoding/json kept as
+// the definition of their format: the locate_batch request and reply
+// (batch.go), the /v1/stats request and reply, both ways (stats.go) —
 // WriteStats writes every stats reply server and router send, and
-// DecodeStatsSums reads each shard's sums reply in the router. Each
-// falls back to encoding/json on any input or reply outside the subset
-// it covers, and a differential fuzz target (FuzzLocateBatchDecode,
-// FuzzStatsCodec) holds it to encoding/json's bytes, values and error
+// DecodeStatsSums reads each shard's sums reply in the router — and
+// the /v1/append request (append.go). The readers share one strict
+// scanner (scan.go) that converts each number exactly in the pass that
+// checks its grammar (number.go). Each falls back to encoding/json on
+// any input or reply outside the subset it covers, and a differential
+// fuzz target (FuzzLocateBatchDecode, FuzzStatsCodec,
+// FuzzStatsRequestDecode, FuzzAppendDecode, and FuzzParseNumber
+// against strconv) holds it to encoding/json's bytes, values and error
 // texts.
 package wire
 
@@ -461,7 +465,7 @@ func ParseStats(r *http.Request) (StatsRequest, error) {
 	if r.Method == http.MethodGet {
 		err = statsFromQuery(r, &req)
 	} else {
-		err = DecodeJSON(r, &req)
+		req, err = decodeBody(r.Body, scanStatsRequest)
 	}
 	if err == nil && (req.Regions == nil) == (req.Rect == nil) {
 		err = errors.New("exactly one of \"regions\" and \"rect\" must be given")

@@ -158,10 +158,6 @@ func (ix *Index) AppendBatch(recs []Record) (AppendResult, error) {
 	// section below is only the fold itself.
 	n := len(recs)
 	regions := make([]int, n)
-	scores := make([][]float64, len(ix.tasks))
-	for k := range scores {
-		scores[k] = make([]float64, n)
-	}
 	for i := range recs {
 		rec := &recs[i]
 		if len(rec.X) != len(ix.featureNames) {
@@ -189,13 +185,10 @@ func (ix *Index) AppendBatch(recs []Record) (AppendResult, error) {
 			return AppendResult{}, fmt.Errorf("fairindex: append record %d: %w", i, err)
 		}
 		regions[i] = region
-		for k := range ix.tasks {
-			s, err := ix.scoreInRegion(&ix.tasks[k], rec.X, region)
-			if err != nil {
-				return AppendResult{}, fmt.Errorf("fairindex: append record %d: %w", i, err)
-			}
-			scores[k][i] = s
-		}
+	}
+	scores, err := ix.scoreBatch(recs, regions)
+	if err != nil {
+		return AppendResult{}, err
 	}
 
 	// Pin the generation before the first fold publishes: the
@@ -230,6 +223,61 @@ func (ix *Index) AppendBatch(recs []Record) (AppendResult, error) {
 	m.cur.Store(next)
 	m.mu.Unlock()
 	return ix.appendResult(n, next), nil
+}
+
+// scoreChunk bounds how many records scoreBatch encodes at once: a
+// one-hot row is as wide as the index has regions.
+const scoreChunk = 256
+
+// scoreBatch scores every record, located to regions[i], under every
+// task: scores[k][i] is the score under ix.tasks[k], bit-equal to
+// scoreInRegion's, since the models score each row on its own. The
+// rows are encoded into one scratch block reused chunk by chunk, so a
+// batch allocates per task and chunk, not per record (a post-processing
+// calibrator still allocates per record).
+func (ix *Index) scoreBatch(recs []Record, regions []int) ([][]float64, error) {
+	n := len(recs)
+	width, err := dataset.RowWidth(len(ix.featureNames), ix.numRegions, ix.centroids, ix.encoding)
+	if err != nil {
+		return nil, fmt.Errorf("fairindex: append: %w", err)
+	}
+	rows := make([][]float64, min(n, scoreChunk))
+	backing := make([]float64, len(rows)*width)
+	for j := range rows {
+		rows[j] = backing[j*width : (j+1)*width : (j+1)*width]
+	}
+	scores := make([][]float64, len(ix.tasks))
+	all := make([]float64, len(ix.tasks)*n)
+	for k := range scores {
+		scores[k] = all[k*n : (k+1)*n : (k+1)*n]
+	}
+	for lo := 0; lo < n; lo += len(rows) {
+		chunk := rows[:min(len(rows), n-lo)]
+		for j, row := range chunk {
+			i := lo + j
+			if err := dataset.EncodeRowInto(row, recs[i].X, regions[i], ix.numRegions, ix.centroids, ix.encoding); err != nil {
+				return nil, fmt.Errorf("fairindex: append record %d: %w", i, err)
+			}
+		}
+		for k := range ix.tasks {
+			it := &ix.tasks[k]
+			s, err := it.model.PredictProba(chunk)
+			if err != nil {
+				return nil, fmt.Errorf("fairindex: append records %d-%d: %w", lo, lo+len(chunk)-1, err)
+			}
+			if it.post != nil {
+				for j := range s {
+					calibrated, err := it.post[regions[lo+j]].Apply(s[j : j+1])
+					if err != nil {
+						return nil, fmt.Errorf("fairindex: append record %d: %w", lo+j, err)
+					}
+					s[j] = calibrated[0]
+				}
+			}
+			copy(scores[k][lo:], s)
+		}
+	}
+	return scores, nil
 }
 
 // DriftExceeds is the single boundary predicate of the drift control
