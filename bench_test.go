@@ -9,6 +9,10 @@
 package fairindex_test
 
 import (
+	"io"
+	"log"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -584,6 +588,7 @@ func BenchmarkIndexUnmarshal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var back fairindex.Index
@@ -670,6 +675,45 @@ func BenchmarkRegistryLookup(b *testing.B) {
 		if _, err := reg.Lookup(names[i&3]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRegistryLoad measures a registry miss: a file-backed
+// registry that keeps one index resident, looked up by two names in
+// turn, so every Lookup opens, reads and decodes one artifact file
+// (LoadIndex) and evicts the other. This is the request-path cost a
+// server pays when its resident bound is tighter than its catalog.
+func BenchmarkRegistryLoad(b *testing.B) {
+	idx, err := fullIndex()
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := idx.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	names := []string{"la-a", "la-b"}
+	reg := registry.New(registry.WithMaxLoaded(1), registry.WithLogger(log.New(io.Discard, "", 0)))
+	for _, name := range names {
+		path := filepath.Join(dir, name+".fidx")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		if err := reg.Add(name, path); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := reg.Lookup(names[i&1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n := reg.LoadedCount(); n != 1 {
+		b.Fatalf("%d indexes resident, want 1", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fairindex
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -153,7 +154,7 @@ func newIndex(ds *Dataset, art *pipeline.Artifacts) (*Index, error) {
 // On any error the returned Index is nil; a partially read stream
 // never produces a usable artifact.
 func ReadIndex(r io.Reader) (*Index, error) {
-	blob, err := io.ReadAll(r)
+	blob, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("fairindex: reading index: %w", err)
 	}
@@ -164,7 +165,28 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	return ix, nil
 }
 
-// LoadIndex reads a serialized Index from a .fidx file.
+// readAll reads r to EOF. A file is read into one buffer sized from
+// its Stat, as os.ReadFile does; any other reader goes through
+// io.ReadAll, whose buffer grows from 512 bytes. The bytes and the
+// error are the same either way.
+func readAll(r io.Reader) ([]byte, error) {
+	f, ok := r.(*os.File)
+	if !ok {
+		return io.ReadAll(r)
+	}
+	info, err := f.Stat()
+	if err != nil {
+		return io.ReadAll(r)
+	}
+	var buf bytes.Buffer
+	// The spare MinRead bytes take the final read that returns EOF.
+	buf.Grow(int(info.Size()) + bytes.MinRead)
+	_, err = buf.ReadFrom(f)
+	return buf.Bytes(), err
+}
+
+// LoadIndex reads a serialized Index from a .fidx file, in one read
+// into a buffer sized from the file.
 func LoadIndex(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -236,11 +258,7 @@ func (ix *Index) scoreInRegion(it *indexTask, x []float64, region int) (float64,
 		return 0, err
 	}
 	if it.post != nil {
-		calibrated, err := it.post[region].Apply(scores)
-		if err != nil {
-			return 0, err
-		}
-		return calibrated[0], nil
+		return it.post[region].Calibrate(scores[0])
 	}
 	return scores[0], nil
 }
@@ -527,16 +545,12 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 	grid := geo.Grid{U: r.Int(), V: r.Int()}
 	numRegions := r.Int()
 	cellRegion := r.Ints()
-	flat := r.Float64s()
+	centroids, values := r.Float64Pairs()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrIndexFormat, err)
 	}
-	if len(flat)%2 != 0 || len(flat)/2 != numRegions {
-		return fmt.Errorf("%w: %d centroid values for %d regions", ErrIndexFormat, len(flat), numRegions)
-	}
-	centroids := make([][2]float64, numRegions)
-	for i := range centroids {
-		centroids[i] = [2]float64{flat[2*i], flat[2*i+1]}
+	if values%2 != 0 || values/2 != numRegions {
+		return fmt.Errorf("%w: %d centroid values for %d regions", ErrIndexFormat, values, numRegions)
 	}
 	layout, err := newLayout(grid, box, numRegions, cellRegion, centroids)
 	if err != nil {
@@ -561,6 +575,10 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrIndexFormat, err)
 	}
+	// A task's metric report alone holds 12 float64s, which bounds how
+	// many tasks the remaining bytes can carry; a larger count still
+	// fails below, task by task.
+	out.tasks = make([]indexTask, 0, max(0, min(numTasks, r.Len()/(12*8))))
 	for t := 0; t < numTasks; t++ {
 		var it indexTask
 		it.task = r.Int()

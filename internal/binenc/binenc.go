@@ -6,7 +6,17 @@
 // all aggregates are length-prefixed.
 //
 // Decoding goes through Reader, which carries a sticky error so call
-// sites can chain reads and check once at the end.
+// sites can chain reads and check once at the end. The bulk decoders
+// (Ints, Float64s, Float64Pairs) read a whole length-prefixed slice in
+// one loop rather than one checked read per element: the prefix is
+// validated against the remaining input first, fixed-width values are
+// then read without further checks, and Ints keeps its offset in a
+// local, decodes eight one-byte or four two-byte varints per 8-byte
+// word, and otherwise takes the same one-varint step as Varint. It
+// stops at the first varint that cannot be decoded, with the error
+// and offset that reading the elements one Int at a time reports.
+// These loops carry an artifact load's large tables: the cell→region
+// table, the per-region cell counts and the kd layout.
 package binenc
 
 import (
@@ -124,14 +134,35 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
+// varint decodes the zig-zag varint at the front of p and returns it
+// with its length in bytes; a length <= 0 marks input that ends inside
+// the varint or overflows 64 bits (binary.Varint's convention, which it
+// matches on every input). One- and two-byte varints, every small
+// value and cell id, are decoded here; longer ones go to binary.Varint.
+func varint(p []byte) (int64, int) {
+	if len(p) > 0 && p[0] < 0x80 {
+		return unzigzag(uint64(p[0])), 1
+	}
+	if len(p) > 1 && p[1] < 0x80 {
+		return unzigzag(uint64(p[0]&0x7f) | uint64(p[1])<<7), 2
+	}
+	return binary.Varint(p)
+}
+
+// failVarint latches the error for a varint that cannot be decoded at
+// offset off.
+func (r *Reader) failVarint(off int) {
+	r.fail(fmt.Errorf("%w: varint at offset %d", ErrTruncated, off))
+}
+
 // Varint reads a zig-zag varint.
 func (r *Reader) Varint() int64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(r.buf[r.off:])
+	v, n := varint(r.buf[r.off:])
 	if n <= 0 {
-		r.fail(fmt.Errorf("%w: varint at offset %d", ErrTruncated, r.off))
+		r.failVarint(r.off)
 		return 0
 	}
 	r.off += n
@@ -189,31 +220,89 @@ func (r *Reader) Float64s() []float64 {
 	if r.err != nil || n == 0 {
 		return nil
 	}
+	// sliceLen checked that all n values are in the buffer.
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = r.Float64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off+8*i:]))
 	}
-	if r.err != nil {
-		return nil
-	}
+	r.off += 8 * n
 	return out
 }
 
-// Ints reads a length-prefixed int slice.
+// Float64Pairs reads a length-prefixed float64 slice of even length as
+// consecutive pairs, straight into [][2]float64. It also returns the
+// declared value count, so the caller can reject a count it does not
+// expect; an odd count is skipped over and returns nil pairs.
+func (r *Reader) Float64Pairs() (pairs [][2]float64, values int) {
+	n := r.sliceLen(8)
+	if r.err != nil || n == 0 {
+		return nil, n
+	}
+	if n%2 != 0 {
+		r.off += 8 * n
+		return nil, n
+	}
+	pairs = make([][2]float64, n/2)
+	for i := range pairs {
+		p := r.buf[r.off+16*i:]
+		pairs[i] = [2]float64{
+			math.Float64frombits(binary.LittleEndian.Uint64(p)),
+			math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
+		}
+	}
+	r.off += 8 * n
+	return pairs, n
+}
+
+// Ints reads a length-prefixed int slice in one pass: the offset stays
+// in a local and the loop stops at the first varint that cannot be
+// decoded, with the same error and offset as reading the elements one
+// Int at a time.
 func (r *Reader) Ints() []int {
 	n := r.sliceLen(1)
 	if r.err != nil || n == 0 {
 		return nil
 	}
 	out := make([]int, n)
-	for i := range out {
-		out[i] = r.Int()
+	buf, off := r.buf, r.off
+	for i := 0; i < n; {
+		// Eight bytes that hold eight one-byte varints, or four
+		// two-byte ones, all inside the table, decode together.
+		if off+8 <= len(buf) {
+			w := binary.LittleEndian.Uint64(buf[off:])
+			switch cont := w & 0x8080808080808080; {
+			case cont == 0 && i+8 <= n:
+				group := out[i : i+8]
+				for k := range group {
+					group[k] = int(unzigzag(w >> (8 * k) & 0x7f))
+				}
+				i, off = i+8, off+8
+				continue
+			case cont == 0x0080008000800080 && i+4 <= n:
+				group := out[i : i+4]
+				for k := range group {
+					p := w >> (16 * k)
+					group[k] = int(unzigzag(p&0x7f | p>>1&0x3f80))
+				}
+				i, off = i+4, off+8
+				continue
+			}
+		}
+		v, m := varint(buf[off:])
+		if m <= 0 {
+			r.off = off
+			r.failVarint(off)
+			return nil
+		}
+		out[i] = int(v)
+		i, off = i+1, off+m
 	}
-	if r.err != nil {
-		return nil
-	}
+	r.off = off
 	return out
 }
+
+// unzigzag decodes a zig-zag encoded value.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {

@@ -1,7 +1,10 @@
 package binenc
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -96,5 +99,169 @@ func TestReaderRejectsHugeLengthPrefix(t *testing.T) {
 	r := NewReader(b)
 	if fs := r.Float64s(); fs != nil || r.Err() == nil {
 		t.Error("expected ErrTooLarge for oversized prefix")
+	}
+}
+
+// referenceInts is the per-element Ints decoder the bulk loop
+// replaced: one sticky-checked binary.Varint read per element. It is
+// kept as the differential reference for FuzzReaderInts.
+func referenceInts(r *Reader) []int {
+	n := r.sliceLen(1)
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]int, n)
+	for i := range out {
+		if r.err != nil {
+			continue
+		}
+		v, m := binary.Varint(r.buf[r.off:])
+		if m <= 0 {
+			r.fail(fmt.Errorf("%w: varint at offset %d", ErrTruncated, r.off))
+			continue
+		}
+		r.off += m
+		out[i] = int(v)
+	}
+	if r.err != nil {
+		return nil
+	}
+	return out
+}
+
+// overflowVarints are length-prefixed int tables whose last element
+// is a 10- or 11-byte varint: the 10-byte ones at the edge of 64 bits
+// decode, the rest overflow.
+var overflowVarints = [][]byte{
+	{2, 0x04, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},       // MinInt64
+	{1, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},             // MaxInt64
+	{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00},             // 0, padded to 10 bytes
+	{2, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},       // 10 bytes, overflows
+	{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},       // 11 bytes
+	{3, 0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, // 11 bytes
+	{3, 0x02, 0x80},             // ends inside the second element
+	{2, 0xff, 0x7f, 0x80, 0x01}, // two 2-byte varints
+}
+
+// FuzzReaderInts holds the bulk Ints decoder to referenceInts: on any
+// input both must give the same values, leave the same number of
+// bytes unread and fail with the same error text, offset included.
+// Every input is decoded as raw bytes, and as the AppendInts encoding
+// of the int64s (8 bytes each) and of the int16s (2 bytes each) it
+// spells, whole and cut at a data-chosen byte. The int16s give runs of
+// one-, two- and three-byte varints, like a cell→region table.
+func FuzzReaderInts(f *testing.F) {
+	for _, seed := range overflowVarints {
+		f.Add(seed)
+	}
+	var edges []byte
+	for _, v := range []int64{0, -1, 1, 63, -64, 64, 8191, -8192, 8192, math.MinInt64, math.MaxInt64} {
+		edges = binary.LittleEndian.AppendUint64(edges, uint64(v))
+	}
+	f.Add(edges)
+	f.Add(AppendInts(nil, []int{3, -7, 0, 4095, -4096, 1 << 40}))
+	// Cell-table shapes: runs of one-byte ids, of two-byte ids, and
+	// both mixed, followed by a second table, and cut mid-run. The
+	// 47-entry tables end a few entries past a group of eight.
+	var ones, twos, mixed []int
+	for i := range 47 {
+		ones = append(ones, i%64)
+		twos = append(twos, 64+i*97%8000)
+		mixed = append(mixed, i/3*37%300)
+	}
+	for _, xs := range [][]int{ones, twos, mixed} {
+		enc := AppendInts(AppendInts(nil, xs), xs[:9])
+		f.Add(enc)
+		f.Add(enc[:len(enc)-3])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, n := varint(data)
+		if wv, wn := binary.Varint(data); v != wv || n != wn {
+			t.Fatalf("varint(%x) = %d, %d; binary.Varint = %d, %d", data, v, n, wv, wn)
+		}
+		compareInts(t, data)
+
+		wide := make([]int, len(data)/8)
+		for i := range wide {
+			wide[i] = int(int64(binary.LittleEndian.Uint64(data[8*i:])))
+		}
+		narrow := make([]int, len(data)/2)
+		for i := range narrow {
+			narrow[i] = int(int16(binary.LittleEndian.Uint16(data[2*i:])))
+		}
+		for _, xs := range [][]int{wide, narrow} {
+			enc := AppendInts(nil, xs)
+			if got := compareInts(t, enc); !slices.Equal(got, xs) {
+				t.Fatalf("round trip of %v = %v", xs, got)
+			}
+			if len(data) > 0 {
+				compareInts(t, enc[:int(data[0])%len(enc)])
+			}
+		}
+	})
+}
+
+// compareInts decodes buf twice — two consecutive Ints tables and a
+// trailing Varint, with the bulk loop and with the reference — and
+// fails on any difference. It returns the bulk decoder's first table.
+func compareInts(t *testing.T, buf []byte) []int {
+	t.Helper()
+	got, want := NewReader(buf), NewReader(buf)
+	first := got.Ints()
+	refFirst := referenceInts(want)
+	second, refSecond := got.Ints(), referenceInts(want)
+	tail, refTail := got.Varint(), want.Varint()
+	if !slices.Equal(first, refFirst) || !slices.Equal(second, refSecond) || tail != refTail {
+		t.Fatalf("%x: bulk decoded %v %v %d, reference %v %v %d", buf, first, second, tail, refFirst, refSecond, refTail)
+	}
+	if (first == nil) != (refFirst == nil) || (second == nil) != (refSecond == nil) {
+		t.Fatalf("%x: nil-ness differs: bulk %v %v, reference %v %v", buf, first, second, refFirst, refSecond)
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("%x: bulk leaves %d bytes, reference %d", buf, got.Len(), want.Len())
+	}
+	if ge, we := fmt.Sprint(got.Err()), fmt.Sprint(want.Err()); ge != we {
+		t.Fatalf("%x: bulk error %q, reference %q", buf, ge, we)
+	}
+	return first
+}
+
+// TestFloat64Pairs pins that Float64Pairs reads what Float64s reads:
+// the same values, pairwise, the same unread length and the same
+// error on a bad prefix. An odd count is reported, not decoded.
+func TestFloat64Pairs(t *testing.T) {
+	for _, fs := range [][]float64{nil, {1.5, -2}, {0, math.Inf(-1), 3, 4}, {1, 2, 3}} {
+		b := AppendFloat64(AppendFloat64s(nil, fs), 9)
+		flat, pairs := NewReader(b), NewReader(b)
+		want := flat.Float64s()
+		got, values := pairs.Float64Pairs()
+		if values != len(fs) {
+			t.Errorf("%v: %d values, want %d", fs, values, len(fs))
+		}
+		if len(fs)%2 != 0 {
+			if got != nil {
+				t.Errorf("%v: odd count decoded as %v", fs, got)
+			}
+		} else {
+			for i, p := range got {
+				if p != [2]float64{want[2*i], want[2*i+1]} {
+					t.Errorf("%v: pair %d = %v", fs, i, p)
+				}
+			}
+			if len(got) != len(want)/2 {
+				t.Errorf("%v: %d pairs", fs, len(got))
+			}
+		}
+		if pairs.Len() != flat.Len() || pairs.Float64() != 9 || pairs.Err() != nil {
+			t.Errorf("%v: reader not left after the values", fs)
+		}
+	}
+	full := AppendFloat64s(nil, []float64{1, 2, 3, 4})
+	for cut := 0; cut < len(full); cut++ {
+		flat, pairs := NewReader(full[:cut]), NewReader(full[:cut])
+		flat.Float64s()
+		if got, _ := pairs.Float64Pairs(); got != nil || fmt.Sprint(pairs.Err()) != fmt.Sprint(flat.Err()) {
+			t.Errorf("cut at %d: pairs %v, error %v, want %v", cut, got, pairs.Err(), flat.Err())
+		}
 	}
 }

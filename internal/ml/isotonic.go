@@ -103,6 +103,15 @@ func (iso *Isotonic) Apply(scores []float64) ([]float64, error) {
 	return out, nil
 }
 
+// Calibrate maps one raw score through the fitted step function, as
+// Apply does.
+func (iso *Isotonic) Calibrate(score float64) (float64, error) {
+	if !iso.fitted {
+		return 0, ErrNotFitted
+	}
+	return iso.at(score), nil
+}
+
 // at evaluates the step function at one score.
 func (iso *Isotonic) at(s float64) float64 {
 	n := len(iso.breakpoints)

@@ -37,6 +37,9 @@ type ScoreCalibrator interface {
 	Fit(scores []float64, labels []int, w []float64) error
 	// Apply maps raw scores to calibrated probabilities.
 	Apply(scores []float64) ([]float64, error)
+	// Calibrate maps one raw score, bit-equal to Apply's output for
+	// that score, without allocating.
+	Calibrate(score float64) (float64, error)
 }
 
 // FeatureImporter is implemented by classifiers that can attribute

@@ -109,10 +109,22 @@ func (p *Platt) Apply(scores []float64) ([]float64, error) {
 	}
 	out := make([]float64, len(scores))
 	for i, s := range scores {
-		out[i] = sigmoid(p.a*safeLogit(s) + p.b)
+		out[i] = p.at(s)
 	}
 	return out, nil
 }
+
+// Calibrate maps one raw score to its calibrated probability, as
+// Apply does. It returns an error before Fit.
+func (p *Platt) Calibrate(score float64) (float64, error) {
+	if !p.fitted {
+		return 0, ErrNotFitted
+	}
+	return p.at(score), nil
+}
+
+// at is the fitted mapping of one score.
+func (p *Platt) at(s float64) float64 { return sigmoid(p.a*safeLogit(s) + p.b) }
 
 // Coefficients returns the fitted (a, b) of sigmoid(a·logit(s) + b).
 func (p *Platt) Coefficients() (a, b float64, err error) {

@@ -120,11 +120,10 @@ func fitPostCalibrators(kind PostProcess, allScores []float64, labels, regionOf,
 // through its region's calibrator.
 func applyPostCalibrators(regionCal []ml.ScoreCalibrator, scores []float64, regionOf []int) error {
 	for j := range scores {
-		out, err := regionCal[regionOf[j]].Apply(scores[j : j+1])
-		if err != nil {
+		var err error
+		if scores[j], err = regionCal[regionOf[j]].Calibrate(scores[j]); err != nil {
 			return err
 		}
-		scores[j] = out[0]
 	}
 	return nil
 }

@@ -233,8 +233,8 @@ const scoreChunk = 256
 // task: scores[k][i] is the score under ix.tasks[k], bit-equal to
 // scoreInRegion's, since the models score each row on its own. The
 // rows are encoded into one scratch block reused chunk by chunk, so a
-// batch allocates per task and chunk, not per record (a post-processing
-// calibrator still allocates per record).
+// batch allocates per task and chunk, not per record; a region's
+// post-processing calibrator maps each score in place.
 func (ix *Index) scoreBatch(recs []Record, regions []int) ([][]float64, error) {
 	n := len(recs)
 	width, err := dataset.RowWidth(len(ix.featureNames), ix.numRegions, ix.centroids, ix.encoding)
@@ -267,11 +267,9 @@ func (ix *Index) scoreBatch(recs []Record, regions []int) ([][]float64, error) {
 			}
 			if it.post != nil {
 				for j := range s {
-					calibrated, err := it.post[regions[lo+j]].Apply(s[j : j+1])
-					if err != nil {
+					if s[j], err = it.post[regions[lo+j]].Calibrate(s[j]); err != nil {
 						return nil, fmt.Errorf("fairindex: append record %d: %w", lo+j, err)
 					}
-					s[j] = calibrated[0]
 				}
 			}
 			copy(scores[k][lo:], s)

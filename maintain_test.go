@@ -612,3 +612,67 @@ func TestShardDriftStartsAtZero(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendPostProcessAllocs pins that a post-processed index scores
+// an append batch without a per-record allocation: each region's Platt
+// or isotonic calibrator maps its scores in place, so AppendBatch
+// allocates as much for 200 records as for 50. The folded statistics
+// must still equal the calibrators' slice mapping (Apply), bit for bit.
+func TestAppendPostProcessAllocs(t *testing.T) {
+	build, extra := splitCity(t, 1200, 500)
+	for _, post := range []PostProcess{PostPlatt, PostIsotonic} {
+		t.Run(post.String(), func(t *testing.T) {
+			idx, err := Build(build, WithHeight(5), WithSeed(11), WithPostProcess(post))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Expected fold of the first 50 records, scored through
+			// each region's calibrator Apply.
+			want := append([]calib.SuffStats(nil), idx.statsFor(0)...)
+			it := &idx.tasks[0]
+			for _, rec := range extra[:50] {
+				region, err := idx.Locate(rec.Lat, rec.Lon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				row, err := dataset.EncodeRow(rec.X, region, idx.numRegions, idx.centroids, idx.encoding)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := it.model.PredictProba([][]float64{row})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cal, err := it.post[region].Apply(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g := &want[region]
+				g.Count++
+				g.SumScore += cal[0]
+				if rec.Labels[it.task] != 0 {
+					g.SumLabel++
+				}
+			}
+			if _, err := idx.AppendBatch(extra[:50]); err != nil {
+				t.Fatal(err)
+			}
+			for r, st := range idx.statsFor(0) {
+				if st != want[r] {
+					t.Fatalf("region %d: folded %+v, Apply recompute %+v", r, st, want[r])
+				}
+			}
+
+			allocs := func(n int) float64 {
+				return testing.AllocsPerRun(5, func() {
+					if _, err := idx.AppendBatch(extra[:n]); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if at50, at200 := allocs(50), allocs(200); at50 != at200 {
+				t.Errorf("AppendBatch allocates %v times for 50 records, %v for 200", at50, at200)
+			}
+		})
+	}
+}
