@@ -684,6 +684,46 @@ func BenchmarkRegistryLookup(b *testing.B) {
 // (LoadIndex) and evicts the other. This is the request-path cost a
 // server pays when its resident bound is tighter than its catalog.
 func BenchmarkRegistryLoad(b *testing.B) {
+	reg, names := missRegistry(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := reg.Lookup(names[i&1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n := reg.LoadedCount(); n != 1 {
+		b.Fatalf("%d indexes resident, want 1", n)
+	}
+}
+
+// BenchmarkRegistryMissGeneration is BenchmarkRegistryLoad plus the
+// freshly loaded index's Fingerprint: what a server pays on a miss,
+// where resolveIndex stamps the generation header on the reply.
+func BenchmarkRegistryMissGeneration(b *testing.B) {
+	reg, names := missRegistry(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx, err := reg.Lookup(names[i&1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := idx.Fingerprint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n := reg.LoadedCount(); n != 1 {
+		b.Fatalf("%d indexes resident, want 1", n)
+	}
+}
+
+// missRegistry is the registry-miss benchmarks' fixture: the paper
+// index's artifact written to two files, registered under two names
+// behind WithMaxLoaded(1), so alternate lookups always load.
+func missRegistry(b *testing.B) (*registry.Registry, []string) {
 	idx, err := fullIndex()
 	if err != nil {
 		b.Fatal(err)
@@ -704,17 +744,7 @@ func BenchmarkRegistryLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := reg.Lookup(names[i&1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if n := reg.LoadedCount(); n != 1 {
-		b.Fatalf("%d indexes resident, want 1", n)
-	}
+	return reg, names
 }
 
 // BenchmarkRegistryLookupParallel is the same hot path under

@@ -6,8 +6,9 @@
 // GroupStats), the append fold (AppendBatch), artifact decoding
 // (UnmarshalBinary, which the registry runs on the request path when
 // it loads lazily), the multi-index registry lookup, a registry miss
-// that loads its artifact file (BenchmarkRegistryLoad) and the build
-// pipeline
+// that loads its artifact file (BenchmarkRegistryLoad), the same miss
+// with the generation a server stamps on its reply
+// (BenchmarkRegistryMissGeneration) and the build pipeline
 // (BenchmarkIndexBuild, BenchmarkIndexBuild10k — and, in the slow CI
 // job, BenchmarkIndexBuild100k) faster, but not slower.
 //
@@ -140,7 +141,7 @@ func run(args []string, w *os.File) error {
 	benchPath := fs.String("bench", "", "`go test -bench` output file (required)")
 	basePath := fs.String("baseline", "BENCH_index.json", "baseline JSON file")
 	watch := fs.String("watch",
-		"BenchmarkIndexLocate,BenchmarkIndexLocateBatch,BenchmarkIndexRangeQuery,BenchmarkIndexNearestRegions,BenchmarkIndexGroupStats,BenchmarkIndexGroupStatsMetrics,BenchmarkIndexAppendBatch,BenchmarkIndexUnmarshal,BenchmarkRegistryLookup,BenchmarkRegistryLoad,BenchmarkIndexBuild,BenchmarkIndexBuild10k,BenchmarkShardMergeGroupStats,BenchmarkRouterLocateBatch,BenchmarkRouterStatsFailover,BenchmarkRouterStatsWindow,BenchmarkRebuildGate",
+		"BenchmarkIndexLocate,BenchmarkIndexLocateBatch,BenchmarkIndexRangeQuery,BenchmarkIndexNearestRegions,BenchmarkIndexGroupStats,BenchmarkIndexGroupStatsMetrics,BenchmarkIndexAppendBatch,BenchmarkIndexUnmarshal,BenchmarkRegistryLookup,BenchmarkRegistryLoad,BenchmarkRegistryMissGeneration,BenchmarkIndexBuild,BenchmarkIndexBuild10k,BenchmarkShardMergeGroupStats,BenchmarkRouterLocateBatch,BenchmarkRouterStatsFailover,BenchmarkRouterStatsWindow,BenchmarkRebuildGate",
 		"comma-separated benchmarks the gate enforces")
 	maxRatio := fs.Float64("max-ratio", 2.5, "fail when measured/baseline ns/op exceeds this")
 	maxAllocRatio := fs.Float64("max-alloc-ratio", 0,

@@ -34,6 +34,7 @@ const baseline = `{
     "BenchmarkIndexUnmarshal": {"ns_per_op": 70000},
     "BenchmarkRegistryLookup": {"ns_per_op": 18},
     "BenchmarkRegistryLoad": {"ns_per_op": 100000, "allocs_per_op": 55},
+    "BenchmarkRegistryMissGeneration": {"ns_per_op": 100000, "allocs_per_op": 55},
     "BenchmarkIndexBuild": {"ns_per_op": 36000000, "allocs_per_op": 3000},
     "BenchmarkIndexBuild10k": {"ns_per_op": 150000000, "allocs_per_op": 12000},
     "BenchmarkShardMergeGroupStats": {"ns_per_op": 12500, "allocs_per_op": 3},
@@ -55,6 +56,7 @@ BenchmarkIndexAppendBatch-4  	  100	    330000 ns/op	  426866 B/op	     614 allo
 BenchmarkIndexUnmarshal-4  	  100	     71000 ns/op
 BenchmarkRegistryLookup-4  	 1000	        19 ns/op
 BenchmarkRegistryLoad-4  	  100	    104000 ns/op	   99241 B/op	      55 allocs/op
+BenchmarkRegistryMissGeneration-4  	  100	    104000 ns/op	   99241 B/op	      55 allocs/op
 BenchmarkIndexBuild-4  	   10	  37000000 ns/op	 2110672 B/op	    2980 allocs/op
 BenchmarkIndexBuild10k-4  	    5	 155000000 ns/op	 5941552 B/op	   11900 allocs/op
 BenchmarkShardMergeGroupStats-4  	  100	     12800 ns/op	   16432 B/op	       3 allocs/op

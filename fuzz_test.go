@@ -1,6 +1,7 @@
 package fairindex
 
 import (
+	"bytes"
 	"testing"
 
 	"fairindex/internal/dataset"
@@ -59,6 +60,12 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		mut[pos] ^= 0xff
 		f.Add(mut)
 	}
+	// Non-canonical encodings of the v2 seed: they decode, and their
+	// generation must still be FNV-1a of MarshalBinary, not of the
+	// bytes read.
+	for _, v := range nonCanonicalVariants(f, v2) {
+		f.Add(v)
+	}
 	f.Add([]byte("FIDX"))
 	f.Add([]byte("FIDX\x7f")) // unsupported version
 	f.Add([]byte("not an index at all"))
@@ -98,6 +105,28 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		}
 		if _, err := ix.MarshalBinary(); err != nil {
 			t.Fatalf("decoded index does not re-marshal: %v", err)
+		}
+
+		// Exactness oracle: the generation is FNV-1a of MarshalBinary
+		// whether UnmarshalBinary or ReadIndex decoded the bytes.
+		// ReadIndex keeps its buffer to hash exactly when the bytes are
+		// what MarshalBinary writes.
+		blob, err := ix.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		read, err := ReadIndex(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("ReadIndex rejects what UnmarshalBinary accepts: %v", err)
+		}
+		if kept, same := read.maint.loaded != nil, bytes.Equal(data, blob); kept != same {
+			t.Fatalf("ReadIndex kept its buffer: %v, bytes equal MarshalBinary: %v", kept, same)
+		}
+		want := fnv64a(blob)
+		for name, x := range map[string]*Index{"UnmarshalBinary": &ix, "ReadIndex": read} {
+			if fp, err := x.Fingerprint(); err != nil || fp != want {
+				t.Fatalf("%s: fingerprint %x, %v; want FNV-1a of MarshalBinary %x", name, fp, err, want)
+			}
 		}
 	})
 }

@@ -153,14 +153,22 @@ func newIndex(ds *Dataset, art *pipeline.Artifacts) (*Index, error) {
 //
 // On any error the returned Index is nil; a partially read stream
 // never produces a usable artifact.
+//
+// The buffer read is ReadIndex's own, so when it holds the canonical
+// encoding (see decode) the Index keeps it until its first Fingerprint,
+// which hashes those bytes instead of re-marshalling.
 func ReadIndex(r io.Reader) (*Index, error) {
 	blob, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("fairindex: reading index: %w", err)
 	}
 	ix := new(Index)
-	if err := ix.UnmarshalBinary(blob); err != nil {
+	canonical, err := ix.decode(blob)
+	if err != nil {
 		return nil, err
+	}
+	if canonical {
+		ix.maint.loaded = blob
 	}
 	return ix, nil
 }
@@ -503,17 +511,30 @@ func (ix *Index) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, restoring an
 // Index serialized by MarshalBinary. The receiver is overwritten.
 func (ix *Index) UnmarshalBinary(data []byte) error {
+	_, err := ix.decode(data)
+	return err
+}
+
+// decode is UnmarshalBinary. It also reports whether data is the
+// canonical encoding of the result, the one MarshalBinary writes: a
+// current-version artifact with no padded varint, no bool byte other
+// than 0 or 1, no count that decodes as none, and calibrator
+// references in first-use order with every distinct calibrator
+// referenced. Anything else decodes just the same but re-marshals to
+// other bytes.
+func (ix *Index) decode(data []byte) (canonical bool, err error) {
 	if len(data) < len(indexMagic) || string(data[:4]) != string(indexMagic[:]) {
-		return fmt.Errorf("%w: bad magic", ErrIndexFormat)
+		return false, fmt.Errorf("%w: bad magic", ErrIndexFormat)
 	}
 	r := binenc.NewReader(data[4:])
 	version := r.Uvarint()
 	if version != indexVersion && version != indexVersionV1 {
 		if r.Err() == nil {
-			return fmt.Errorf("%w: unsupported version %d (have %d)", ErrIndexFormat, version, indexVersion)
+			return false, fmt.Errorf("%w: unsupported version %d (have %d)", ErrIndexFormat, version, indexVersion)
 		}
-		return fmt.Errorf("%w: %v", ErrIndexFormat, r.Err())
+		return false, fmt.Errorf("%w: %v", ErrIndexFormat, r.Err())
 	}
+	canonical = version == indexVersion
 
 	var out Index
 	out.codecVersion = int(version)
@@ -547,20 +568,20 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 	cellRegion := r.Ints()
 	centroids, values := r.Float64Pairs()
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrIndexFormat, err)
+		return false, fmt.Errorf("%w: %v", ErrIndexFormat, err)
 	}
 	if values%2 != 0 || values/2 != numRegions {
-		return fmt.Errorf("%w: %d centroid values for %d regions", ErrIndexFormat, values, numRegions)
+		return false, fmt.Errorf("%w: %d centroid values for %d regions", ErrIndexFormat, values, numRegions)
 	}
 	layout, err := newLayout(grid, box, numRegions, cellRegion, centroids)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrIndexFormat, err)
+		return false, fmt.Errorf("%w: %v", ErrIndexFormat, err)
 	}
 	out.Layout = layout
 	out.encoding = out.cfg.Encoding.Resolve()
 	if version >= 2 {
 		if err := out.readAccel(r); err != nil {
-			return err
+			return false, err
 		}
 	} else {
 		// v1 artifacts predate the query engine: derive the query
@@ -572,8 +593,11 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 	out.trainTime = time.Duration(r.Varint())
 
 	numTasks := int(r.Uvarint())
+	// A count past MaxInt64 converts to a negative int and decodes as
+	// no entries, which re-marshals as 0.
+	canonical = canonical && numTasks >= 0
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrIndexFormat, err)
+		return false, fmt.Errorf("%w: %v", ErrIndexFormat, err)
 	}
 	// A task's metric report alone holds 12 float64s, which bounds how
 	// many tasks the remaining bytes can carry; a larger count still
@@ -584,60 +608,73 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 		it.task = r.Int()
 		modelBytes := r.Bytes()
 		if err := r.Err(); err != nil {
-			return fmt.Errorf("%w: task %d: %v", ErrIndexFormat, t, err)
+			return false, fmt.Errorf("%w: task %d: %v", ErrIndexFormat, t, err)
 		}
-		if it.model, err = ml.UnmarshalClassifier(modelBytes); err != nil {
-			return fmt.Errorf("%w: task %d: %v", ErrIndexFormat, t, err)
+		var ok bool
+		if it.model, ok, err = ml.UnmarshalClassifier(modelBytes); err != nil {
+			return false, fmt.Errorf("%w: task %d: %v", ErrIndexFormat, t, err)
 		}
+		canonical = canonical && ok
 		numCal := int(r.Uvarint())
+		canonical = canonical && numCal >= 0
 		if numCal > 0 {
 			if numCal != out.numRegions {
-				return fmt.Errorf("%w: task %d: %d calibrators for %d regions", ErrIndexFormat, t, numCal, out.numRegions)
+				return false, fmt.Errorf("%w: task %d: %d calibrators for %d regions", ErrIndexFormat, t, numCal, out.numRegions)
 			}
 			numDistinct := int(r.Uvarint())
 			if err := r.Err(); err != nil {
-				return fmt.Errorf("%w: task %d calibrators: %v", ErrIndexFormat, t, err)
+				return false, fmt.Errorf("%w: task %d calibrators: %v", ErrIndexFormat, t, err)
 			}
 			// Every distinct calibrator must be referenced by at least
 			// one region; bounding by numCal keeps a hostile count from
 			// sizing the slice before any bytes back it.
 			if numDistinct <= 0 || numDistinct > numCal {
-				return fmt.Errorf("%w: task %d: %d distinct calibrators for %d regions", ErrIndexFormat, t, numDistinct, numCal)
+				return false, fmt.Errorf("%w: task %d: %d distinct calibrators for %d regions", ErrIndexFormat, t, numDistinct, numCal)
 			}
 			distinct := make([]ml.ScoreCalibrator, numDistinct)
 			for c := range distinct {
 				blob := r.Bytes()
 				if err := r.Err(); err != nil {
-					return fmt.Errorf("%w: task %d calibrator %d: %v", ErrIndexFormat, t, c, err)
+					return false, fmt.Errorf("%w: task %d calibrator %d: %v", ErrIndexFormat, t, c, err)
 				}
-				if distinct[c], err = ml.UnmarshalCalibrator(blob); err != nil {
-					return fmt.Errorf("%w: task %d calibrator %d: %v", ErrIndexFormat, t, c, err)
+				if distinct[c], ok, err = ml.UnmarshalCalibrator(blob); err != nil {
+					return false, fmt.Errorf("%w: task %d calibrator %d: %v", ErrIndexFormat, t, c, err)
 				}
+				canonical = canonical && ok
 			}
 			it.post = make([]ml.ScoreCalibrator, numCal)
+			// MarshalBinary numbers distinct calibrators in order of
+			// first use; used counts the ones referenced so far.
+			used := 0
 			for c := 0; c < numCal; c++ {
 				ref := int(r.Uvarint())
 				if r.Err() == nil && (ref < 0 || ref >= numDistinct) {
-					return fmt.Errorf("%w: task %d region %d: calibrator ref %d of %d", ErrIndexFormat, t, c, ref, numDistinct)
+					return false, fmt.Errorf("%w: task %d region %d: calibrator ref %d of %d", ErrIndexFormat, t, c, ref, numDistinct)
 				}
 				if err := r.Err(); err != nil {
-					return fmt.Errorf("%w: task %d calibrator refs: %v", ErrIndexFormat, t, err)
+					return false, fmt.Errorf("%w: task %d calibrator refs: %v", ErrIndexFormat, t, err)
 				}
 				it.post[c] = distinct[ref]
+				if ref == used {
+					used++
+				} else if ref > used {
+					canonical = false
+				}
 			}
+			canonical = canonical && used == numDistinct
 		}
-		readTaskResult(r, &it.report)
+		canonical = readTaskResult(r, &it.report) && canonical
 		if err := r.Err(); err != nil {
-			return fmt.Errorf("%w: task %d report: %v", ErrIndexFormat, t, err)
+			return false, fmt.Errorf("%w: task %d report: %v", ErrIndexFormat, t, err)
 		}
 		if version >= 2 {
 			numStats := int(r.Uvarint())
 			if err := r.Err(); err != nil {
-				return fmt.Errorf("%w: task %d stats: %v", ErrIndexFormat, t, err)
+				return false, fmt.Errorf("%w: task %d stats: %v", ErrIndexFormat, t, err)
 			}
 			if numStats != 0 {
 				if numStats != out.numRegions {
-					return fmt.Errorf("%w: task %d: %d region stats for %d regions", ErrIndexFormat, t, numStats, out.numRegions)
+					return false, fmt.Errorf("%w: task %d: %d region stats for %d regions", ErrIndexFormat, t, numStats, out.numRegions)
 				}
 				it.stats = make([]calib.SuffStats, numStats)
 				for s := range it.stats {
@@ -648,21 +685,21 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 					}
 				}
 				if err := r.Err(); err != nil {
-					return fmt.Errorf("%w: task %d stats: %v", ErrIndexFormat, t, err)
+					return false, fmt.Errorf("%w: task %d stats: %v", ErrIndexFormat, t, err)
 				}
 			}
 		}
 		out.tasks = append(out.tasks, it)
 	}
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrIndexFormat, err)
+		return false, fmt.Errorf("%w: %v", ErrIndexFormat, err)
 	}
 	if r.Len() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after payload", ErrIndexFormat, r.Len())
+		return false, fmt.Errorf("%w: %d trailing bytes after payload", ErrIndexFormat, r.Len())
 	}
 	out.initMaint()
 	*ix = out
-	return nil
+	return canonical && r.Canonical(), nil
 }
 
 // readAccel restores the query structures of a v2 artifact into the
@@ -742,8 +779,10 @@ func appendTaskResult(b []byte, tr *TaskResult) []byte {
 	return b
 }
 
-// readTaskResult decodes a metric report; errors latch in r.
-func readTaskResult(r *binenc.Reader, tr *TaskResult) {
+// readTaskResult decodes a metric report; errors latch in r. It
+// reports false for a neighborhood count past MaxInt64, which decodes
+// as none.
+func readTaskResult(r *binenc.Reader, tr *TaskResult) bool {
 	tr.Task = r.Int()
 	tr.TaskName = r.String()
 	for _, dst := range []*float64{
@@ -768,4 +807,5 @@ func readTaskResult(r *binenc.Reader, tr *TaskResult) {
 	}
 	tr.ImportanceNames = r.Strings()
 	tr.ImportanceValues = r.Float64s()
+	return n >= 0
 }

@@ -17,9 +17,16 @@
 // and offset that reading the elements one Int at a time reports.
 // These loops carry an artifact load's large tables: the cell→region
 // table, the per-region cell counts and the kd layout.
+//
+// The Append functions write one encoding per value: minimal varints
+// and 0/1 bools. Reader accepts padded varints (a multi-byte varint
+// whose last byte is 0) and any nonzero bool byte too, and Canonical
+// reports whether it met either, so a caller can tell whether
+// re-encoding what it decoded gives back the bytes it read.
 package binenc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -102,6 +109,9 @@ type Reader struct {
 	buf []byte
 	off int
 	err error
+	// nonCanonical records a value read in another encoding than the
+	// one its Append function writes.
+	nonCanonical bool
 }
 
 // NewReader returns a Reader over buf. The buffer is not copied.
@@ -109,6 +119,11 @@ func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
 // Err returns the first decoding error, or nil.
 func (r *Reader) Err() error { return r.err }
+
+// Canonical reports whether every value read so far was in the one
+// encoding the Append functions write: no padded varint (more than
+// one byte, last byte 0) and no bool byte other than 0 or 1.
+func (r *Reader) Canonical() bool { return !r.nonCanonical }
 
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.buf) - r.off }
@@ -131,6 +146,9 @@ func (r *Reader) Uvarint() uint64 {
 		return 0
 	}
 	r.off += n
+	if n > 1 && r.buf[r.off-1] == 0 {
+		r.nonCanonical = true
+	}
 	return v
 }
 
@@ -166,6 +184,9 @@ func (r *Reader) Varint() int64 {
 		return 0
 	}
 	r.off += n
+	if n > 1 && r.buf[r.off-1] == 0 {
+		r.nonCanonical = true
+	}
 	return v
 }
 
@@ -183,6 +204,9 @@ func (r *Reader) Bool() bool {
 	}
 	v := r.buf[r.off]
 	r.off++
+	if v > 1 {
+		r.nonCanonical = true
+	}
 	return v != 0
 }
 
@@ -257,14 +281,15 @@ func (r *Reader) Float64Pairs() (pairs [][2]float64, values int) {
 // Ints reads a length-prefixed int slice in one pass: the offset stays
 // in a local and the loop stops at the first varint that cannot be
 // decoded, with the same error and offset as reading the elements one
-// Int at a time.
+// Int at a time. A padded varint is recorded as Int records it, by one
+// scan of the bytes read once the loop is done.
 func (r *Reader) Ints() []int {
 	n := r.sliceLen(1)
 	if r.err != nil || n == 0 {
 		return nil
 	}
 	out := make([]int, n)
-	buf, off := r.buf, r.off
+	buf, start, off := r.buf, r.off, r.off
 	for i := 0; i < n; {
 		// Eight bytes that hold eight one-byte varints, or four
 		// two-byte ones, all inside the table, decode together.
@@ -290,15 +315,37 @@ func (r *Reader) Ints() []int {
 		}
 		v, m := varint(buf[off:])
 		if m <= 0 {
-			r.off = off
 			r.failVarint(off)
-			return nil
+			out = nil
+			break
 		}
 		out[i] = int(v)
 		i, off = i+1, off+m
 	}
 	r.off = off
+	if padded(buf[start:off]) {
+		r.nonCanonical = true
+	}
 	return out
+}
+
+// padded reports whether the whole varints p holds end to end include
+// a padded one. Only a multi-byte varint's last byte can be a 0 byte
+// that follows a byte with the continuation bit set; any other 0 byte
+// is the one-byte varint 0. bytes.IndexByte finds the 0 bytes, which
+// are few in a table of region ids.
+func padded(p []byte) bool {
+	for i := 1; i < len(p); i++ {
+		j := bytes.IndexByte(p[i:], 0)
+		if j < 0 {
+			return false
+		}
+		i += j
+		if p[i-1] >= 0x80 {
+			return true
+		}
+	}
+	return false
 }
 
 // unzigzag decodes a zig-zag encoded value.

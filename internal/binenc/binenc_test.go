@@ -65,6 +65,49 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReaderCanonical pins what Canonical flags: a padded uvarint,
+// varint or table entry, and a bool byte other than 0 or 1, each read
+// with its value intact; everything the Append functions write reads
+// as canonical.
+func TestReaderCanonical(t *testing.T) {
+	var b []byte
+	b = AppendUvarint(b, 1<<40)
+	b = AppendVarint(b, -12345)
+	b = AppendBool(b, false)
+	b = AppendBool(b, true)
+	b = AppendInts(b, []int{0, 63, -64, 8191, 1 << 40})
+	r := NewReader(b)
+	r.Uvarint()
+	r.Varint()
+	r.Bool()
+	r.Bool()
+	r.Ints()
+	if r.Err() != nil || !r.Canonical() {
+		t.Fatalf("appended values: err %v, canonical %v", r.Err(), r.Canonical())
+	}
+	for _, c := range []struct {
+		name string
+		in   []byte
+		read func(*Reader) int64
+		want int64
+	}{
+		{"uvarint", []byte{0x85, 0x80, 0x00}, func(r *Reader) int64 { return int64(r.Uvarint()) }, 5},
+		{"varint", []byte{0x83, 0x00}, (*Reader).Varint, -2},
+		{"bool", []byte{2}, func(r *Reader) int64 {
+			if r.Bool() {
+				return 1
+			}
+			return 0
+		}, 1},
+		{"ints", paddedVarints[2], func(r *Reader) int64 { return int64(r.Ints()[8]) }, 8},
+	} {
+		r := NewReader(c.in)
+		if got := c.read(r); got != c.want || r.Err() != nil || r.Canonical() {
+			t.Errorf("%s %x: %d, err %v, canonical %v; want %d, nil, false", c.name, c.in, got, r.Err(), r.Canonical(), c.want)
+		}
+	}
+}
+
 func TestReaderTruncation(t *testing.T) {
 	full := AppendFloat64s(nil, []float64{1, 2, 3})
 	for cut := 0; cut < len(full); cut++ {
@@ -103,8 +146,9 @@ func TestReaderRejectsHugeLengthPrefix(t *testing.T) {
 }
 
 // referenceInts is the per-element Ints decoder the bulk loop
-// replaced: one sticky-checked binary.Varint read per element. It is
-// kept as the differential reference for FuzzReaderInts.
+// replaced: one sticky-checked binary.Varint read per element, each
+// checked for padding on its own. It is kept as the differential
+// reference for FuzzReaderInts.
 func referenceInts(r *Reader) []int {
 	n := r.sliceLen(1)
 	if r.err != nil || n == 0 {
@@ -121,6 +165,9 @@ func referenceInts(r *Reader) []int {
 			continue
 		}
 		r.off += m
+		if m > 1 && r.buf[r.off-1] == 0 {
+			r.nonCanonical = true
+		}
 		out[i] = int(v)
 	}
 	if r.err != nil {
@@ -143,15 +190,26 @@ var overflowVarints = [][]byte{
 	{2, 0xff, 0x7f, 0x80, 0x01}, // two 2-byte varints
 }
 
+// paddedVarints are int tables holding a padded varint (a one-byte
+// value in two bytes), which decodes but is not what AppendInts
+// writes: alone, as the third of four two-byte varints in one 8-byte
+// word, and after a group of eight one-byte varints.
+var paddedVarints = [][]byte{
+	{1, 0x82, 0x00},
+	{4, 0x80, 0x01, 0x82, 0x01, 0x84, 0x00, 0x86, 0x01},
+	{9, 1, 2, 3, 4, 5, 6, 7, 8, 0x90, 0x00},
+}
+
 // FuzzReaderInts holds the bulk Ints decoder to referenceInts: on any
 // input both must give the same values, leave the same number of
-// bytes unread and fail with the same error text, offset included.
+// bytes unread, fail with the same error text, offset included, and
+// report a padded varint alike.
 // Every input is decoded as raw bytes, and as the AppendInts encoding
 // of the int64s (8 bytes each) and of the int16s (2 bytes each) it
 // spells, whole and cut at a data-chosen byte. The int16s give runs of
 // one-, two- and three-byte varints, like a cell→region table.
 func FuzzReaderInts(f *testing.F) {
-	for _, seed := range overflowVarints {
+	for _, seed := range slices.Concat(overflowVarints, paddedVarints) {
 		f.Add(seed)
 	}
 	var edges []byte
@@ -194,6 +252,9 @@ func FuzzReaderInts(f *testing.F) {
 			if got := compareInts(t, enc); !slices.Equal(got, xs) {
 				t.Fatalf("round trip of %v = %v", xs, got)
 			}
+			if r := NewReader(enc); r.Ints() != nil && !r.Canonical() {
+				t.Fatalf("AppendInts(%v) decodes as padded", xs)
+			}
 			if len(data) > 0 {
 				compareInts(t, enc[:int(data[0])%len(enc)])
 			}
@@ -222,6 +283,9 @@ func compareInts(t *testing.T, buf []byte) []int {
 	}
 	if ge, we := fmt.Sprint(got.Err()), fmt.Sprint(want.Err()); ge != we {
 		t.Fatalf("%x: bulk error %q, reference %q", buf, ge, we)
+	}
+	if got.Canonical() != want.Canonical() {
+		t.Fatalf("%x: bulk canonical %v, reference %v", buf, got.Canonical(), want.Canonical())
 	}
 	return first
 }

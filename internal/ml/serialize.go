@@ -122,24 +122,28 @@ func appendPlatt(b []byte, p *Platt) ([]byte, error) {
 
 // UnmarshalClassifier reconstructs a classifier exported by
 // MarshalClassifier. The returned model is fitted and ready for
-// PredictProba.
-func UnmarshalClassifier(data []byte) (Classifier, error) {
+// PredictProba. canonical reports whether data is exactly what
+// MarshalClassifier writes for that model: no padded varint, no bool
+// byte other than 0 or 1, no trailing bytes (see binenc.Reader).
+func UnmarshalClassifier(data []byte) (c Classifier, canonical bool, err error) {
 	r := binenc.NewReader(data)
-	c, err := readClassifier(r)
+	c, nested, err := readClassifier(r)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDeserialize, err)
+		return nil, false, fmt.Errorf("%w: %v", ErrDeserialize, err)
 	}
-	return c, nil
+	return c, nested && r.Canonical() && r.Len() == 0, nil
 }
 
-// readClassifier decodes one tagged classifier from r.
-func readClassifier(r *binenc.Reader) (Classifier, error) {
+// readClassifier decodes one tagged classifier from r. nested reports
+// whether the base model blob a calibrated wrapper carries is
+// canonical (true for every other family).
+func readClassifier(r *binenc.Reader) (c Classifier, nested bool, err error) {
 	tag := r.Uvarint()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDeserialize, err)
+		return nil, false, fmt.Errorf("%w: %v", ErrDeserialize, err)
 	}
 	switch tag {
 	case tagLogReg:
@@ -151,13 +155,13 @@ func readClassifier(r *binenc.Reader) (Classifier, error) {
 		m.weights = r.Float64s()
 		m.bias = r.Float64()
 		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("%w: logreg: %v", ErrDeserialize, err)
+			return nil, false, fmt.Errorf("%w: logreg: %v", ErrDeserialize, err)
 		}
 		if len(m.std.Mean) != len(m.weights) || len(m.std.Scale) != len(m.weights) || len(m.weights) == 0 {
-			return nil, fmt.Errorf("%w: logreg: inconsistent parameter shapes", ErrDeserialize)
+			return nil, false, fmt.Errorf("%w: logreg: inconsistent parameter shapes", ErrDeserialize)
 		}
 		m.fitted = true
-		return m, nil
+		return m, true, nil
 
 	case tagTree:
 		m := NewDecisionTree()
@@ -167,17 +171,17 @@ func readClassifier(r *binenc.Reader) (Classifier, error) {
 		m.imp = r.Float64s()
 		root, err := readTreeNode(r, 0)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("%w: dtree: %v", ErrDeserialize, err)
+			return nil, false, fmt.Errorf("%w: dtree: %v", ErrDeserialize, err)
 		}
 		if m.nCols <= 0 {
-			return nil, fmt.Errorf("%w: dtree: non-positive column count", ErrDeserialize)
+			return nil, false, fmt.Errorf("%w: dtree: non-positive column count", ErrDeserialize)
 		}
 		m.root = root
 		m.fitted = true
-		return m, nil
+		return m, true, nil
 
 	case tagGaussianNB:
 		m := NewGaussianNB()
@@ -190,39 +194,39 @@ func readClassifier(r *binenc.Reader) (Classifier, error) {
 			m.vari[c] = r.Float64s()
 		}
 		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("%w: naivebayes: %v", ErrDeserialize, err)
+			return nil, false, fmt.Errorf("%w: naivebayes: %v", ErrDeserialize, err)
 		}
 		for c := 0; c < 2; c++ {
 			if len(m.mean[c]) != m.nCols || len(m.vari[c]) != m.nCols {
-				return nil, fmt.Errorf("%w: naivebayes: inconsistent parameter shapes", ErrDeserialize)
+				return nil, false, fmt.Errorf("%w: naivebayes: inconsistent parameter shapes", ErrDeserialize)
 			}
 		}
 		m.fitted = true
-		return m, nil
+		return m, true, nil
 
 	case tagCalibrated:
 		inner := r.Bytes()
 		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("%w: calibrated: %v", ErrDeserialize, err)
+			return nil, false, fmt.Errorf("%w: calibrated: %v", ErrDeserialize, err)
 		}
-		base, err := UnmarshalClassifier(inner)
+		base, nested, err := UnmarshalClassifier(inner)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		cal, err := readCalibrator(r)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		platt, ok := cal.(*Platt)
 		if !ok {
-			return nil, fmt.Errorf("%w: calibrated: wrapper must be platt, got %T", ErrDeserialize, cal)
+			return nil, false, fmt.Errorf("%w: calibrated: wrapper must be platt, got %T", ErrDeserialize, cal)
 		}
 		m := NewCalibrated(base)
 		m.platt = platt
 		m.fitted = true
-		return m, nil
+		return m, nested, nil
 	}
-	return nil, fmt.Errorf("%w: unknown model tag %d", ErrDeserialize, tag)
+	return nil, false, fmt.Errorf("%w: unknown model tag %d", ErrDeserialize, tag)
 }
 
 // maxTreeDecodeDepth bounds recursion while decoding tree bytes so
@@ -270,17 +274,18 @@ func MarshalCalibrator(c ScoreCalibrator) ([]byte, error) {
 }
 
 // UnmarshalCalibrator reconstructs a calibrator exported by
-// MarshalCalibrator.
-func UnmarshalCalibrator(data []byte) (ScoreCalibrator, error) {
+// MarshalCalibrator. canonical reports, as for UnmarshalClassifier,
+// whether data is exactly what MarshalCalibrator writes for it.
+func UnmarshalCalibrator(data []byte) (c ScoreCalibrator, canonical bool, err error) {
 	r := binenc.NewReader(data)
-	c, err := readCalibrator(r)
+	c, err = readCalibrator(r)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDeserialize, err)
+		return nil, false, fmt.Errorf("%w: %v", ErrDeserialize, err)
 	}
-	return c, nil
+	return c, r.Canonical() && r.Len() == 0, nil
 }
 
 // readCalibrator decodes one tagged calibrator from r.

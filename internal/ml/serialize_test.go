@@ -3,6 +3,8 @@ package ml
 import (
 	"math"
 	"testing"
+
+	"fairindex/internal/binenc"
 )
 
 // trainingData returns a small deterministic binary problem.
@@ -39,9 +41,12 @@ func TestClassifierSerializeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := UnmarshalClassifier(blob)
+			back, canonical, err := UnmarshalClassifier(blob)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !canonical {
+				t.Error("marshaled blob decodes as non-canonical")
 			}
 			if back.Name() != clf.Name() {
 				t.Errorf("name = %q, want %q", back.Name(), clf.Name())
@@ -81,9 +86,12 @@ func TestCalibratorSerializeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := UnmarshalCalibrator(blob)
+			back, canonical, err := UnmarshalCalibrator(blob)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !canonical {
+				t.Error("marshaled blob decodes as non-canonical")
 			}
 			got, err := back.Apply(scores)
 			if err != nil {
@@ -118,12 +126,57 @@ func TestDeserializeCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range [][]byte{nil, {0xFF}, blob[:len(blob)/2], {9, 9, 9}} {
-		if _, err := UnmarshalClassifier(bad); err == nil {
+		if _, _, err := UnmarshalClassifier(bad); err == nil {
 			t.Errorf("expected error for corrupt input %v", bad)
 		}
 	}
-	if _, err := UnmarshalCalibrator([]byte{0x7F}); err == nil {
+	if _, _, err := UnmarshalCalibrator([]byte{0x7F}); err == nil {
 		t.Error("expected error for unknown calibrator tag")
+	}
+}
+
+// TestDeserializeNonCanonical pins the canonical flag's negatives: a
+// trailing byte, a padded tag, and a padded inner blob inside a
+// calibrated wrapper all decode into a working model, reported as not
+// what MarshalClassifier writes; a padded calibrator tag likewise.
+func TestDeserializeNonCanonical(t *testing.T) {
+	X, y := trainingData()
+	clf := NewCalibrated(NewDecisionTree())
+	if err := clf.Fit(X, y, nil); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := MarshalClassifier(clf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := MarshalClassifier(clf.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	platt, err := MarshalCalibrator(clf.platt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The inner blob with its one-byte tag padded to two bytes.
+	paddedInner := append([]byte{inner[0] | 0x80, 0}, inner[1:]...)
+	for name, bad := range map[string][]byte{
+		"trailing byte": append(append([]byte(nil), blob...), 0),
+		"padded tag":    append([]byte{tagCalibrated | 0x80, 0}, blob[1:]...),
+		"padded inner":  append(binenc.AppendBytes([]byte{tagCalibrated}, paddedInner), platt...),
+	} {
+		back, canonical, err := UnmarshalClassifier(bad)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if canonical {
+			t.Errorf("%s: decodes as canonical", name)
+		}
+		if _, err := back.PredictProba(X); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if _, canonical, err := UnmarshalCalibrator(append([]byte{tagPlatt | 0x80, 0}, platt[1:]...)); err != nil || canonical {
+		t.Errorf("padded calibrator tag: canonical %v, err %v", canonical, err)
 	}
 }
 
@@ -140,7 +193,7 @@ func TestSerializedScoresStayFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalClassifier(blob)
+	back, _, err := UnmarshalClassifier(blob)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -446,10 +446,20 @@ func driftSummary(res fairindex.AppendResult, thresholds map[string]float64) str
 // evictOver unloads least-recently-used file-backed entries until the
 // resident count is within the bound again. keep (the entry that
 // triggered the check) is exempt, so a load can never evict itself.
+// The evictions are logged after the registry lock is released, so a
+// slow or re-entrant logger never holds up the catalog.
 func (r *Registry) evictOver(keep *Entry) {
 	if r.maxLoaded <= 0 {
 		return
 	}
+	for _, e := range r.evict(keep) {
+		r.logger.Printf("registry: evicted %q (LRU, max %d resident)", e.name, r.maxLoaded)
+	}
+}
+
+// evict is evictOver's work under the registry lock: it unloads the
+// entries and returns them in eviction order.
+func (r *Registry) evict(keep *Entry) []*Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var resident []*Entry
@@ -463,12 +473,13 @@ func (r *Registry) evictOver(keep *Entry) {
 		}
 	}
 	if len(resident) <= r.maxLoaded {
-		return
+		return nil
 	}
 	sort.Slice(resident, func(i, j int) bool {
 		return resident[i].lastUsed.Load() < resident[j].lastUsed.Load()
 	})
 	over := len(resident) - r.maxLoaded
+	evicted := resident[:0] // overwrites only entries already visited
 	for _, e := range resident {
 		if over == 0 {
 			break
@@ -478,8 +489,9 @@ func (r *Registry) evictOver(keep *Entry) {
 		}
 		e.idx.Store(nil)
 		over--
-		r.logger.Printf("registry: evicted %q (LRU, max %d resident)", e.name, r.maxLoaded)
+		evicted = append(evicted, e)
 	}
+	return evicted
 }
 
 // Reload re-reads an entry's backing file and atomically swaps the

@@ -2,12 +2,15 @@ package registry
 
 import (
 	"errors"
+	"fmt"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	fairindex "fairindex"
 	"fairindex/internal/dataset"
@@ -179,6 +182,79 @@ func TestRegistryLRUEviction(t *testing.T) {
 	mustLookup("b")
 	if r.LoadedCount() != 2 {
 		t.Errorf("LoadedCount after re-load = %d, want 2", r.LoadedCount())
+	}
+}
+
+// reentrantSink is a log destination that registers a catalog entry
+// from inside every write, as a logger feeding a catalog-watching
+// sink might, and keeps the lines it was given.
+type reentrantSink struct {
+	reg   *Registry
+	path  string
+	mu    sync.Mutex
+	lines []string
+}
+
+func (s *reentrantSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.reg.Add(fmt.Sprintf("logged-%d", len(s.lines)), s.path); err != nil {
+		return 0, err
+	}
+	s.lines = append(s.lines, string(p))
+	return len(p), nil
+}
+
+// TestRegistryEvictionLogsOutsideLock pins that eviction lines are
+// written after the registry lock is released: a logger that calls
+// back into the registry must not deadlock the lookup that evicts, and
+// the lines keep their text and order. The lookups run behind a
+// deadline so a deadlock fails the test instead of hanging it.
+func TestRegistryEvictionLogsOutsideLock(t *testing.T) {
+	idx := buildIndex(t)
+	dir := t.TempDir()
+	sink := &reentrantSink{path: writeIndex(t, idx, dir, "spare.fidx")}
+	r := New(WithMaxLoaded(1), WithLogger(log.New(sink, "", 0)))
+	sink.reg = r
+	names := []string{"a", "b", "c"}
+	for _, name := range names {
+		if err := r.Add(name, writeIndex(t, idx, dir, name+".fidx")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		for _, name := range names {
+			if _, err := r.Lookup(name); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("lookups did not finish: the eviction logger ran under the registry lock")
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	want := []string{
+		"registry: evicted \"a\" (LRU, max 1 resident)\n",
+		"registry: evicted \"b\" (LRU, max 1 resident)\n",
+	}
+	if !slices.Equal(sink.lines, want) {
+		t.Errorf("logged %q, want %q", sink.lines, want)
+	}
+	states := map[string]string{}
+	for _, info := range r.List() {
+		states[info.Name] = info.State
+	}
+	if states["logged-0"] != StateAvailable || states["logged-1"] != StateAvailable || states["c"] != StateLoaded {
+		t.Errorf("states after the logged adds = %v", states)
 	}
 }
 

@@ -28,9 +28,12 @@ type maintState struct {
 	// Fingerprint cache (shard.go): the artifact's content hash,
 	// computed once per built/loaded Index, on the first Fingerprint
 	// call or before the first AppendBatch fold, whichever is first.
+	// loaded holds the canonical bytes ReadIndex decoded until that
+	// first hash, which reads and drops them.
 	fpOnce sync.Once
 	fp     uint64
 	fpErr  error
+	loaded []byte
 }
 
 // liveStats is one immutable maintenance snapshot. AppendBatch never

@@ -28,21 +28,33 @@ import (
 // before it publishes its first fold. Records folded in by AppendBatch
 // therefore change the serialized form but never the fingerprint — a
 // serving generation is the loaded artifact, not its live statistics.
+//
+// What is hashed: for an Index that ReadIndex or LoadIndex decoded
+// from the canonical encoding of a current-version artifact, the bytes
+// that were read, which are exactly what MarshalBinary would write, so
+// the load's buffer is hashed and then released. Otherwise (a built
+// or extracted Index, UnmarshalBinary, a v1 artifact or non-canonical
+// bytes) it is a fresh MarshalBinary.
 func (ix *Index) Fingerprint() (uint64, error) {
 	if ix.maint == nil {
 		return 0, fmt.Errorf("fairindex: fingerprint of an uninitialized Index")
 	}
-	ix.maint.fpOnce.Do(func() {
-		blob, err := ix.MarshalBinary()
-		if err != nil {
-			ix.maint.fpErr = err
-			return
+	m := ix.maint
+	m.fpOnce.Do(func() {
+		blob := m.loaded
+		m.loaded = nil
+		if blob == nil {
+			var err error
+			if blob, err = ix.MarshalBinary(); err != nil {
+				m.fpErr = err
+				return
+			}
 		}
 		h := fnv.New64a()
 		h.Write(blob)
-		ix.maint.fp = h.Sum64()
+		m.fp = h.Sum64()
 	})
-	return ix.maint.fp, ix.maint.fpErr
+	return m.fp, m.fpErr
 }
 
 // ExtractShard carves the contiguous global region range [lo, hi) out
