@@ -2,6 +2,7 @@ package fairindex
 
 import (
 	"bytes"
+	"errors"
 	"hash/fnv"
 	"path/filepath"
 	"slices"
@@ -24,8 +25,9 @@ func fnv64a(b []byte) uint64 {
 // it with the decoder's own primitives.
 type artifactOffsets struct {
 	version, reweight, cellCount, firstCell int
-	// The task count, and task 0's length-prefixed model blob.
-	tasks, model int
+	// The task count, task 0's length-prefixed model blob, its
+	// calibrator count and its report's top-neighborhood count.
+	tasks, model, numCal, neighborhoods int
 	// Task 0's calibrator section: the distinct calibrator count, each
 	// distinct calibrator blob as [start, end) with its length prefix,
 	// and the per-region references as [refs, refsEnd).
@@ -82,6 +84,7 @@ func walkArtifact(tb testing.TB, blob []byte) artifactOffsets {
 	r.Int() // task id
 	o.model = at()
 	r.Bytes()
+	o.numCal = at()
 	if numCal := r.Uvarint(); numCal > 0 {
 		o.numDistinct = at()
 		for range r.Uvarint() {
@@ -95,6 +98,13 @@ func walkArtifact(tb testing.TB, blob []byte) artifactOffsets {
 		}
 		o.refsEnd = at()
 	}
+	r.Int()        // report task
+	_ = r.String() // report task name
+	for range 12 { // report metrics
+		r.Float64()
+	}
+	o.neighborhoods = at()
+	r.Uvarint()
 	if err := r.Err(); err != nil {
 		tb.Fatalf("walking the artifact: %v", err)
 	}
@@ -129,9 +139,8 @@ func padBlobTag(blob []byte, off int) []byte {
 // nonCanonicalVariants returns copies of a canonical v2 artifact with
 // a post-processed task 0 that decode but are not what MarshalBinary
 // writes: a 2-byte version varint, a padded first cell id, a padded
-// cell-table length prefix, a Reweight byte of 2, a task count past
-// MaxInt64 with no tasks (it decodes as none), a padded model tag, a
-// padded calibrator tag, a swapped calibrator table and an
+// cell-table length prefix, a Reweight byte of 2, a padded model tag,
+// a padded calibrator tag, a swapped calibrator table and an
 // unreferenced calibrator.
 func nonCanonicalVariants(tb testing.TB, blob []byte) [][]byte {
 	tb.Helper()
@@ -143,11 +152,48 @@ func nonCanonicalVariants(tb testing.TB, blob []byte) [][]byte {
 		padVarint(blob, o.firstCell),
 		padVarint(blob, o.cellCount),
 		reweight,
-		binenc.AppendUvarint(append([]byte(nil), blob[:o.tasks]...), 1<<63),
 		padBlobTag(blob, o.model),
 		padBlobTag(blob, o.calibrators[0][0]),
 		swapCalibrators(tb, blob),
 		unreferencedCalibrator(tb, blob),
+	}
+}
+
+// outOfRangeCounts returns copies of a canonical v2 artifact with a
+// post-processed task 0 whose task count, task 0 calibrator count or
+// task 0 top-neighborhood count is 2^63, each keyed by the error the
+// decoder rejects it with. Such a count would convert to a negative
+// int; the task count is followed by nothing, which would otherwise
+// load as an Index with no tasks.
+func outOfRangeCounts(tb testing.TB, blob []byte) map[string][]byte {
+	tb.Helper()
+	o := walkArtifact(tb, blob)
+	const huge = 1 << 63
+	setCount := func(off int) []byte {
+		out := binenc.AppendUvarint(append([]byte(nil), blob[:off]...), huge)
+		r := binenc.NewReader(blob[off:])
+		r.Uvarint()
+		return append(out, blob[len(blob)-r.Len():]...)
+	}
+	return map[string][]byte{
+		"task count 9223372036854775808 out of range":                        binenc.AppendUvarint(append([]byte(nil), blob[:o.tasks]...), huge),
+		"task 0: calibrator count 9223372036854775808 out of range":          setCount(o.numCal),
+		"task 0 report: neighborhood count 9223372036854775808 out of range": setCount(o.neighborhoods),
+	}
+}
+
+// TestDecodeRejectsOutOfRangeCounts pins that a count past MaxInt is
+// an ErrIndexFormat error, through UnmarshalBinary and ReadIndex.
+func TestDecodeRejectsOutOfRangeCounts(t *testing.T) {
+	for msg, blob := range outOfRangeCounts(t, loadGolden(t, "golden_v2.fidx")) {
+		want := ErrIndexFormat.Error() + ": " + msg
+		var ix Index
+		if err := ix.UnmarshalBinary(blob); !errors.Is(err, ErrIndexFormat) || err.Error() != want {
+			t.Errorf("UnmarshalBinary: %v, want %q", err, want)
+		}
+		if _, err := ReadIndex(bytes.NewReader(blob)); !errors.Is(err, ErrIndexFormat) || err.Error() != want {
+			t.Errorf("ReadIndex: %v, want %q", err, want)
+		}
 	}
 }
 

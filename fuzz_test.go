@@ -66,6 +66,10 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	for _, v := range nonCanonicalVariants(f, v2) {
 		f.Add(v)
 	}
+	// Counts past MaxInt: they are rejected, not decoded as none.
+	for _, v := range outOfRangeCounts(f, v2) {
+		f.Add(v)
+	}
 	f.Add([]byte("FIDX"))
 	f.Add([]byte("FIDX\x7f")) // unsupported version
 	f.Add([]byte("not an index at all"))

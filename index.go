@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -518,10 +519,9 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 // decode is UnmarshalBinary. It also reports whether data is the
 // canonical encoding of the result, the one MarshalBinary writes: a
 // current-version artifact with no padded varint, no bool byte other
-// than 0 or 1, no count that decodes as none, and calibrator
-// references in first-use order with every distinct calibrator
-// referenced. Anything else decodes just the same but re-marshals to
-// other bytes.
+// than 0 or 1, and calibrator references in first-use order with
+// every distinct calibrator referenced. Anything else decodes just
+// the same but re-marshals to other bytes.
 func (ix *Index) decode(data []byte) (canonical bool, err error) {
 	if len(data) < len(indexMagic) || string(data[:4]) != string(indexMagic[:]) {
 		return false, fmt.Errorf("%w: bad magic", ErrIndexFormat)
@@ -592,17 +592,17 @@ func (ix *Index) decode(data []byte) (canonical bool, err error) {
 	out.buildTime = time.Duration(r.Varint())
 	out.trainTime = time.Duration(r.Varint())
 
-	numTasks := int(r.Uvarint())
-	// A count past MaxInt64 converts to a negative int and decodes as
-	// no entries, which re-marshals as 0.
-	canonical = canonical && numTasks >= 0
+	numTasks, err := readCount(r, "task")
+	if err != nil {
+		return false, fmt.Errorf("%w: %v", ErrIndexFormat, err)
+	}
 	if err := r.Err(); err != nil {
 		return false, fmt.Errorf("%w: %v", ErrIndexFormat, err)
 	}
 	// A task's metric report alone holds 12 float64s, which bounds how
 	// many tasks the remaining bytes can carry; a larger count still
 	// fails below, task by task.
-	out.tasks = make([]indexTask, 0, max(0, min(numTasks, r.Len()/(12*8))))
+	out.tasks = make([]indexTask, 0, min(numTasks, r.Len()/(12*8)))
 	for t := 0; t < numTasks; t++ {
 		var it indexTask
 		it.task = r.Int()
@@ -615,8 +615,10 @@ func (ix *Index) decode(data []byte) (canonical bool, err error) {
 			return false, fmt.Errorf("%w: task %d: %v", ErrIndexFormat, t, err)
 		}
 		canonical = canonical && ok
-		numCal := int(r.Uvarint())
-		canonical = canonical && numCal >= 0
+		numCal, err := readCount(r, "calibrator")
+		if err != nil {
+			return false, fmt.Errorf("%w: task %d: %v", ErrIndexFormat, t, err)
+		}
 		if numCal > 0 {
 			if numCal != out.numRegions {
 				return false, fmt.Errorf("%w: task %d: %d calibrators for %d regions", ErrIndexFormat, t, numCal, out.numRegions)
@@ -663,7 +665,9 @@ func (ix *Index) decode(data []byte) (canonical bool, err error) {
 			}
 			canonical = canonical && used == numDistinct
 		}
-		canonical = readTaskResult(r, &it.report) && canonical
+		if err := readTaskResult(r, &it.report); err != nil {
+			return false, fmt.Errorf("%w: task %d report: %v", ErrIndexFormat, t, err)
+		}
 		if err := r.Err(); err != nil {
 			return false, fmt.Errorf("%w: task %d report: %v", ErrIndexFormat, t, err)
 		}
@@ -779,10 +783,19 @@ func appendTaskResult(b []byte, tr *TaskResult) []byte {
 	return b
 }
 
-// readTaskResult decodes a metric report; errors latch in r. It
-// reports false for a neighborhood count past MaxInt64, which decodes
-// as none.
-func readTaskResult(r *binenc.Reader, tr *TaskResult) bool {
+// readCount reads an element count. A count past MaxInt would convert
+// to a negative int and decode as no elements, so it is an error.
+func readCount(r *binenc.Reader, what string) (int, error) {
+	n := r.Uvarint()
+	if n > math.MaxInt {
+		return 0, fmt.Errorf("%s count %d out of range", what, n)
+	}
+	return int(n), nil
+}
+
+// readTaskResult decodes a metric report; reader errors latch in r,
+// and an out-of-range neighborhood count is returned.
+func readTaskResult(r *binenc.Reader, tr *TaskResult) error {
 	tr.Task = r.Int()
 	tr.TaskName = r.String()
 	for _, dst := range []*float64{
@@ -793,7 +806,10 @@ func readTaskResult(r *binenc.Reader, tr *TaskResult) bool {
 	} {
 		*dst = r.Float64()
 	}
-	n := int(r.Uvarint())
+	n, err := readCount(r, "neighborhood")
+	if err != nil {
+		return err
+	}
 	for i := 0; i < n && r.Err() == nil; i++ {
 		tr.TopNeighborhoods = append(tr.TopNeighborhoods, NeighborhoodReport{
 			Group:    r.Int(),
@@ -807,5 +823,5 @@ func readTaskResult(r *binenc.Reader, tr *TaskResult) bool {
 	}
 	tr.ImportanceNames = r.Strings()
 	tr.ImportanceValues = r.Float64s()
-	return n >= 0
+	return nil
 }

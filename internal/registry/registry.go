@@ -20,9 +20,16 @@
 // stamps the entry with a logical clock tick, and when a load pushes
 // the number of resident indexes over the cap the least-recently-used
 // file-backed entries are unloaded back to the "available" state —
-// they reload lazily on next use. Entries registered directly from
-// memory (AddIndex) have no backing file to reload from and are
-// pinned: never evicted, never reloaded.
+// they reload lazily on next use. A TinyLFU-style admission gate
+// guards the cap: every Lookup also counts a hit on its entry, the
+// counts are halved once every agingPerEntry × catalog-size lookups,
+// and a lazy load at the cap becomes resident only if its entry's
+// count is at least the LRU victim's. A refused load answers the
+// lookup that made it and evicts nothing, so a rarely used index
+// cannot push a popular one out. Append always admits, and Reload and
+// Swap install explicitly. Entries registered directly from memory
+// (AddIndex) have no backing file to reload from and are pinned:
+// never evicted, never reloaded.
 package registry
 
 import (
@@ -83,6 +90,9 @@ type Registry struct {
 	dir       string
 	maxLoaded int // 0 = unlimited
 	logger    *log.Logger
+	// agedAt is the clock reading the hit counts have been aged up to
+	// (guarded by mu; see age).
+	agedAt int64
 
 	// driftThresholds (registered metric name → threshold) is merged
 	// over the armed set of every index the registry installs, so
@@ -107,8 +117,11 @@ type Entry struct {
 
 	idx      atomic.Pointer[fairindex.Index]
 	lastUsed atomic.Int64
-	reloads  atomic.Int64
-	lastErr  atomic.Pointer[string] // most recent load failure, nil after success
+	// hits counts this entry's lookups, halved once per aging window;
+	// the admission gate compares it with the LRU victim's.
+	hits    atomic.Int64
+	reloads atomic.Int64
+	lastErr atomic.Pointer[string] // most recent load failure, nil after success
 
 	// loadMu serializes load/reload/swap of this entry so two racing
 	// lazy loads cannot both read the file. Eviction does not take it
@@ -133,9 +146,11 @@ func WithDir(dir string) Option {
 }
 
 // WithMaxLoaded bounds how many indexes may be resident at once
-// (0 = unlimited). Exceeding loads evict the least-recently-used
-// file-backed entries; pinned in-memory entries do not count against
-// the bound and are never evicted.
+// (0 = unlimited). A lazy load at the bound evicts the
+// least-recently-used file-backed entry, unless that entry has been
+// looked up more often lately than the loading one: then the load
+// only answers its lookup and nothing is evicted. Pinned in-memory
+// entries do not count against the bound and are never evicted.
 func WithMaxLoaded(n int) Option {
 	return func(r *Registry) {
 		if n > 0 {
@@ -300,10 +315,12 @@ func (r *Registry) DefaultName() string {
 
 // Lookup resolves a name to its loaded Index, lazily loading the
 // backing file on first use. This is the serving hot path: when the
-// entry is resident it takes one atomic snapshot load, one map read
-// and one atomic entry load — no locks.
+// entry is resident it takes one atomic snapshot load, one map read,
+// the LRU stamp, one atomic hit count and one atomic entry load — no
+// locks. A load the admission gate refuses (see WithMaxLoaded) is
+// returned all the same; the entry stays available.
 func (r *Registry) Lookup(name string) (*fairindex.Index, error) {
-	_, idx, err := r.lookupEntry(name)
+	_, idx, err := r.lookupEntry(name, false)
 	return idx, err
 }
 
@@ -311,17 +328,19 @@ func (r *Registry) Lookup(name string) (*fairindex.Index, error) {
 // need both the Index and its catalog slot (Append's drift-hook
 // latch) must resolve the entry exactly once — re-reading the
 // snapshot later races with Rescan/eviction, which can hand back a
-// different Entry (or none) for the same name.
-func (r *Registry) lookupEntry(name string) (*Entry, *fairindex.Index, error) {
+// different Entry (or none) for the same name. admit makes a lazy
+// load resident whatever the admission gate says.
+func (r *Registry) lookupEntry(name string, admit bool) (*Entry, *fairindex.Index, error) {
 	e, ok := r.snapshot()[name]
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	e.lastUsed.Store(r.clock.Add(1))
+	e.hits.Add(1)
 	if idx := e.idx.Load(); idx != nil {
 		return e, idx, nil
 	}
-	idx, err := r.loadEntry(e)
+	idx, err := r.loadEntry(e, admit)
 	return e, idx, err
 }
 
@@ -334,9 +353,11 @@ func (r *Registry) Default() (*fairindex.Index, error) {
 	return r.Lookup(name)
 }
 
-// loadEntry is Lookup's slow path: read the backing file, publish the
-// Index, then enforce the residency bound.
-func (r *Registry) loadEntry(e *Entry) (*fairindex.Index, error) {
+// loadEntry is Lookup's slow path: read the backing file, then
+// publish the Index if the admission gate (or admit) lets it in. The
+// evictions that make room are logged after every lock is released,
+// so a slow or re-entrant logger never holds up the catalog.
+func (r *Registry) loadEntry(e *Entry, admit bool) (*fairindex.Index, error) {
 	e.loadMu.Lock()
 	if idx := e.idx.Load(); idx != nil { // raced with another loader
 		e.loadMu.Unlock()
@@ -349,10 +370,12 @@ func (r *Registry) loadEntry(e *Entry) (*fairindex.Index, error) {
 		return nil, fmt.Errorf("registry: loading %q: %w", e.name, err)
 	}
 	r.installed(e, idx)
-	e.idx.Store(idx)
 	e.lastErr.Store(nil)
+	evicted := r.admit(e, idx, admit)
 	e.loadMu.Unlock()
-	r.evictOver(e)
+	for _, v := range evicted {
+		r.logger.Printf("registry: evicted %q (LRU, max %d resident)", v.name, r.maxLoaded)
+	}
 	return idx, nil
 }
 
@@ -397,7 +420,9 @@ func (r *Registry) Append(name string, recs []fairindex.Record) (fairindex.Appen
 	// notification latch: re-resolving the name after the fold would
 	// race with Rescan/eviction, and a notification dropped there
 	// means the rebuild never triggers for this generation.
-	e, idx, err := r.lookupEntry(name)
+	// An append always admits its entry: a fold into an index the
+	// gate refused would be acknowledged and then lost with it.
+	e, idx, err := r.lookupEntry(name, true)
 	if err != nil {
 		return fairindex.AppendResult{}, err
 	}
@@ -443,55 +468,70 @@ func driftSummary(res fairindex.AppendResult, thresholds map[string]float64) str
 	return b.String()
 }
 
-// evictOver unloads least-recently-used file-backed entries until the
-// resident count is within the bound again. keep (the entry that
-// triggered the check) is exempt, so a load can never evict itself.
-// The evictions are logged after the registry lock is released, so a
-// slow or re-entrant logger never holds up the catalog.
-func (r *Registry) evictOver(keep *Entry) {
-	if r.maxLoaded <= 0 {
-		return
-	}
-	for _, e := range r.evict(keep) {
-		r.logger.Printf("registry: evicted %q (LRU, max %d resident)", e.name, r.maxLoaded)
-	}
-}
+// agingPerEntry sets the aging window: the hit counts are halved once
+// every agingPerEntry lookups per catalog entry, so they follow
+// popularity as it shifts.
+const agingPerEntry = 16
 
-// evict is evictOver's work under the registry lock: it unloads the
-// entries and returns them in eviction order.
-func (r *Registry) evict(keep *Entry) []*Entry {
+// admit publishes e's freshly loaded idx unless the registry is at
+// its bound and e has been looked up less often than the LRU victim
+// (always skips that check). It returns the entries it evicted to
+// make room, in eviction order. Callers hold e.loadMu, so e is not
+// resident.
+func (r *Registry) admit(e *Entry, idx *fairindex.Index, always bool) []*Entry {
+	if r.maxLoaded <= 0 {
+		e.idx.Store(idx)
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	m := r.snapshot()
+	r.age(m)
 	var resident []*Entry
-	for _, e := range r.snapshot() {
+	for _, v := range m {
 		// Entries whose last reload failed are exempt: evicting one
 		// would trade its last good generation for a backing file
 		// known to be corrupt, silently voiding the
 		// corrupt-reload-keeps-serving invariant at the next lookup.
-		if e.path != "" && e.idx.Load() != nil && e.lastErr.Load() == nil {
-			resident = append(resident, e)
+		if v.path != "" && v.idx.Load() != nil && v.lastErr.Load() == nil {
+			resident = append(resident, v)
 		}
 	}
-	if len(resident) <= r.maxLoaded {
+	over := len(resident) + 1 - r.maxLoaded
+	if over <= 0 {
+		e.idx.Store(idx)
 		return nil
 	}
 	sort.Slice(resident, func(i, j int) bool {
 		return resident[i].lastUsed.Load() < resident[j].lastUsed.Load()
 	})
-	over := len(resident) - r.maxLoaded
-	evicted := resident[:0] // overwrites only entries already visited
-	for _, e := range resident {
-		if over == 0 {
-			break
-		}
-		if e == keep {
-			continue
-		}
-		e.idx.Store(nil)
-		over--
-		evicted = append(evicted, e)
+	if !always && e.hits.Load() < resident[0].hits.Load() {
+		return nil
 	}
+	evicted := resident[:over]
+	for _, v := range evicted {
+		v.idx.Store(nil)
+	}
+	e.idx.Store(idx)
 	return evicted
+}
+
+// age halves every hit count once for each aging window the clock
+// has passed since the last call; it runs under r.mu on the miss
+// path, so the lookup hot path only ever adds. A count halves by
+// subtracting, which keeps hits that land meanwhile.
+func (r *Registry) age(m map[string]*Entry) {
+	window := int64(agingPerEntry * max(len(m), 1))
+	halvings := (r.clock.Load() - r.agedAt) / window
+	if halvings == 0 {
+		return
+	}
+	r.agedAt += halvings * window
+	shift := min(halvings, 63)
+	for _, e := range m {
+		h := e.hits.Load()
+		e.hits.Add(h>>shift - h)
+	}
 }
 
 // Reload re-reads an entry's backing file and atomically swaps the

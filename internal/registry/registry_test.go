@@ -1,9 +1,12 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"log"
+	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -182,6 +185,151 @@ func TestRegistryLRUEviction(t *testing.T) {
 	mustLookup("b")
 	if r.LoadedCount() != 2 {
 		t.Errorf("LoadedCount after re-load = %d, want 2", r.LoadedCount())
+	}
+}
+
+// entryStates maps every entry of r to its Info state.
+func entryStates(r *Registry) map[string]string {
+	out := map[string]string{}
+	for _, info := range r.List() {
+		out[info.Name] = info.State
+	}
+	return out
+}
+
+// TestRegistryAdmissionRefusesColdLoad pins the admission gate: at
+// the bound, a lazy load whose entry has been looked up less often
+// than the LRU victim answers its lookup but becomes resident only
+// once its count catches up, and a refused load evicts nothing.
+func TestRegistryAdmissionRefusesColdLoad(t *testing.T) {
+	idx := buildIndex(t)
+	dir := t.TempDir()
+	var logged bytes.Buffer
+	r := New(WithMaxLoaded(2), WithLogger(log.New(&logged, "", 0)))
+	for _, name := range []string{"a", "b", "cold"} {
+		if err := r.Add(name, writeIndex(t, idx, dir, name+".fidx")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 3 {
+		for _, name := range []string{"a", "b"} {
+			if _, err := r.Lookup(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	first, err := r.Lookup("cold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.NumRegions() != idx.NumRegions() {
+		t.Fatalf("refused load answered with %d regions, want %d", first.NumRegions(), idx.NumRegions())
+	}
+	want := map[string]string{"a": StateLoaded, "b": StateLoaded, "cold": StateAvailable}
+	if got := entryStates(r); !maps.Equal(got, want) {
+		t.Fatalf("states after one cold lookup = %v, want %v", got, want)
+	}
+	if logged.Len() != 0 {
+		t.Errorf("a refused load logged %q, want no eviction", logged.String())
+	}
+	// The second lookup loads again (nothing kept the refused index),
+	// and the third brings the cold count level with the LRU victim
+	// a's 3: equal counts admit, and a goes.
+	second, err := r.Lookup("cold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second == first {
+		t.Error("a refused load was kept")
+	}
+	if _, err := r.Lookup("cold"); err != nil {
+		t.Fatal(err)
+	}
+	want = map[string]string{"a": StateAvailable, "b": StateLoaded, "cold": StateLoaded}
+	if got := entryStates(r); !maps.Equal(got, want) {
+		t.Errorf("states once the cold count caught up = %v, want %v", got, want)
+	}
+	if got, want := logged.String(), "registry: evicted \"a\" (LRU, max 2 resident)\n"; got != want {
+		t.Errorf("logged %q, want %q", got, want)
+	}
+}
+
+// TestRegistryAppendAlwaysAdmits pins that an Append to an entry the
+// admission gate would refuse still makes it resident, so the
+// acknowledged fold is what the next lookup serves.
+func TestRegistryAppendAlwaysAdmits(t *testing.T) {
+	idx, extra := appendCity(t)
+	dir := t.TempDir()
+	r := New(WithMaxLoaded(1), WithLogger(quietLogger()))
+	for _, name := range []string{"hot", "cold"} {
+		if err := r.Add(name, writeIndex(t, idx, dir, name+".fidx")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 3 {
+		if _, err := r.Lookup("hot"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := r.Append("cold", extra[:20])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Appended != 20 {
+		t.Fatalf("append result %+v", res)
+	}
+	want := map[string]string{"hot": StateAvailable, "cold": StateLoaded}
+	if got := entryStates(r); !maps.Equal(got, want) {
+		t.Fatalf("states after the append = %v, want %v", got, want)
+	}
+	got, err := r.Lookup("cold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Appended() != 20 {
+		t.Errorf("next lookup serves %d appended records, want 20", got.Appended())
+	}
+}
+
+// TestRegistryAdmissionZipfHitRatio drives a seeded Zipf(1.2) name
+// sequence over 8 file-backed entries with 3 resident, the shape of a
+// multi-tenant server whose few popular indexes outnumber its bound.
+// Plain LRU misses about 40% of these lookups, and keeping the three
+// most popular names resident would miss 27%; the admission gate
+// must miss at most 33%. A lookup misses when the Index it returns
+// for a name differs from the one returned for that name before.
+func TestRegistryAdmissionZipfHitRatio(t *testing.T) {
+	idx := buildIndex(t)
+	dir := t.TempDir()
+	r := New(WithMaxLoaded(3), WithLogger(quietLogger()))
+	names := make([]string, 8)
+	for i := range names {
+		names[i] = fmt.Sprintf("ix%d", i)
+		if err := r.Add(names[i], writeIndex(t, idx, dir, names[i]+".fidx")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const lookups = 20_000
+	zipf := rand.NewZipf(rand.New(rand.NewSource(11)), 1.2, 1, uint64(len(names)-1))
+	last := map[string]*fairindex.Index{}
+	misses := 0
+	for range lookups {
+		name := names[zipf.Uint64()]
+		got, err := r.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != last[name] {
+			misses++
+			last[name] = got
+		}
+	}
+	t.Logf("%d of %d lookups missed", misses, lookups)
+	if share := float64(misses) / lookups; share > 0.33 {
+		t.Errorf("%d of %d lookups missed (%.3f), want at most 0.33", misses, lookups, share)
+	}
+	if got := r.LoadedCount(); got != 3 {
+		t.Errorf("LoadedCount = %d, want 3", got)
 	}
 }
 

@@ -232,12 +232,17 @@ func (ix *Index) AppendBatch(recs []Record) (AppendResult, error) {
 // one-hot row is as wide as the index has regions.
 const scoreChunk = 256
 
+// rowBlocks recycles scoreBatch's row scratch across appends: at a
+// one-hot width a block of rows is a large object, which would be
+// allocated and zeroed on every call.
+var rowBlocks = sync.Pool{New: func() any { return new([]float64) }}
+
 // scoreBatch scores every record, located to regions[i], under every
 // task: scores[k][i] is the score under ix.tasks[k], bit-equal to
 // scoreInRegion's, since the models score each row on its own. The
-// rows are encoded into one scratch block reused chunk by chunk, so a
-// batch allocates per task and chunk, not per record; a region's
-// post-processing calibrator maps each score in place.
+// rows are encoded into one pooled scratch block reused chunk by
+// chunk, so a batch allocates per task and chunk, not per record; a
+// region's post-processing calibrator maps each score in place.
 func (ix *Index) scoreBatch(recs []Record, regions []int) ([][]float64, error) {
 	n := len(recs)
 	width, err := dataset.RowWidth(len(ix.featureNames), ix.numRegions, ix.centroids, ix.encoding)
@@ -245,7 +250,14 @@ func (ix *Index) scoreBatch(recs []Record, regions []int) ([][]float64, error) {
 		return nil, fmt.Errorf("fairindex: append: %w", err)
 	}
 	rows := make([][]float64, min(n, scoreChunk))
-	backing := make([]float64, len(rows)*width)
+	block := rowBlocks.Get().(*[]float64)
+	defer rowBlocks.Put(block)
+	if cap(*block) < len(rows)*width {
+		*block = make([]float64, len(rows)*width)
+	}
+	// Stale values from an earlier batch are harmless: EncodeRowInto
+	// writes every column of a row.
+	backing := (*block)[:len(rows)*width]
 	for j := range rows {
 		rows[j] = backing[j*width : (j+1)*width : (j+1)*width]
 	}
