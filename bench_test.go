@@ -372,10 +372,9 @@ func BenchmarkIndexLocateBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexLocateBatchLarge is the sharded hot path: a
-// ≥100k-point batch splits across GOMAXPROCS workers (ns/op here is
-// per batch; divide by 131072 for ns/point). On a single-core runner
-// it degrades to the same inlined sequential kernel.
+// BenchmarkIndexLocateBatchLarge runs the batch kernel over a
+// 131072-point batch on one goroutine (ns/op here is per batch;
+// divide by 131072 for ns/point).
 func BenchmarkIndexLocateBatchLarge(b *testing.B) {
 	idx, err := fullIndex()
 	if err != nil {

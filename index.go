@@ -11,7 +11,6 @@ import (
 
 	"fairindex/internal/binenc"
 	"fairindex/internal/calib"
-	"fairindex/internal/dataset"
 	"fairindex/internal/geo"
 	"fairindex/internal/ml"
 	"fairindex/internal/pipeline"
@@ -214,15 +213,6 @@ func LoadIndex(path string) (*Index, error) {
 // (non-finite coordinates). Valid region ids are always >= 0.
 const RegionInvalid = geo.RegionInvalid
 
-// taskByID returns the serving bundle for a task id.
-func (ix *Index) taskByID(task int) (*indexTask, error) {
-	slot, err := ix.taskSlot(task)
-	if err != nil {
-		return nil, err
-	}
-	return &ix.tasks[slot], nil
-}
-
 // taskSlot maps a task id to its position in ix.tasks (and in the
 // maintenance snapshots, which are indexed by slot).
 func (ix *Index) taskSlot(task int) (int, error) {
@@ -240,7 +230,7 @@ func (ix *Index) taskSlot(task int) (int, error) {
 // calibrators (when the index was built with WithPostProcess) are
 // applied. The record's feature vector must match FeatureNames.
 func (ix *Index) Score(rec Record, task int) (float64, error) {
-	it, err := ix.taskByID(task)
+	slot, err := ix.taskSlot(task)
 	if err != nil {
 		return 0, err
 	}
@@ -251,25 +241,11 @@ func (ix *Index) Score(rec Record, task int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return ix.scoreInRegion(it, rec.X, region)
-}
-
-// scoreInRegion runs one feature vector through a task's final model
-// and the region's post-processing calibrator — the serving tail
-// shared by Score and AppendBatch.
-func (ix *Index) scoreInRegion(it *indexTask, x []float64, region int) (float64, error) {
-	row, err := dataset.EncodeRow(x, region, ix.numRegions, ix.centroids, ix.encoding)
+	scores, err := ix.scoreBatch("score", ix.tasks[slot:slot+1], []Record{rec}, []int{region})
 	if err != nil {
 		return 0, err
 	}
-	scores, err := it.model.PredictProba([][]float64{row})
-	if err != nil {
-		return 0, err
-	}
-	if it.post != nil {
-		return it.post[region].Calibrate(scores[0])
-	}
-	return scores[0], nil
+	return scores[0][0], nil
 }
 
 // Report returns the build-time metric report for a task, with one

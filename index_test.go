@@ -166,10 +166,10 @@ func TestIndexLocateBatchPartialErrors(t *testing.T) {
 	}
 }
 
-// TestIndexLocateBatchSharded forces the multi-worker path (GOMAXPROCS
-// is pinned above 1 for the test) and verifies a large batch —
-// including out-of-box and invalid points — is bit-identical to
-// per-point Locate, with error indices unshifted by sharding.
+// TestIndexLocateBatchSharded runs a large batch with GOMAXPROCS
+// above 1 and verifies it — including out-of-box and invalid points —
+// is bit-identical to per-point Locate, with every error index the
+// point's position in the whole batch.
 func TestIndexLocateBatchSharded(t *testing.T) {
 	idx, _ := buildSmallIndex(t, fairindex.WithHeight(5), fairindex.WithSeed(3))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -221,6 +221,39 @@ func TestIndexLocateBatchSharded(t *testing.T) {
 	}
 	if err := idx.LocateBatchInto(regions[:n-1], lats, lons); err == nil {
 		t.Error("expected destination-size error")
+	}
+}
+
+// TestIndexLocateBatchErrorHostIndependent pins a batch's joined error
+// byte for byte at GOMAXPROCS 1 and 4: the first eight invalid points
+// verbatim, then one summary line for the rest, whatever the host's
+// core count.
+func TestIndexLocateBatchErrorHostIndependent(t *testing.T) {
+	idx, _ := buildSmallIndex(t, fairindex.WithHeight(5), fairindex.WithSeed(3))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+
+	box := idx.Box()
+	const n, badEvery = 120000, 6000
+	lats := make([]float64, n)
+	lons := make([]float64, n)
+	for i := range lats {
+		lats[i] = box.MinLat + float64(i%997)/997*(box.MaxLat-box.MinLat)
+		lons[i] = box.MinLon + float64(i%613)/613*(box.MaxLon-box.MinLon)
+	}
+	var lines []string
+	for i := 0; i < n; i += badEvery {
+		lats[i] = math.NaN()
+		if len(lines) < 8 {
+			lines = append(lines, fmt.Sprintf("fairindex: point %d: non-finite coordinate (NaN, %v)", i, lons[i]))
+		}
+	}
+	lines = append(lines, "fairindex: 12 further invalid points")
+	want := strings.Join(lines, "\n")
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		if _, err := idx.LocateBatch(lats, lons); err == nil || err.Error() != want {
+			t.Errorf("GOMAXPROCS=%d: error:\n%v\nwant:\n%s", procs, err, want)
+		}
 	}
 }
 

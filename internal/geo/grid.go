@@ -134,11 +134,9 @@ const maxPointErrors = 8
 //
 // A non-finite point yields RegionInvalid at its position and never
 // aborts the batch; the returned error joins the per-point failures
-// (nil when every point resolved), with point indices offset by base
-// so a caller splitting one batch into ranges reports each point by
-// its position in the whole batch. The error text is the fairindex
+// (nil when every point resolved). The error text is the fairindex
 // package's, which both the index and the shard router return.
-func (m Mapper) LocateRange(dst, table []int, lats, lons []float64, base int) error {
+func (m Mapper) LocateRange(dst, table []int, lats, lons []float64) error {
 	u, v := m.Grid.U, m.Grid.V
 	uF, vF := float64(u), float64(v)
 	minLat, minLon := m.Box.MinLat, m.Box.MinLon
@@ -154,7 +152,7 @@ func (m Mapper) LocateRange(dst, table []int, lats, lons []float64, base int) er
 			dst[i] = RegionInvalid
 			invalid++
 			if len(errs) < maxPointErrors {
-				errs = append(errs, fmt.Errorf("fairindex: point %d: non-finite coordinate (%v, %v)", base+i, lat, lon))
+				errs = append(errs, fmt.Errorf("fairindex: point %d: non-finite coordinate (%v, %v)", i, lat, lon))
 			}
 			continue
 		}

@@ -149,8 +149,8 @@ func TestMapperRoundTripProperty(t *testing.T) {
 
 // TestLocateRange pins the batch kernel: valid points get the region
 // of CellOf's cell, non-finite ones the sentinel, and the joined error
-// keeps the first eight per-point lines (indices offset by base) plus
-// one summary line, byte for byte.
+// keeps the first eight per-point lines plus one summary line, byte
+// for byte.
 func TestLocateRange(t *testing.T) {
 	m, err := NewMapper(MustGrid(4, 8), BBox{MinLat: 10, MinLon: 20, MaxLat: 14, MaxLon: 28})
 	if err != nil {
@@ -168,7 +168,7 @@ func TestLocateRange(t *testing.T) {
 		lons = append(lons, inf)
 	}
 	dst := make([]int, len(lats))
-	err = m.LocateRange(dst, table, lats, lons, 100)
+	err = m.LocateRange(dst, table, lats, lons)
 	for i := range lats {
 		want := RegionInvalid
 		if i < 5 {
@@ -179,14 +179,14 @@ func TestLocateRange(t *testing.T) {
 		}
 	}
 	var lines []string
-	for i := 105; i < 113; i++ {
+	for i := 5; i < 13; i++ {
 		lines = append(lines, "fairindex: point "+strconv.Itoa(i)+": non-finite coordinate (NaN, +Inf)")
 	}
 	lines = append(lines, "fairindex: 3 further invalid points")
 	if want := strings.Join(lines, "\n"); err == nil || err.Error() != want {
 		t.Errorf("error:\n%v\nwant:\n%s", err, want)
 	}
-	if err := m.LocateRange(dst[:5], table, lats[:5], lons[:5], 0); err != nil {
+	if err := m.LocateRange(dst[:5], table, lats[:5], lons[:5]); err != nil {
 		t.Errorf("all-valid batch: %v", err)
 	}
 }

@@ -66,33 +66,15 @@ func hilbertD2XY(side, d int) (x, y int) {
 // BuildFairCurve partitions the grid into up to 2^height contiguous
 // Hilbert-curve segments by recursively cutting each segment at the
 // offset that splits its signed deviation mass in half (the 1-D form
-// of Eq. 9). cells/deviations follow the BuildFair convention.
+// of Eq. 9). cells/deviations follow the BuildFair convention. One
+// depth-first pass cuts each interval and numbers the leaves as it
+// reaches them, left before right.
 func BuildFairCurve(grid geo.Grid, cells []geo.Cell, deviations []float64, height int) (*partition.Partition, error) {
-	return BuildFairCurveWorkers(grid, cells, deviations, height, 1)
-}
-
-// curveSeg is one node of the cut tree over [Lo, Hi) curve intervals;
-// leaves (nil children) become regions.
-type curveSeg struct {
-	lo, hi      int
-	left, right *curveSeg
-}
-
-// BuildFairCurveWorkers is BuildFairCurve with the recursive cut scan
-// running on a bounded worker pool (<= 1 disables parallelism). The
-// build is two-phase so region ids stay identical to a sequential
-// build for any worker count: the cut tree — whose shape depends only
-// on the prefix sums, never on scheduling — is grown in parallel,
-// then ids are assigned by a sequential depth-first walk.
-func BuildFairCurveWorkers(grid geo.Grid, cells []geo.Cell, deviations []float64, height, workers int) (*partition.Partition, error) {
 	if err := validateBuild(grid, cells, height); err != nil {
 		return nil, err
 	}
 	if len(deviations) != len(cells) {
 		return nil, fmt.Errorf("%w: %d deviations for %d records", ErrBadInput, len(deviations), len(cells))
-	}
-	if workers < 0 {
-		return nil, fmt.Errorf("%w: negative workers %d", ErrBadInput, workers)
 	}
 	order, err := HilbertOrder(grid)
 	if err != nil {
@@ -108,15 +90,17 @@ func BuildFairCurveWorkers(grid geo.Grid, cells []geo.Cell, deviations []float64
 		prefix[i+1] = prefix[i] + cellDev[grid.Index(c)]
 	}
 
-	// Phase 1: recursive deviation-median cuts over [lo, hi) curve
-	// intervals, sibling subtrees on the pool (prefix is read-only).
-	pool := newForkPool(workers)
-	var cut func(span [2]int, depth int) *curveSeg
-	cut = func(span [2]int, depth int) *curveSeg {
-		lo, hi := span[0], span[1]
-		seg := &curveSeg{lo: lo, hi: hi}
+	// Recursive deviation-median cuts over [lo, hi) curve intervals.
+	segmentOf := make([]int, grid.NumCells())
+	nextID := 0
+	var cut func(lo, hi, depth int)
+	cut = func(lo, hi, depth int) {
 		if depth >= height || hi-lo <= 1 {
-			return seg
+			for i := lo; i < hi; i++ {
+				segmentOf[grid.Index(order[i])] = nextID
+			}
+			nextID++
+			return
 		}
 		bestK := -1
 		bestScore := math.Inf(1)
@@ -130,28 +114,9 @@ func BuildFairCurveWorkers(grid geo.Grid, cells []geo.Cell, deviations []float64
 				bestK, bestScore, bestDist = k, score, dist
 			}
 		}
-		seg.left, seg.right = forkJoin(pool, cut, [2]int{lo, bestK}, [2]int{bestK, hi}, depth+1)
-		return seg
+		cut(lo, bestK, depth+1)
+		cut(bestK, hi, depth+1)
 	}
-	root := cut([2]int{0, len(order)}, 0)
-
-	// Phase 2: sequential depth-first id assignment over the leaves.
-	segmentOf := make([]int, grid.NumCells())
-	nextID := 0
-	var assign func(seg *curveSeg)
-	assign = func(seg *curveSeg) {
-		if seg.left == nil {
-			id := nextID
-			nextID++
-			for i := seg.lo; i < seg.hi; i++ {
-				segmentOf[grid.Index(order[i])] = id
-			}
-			return
-		}
-		assign(seg.left)
-		assign(seg.right)
-	}
-	assign(root)
-
+	cut(0, len(order), 0)
 	return partition.New(grid, nextID, segmentOf)
 }

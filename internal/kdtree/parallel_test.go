@@ -182,51 +182,3 @@ func TestBuildFairQuadtreeParallelIdentical(t *testing.T) {
 		t.Error("negative workers accepted")
 	}
 }
-
-// samePartition fails unless a and b assign every cell to the same
-// region id — the property that keeps a parallel curve build's
-// region numbering bit-identical to the sequential one.
-func samePartition(t *testing.T, grid geo.Grid, a, b *partition.Partition) {
-	t.Helper()
-	if a.NumRegions() != b.NumRegions() {
-		t.Fatalf("%d regions vs %d", b.NumRegions(), a.NumRegions())
-	}
-	for row := 0; row < grid.U; row++ {
-		for col := 0; col < grid.V; col++ {
-			c := geo.Cell{Row: row, Col: col}
-			ra, err := a.RegionOfCell(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rb, err := b.RegionOfCell(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ra != rb {
-				t.Fatalf("cell %v: region %d vs %d", c, rb, ra)
-			}
-		}
-	}
-}
-
-// The two-phase parallel Hilbert-curve build (parallel cut tree,
-// sequential id walk) must reproduce the sequential partition exactly.
-func TestBuildFairCurveParallelIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	grid := geo.MustGrid(37, 52)
-	cells, dev := randomWorkload(rng, grid, 4000)
-	seq, err := BuildFairCurve(grid, cells, dev, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8, 64} {
-		par, err := BuildFairCurveWorkers(grid, cells, dev, 6, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePartition(t, grid, seq, par)
-	}
-	if _, err := BuildFairCurveWorkers(grid, cells, dev, 6, -1); err == nil {
-		t.Error("negative workers accepted")
-	}
-}

@@ -19,12 +19,14 @@
 // Memory is bounded with an LRU cap (WithMaxLoaded): every Lookup
 // stamps the entry with a logical clock tick, and when a load pushes
 // the number of resident indexes over the cap the least-recently-used
-// file-backed entries are unloaded back to the "available" state —
-// they reload lazily on next use. A TinyLFU-style admission gate
-// guards the cap: every Lookup also counts a hit on its entry, the
-// counts are halved once every agingPerEntry × catalog-size lookups,
-// and a lazy load at the cap becomes resident only if its entry's
-// count is at least the LRU victim's. A refused load answers the
+// clean file-backed entries are unloaded back to the "available"
+// state — they reload lazily on next use. Entries holding appends or
+// a failed reload are not clean: their file is not what they serve.
+// A TinyLFU-style admission gate guards the cap: every Lookup also
+// counts a hit on its entry, the counts are halved once every
+// agingPerEntry × catalog-size lookups, and a lazy load at the cap
+// becomes resident only if its entry's count is at least the LRU
+// victim's. A refused load answers the
 // lookup that made it and evicts nothing, so a rarely used index
 // cannot push a popular one out. Append always admits, and Reload and
 // Swap install explicitly. Entries registered directly from memory
@@ -128,7 +130,8 @@ type Entry struct {
 	// (the hot path must never wait behind a file read); instead it
 	// refuses to evict entries whose last reload failed, so the last
 	// good generation of an entry with a corrupt backing file is
-	// never discarded.
+	// never discarded, and entries holding appends, so no
+	// acknowledged fold is.
 	loadMu sync.Mutex
 
 	// driftNotified latches the one-shot drift hook: it arms again
@@ -145,12 +148,15 @@ func WithDir(dir string) Option {
 	return func(r *Registry) { r.dir = dir }
 }
 
-// WithMaxLoaded bounds how many indexes may be resident at once
-// (0 = unlimited). A lazy load at the bound evicts the
-// least-recently-used file-backed entry, unless that entry has been
+// WithMaxLoaded bounds how many clean file-backed indexes may be
+// resident at once (0 = unlimited). A lazy load at the bound evicts
+// the least-recently-used clean entry, unless that entry has been
 // looked up more often lately than the loading one: then the load
 // only answers its lookup and nothing is evicted. Pinned in-memory
-// entries do not count against the bound and are never evicted.
+// entries, entries whose last reload failed and entries holding
+// appends do not count against the bound and are never evicted; a
+// Reload or Swap installs an Index without appends, which makes an
+// appended entry count again.
 func WithMaxLoaded(n int) Option {
 	return func(r *Registry) {
 		if n > 0 {
@@ -493,7 +499,9 @@ func (r *Registry) admit(e *Entry, idx *fairindex.Index, always bool) []*Entry {
 		// would trade its last good generation for a backing file
 		// known to be corrupt, silently voiding the
 		// corrupt-reload-keeps-serving invariant at the next lookup.
-		if v.path != "" && v.idx.Load() != nil && v.lastErr.Load() == nil {
+		// Entries holding appends are exempt alike: the backing file
+		// does not have the acknowledged folds.
+		if cur := v.idx.Load(); v.path != "" && cur != nil && cur.Appended() == 0 && v.lastErr.Load() == nil {
 			resident = append(resident, v)
 		}
 	}

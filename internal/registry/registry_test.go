@@ -291,6 +291,36 @@ func TestRegistryAppendAlwaysAdmits(t *testing.T) {
 	}
 }
 
+// TestRegistryAppendSurvivesEviction pins that the residency bound
+// never drops acknowledged appends: an entry holding folded records
+// is not an LRU victim, so lookups of another name churning the bound
+// leave it resident and its next lookup still serves the fold.
+func TestRegistryAppendSurvivesEviction(t *testing.T) {
+	idx, extra := appendCity(t)
+	dir := t.TempDir()
+	r := New(WithMaxLoaded(1), WithLogger(quietLogger()))
+	for _, name := range []string{"a", "b"} {
+		if err := r.Add(name, writeIndex(t, idx, dir, name+".fidx")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.Append("a", extra[:20]); err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if _, err := r.Lookup("b"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := r.Lookup("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Appended() != 20 {
+		t.Errorf("lookup after eviction pressure serves %d appended records, want 20", got.Appended())
+	}
+}
+
 // TestRegistryAdmissionZipfHitRatio drives a seeded Zipf(1.2) name
 // sequence over 8 file-backed entries with 3 resident, the shape of a
 // multi-tenant server whose few popular indexes outnumber its bound.

@@ -61,7 +61,7 @@ func benchBatchBody(b *testing.B, n int) []byte {
 }
 
 // BenchmarkServerLocateBatch measures the full HTTP round trip of a
-// 1000-point batch: JSON decode, sharded lookup, JSON encode — the
+// 1000-point batch: JSON decode, batch lookup, JSON encode — the
 // serving hot path end to end over a keep-alive connection.
 func BenchmarkServerLocateBatch(b *testing.B) {
 	ts, err := benchServer()

@@ -1,12 +1,9 @@
 package fairindex
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"fairindex/internal/geo"
 	"fairindex/internal/partition"
@@ -146,15 +143,6 @@ func (l *Layout) Locate(lat, lon float64) (int, error) {
 	return l.cellRegion[l.grid.Index(c)], nil
 }
 
-// Batch sharding thresholds: batches below shardMinBatch points stay
-// on the caller's goroutine, and each worker gets at least
-// shardMinPoints points so small batches are not drowned in goroutine
-// overhead.
-const (
-	shardMinBatch  = 16384
-	shardMinPoints = 4096
-)
-
 // LocateBatch maps coordinate slices to neighborhood ids into a fresh
 // slice. lats and lons must have equal length.
 //
@@ -163,10 +151,7 @@ const (
 // RegionInvalid at its position, and the returned error joins the
 // per-point failures (nil when every point resolved). The returned
 // slice is complete even when err != nil; only a length mismatch
-// returns a nil slice.
-//
-// Large batches are sharded across GOMAXPROCS worker goroutines —
-// results are independent of the sharding, bit-identical to Locate.
+// returns a nil slice. Results are bit-identical to Locate.
 func (l *Layout) LocateBatch(lats, lons []float64) ([]int, error) {
 	if len(lats) != len(lons) {
 		return nil, fmt.Errorf("fairindex: %d latitudes vs %d longitudes", len(lats), len(lons))
@@ -186,42 +171,7 @@ func (l *Layout) LocateBatchInto(dst []int, lats, lons []float64) error {
 	if len(dst) != len(lats) {
 		return fmt.Errorf("fairindex: destination holds %d regions for %d points", len(dst), len(lats))
 	}
-	n := len(lats)
-	workers := runtime.GOMAXPROCS(0)
-	if n >= shardMinBatch && workers > 1 {
-		if byPoints := n / shardMinPoints; byPoints < workers {
-			workers = byPoints
-		}
-		return l.locateSharded(dst, lats, lons, workers)
-	}
-	return l.mapper.LocateRange(dst, l.cellRegion, lats, lons, 0)
-}
-
-// locateSharded fans a batch out over contiguous shards, one worker
-// goroutine each. The Layout is immutable, so workers share it without
-// locking; per-shard errors are joined in shard order.
-func (l *Layout) locateSharded(dst []int, lats, lons []float64, workers int) error {
-	n := len(lats)
-	chunk := (n + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = l.mapper.LocateRange(dst[lo:hi], l.cellRegion, lats[lo:hi], lons[lo:hi], lo)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return l.mapper.LocateRange(dst, l.cellRegion, lats, lons)
 }
 
 // LocateCell maps a grid cell directly to its neighborhood id.

@@ -189,7 +189,7 @@ func (ix *Index) AppendBatch(recs []Record) (AppendResult, error) {
 		}
 		regions[i] = region
 	}
-	scores, err := ix.scoreBatch(recs, regions)
+	scores, err := ix.scoreBatch("append", ix.tasks, recs, regions)
 	if err != nil {
 		return AppendResult{}, err
 	}
@@ -232,22 +232,24 @@ func (ix *Index) AppendBatch(recs []Record) (AppendResult, error) {
 // one-hot row is as wide as the index has regions.
 const scoreChunk = 256
 
-// rowBlocks recycles scoreBatch's row scratch across appends: at a
+// rowBlocks recycles scoreBatch's row scratch across calls: at a
 // one-hot width a block of rows is a large object, which would be
 // allocated and zeroed on every call.
 var rowBlocks = sync.Pool{New: func() any { return new([]float64) }}
 
-// scoreBatch scores every record, located to regions[i], under every
-// task: scores[k][i] is the score under ix.tasks[k], bit-equal to
-// scoreInRegion's, since the models score each row on its own. The
-// rows are encoded into one pooled scratch block reused chunk by
-// chunk, so a batch allocates per task and chunk, not per record; a
-// region's post-processing calibrator maps each score in place.
-func (ix *Index) scoreBatch(recs []Record, regions []int) ([][]float64, error) {
+// scoreBatch scores every record, located to regions[i], under each
+// of tasks — all of ix.tasks for AppendBatch, the one asked for by
+// Score: scores[k][i] is the score under tasks[k]. The models score
+// each row on its own, so a record's score does not depend on the
+// batch around it. The rows are encoded into one pooled scratch block
+// reused chunk by chunk, so a batch allocates per task and chunk, not
+// per record; a region's post-processing calibrator maps each score in
+// place. Errors name the operation op and the record.
+func (ix *Index) scoreBatch(op string, tasks []indexTask, recs []Record, regions []int) ([][]float64, error) {
 	n := len(recs)
 	width, err := dataset.RowWidth(len(ix.featureNames), ix.numRegions, ix.centroids, ix.encoding)
 	if err != nil {
-		return nil, fmt.Errorf("fairindex: append: %w", err)
+		return nil, fmt.Errorf("fairindex: %s: %w", op, err)
 	}
 	rows := make([][]float64, min(n, scoreChunk))
 	block := rowBlocks.Get().(*[]float64)
@@ -261,8 +263,8 @@ func (ix *Index) scoreBatch(recs []Record, regions []int) ([][]float64, error) {
 	for j := range rows {
 		rows[j] = backing[j*width : (j+1)*width : (j+1)*width]
 	}
-	scores := make([][]float64, len(ix.tasks))
-	all := make([]float64, len(ix.tasks)*n)
+	scores := make([][]float64, len(tasks))
+	all := make([]float64, len(tasks)*n)
 	for k := range scores {
 		scores[k] = all[k*n : (k+1)*n : (k+1)*n]
 	}
@@ -271,19 +273,19 @@ func (ix *Index) scoreBatch(recs []Record, regions []int) ([][]float64, error) {
 		for j, row := range chunk {
 			i := lo + j
 			if err := dataset.EncodeRowInto(row, recs[i].X, regions[i], ix.numRegions, ix.centroids, ix.encoding); err != nil {
-				return nil, fmt.Errorf("fairindex: append record %d: %w", i, err)
+				return nil, fmt.Errorf("fairindex: %s record %d: %w", op, i, err)
 			}
 		}
-		for k := range ix.tasks {
-			it := &ix.tasks[k]
+		for k := range tasks {
+			it := &tasks[k]
 			s, err := it.model.PredictProba(chunk)
 			if err != nil {
-				return nil, fmt.Errorf("fairindex: append records %d-%d: %w", lo, lo+len(chunk)-1, err)
+				return nil, fmt.Errorf("fairindex: %s records %d-%d: %w", op, lo, lo+len(chunk)-1, err)
 			}
 			if it.post != nil {
 				for j := range s {
 					if s[j], err = it.post[regions[lo+j]].Calibrate(s[j]); err != nil {
-						return nil, fmt.Errorf("fairindex: append record %d: %w", lo+j, err)
+						return nil, fmt.Errorf("fairindex: %s record %d: %w", op, lo+j, err)
 					}
 				}
 			}
