@@ -650,6 +650,9 @@ func runServeCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *maxIndexes < 0 {
+		return fmt.Errorf("serve: -max-indexes %d: want 0 (unlimited) or a positive bound", *maxIndexes)
+	}
 	specs = append(specs, fs.Args()...)
 	entries := make([]indexSpec, len(specs))
 	for i, arg := range specs {
@@ -709,10 +712,13 @@ func newServeServer(entries []indexSpec, dir string, maxIndexes int, defName str
 		regOpts = append(regOpts, registry.WithDefault(defName))
 	}
 	if len(driftMetrics) > 0 {
-		for name := range driftMetrics {
+		for name, t := range driftMetrics {
 			if _, ok := fairindex.MetricByName(name); !ok {
 				return nil, fmt.Errorf("serve: unknown drift metric %q (registered: %s)",
 					name, strings.Join(fairindex.Metrics(), ", "))
+			}
+			if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+				return nil, fmt.Errorf("serve: -drift-metric %s=%v: want a finite threshold >= 0 (0 disarms)", name, t)
 			}
 		}
 		regOpts = append(regOpts, registry.WithDriftThresholds(driftMetrics))

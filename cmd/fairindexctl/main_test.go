@@ -462,6 +462,32 @@ func TestServeArgValidation(t *testing.T) {
 	}
 }
 
+// TestServeRejectsBadDriftMetric pins that a negative or non-finite
+// -drift-metric threshold stops serve at boot, naming the flag, where
+// the registry option would drop it and serve with nothing armed.
+func TestServeRejectsBadDriftMetric(t *testing.T) {
+	for _, v := range []string{"stat_parity=-1", "stat_parity=NaN", "ence=+Inf"} {
+		err := runServeCmd([]string{"-drift-metric", v, "/nonexistent/a.fidx"})
+		if err == nil || !strings.Contains(err.Error(), "-drift-metric") {
+			t.Errorf("-drift-metric %s: error %v, want one naming the flag", v, err)
+		}
+	}
+	// 0 still disarms: boot gets past the flag to the missing file.
+	err := runServeCmd([]string{"-drift-metric", "stat_parity=0", "/nonexistent/a.fidx"})
+	if err == nil || strings.Contains(err.Error(), "-drift-metric") {
+		t.Errorf("-drift-metric stat_parity=0: error %v, want the missing file's", err)
+	}
+}
+
+// TestServeRejectsNegativeMaxIndexes pins that -max-indexes -1 is an
+// error naming the flag instead of silently meaning unlimited.
+func TestServeRejectsNegativeMaxIndexes(t *testing.T) {
+	err := runServeCmd([]string{"-max-indexes", "-1", "/nonexistent/a.fidx"})
+	if err == nil || !strings.Contains(err.Error(), "-max-indexes") {
+		t.Errorf("-max-indexes -1: error %v, want one naming the flag", err)
+	}
+}
+
 // TestParseIndexSpec covers [name=]path parsing and default naming.
 func TestParseIndexSpec(t *testing.T) {
 	got, err := parseIndexSpec("artifacts/la-fair-h8.fidx")

@@ -120,6 +120,9 @@ func runRouteCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *timeout <= 0 {
+		return fmt.Errorf("route: -timeout %v: want a positive duration", *timeout)
+	}
 	if *manifestPath == "" {
 		return fmt.Errorf("route: -manifest is required")
 	}

@@ -152,6 +152,18 @@ func TestRouteArgValidation(t *testing.T) {
 	}
 }
 
+// TestRouteRejectsNonPositiveTimeout pins that -timeout 0 or a
+// negative timeout is an error naming the flag instead of silently
+// falling back to the router's default.
+func TestRouteRejectsNonPositiveTimeout(t *testing.T) {
+	for _, v := range []string{"0", "-2s"} {
+		err := runRouteCmd([]string{"-manifest", "/nonexistent.manifest", "-shard", "s0=http://x", "-timeout", v})
+		if err == nil || !strings.Contains(err.Error(), "-timeout") {
+			t.Errorf("-timeout %s: error %v, want one naming the flag", v, err)
+		}
+	}
+}
+
 // spawn re-execs the test binary as fairindexctl and waits for the
 // listen line, returning the bound address.
 func spawn(t *testing.T, args ...string) string {

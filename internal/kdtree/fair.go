@@ -16,10 +16,10 @@ import (
 // that is the Fair KD-tree's defining trait and its weakness that
 // Algorithm 3 (BuildIterative) addresses.
 //
-// The prefix-sum workspace is pooled and sibling subtrees evaluate on
-// a bounded worker pool (Config.Workers); both are invisible in the
-// output — the tree, its leaf order and the region ids it induces are
-// identical to a sequential, allocation-naive build.
+// The tree grows depth-first on the caller's goroutine over a pooled
+// prefix-sum workspace; the pooling is invisible in the output — the
+// tree, its leaf order and the region ids it induces are those of an
+// allocation-naive build.
 func BuildFair(grid geo.Grid, cells []geo.Cell, deviations []float64, cfg Config) (*Tree, error) {
 	if err := validateBuild(grid, cells, cfg.Height); err != nil {
 		return nil, err
@@ -35,9 +35,9 @@ func BuildFair(grid geo.Grid, cells []geo.Cell, deviations []float64, cfg Config
 		return nil, err
 	}
 	defer sums.release()
-	g := newGrower(sums, cfg.Height, cfg.Workers, func(left, right geo.CellRect) float64 {
+	g := &grower{height: cfg.Height, score: func(left, right geo.CellRect) float64 {
 		return splitScore(cfg.Objective, cfg.Lambda, sums, left, right)
-	})
+	}}
 	t := &Tree{Grid: grid, Height: cfg.Height}
 	t.Root = g.grow(grid.Bounds(), 0)
 	return t, nil

@@ -2,7 +2,6 @@ package kdtree
 
 import (
 	"fmt"
-	"sync"
 
 	"fairindex/internal/geo"
 	"fairindex/internal/partition"
@@ -22,11 +21,8 @@ type RetrainFunc func(p *partition.Partition) ([]float64, error)
 // BuildFair at the cost of ⌈log t⌉ retraining runs (Theorem 4).
 //
 // One pooled prefix-sum workspace is re-aggregated per level instead
-// of allocated, and the level's nodes — which are independent given
-// the workspace — evaluate their splits on a bounded worker pool
-// (Config.Workers). Children are linked level-by-level in node order,
-// so the tree and its region ids are identical to the sequential
-// build.
+// of allocated, and the level's nodes split in order on the caller's
+// goroutine; children are linked level-by-level in node order.
 func BuildIterative(grid geo.Grid, cells []geo.Cell, cfg Config, retrain RetrainFunc) (*Tree, error) {
 	if err := validateBuild(grid, cells, cfg.Height); err != nil {
 		return nil, err
@@ -76,21 +72,18 @@ func BuildIterative(grid geo.Grid, cells []geo.Cell, cfg Config, retrain Retrain
 
 // splitLevel evaluates every node of one breadth-first level: nodes
 // that can split get their axis, offset and children assigned; the
-// rest stay leaves. Nodes are independent given the shared read-only
-// workspace, so they are scanned on up to cfg.Workers goroutines; the
-// outcome lands on each node's own fields, keeping the result
-// order-free.
+// rest stay leaves.
 func splitLevel(level []*Node, sums *CellSums, cfg Config, depth int) {
-	splitOne := func(n *Node) {
+	for _, n := range level {
 		axis, ok := splitAxis(n.Rect, depth)
 		if !ok {
-			return // stays a leaf
+			continue // stays a leaf
 		}
 		k := bestSplit(n.Rect, axis, func(_ int, left, right geo.CellRect) float64 {
 			return splitScore(cfg.Objective, cfg.Lambda, sums, left, right)
 		})
 		if k < 0 {
-			return
+			continue
 		}
 		left, right := splitRect(n.Rect, axis, k)
 		n.Axis = axis
@@ -98,30 +91,4 @@ func splitLevel(level []*Node, sums *CellSums, cfg Config, depth int) {
 		n.Left = &Node{Rect: left, Depth: depth + 1}
 		n.Right = &Node{Rect: right, Depth: depth + 1}
 	}
-	workers := cfg.Workers
-	if workers > len(level) {
-		workers = len(level)
-	}
-	if workers <= 1 || len(level) < 4 {
-		for _, n := range level {
-			splitOne(n)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(level) + workers - 1) / workers
-	for lo := 0; lo < len(level); lo += chunk {
-		hi := lo + chunk
-		if hi > len(level) {
-			hi = len(level)
-		}
-		wg.Add(1)
-		go func(nodes []*Node) {
-			defer wg.Done()
-			for _, n := range nodes {
-				splitOne(n)
-			}
-		}(level[lo:hi])
-	}
-	wg.Wait()
 }

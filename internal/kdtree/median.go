@@ -13,13 +13,6 @@ import (
 // KD-trees cover the whole domain, the property the paper selects
 // them for (§4).
 func BuildMedian(grid geo.Grid, cells []geo.Cell, height int) (*Tree, error) {
-	return BuildMedianWorkers(grid, cells, height, 1)
-}
-
-// BuildMedianWorkers is BuildMedian evaluating independent sibling
-// subtrees on a bounded worker pool. The result is identical for any
-// worker count (see grower).
-func BuildMedianWorkers(grid geo.Grid, cells []geo.Cell, height, workers int) (*Tree, error) {
 	if err := validateBuild(grid, cells, height); err != nil {
 		return nil, err
 	}
@@ -28,9 +21,9 @@ func BuildMedianWorkers(grid geo.Grid, cells []geo.Cell, height, workers int) (*
 		return nil, err
 	}
 	defer sums.release()
-	g := newGrower(sums, height, workers, func(left, right geo.CellRect) float64 {
+	g := &grower{height: height, score: func(left, right geo.CellRect) float64 {
 		return math.Abs(sums.CountRect(left) - sums.CountRect(right))
-	})
+	}}
 	t := &Tree{Grid: grid, Height: height}
 	t.Root = g.grow(grid.Bounds(), 0)
 	return t, nil

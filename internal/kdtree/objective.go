@@ -55,20 +55,12 @@ type Config struct {
 	Objective Objective
 	// Lambda is the geometry weight for ObjectiveComposite, in [0,1].
 	Lambda float64
-	// Workers bounds the goroutines evaluating independent sibling
-	// subtrees (<= 1 = sequential). The built tree is identical for
-	// any value: split selection is per-node deterministic and the
-	// parallel recursion merges children into fixed fields.
-	Workers int
 }
 
 // validate checks the config.
 func (c Config) validate() error {
 	if c.Height < 0 {
 		return fmt.Errorf("%w: %d", ErrBadHeight, c.Height)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("%w: negative workers %d", ErrBadInput, c.Workers)
 	}
 	switch c.Objective {
 	case ObjectiveEq9, ObjectiveLiteralEq13:

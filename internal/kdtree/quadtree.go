@@ -38,51 +38,33 @@ type QuadTree struct {
 // (up to 4^height leaves). deviations follow the BuildFair
 // convention.
 func BuildFairQuadtree(grid geo.Grid, cells []geo.Cell, deviations []float64, height int) (*QuadTree, error) {
-	return BuildFairQuadtreeWorkers(grid, cells, deviations, height, 1)
-}
-
-// BuildFairQuadtreeWorkers is BuildFairQuadtree evaluating independent
-// sibling quadrants on a bounded worker pool, following the KD
-// grower's discipline: each child lands in its fixed quadrant slot and
-// the parent waits for all four, so the tree shape, the depth-first
-// leaf order and therefore the region ids are identical to a
-// sequential build for any worker count (<= 1 disables parallelism).
-func BuildFairQuadtreeWorkers(grid geo.Grid, cells []geo.Cell, deviations []float64, height, workers int) (*QuadTree, error) {
 	if err := validateBuild(grid, cells, height); err != nil {
 		return nil, err
 	}
 	if len(deviations) != len(cells) {
 		return nil, fmt.Errorf("%w: %d deviations for %d records", ErrBadInput, len(deviations), len(cells))
 	}
-	if workers < 0 {
-		return nil, fmt.Errorf("%w: negative workers %d", ErrBadInput, workers)
-	}
 	sums, err := newCellSumsPooled(grid, cells, deviations)
 	if err != nil {
 		return nil, err
 	}
 	defer sums.release()
-	g := &quadGrower{sums: sums, height: height, pool: newForkPool(workers)}
-	g.growFn, g.pairFn = g.grow, g.growPair
+	g := &quadGrower{sums: sums, height: height}
 	t := &QuadTree{Grid: grid, Height: height}
 	t.Root = g.grow(grid.Bounds(), 0)
 	return t, nil
 }
 
-// quadGrower carries the shared build state; the prefix-sum workspace
-// is read-only during growth, so quadrants may be evaluated
-// concurrently.
+// quadGrower carries the shared build state.
 type quadGrower struct {
 	sums   *CellSums
 	height int
-	pool   forkPool
-	// g.grow and g.growPair, bound once for forkJoin.
-	growFn func(geo.CellRect, int) *QuadNode
-	pairFn func([2]geo.CellRect, int) [2]*QuadNode
 }
 
 // grow recursively splits rect at the fairest (row, col) point; an
-// empty rect (a quadrant the split left empty) has no node.
+// empty rect (a quadrant the split left empty) has no node. Children
+// grow depth-first in quadrant order, which is the leaf order the
+// region ids follow.
 func (g *quadGrower) grow(rect geo.CellRect, depth int) *QuadNode {
 	if rect.Empty() {
 		return nil
@@ -93,14 +75,8 @@ func (g *quadGrower) grow(rect geo.CellRect, depth int) *QuadNode {
 	}
 	kr, kc := bestQuadSplit(g.sums, rect)
 	n.SplitRow, n.SplitCol = kr, kc
-	// Children build into fixed quadrant slots (the two halves and
-	// their quadrants possibly on pooled goroutines) and are compacted
-	// in quadrant order afterwards, so the child order never depends
-	// on scheduling.
-	q := quadrants(rect, kr, kc)
-	top, bottom := forkJoin(g.pool, g.pairFn, [2]geo.CellRect{q[0], q[1]}, [2]geo.CellRect{q[2], q[3]}, depth+1)
-	for _, k := range [4]*QuadNode{top[0], top[1], bottom[0], bottom[1]} {
-		if k != nil {
+	for _, q := range quadrants(rect, kr, kc) {
+		if k := g.grow(q, depth+1); k != nil {
 			n.Children = append(n.Children, k)
 		}
 	}
@@ -111,12 +87,6 @@ func (g *quadGrower) grow(rect geo.CellRect, depth int) *QuadNode {
 		n.SplitRow, n.SplitCol = 0, 0
 	}
 	return n
-}
-
-// growPair grows two sibling quadrants.
-func (g *quadGrower) growPair(qs [2]geo.CellRect, depth int) [2]*QuadNode {
-	a, b := forkJoin(g.pool, g.growFn, qs[0], qs[1], depth)
-	return [2]*QuadNode{a, b}
 }
 
 // quadrants returns the four half-open quadrants of rect around the

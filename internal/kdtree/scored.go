@@ -26,8 +26,8 @@ type SplitScorer func(left, right calib.SuffStats) float64
 // prefix-sum planes — signed deviations s−y and raw scores s — any
 // rectangle's SuffStats are recovered in O(1): count, Σscore, and
 // Σlabel = Σscore − Σ(s−y). The construction is otherwise identical
-// to BuildFair: same axis schedule, same tie-breaking, same bounded
-// sibling parallelism, deterministic output for any worker count.
+// to BuildFair: same axis schedule, same tie-breaking, same
+// depth-first growth.
 func BuildFairScored(grid geo.Grid, cells []geo.Cell, scores, labels []float64, scorer SplitScorer, cfg Config) (*Tree, error) {
 	if err := validateBuild(grid, cells, cfg.Height); err != nil {
 		return nil, err
@@ -67,13 +67,13 @@ func BuildFairScored(grid geo.Grid, cells []geo.Cell, scores, labels []float64, 
 			SumLabel: sumScore - devSums.ValueRect(r),
 		}
 	}
-	g := newGrower(devSums, cfg.Height, cfg.Workers, func(left, right geo.CellRect) float64 {
+	g := &grower{height: cfg.Height, score: func(left, right geo.CellRect) float64 {
 		s := scorer(statsOf(left), statsOf(right))
 		if math.IsNaN(s) {
 			return math.Inf(1)
 		}
 		return s
-	})
+	}}
 	t := &Tree{Grid: grid, Height: cfg.Height}
 	t.Root = g.grow(grid.Bounds(), 0)
 	return t, nil

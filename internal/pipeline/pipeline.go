@@ -118,15 +118,17 @@ type Config struct {
 	// neighborhood (the §3 post-processing mitigation family);
 	// default none.
 	PostProcess PostProcess
-	// TrainWorkers bounds the goroutines the build may use across all
-	// its parallel stages: the per-task training pool, the
-	// classifiers' forward passes and gradients, and the KD builders'
-	// sibling recursion. 0 resolves to GOMAXPROCS; 1 forces a
-	// sequential build. Every produced artifact is bit-identical for
-	// any value — parallelism only ever computes independent
-	// rows/subtrees or separate sums, and every reduction stays in row
-	// order per column (pinned by BuildReference parity tests). Not
-	// serialized into index artifacts.
+	// TrainWorkers bounds the goroutines the build may use in its two
+	// parallel stages: the per-task pool (Step-1 runs of the
+	// multi-objective method, final training) and each logistic
+	// regression's crew for its forward passes and gradients. The
+	// partition trees always grow on the calling goroutine. 0
+	// resolves to GOMAXPROCS; 1 forces a sequential build. Every
+	// produced artifact is bit-identical for any value — parallelism
+	// only ever computes independent tasks, rows or separate sums, and
+	// every reduction stays in row order per column (pinned by
+	// BuildReference parity tests). Not serialized into index
+	// artifacts.
 	TrainWorkers int
 	// StreamChunk is the batch size BuildSource's two-pass ingest
 	// decodes at a time (0 = stream.DefaultChunk). Like TrainWorkers
@@ -465,7 +467,7 @@ func buildPartition(ds *dataset.Dataset, cfg Config, trainIdx []int, workers int
 
 	switch cfg.Method {
 	case MethodMedianKD:
-		tree, err := kdtree.BuildMedianWorkers(grid, cells, cfg.Height, workers)
+		tree, err := kdtree.BuildMedian(grid, cells, cfg.Height)
 		if err != nil {
 			return nil, err
 		}
@@ -486,7 +488,7 @@ func buildPartition(ds *dataset.Dataset, cfg Config, trainIdx []int, workers int
 				}
 			}
 			tree, err := kdtree.BuildFairScored(grid, trainCells, scores, labels,
-				objectiveScorer(cfg), treeConfig(cfg, workers))
+				objectiveScorer(cfg), treeConfig(cfg))
 			if err != nil {
 				return nil, err
 			}
@@ -496,7 +498,7 @@ func buildPartition(ds *dataset.Dataset, cfg Config, trainIdx []int, workers int
 		if err != nil {
 			return nil, err
 		}
-		tree, err := kdtree.BuildFair(grid, trainCells, dev, treeConfig(cfg, workers))
+		tree, err := kdtree.BuildFair(grid, trainCells, dev, treeConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -506,7 +508,7 @@ func buildPartition(ds *dataset.Dataset, cfg Config, trainIdx []int, workers int
 		retrain := func(p *partition.Partition) ([]float64, error) {
 			return deviationsFor(ds, cfg, p, cfg.Task, trainIdx, workers, ref)
 		}
-		tree, err := kdtree.BuildIterative(grid, trainCells, treeConfig(cfg, workers), retrain)
+		tree, err := kdtree.BuildIterative(grid, trainCells, treeConfig(cfg), retrain)
 		if err != nil {
 			return nil, err
 		}
@@ -542,9 +544,9 @@ func buildPartition(ds *dataset.Dataset, cfg Config, trainIdx []int, workers int
 		)
 		if cfg.ObjectiveMetric != "" {
 			tree, err = kdtree.BuildMultiObjectiveScored(grid, trainCells, scoreSets, labelSets, alphas,
-				objectiveScorer(cfg), treeConfig(cfg, workers))
+				objectiveScorer(cfg), treeConfig(cfg))
 		} else {
-			tree, err = kdtree.BuildMultiObjective(grid, trainCells, scoreSets, labelSets, alphas, treeConfig(cfg, workers))
+			tree, err = kdtree.BuildMultiObjective(grid, trainCells, scoreSets, labelSets, alphas, treeConfig(cfg))
 		}
 		if err != nil {
 			return nil, err
@@ -562,7 +564,7 @@ func buildPartition(ds *dataset.Dataset, cfg Config, trainIdx []int, workers int
 		if err != nil {
 			return nil, err
 		}
-		qt, err := kdtree.BuildFairQuadtreeWorkers(grid, trainCells, dev, (cfg.Height+1)/2, workers)
+		qt, err := kdtree.BuildFairQuadtree(grid, trainCells, dev, (cfg.Height+1)/2)
 		if err != nil {
 			return nil, err
 		}
@@ -574,8 +576,8 @@ func buildPartition(ds *dataset.Dataset, cfg Config, trainIdx []int, workers int
 }
 
 // treeConfig maps the pipeline config onto the kdtree config.
-func treeConfig(cfg Config, workers int) kdtree.Config {
-	return kdtree.Config{Height: cfg.Height, Objective: cfg.Objective, Lambda: cfg.Lambda, Workers: workers}
+func treeConfig(cfg Config) kdtree.Config {
+	return kdtree.Config{Height: cfg.Height, Objective: cfg.Objective, Lambda: cfg.Lambda}
 }
 
 // objectiveScorer resolves Config.ObjectiveMetric into a split
@@ -622,28 +624,39 @@ func deviationsFor(ds *dataset.Dataset, cfg Config, p *partition.Partition, task
 	return dev, err
 }
 
-// runOnPartition encodes the dataset against a partition with the
-// centroid encoding, trains on the unweighted train split and returns
-// deviations, scores and labels of the training records, in trainIdx
-// order. It always trains on dense rows, every location column in the
-// base block (partition-shaping runs must reproduce historical splits
-// bit-for-bit), materializing only the training rows; workers only
+// runOnPartition encodes the training records against a partition
+// with the centroid encoding, trains on the unweighted train split and
+// returns deviations, scores and labels of the training records, in
+// trainIdx order. It always trains on dense rows, every location
+// column in the base block (partition-shaping runs must reproduce
+// historical splits bit-for-bit). Only the training rows are read, so
+// only they are encoded, into one backing array. workers only
 // parallelizes the fit's per-row and per-column work, which is
 // invisible in the output.
 func runOnPartition(ds *dataset.Dataset, cfg Config, p *partition.Partition, task int, trainIdx []int, workers int, ref bool) (dev, scores []float64, labels []int, err error) {
-	regionOf, err := p.AssignCells(ds.Cells())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	encoded, err := dataset.Encode(ds, regionOf, p.NumRegions(), p.Centroids(), dataset.EncCentroid)
-	if err != nil {
-		return nil, nil, nil, err
-	}
 	allLabels, err := ds.Labels(task)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	trainX := encoded.Rows(trainIdx)
+	centroids := p.Centroids()
+	width, err := dataset.RowWidth(ds.NumFeatures(), p.NumRegions(), centroids, dataset.EncCentroid)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	backing := make([]float64, len(trainIdx)*width)
+	trainX := make([][]float64, len(trainIdx))
+	for k, i := range trainIdx {
+		rec := &ds.Records[i]
+		region, err := p.RegionOfCell(rec.Cell)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("partition: record %d: %w", i, err)
+		}
+		row := backing[k*width : (k+1)*width : (k+1)*width]
+		if err := dataset.EncodeRowInto(row, rec.X, region, p.NumRegions(), centroids, dataset.EncCentroid); err != nil {
+			return nil, nil, nil, err
+		}
+		trainX[k] = row
+	}
 	trainY := dataset.Gather(allLabels, trainIdx)
 
 	clf, err := ml.New(cfg.Model)

@@ -26,12 +26,12 @@
 // counts a hit on its entry, the counts are halved once every
 // agingPerEntry × catalog-size lookups, and a lazy load at the cap
 // becomes resident only if its entry's count is at least the LRU
-// victim's. A refused load answers the
-// lookup that made it and evicts nothing, so a rarely used index
-// cannot push a popular one out. Append always admits, and Reload and
-// Swap install explicitly. Entries registered directly from memory
-// (AddIndex) have no backing file to reload from and are pinned:
-// never evicted, never reloaded.
+// victim's. A refused load answers the lookup that made it and evicts
+// nothing, so a rarely used index cannot push a popular one out.
+// Append, Reload and Swap always admit, evicting to stay within the
+// cap. Entries registered directly from memory (AddIndex) have no
+// backing file to reload from and are pinned: never evicted, never
+// reloaded.
 package registry
 
 import (
@@ -154,9 +154,10 @@ func WithDir(dir string) Option {
 // looked up more often lately than the loading one: then the load
 // only answers its lookup and nothing is evicted. Pinned in-memory
 // entries, entries whose last reload failed and entries holding
-// appends do not count against the bound and are never evicted; a
+// appends do not count against the bound and are never evicted. A
 // Reload or Swap installs an Index without appends, which makes an
-// appended entry count again.
+// appended entry count again; like Append, it always admits, evicting
+// the least-recently-used clean entries it pushes over the bound.
 func WithMaxLoaded(n int) Option {
 	return func(r *Registry) {
 		if n > 0 {
@@ -377,12 +378,19 @@ func (r *Registry) loadEntry(e *Entry, admit bool) (*fairindex.Index, error) {
 	}
 	r.installed(e, idx)
 	e.lastErr.Store(nil)
-	evicted := r.admit(e, idx, admit)
+	_, evicted := r.admit(e, idx, admit)
 	e.loadMu.Unlock()
+	r.logEvicted(evicted)
+	return idx, nil
+}
+
+// logEvicted logs the entries admit evicted; callers have released
+// every lock, so a slow or re-entrant logger never holds up the
+// catalog.
+func (r *Registry) logEvicted(evicted []*Entry) {
 	for _, v := range evicted {
 		r.logger.Printf("registry: evicted %q (LRU, max %d resident)", v.name, r.maxLoaded)
 	}
-	return idx, nil
 }
 
 func (e *Entry) setErr(err error) {
@@ -479,15 +487,17 @@ func driftSummary(res fairindex.AppendResult, thresholds map[string]float64) str
 // popularity as it shifts.
 const agingPerEntry = 16
 
-// admit publishes e's freshly loaded idx unless the registry is at
-// its bound and e has been looked up less often than the LRU victim
-// (always skips that check). It returns the entries it evicted to
-// make room, in eviction order. Callers hold e.loadMu, so e is not
-// resident.
-func (r *Registry) admit(e *Entry, idx *fairindex.Index, always bool) []*Entry {
-	if r.maxLoaded <= 0 {
-		e.idx.Store(idx)
-		return nil
+// admit publishes idx as e's Index and returns the one it replaced,
+// evicting least-recently-used clean entries when e would take the
+// registry over its bound; the evicted entries come back in eviction
+// order. A lazy load (always false) at the bound is refused instead
+// when e has been looked up less often than the LRU victim: then
+// nothing changes. An Index with appends, or one installed in a
+// pinned entry, does not count against the bound and is published
+// as is. Callers hold e.loadMu.
+func (r *Registry) admit(e *Entry, idx *fairindex.Index, always bool) (*fairindex.Index, []*Entry) {
+	if r.maxLoaded <= 0 || e.path == "" || idx.Appended() > 0 {
+		return e.idx.Swap(idx), nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -501,27 +511,25 @@ func (r *Registry) admit(e *Entry, idx *fairindex.Index, always bool) []*Entry {
 		// corrupt-reload-keeps-serving invariant at the next lookup.
 		// Entries holding appends are exempt alike: the backing file
 		// does not have the acknowledged folds.
-		if cur := v.idx.Load(); v.path != "" && cur != nil && cur.Appended() == 0 && v.lastErr.Load() == nil {
+		if cur := v.idx.Load(); v != e && v.path != "" && cur != nil && cur.Appended() == 0 && v.lastErr.Load() == nil {
 			resident = append(resident, v)
 		}
 	}
 	over := len(resident) + 1 - r.maxLoaded
 	if over <= 0 {
-		e.idx.Store(idx)
-		return nil
+		return e.idx.Swap(idx), nil
 	}
 	sort.Slice(resident, func(i, j int) bool {
 		return resident[i].lastUsed.Load() < resident[j].lastUsed.Load()
 	})
 	if !always && e.hits.Load() < resident[0].hits.Load() {
-		return nil
+		return e.idx.Load(), nil
 	}
 	evicted := resident[:over]
 	for _, v := range evicted {
 		v.idx.Store(nil)
 	}
-	e.idx.Store(idx)
-	return evicted
+	return e.idx.Swap(idx), evicted
 }
 
 // age halves every hit count once for each aging window the clock
@@ -555,16 +563,18 @@ func (r *Registry) Reload(name string) error {
 		return fmt.Errorf("%w: %q", ErrNoPath, name)
 	}
 	e.loadMu.Lock()
-	defer e.loadMu.Unlock()
 	idx, err := fairindex.LoadIndex(e.path)
 	if err != nil {
 		e.setErr(err)
+		e.loadMu.Unlock()
 		return fmt.Errorf("registry: reloading %q: %w", name, err)
 	}
 	r.installed(e, idx)
-	e.idx.Store(idx)
 	e.lastErr.Store(nil)
 	e.reloads.Add(1)
+	_, evicted := r.admit(e, idx, true)
+	e.loadMu.Unlock()
+	r.logEvicted(evicted)
 	return nil
 }
 
@@ -603,15 +613,17 @@ func (r *Registry) Swap(name string, idx *fairindex.Index) (*fairindex.Index, er
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	e.loadMu.Lock()
-	if idx != nil {
-		r.installed(e, idx)
+	if idx == nil {
+		old := e.idx.Swap(nil)
+		e.loadMu.Unlock()
+		return old, nil
 	}
-	old := e.idx.Swap(idx)
-	if idx != nil {
-		e.lastErr.Store(nil)
-		e.reloads.Add(1)
-	}
+	r.installed(e, idx)
+	e.lastErr.Store(nil)
+	e.reloads.Add(1)
+	old, evicted := r.admit(e, idx, true)
 	e.loadMu.Unlock()
+	r.logEvicted(evicted)
 	return old, nil
 }
 

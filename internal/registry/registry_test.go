@@ -1102,3 +1102,132 @@ func TestRegistryAppendRescanRace(t *testing.T) {
 		t.Errorf("hook fired %d times under rescan churn, want 1", got)
 	}
 }
+
+// TestRegistryModel runs a seeded random sequence of Lookup, Append,
+// Reload, Swap and Rescan over four directory-backed names under
+// WithMaxLoaded(2), checking the registry against a model after every
+// step. The model keeps the catalog's names (a Rescan removes a name
+// whose file was deleted and re-adds it once the file is back) and
+// each name's acknowledged appended count, which resets on a
+// successful Reload or Swap and on removal (docs/STREAMING.md §7).
+// After each step:
+//   - every entry serves the model's appended count;
+//   - at most two clean file-backed entries are resident.
+func TestRegistryModel(t *testing.T) {
+	idx, extra := appendCity(t)
+	blob, err := idx.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	names := []string{"a", "b", "c", "d"}
+	pathOf := func(name string) string { return filepath.Join(dir, name+Ext) }
+	for _, name := range names {
+		if err := os.WriteFile(pathOf(name), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const maxLoaded = 2
+	r, err := Open(dir, WithMaxLoaded(maxLoaded), WithLogger(quietLogger()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// appended holds the acknowledged count of every catalog name;
+	// onDisk whether the name's file exists.
+	appended := map[string]int{}
+	onDisk := map[string]bool{}
+	for _, name := range names {
+		appended[name] = 0
+		onDisk[name] = true
+	}
+
+	rng := rand.New(rand.NewSource(41))
+	var trace []string
+	for step := 0; step < 600; step++ {
+		name := names[rng.Intn(len(names))]
+		_, listed := appended[name]
+		var op string
+		switch k := rng.Intn(7); k {
+		case 0, 1:
+			op = "Lookup " + name
+			got, err := r.Lookup(name)
+			switch {
+			case !listed && !errors.Is(err, ErrNotFound):
+				t.Fatalf("%s: error %v for a name not in the catalog", op, err)
+			case err == nil && got.Appended() != appended[name]:
+				t.Fatalf("%s serves %d appended records, model %d\ntrace: %v", op, got.Appended(), appended[name], trace)
+			}
+		case 2, 3:
+			n := 1 + rng.Intn(4)
+			op = fmt.Sprintf("Append %s %d", name, n)
+			if _, err := r.Append(name, extra[:n]); err == nil {
+				appended[name] += n
+			} else if !listed && !errors.Is(err, ErrNotFound) {
+				t.Fatalf("%s: error %v for a name not in the catalog", op, err)
+			}
+		case 4:
+			op = "Reload " + name
+			if err := r.Reload(name); err == nil {
+				appended[name] = 0
+			}
+		case 5:
+			var fresh *fairindex.Index
+			op = "Swap " + name + " nil"
+			if rng.Intn(2) == 0 {
+				fresh = new(fairindex.Index)
+				if err := fresh.UnmarshalBinary(blob); err != nil {
+					t.Fatal(err)
+				}
+				op = "Swap " + name
+			}
+			if _, err := r.Swap(name, fresh); err == nil {
+				appended[name] = 0
+			}
+		case 6:
+			if onDisk[name] {
+				op = "Rescan without " + name
+				if err := os.Remove(pathOf(name)); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				op = "Rescan with " + name
+				if err := os.WriteFile(pathOf(name), blob, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			onDisk[name] = !onDisk[name]
+			if err := r.Rescan(); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range names {
+				if _, listed := appended[n]; listed && !onDisk[n] {
+					delete(appended, n)
+				} else if !listed && onDisk[n] {
+					appended[n] = 0
+				}
+			}
+		}
+		trace = append(trace, op)
+
+		clean := 0
+		for _, info := range r.List() {
+			want, listed := appended[info.Name]
+			if !listed {
+				t.Fatalf("after %s: catalog lists %q, the model does not\ntrace: %v", op, info.Name, trace)
+			}
+			if info.Appended != want {
+				t.Fatalf("after %s: %q holds %d appended records (state %s), model %d\ntrace: %v",
+					op, info.Name, info.Appended, info.State, want, trace)
+			}
+			if info.State == StateLoaded && !info.Pinned && info.Appended == 0 && info.LastErr == "" {
+				clean++
+			}
+		}
+		if r.Len() != len(appended) {
+			t.Fatalf("after %s: catalog has %d entries, model %d\ntrace: %v", op, r.Len(), len(appended), trace)
+		}
+		if clean > maxLoaded {
+			t.Fatalf("after %s: %d clean file-backed entries resident, bound %d\ntrace: %v", op, clean, maxLoaded, trace)
+		}
+	}
+}

@@ -182,9 +182,10 @@ func WithPostProcess(p PostProcess) Option {
 	}
 }
 
-// WithTrainWorkers bounds the goroutines Build may use across its
-// parallel stages (per-task training pool, classifier forward passes
-// and gradients, KD sibling recursion). 0 — the default — resolves to
+// WithTrainWorkers bounds the goroutines Build may use in its two
+// parallel stages: the per-task training pool and the classifier's
+// forward passes and gradients. The partition tree always grows on
+// the calling goroutine. 0 — the default — resolves to
 // GOMAXPROCS; 1 forces a fully sequential build. The produced Index is
 // bit-identical for any value — each gradient column, like every other
 // reduction, still sums in row order — so this is purely a
