@@ -72,7 +72,7 @@ func BenchmarkIndexIngestStream100k(b *testing.B) {
 		if err := src.Reset(); err != nil {
 			b.Fatal(err)
 		}
-		out, err := stream.Ingest(src, fairindex.DefaultStreamChunk)
+		out, err := stream.Ingest(src, stream.DefaultChunk)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,10 +10,11 @@
 //	             [-post none|platt|isotonic] [-grid 64] [-seed 11]
 //		build an Index artifact from a dataset CSV and save it.
 //
-//	fairindexctl ingest -in city.csv -out city.fidx [-chunk 4096] [build flags...]
-//		build's streaming twin: ingest the CSV in bounded chunks
-//		(two passes over the file, O(chunk) transient memory instead
-//		of a materialized copy) and save a bit-identical artifact.
+//	fairindexctl ingest -in city.csv -out city.fidx [build flags...]
+//		build's streaming twin: ingest the CSV in batches of 4,096
+//		records (two passes over the file, bounded transient memory
+//		instead of a materialized copy) and save a bit-identical
+//		artifact.
 //
 //	fairindexctl append -in new.csv [-out city.fidx] [-threshold 0.02] \
 //	             [-drift-metric stat_parity=0.05 ...] city.fidx
@@ -213,38 +214,20 @@ func runIngestCmd(args []string) error { return runBuildLike("ingest", args, tru
 
 func runBuildLike(cmd string, args []string, streaming bool) error {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	in := fs.String("in", "", "input dataset CSV (required)")
+	recipe := addRecipeFlags(fs)
 	out := fs.String("out", "", "output index file (required)")
-	method := fs.String("method", "fair", "partitioning method: fair|median|iterative|multi|gridrw|zipcode|quadtree")
-	model := fs.String("model", "logreg", "classifier: logreg|dtree|nb")
-	height := fs.Int("height", 8, "tree height")
-	task := fs.Int("task", 0, "label task index")
 	post := fs.String("post", "none", "post-processing: none|platt|isotonic")
-	gridSide := fs.Int("grid", 64, "base grid side length")
-	seed := fs.Int64("seed", 11, "split/layout seed")
-	minLat := fs.Float64("minlat", 0, "bounding box min latitude (required)")
-	maxLat := fs.Float64("maxlat", 0, "bounding box max latitude (required)")
-	minLon := fs.Float64("minlon", 0, "bounding box min longitude (required)")
-	maxLon := fs.Float64("maxlon", 0, "bounding box max longitude (required)")
-	var chunk *int
-	if streaming {
-		chunk = fs.Int("chunk", fairindex.DefaultStreamChunk, "records per streaming ingest batch")
-	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" || *out == "" {
+	if *recipe.in == "" || *out == "" {
 		return fmt.Errorf("%s: -in and -out are required", cmd)
 	}
-	box := geo.BBox{MinLat: *minLat, MinLon: *minLon, MaxLat: *maxLat, MaxLon: *maxLon}
-	if !box.Valid() {
-		return fmt.Errorf("%s: a valid bounding box (-minlat/-maxlat/-minlon/-maxlon) is required", cmd)
-	}
-	grid, err := geo.NewGrid(*gridSide, *gridSide)
+	grid, box, err := recipe.geometry(cmd + ": ")
 	if err != nil {
 		return err
 	}
-	cfg, err := buildConfig(*method, *model, *height, *task, *seed)
+	cfg, err := recipe.config()
 	if err != nil {
 		return err
 	}
@@ -255,18 +238,16 @@ func runBuildLike(cmd string, args []string, streaming bool) error {
 	totalStart := time.Now()
 	var idx *fairindex.Index
 	if streaming {
-		src, err := fairindex.OpenCSVSource(*in, *in, grid, box)
+		src, err := fairindex.OpenCSVSource(*recipe.in, *recipe.in, grid, box)
 		if err != nil {
 			return err
 		}
 		defer src.Close()
-		idx, err = fairindex.BuildStream(src, fairindex.WithConfig(cfg),
-			fairindex.WithStreaming(*chunk))
-		if err != nil {
+		if idx, err = fairindex.BuildStream(src, fairindex.WithConfig(cfg)); err != nil {
 			return err
 		}
 	} else {
-		ds, err := loadDataset(*in, grid, box)
+		ds, err := loadDataset(*recipe.in, grid, box)
 		if err != nil {
 			return err
 		}
@@ -282,7 +263,7 @@ func runBuildLike(cmd string, args []string, streaming bool) error {
 	if err := rebuild.WriteFileAtomic(*out, blob); err != nil {
 		return err
 	}
-	rep, err := idx.Report(*task)
+	rep, err := idx.Report(cfg.Task)
 	if err != nil {
 		return err
 	}
@@ -960,40 +941,26 @@ func parsePost(s string) (pipeline.PostProcess, error) {
 // runLegacyReport is the original one-shot experiment flow.
 func runLegacyReport(args []string) error {
 	fs := flag.NewFlagSet("fairindexctl", flag.ExitOnError)
-	in := fs.String("in", "", "input dataset CSV (required)")
-	method := fs.String("method", "fair", "partitioning method: fair|median|iterative|multi|gridrw|zipcode|quadtree")
-	model := fs.String("model", "logreg", "classifier: logreg|dtree|nb")
-	height := fs.Int("height", 8, "tree height")
-	task := fs.Int("task", 0, "label task index")
-	gridSide := fs.Int("grid", 64, "base grid side length")
-	seed := fs.Int64("seed", 11, "split/layout seed")
-	minLat := fs.Float64("minlat", 0, "bounding box min latitude (required)")
-	maxLat := fs.Float64("maxlat", 0, "bounding box max latitude (required)")
-	minLon := fs.Float64("minlon", 0, "bounding box min longitude (required)")
-	maxLon := fs.Float64("maxlon", 0, "bounding box max longitude (required)")
+	recipe := addRecipeFlags(fs)
 	showMap := fs.Bool("map", false, "print an ASCII map of the partition")
 	assign := fs.String("assign", "", "write the cell→region assignment CSV to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *in == "" {
+	if *recipe.in == "" {
 		return fmt.Errorf("-in is required")
 	}
-	box := geo.BBox{MinLat: *minLat, MinLon: *minLon, MaxLat: *maxLat, MaxLon: *maxLon}
-	if !box.Valid() {
-		return fmt.Errorf("a valid bounding box (-minlat/-maxlat/-minlon/-maxlon) is required")
-	}
-	grid, err := geo.NewGrid(*gridSide, *gridSide)
+	grid, box, err := recipe.geometry("")
 	if err != nil {
 		return err
 	}
 
-	ds, err := loadDataset(*in, grid, box)
+	ds, err := loadDataset(*recipe.in, grid, box)
 	if err != nil {
 		return err
 	}
-	cfg, err := buildConfig(*method, *model, *height, *task, *seed)
+	cfg, err := recipe.config()
 	if err != nil {
 		return err
 	}
@@ -1015,6 +982,48 @@ func runLegacyReport(args []string) error {
 		fmt.Printf("\nwrote assignment CSV to %s\n", *assign)
 	}
 	return nil
+}
+
+// recipeFlags are the build recipe flags the legacy report, build and
+// ingest share: the input CSV, its geometry and the pipeline settings.
+type recipeFlags struct {
+	in, method, model              *string
+	height, task, gridSide         *int
+	seed                           *int64
+	minLat, maxLat, minLon, maxLon *float64
+}
+
+// addRecipeFlags declares the build recipe flags on fs.
+func addRecipeFlags(fs *flag.FlagSet) recipeFlags {
+	return recipeFlags{
+		in:       fs.String("in", "", "input dataset CSV (required)"),
+		method:   fs.String("method", "fair", "partitioning method: fair|median|iterative|multi|gridrw|zipcode|quadtree"),
+		model:    fs.String("model", "logreg", "classifier: logreg|dtree|nb"),
+		height:   fs.Int("height", 8, "tree height"),
+		task:     fs.Int("task", 0, "label task index"),
+		gridSide: fs.Int("grid", 64, "base grid side length"),
+		seed:     fs.Int64("seed", 11, "split/layout seed"),
+		minLat:   fs.Float64("minlat", 0, "bounding box min latitude (required)"),
+		maxLat:   fs.Float64("maxlat", 0, "bounding box max latitude (required)"),
+		minLon:   fs.Float64("minlon", 0, "bounding box min longitude (required)"),
+		maxLon:   fs.Float64("maxlon", 0, "bounding box max longitude (required)"),
+	}
+}
+
+// geometry checks the bounding box and builds the base grid; prefix
+// leads the box error ("build: ", or "" for the legacy report).
+func (r recipeFlags) geometry(prefix string) (geo.Grid, geo.BBox, error) {
+	box := geo.BBox{MinLat: *r.minLat, MinLon: *r.minLon, MaxLat: *r.maxLat, MaxLon: *r.maxLon}
+	if !box.Valid() {
+		return geo.Grid{}, box, fmt.Errorf("%sa valid bounding box (-minlat/-maxlat/-minlon/-maxlon) is required", prefix)
+	}
+	grid, err := geo.NewGrid(*r.gridSide, *r.gridSide)
+	return grid, box, err
+}
+
+// config resolves the recipe's pipeline configuration.
+func (r recipeFlags) config() (pipeline.Config, error) {
+	return buildConfig(*r.method, *r.model, *r.height, *r.task, *r.seed)
 }
 
 func loadDataset(path string, grid geo.Grid, box geo.BBox) (*dataset.Dataset, error) {

@@ -64,10 +64,7 @@ func runRebuildCmd(args []string, w io.Writer) (int, error) {
 		return exitBuildFailed, err
 	}
 	defer src.Close()
-	if err := src.Schema().Compatible(serving.FeatureNames(), serving.TaskNames()); err != nil {
-		return exitBuildFailed, err
-	}
-	candidate, err := fairindex.BuildStream(src, fairindex.WithConfig(serving.Config()))
+	candidate, err := rebuild.BuildCandidate(serving, src)
 	if err != nil {
 		return exitBuildFailed, err
 	}

@@ -93,7 +93,6 @@ func ExampleBuildStream() {
 	idx, err := fairindex.BuildStream(fairindex.NewDatasetSource(ds),
 		fairindex.WithMethod(fairindex.MethodFairKD),
 		fairindex.WithHeight(5),
-		fairindex.WithStreaming(64), // ≤64 records resident per batch
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -314,7 +314,8 @@ func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 func (ix *Index) TrainTime() time.Duration { return ix.trainTime }
 
 // TrainWorkers returns the worker-pool size the final training ran
-// with (1 = sequential). Build-box observability only: 0 on an Index
+// with: GOMAXPROCS when the build started (1 = sequential). Build-box
+// observability only: 0 on an Index
 // restored with UnmarshalBinary.
 func (ix *Index) TrainWorkers() int { return ix.trainWorkers }
 

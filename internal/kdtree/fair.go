@@ -16,10 +16,8 @@ import (
 // that is the Fair KD-tree's defining trait and its weakness that
 // Algorithm 3 (BuildIterative) addresses.
 //
-// The tree grows depth-first on the caller's goroutine over a pooled
-// prefix-sum workspace; the pooling is invisible in the output — the
-// tree, its leaf order and the region ids it induces are those of an
-// allocation-naive build.
+// The tree grows depth-first on the caller's goroutine over one
+// prefix-sum workspace allocated for the build.
 func BuildFair(grid geo.Grid, cells []geo.Cell, deviations []float64, cfg Config) (*Tree, error) {
 	if err := validateBuild(grid, cells, cfg.Height); err != nil {
 		return nil, err
@@ -30,11 +28,10 @@ func BuildFair(grid geo.Grid, cells []geo.Cell, deviations []float64, cfg Config
 	if len(deviations) != len(cells) {
 		return nil, fmt.Errorf("%w: %d deviations for %d records", ErrBadInput, len(deviations), len(cells))
 	}
-	sums, err := newCellSumsPooled(grid, cells, deviations)
+	sums, err := NewCellSums(grid, cells, deviations)
 	if err != nil {
 		return nil, err
 	}
-	defer sums.release()
 	g := &grower{height: cfg.Height, score: func(left, right geo.CellRect) float64 {
 		return splitScore(cfg.Objective, cfg.Lambda, sums, left, right)
 	}}

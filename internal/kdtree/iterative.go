@@ -20,8 +20,8 @@ type RetrainFunc func(p *partition.Partition) ([]float64, error)
 // reflect the coarser redistricting. It improves fairness over
 // BuildFair at the cost of ⌈log t⌉ retraining runs (Theorem 4).
 //
-// One pooled prefix-sum workspace is re-aggregated per level instead
-// of allocated, and the level's nodes split in order on the caller's
+// One prefix-sum workspace is re-aggregated per level instead of
+// allocated, and the level's nodes split in order on the caller's
 // goroutine; children are linked level-by-level in node order.
 func BuildIterative(grid geo.Grid, cells []geo.Cell, cfg Config, retrain RetrainFunc) (*Tree, error) {
 	if err := validateBuild(grid, cells, cfg.Height); err != nil {
@@ -37,8 +37,7 @@ func BuildIterative(grid geo.Grid, cells []geo.Cell, cfg Config, retrain Retrain
 	t.Root = &Node{Rect: grid.Bounds()}
 	level := []*Node{t.Root}
 
-	sums := cellSumsPool.Get().(*CellSums)
-	defer sums.release()
+	sums := new(CellSums)
 
 	for depth := 0; depth < cfg.Height && len(level) > 0; depth++ {
 		// The current level is a complete non-overlapping partitioning

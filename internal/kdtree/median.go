@@ -16,11 +16,10 @@ func BuildMedian(grid geo.Grid, cells []geo.Cell, height int) (*Tree, error) {
 	if err := validateBuild(grid, cells, height); err != nil {
 		return nil, err
 	}
-	sums, err := newCellSumsPooled(grid, cells, nil)
+	sums, err := NewCellSums(grid, cells, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer sums.release()
 	g := &grower{height: height, score: func(left, right geo.CellRect) float64 {
 		return math.Abs(sums.CountRect(left) - sums.CountRect(right))
 	}}

@@ -2,7 +2,6 @@ package kdtree
 
 import (
 	"fmt"
-	"sync"
 
 	"fairindex/internal/geo"
 )
@@ -13,22 +12,15 @@ import (
 // match the paper's O(|D|·⌈log t⌉) complexity (Theorem 3): each
 // record contributes to the aggregates once per level.
 //
-// A CellSums is the builders' only O(grid) workspace. The builders
-// draw it from an internal pool and return it when construction
-// finishes, so repeated builds — a registry rebuilding many city
-// indexes, the iterative builder re-aggregating once per level —
-// reuse one workspace instead of allocating three grid-sized tables
-// per (re)build.
+// A CellSums is the builders' only O(grid) workspace: each build
+// allocates one (the scored builders two), and the iterative builder
+// re-aggregates its one workspace in place once per level.
 type CellSums struct {
 	grid  geo.Grid
 	count []float64 // (U+1)×(V+1) prefix sums of record counts
 	value []float64 // (U+1)×(V+1) prefix sums of deviations
 	abs   []float64 // prefix sums of per-cell |deviation mass|
 }
-
-// cellSumsPool recycles workspaces across builds. Tables keep their
-// capacity; reset re-dimensions and zeroes them.
-var cellSumsPool = sync.Pool{New: func() any { return new(CellSums) }}
 
 // NewCellSums aggregates records into per-cell sums. values[i] is the
 // signed deviation (s_i − y_i) of record i; nil means all-zero values
@@ -40,21 +32,6 @@ func NewCellSums(grid geo.Grid, cells []geo.Cell, values []float64) (*CellSums, 
 	}
 	return s, nil
 }
-
-// newCellSumsPooled is NewCellSums drawing the workspace from the
-// pool; pair with release.
-func newCellSumsPooled(grid geo.Grid, cells []geo.Cell, values []float64) (*CellSums, error) {
-	s := cellSumsPool.Get().(*CellSums)
-	if err := s.reset(grid, cells, values); err != nil {
-		cellSumsPool.Put(s)
-		return nil, err
-	}
-	return s, nil
-}
-
-// release returns a pooled workspace. The caller must not use s
-// afterwards.
-func (s *CellSums) release() { cellSumsPool.Put(s) }
 
 // growZeroed returns buf resized to n with every element zero.
 func growZeroed(buf []float64, n int) []float64 {

@@ -44,11 +44,10 @@ func BuildFairQuadtree(grid geo.Grid, cells []geo.Cell, deviations []float64, he
 	if len(deviations) != len(cells) {
 		return nil, fmt.Errorf("%w: %d deviations for %d records", ErrBadInput, len(deviations), len(cells))
 	}
-	sums, err := newCellSumsPooled(grid, cells, deviations)
+	sums, err := NewCellSums(grid, cells, deviations)
 	if err != nil {
 		return nil, err
 	}
-	defer sums.release()
 	g := &quadGrower{sums: sums, height: height}
 	t := &QuadTree{Grid: grid, Height: height}
 	t.Root = g.grow(grid.Bounds(), 0)
@@ -112,7 +111,7 @@ func bestQuadSplit(sums *CellSums, rect geo.CellRect) (kr, kc int) {
 	// cuts 1..n-1, or just 0 (no cut) when the axis cannot be divided.
 	// Iterating the ranges in place keeps the split scan — the hot
 	// inner loop of every quadtree build — free of per-node candidate
-	// slices; the pooled CellSums workspace is then the only
+	// slices; the one CellSums workspace is then the only
 	// build-scoped allocation on this path.
 	rLo, rHi := 1, rect.Rows()-1
 	if rect.Rows() <= 1 {

@@ -171,11 +171,10 @@ func referenceBestQuadSplit(sums *CellSums, rect geo.CellRect) (kr, kc int) {
 func TestBestQuadSplitMatchesReference(t *testing.T) {
 	grid := geo.MustGrid(12, 12)
 	cells, dev := clusteredFixture(grid, 500, 7)
-	sums, err := newCellSumsPooled(grid, cells, dev)
+	sums, err := NewCellSums(grid, cells, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sums.release()
 	// Every sub-rectangle of the grid, degenerate axes included.
 	for r0 := 0; r0 < grid.U; r0++ {
 		for r1 := r0 + 1; r1 <= grid.U; r1++ {
@@ -196,11 +195,10 @@ func TestBestQuadSplitMatchesReference(t *testing.T) {
 func TestBestQuadSplitAllocationFree(t *testing.T) {
 	grid := geo.MustGrid(16, 16)
 	cells, dev := clusteredFixture(grid, 400, 11)
-	sums, err := newCellSumsPooled(grid, cells, dev)
+	sums, err := NewCellSums(grid, cells, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sums.release()
 	rect := grid.Bounds()
 	if allocs := testing.AllocsPerRun(50, func() { bestQuadSplit(sums, rect) }); allocs != 0 {
 		t.Errorf("bestQuadSplit allocates %.1f objects per call, want 0", allocs)

@@ -22,7 +22,7 @@ type SplitScorer func(left, right calib.SuffStats) float64
 //
 // scores[i] and labels[i] are record i's predicted score and label
 // (0/1 for single-task builds; the multi-objective path feeds
-// α-weighted combinations, so labels are float64). From two pooled
+// α-weighted combinations, so labels are float64). From two
 // prefix-sum planes — signed deviations s−y and raw scores s — any
 // rectangle's SuffStats are recovered in O(1): count, Σscore, and
 // Σlabel = Σscore − Σ(s−y). The construction is otherwise identical
@@ -48,16 +48,14 @@ func BuildFairScored(grid geo.Grid, cells []geo.Cell, scores, labels []float64, 
 	for i, s := range scores {
 		deviations[i] = s - labels[i]
 	}
-	devSums, err := newCellSumsPooled(grid, cells, deviations)
+	devSums, err := NewCellSums(grid, cells, deviations)
 	if err != nil {
 		return nil, err
 	}
-	defer devSums.release()
-	scoreSums, err := newCellSumsPooled(grid, cells, scores)
+	scoreSums, err := NewCellSums(grid, cells, scores)
 	if err != nil {
 		return nil, err
 	}
-	defer scoreSums.release()
 
 	statsOf := func(r geo.CellRect) calib.SuffStats {
 		sumScore := scoreSums.ValueRect(r)
@@ -87,7 +85,7 @@ func BuildFairScored(grid geo.Grid, cells []geo.Cell, scores, labels []float64, 
 func BuildMultiObjectiveScored(grid geo.Grid, cells []geo.Cell, scoreSets [][]float64, labelSets [][]int, alphas []float64, scorer SplitScorer, cfg Config) (*Tree, error) {
 	// Reuse the Eq. 12 validation; the combined deviations it returns
 	// are discarded — the scored builder re-derives them from the
-	// pooled planes.
+	// prefix-sum planes.
 	if _, err := MultiObjectiveDeviations(scoreSets, labelSets, alphas); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -312,5 +313,24 @@ func TestFitGroupedValidation(t *testing.T) {
 	// Predict before fit.
 	if _, err := NewLogReg().PredictProbaGrouped(d); err == nil {
 		t.Fatal("expected not-fitted error")
+	}
+}
+
+// The grouped reference twins index Group, so a design with no shared
+// block — which the kernels accept as dense rows — must come back as
+// ErrShape instead of an index-out-of-range panic.
+func TestGroupedReferencesRejectNoSharedBlock(t *testing.T) {
+	dense := &GroupedDesign{Base: [][]float64{{1, 0}, {2, 1}, {0, 3}}}
+	y := []int{0, 1, 1}
+	if err := NewLogReg().FitGroupedReference(dense, y, nil); !errors.Is(err, ErrShape) {
+		t.Fatalf("FitGroupedReference: %v, want ErrShape", err)
+	}
+	m := NewLogReg()
+	grouped := &GroupedDesign{Base: [][]float64{{1}, {2}, {0}}, Group: []int{0, 0, 1}, Shared: [][]float64{{0}, {1}}}
+	if err := m.FitGroupedReference(grouped, y, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.PredictProbaGroupedReference(dense); !errors.Is(err, ErrShape) {
+		t.Fatalf("PredictProbaGroupedReference: %v, want ErrShape", err)
 	}
 }

@@ -92,7 +92,7 @@ func (m *LogReg) PredictProbaReference(X [][]float64) ([]float64, error) {
 // folded group-major) written with fresh allocations per epoch and no
 // parallelism. FitGrouped is bit-identical to it.
 func (m *LogReg) FitGroupedReference(d *GroupedDesign, y []int, w []float64) error {
-	if err := d.validate(); err != nil {
+	if err := d.validateGrouped(); err != nil {
 		return err
 	}
 	n := d.Rows()
@@ -207,7 +207,7 @@ func (m *LogReg) PredictProbaGroupedReference(d *GroupedDesign) ([]float64, erro
 	if !m.fitted {
 		return nil, ErrNotFitted
 	}
-	if err := d.validate(); err != nil {
+	if err := d.validateGrouped(); err != nil {
 		return nil, err
 	}
 	bcols, scols := d.BaseCols(), d.SharedCols()
@@ -232,4 +232,16 @@ func (m *LogReg) PredictProbaGroupedReference(d *GroupedDesign) ([]float64, erro
 		out[i] = sigmoid(u + sdot[d.Group[i]] + m.bias)
 	}
 	return out, nil
+}
+
+// validateGrouped is validate for the grouped twins, which index Group
+// and so refuse a design with no shared block.
+func (d *GroupedDesign) validateGrouped() error {
+	if err := d.validate(); err != nil {
+		return err
+	}
+	if len(d.Shared) == 0 {
+		return fmt.Errorf("%w: grouped reference needs a shared block", ErrShape)
+	}
+	return nil
 }

@@ -97,9 +97,9 @@ type Config struct {
 	// halves' pooled sufficient statistics and the split minimizing it
 	// wins. Valid for MethodFairKD and MethodMultiObjectiveFairKD
 	// only; the empty default keeps the paper's objective, bit-
-	// identical to earlier releases. Like TrainWorkers it is not
-	// serialized into index artifacts — a round-tripped Config loses
-	// it (the partition it shaped, of course, persists).
+	// identical to earlier releases. It is not serialized into index
+	// artifacts — a round-tripped Config loses it (the partition it
+	// shaped, of course, persists).
 	ObjectiveMetric string
 	// TestFrac is the held-out fraction (default 0.2).
 	TestFrac float64
@@ -118,23 +118,6 @@ type Config struct {
 	// neighborhood (the §3 post-processing mitigation family);
 	// default none.
 	PostProcess PostProcess
-	// TrainWorkers bounds the goroutines the build may use in its two
-	// parallel stages: the per-task pool (Step-1 runs of the
-	// multi-objective method, final training) and each logistic
-	// regression's crew for its forward passes and gradients. The
-	// partition trees always grow on the calling goroutine. 0
-	// resolves to GOMAXPROCS; 1 forces a sequential build. Every
-	// produced artifact is bit-identical for any value — parallelism
-	// only ever computes independent tasks, rows or separate sums, and
-	// every reduction stays in row order per column (pinned by
-	// BuildReference parity tests). Not serialized into index
-	// artifacts.
-	TrainWorkers int
-	// StreamChunk is the batch size BuildSource's two-pass ingest
-	// decodes at a time (0 = stream.DefaultChunk). Like TrainWorkers
-	// it is a pure resource knob: it never changes the produced
-	// artifact and is not serialized into it.
-	StreamChunk int
 }
 
 // withDefaults fills unset optional fields.
@@ -164,12 +147,6 @@ func (c Config) validate(ds *dataset.Dataset) error {
 	}
 	if c.TestFrac < 0 || c.TestFrac >= 1 {
 		return fmt.Errorf("%w: test fraction %v", ErrConfig, c.TestFrac)
-	}
-	if c.TrainWorkers < 0 {
-		return fmt.Errorf("%w: train workers %d", ErrConfig, c.TrainWorkers)
-	}
-	if c.StreamChunk < 0 {
-		return fmt.Errorf("%w: stream chunk %d", ErrConfig, c.StreamChunk)
 	}
 	if c.Method == MethodMultiObjectiveFairKD && c.Alphas != nil && len(c.Alphas) != ds.NumTasks() {
 		return fmt.Errorf("%w: %d alphas for %d tasks", ErrConfig, len(c.Alphas), ds.NumTasks())
@@ -211,9 +188,10 @@ type Artifacts struct {
 	// own classifier runs); TrainTime the final training + evaluation
 	// (wall clock — with multiple tasks the per-task work overlaps).
 	BuildTime, TrainTime time.Duration
-	// TrainWorkers is the resolved worker budget the build ran with
-	// (1 = fully sequential): the bound on goroutines across the
-	// per-task pool and the intra-model fits. Comparing the summed
+	// TrainWorkers is the worker budget the build ran with,
+	// GOMAXPROCS at its start (1 = fully sequential, as every
+	// BuildReference is): the bound on goroutines across the per-task
+	// pool and the intra-model fits. Comparing the summed
 	// per-task TrainTimes against the wall-clock TrainTime shows only
 	// how much the tasks overlapped, not the intra-model split.
 	TrainWorkers int
@@ -285,16 +263,20 @@ func forEachTask(n, maxWorkers int, fn func(i int) error) (workers int, err erro
 //
 // Build is the optimized path: the final logistic-regression training
 // runs over the factorized (grouped) neighborhood encoding with
-// pooled scratch and a bounded worker budget (Config.TrainWorkers).
-// BuildReference is its retained sequential, allocation-naive twin;
-// both produce bit-identical artifacts (see DESIGN.md §10).
+// pooled scratch on GOMAXPROCS workers, shared by the per-task pool
+// and each fit's forward passes and gradients; the partition trees
+// grow on the calling goroutine. BuildReference is its retained
+// sequential, allocation-naive twin; both produce bit-identical
+// artifacts for any GOMAXPROCS, because parallelism only ever computes
+// independent tasks, rows or separate sums and every reduction stays
+// in row order per column (see DESIGN.md §10).
 func Build(ds *dataset.Dataset, cfg Config) (*Artifacts, error) {
 	return build(ds, cfg, false)
 }
 
 // BuildSource runs the full pipeline over a record stream: a
-// bounded-residency two-pass ingest (stream.Ingest, chunked by
-// Config.StreamChunk) followed by the standard build over the
+// bounded-residency two-pass ingest (stream.Ingest in batches of
+// stream.DefaultChunk records) followed by the standard build over the
 // materialized result. The stream changes how the dataset reaches
 // memory — O(chunk) transient allocations instead of per-record ones
 // — not what is built from it, so the artifacts are bit-identical to
@@ -305,10 +287,7 @@ func BuildSource(src stream.Source, cfg Config) (*Artifacts, *dataset.Dataset, e
 	if src == nil {
 		return nil, nil, fmt.Errorf("%w: nil source", ErrConfig)
 	}
-	if cfg.StreamChunk < 0 {
-		return nil, nil, fmt.Errorf("%w: stream chunk %d", ErrConfig, cfg.StreamChunk)
-	}
-	ds, err := stream.Ingest(src, cfg.StreamChunk)
+	ds, err := stream.Ingest(src, stream.DefaultChunk)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -317,15 +296,6 @@ func BuildSource(src stream.Source, cfg Config) (*Artifacts, *dataset.Dataset, e
 		return nil, nil, err
 	}
 	return art, ds, nil
-}
-
-// resolveWorkers maps the configured budget to an effective pool
-// size.
-func resolveWorkers(cfg Config) int {
-	if cfg.TrainWorkers > 0 {
-		return cfg.TrainWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // build is the shared engine behind Build (ref=false: pooled buffers,
@@ -340,7 +310,7 @@ func build(ds *dataset.Dataset, cfg Config, ref bool) (*Artifacts, error) {
 	if err := cfg.validate(ds); err != nil {
 		return nil, err
 	}
-	workers := resolveWorkers(cfg)
+	workers := runtime.GOMAXPROCS(0)
 	if ref {
 		workers = 1
 	}

@@ -6,7 +6,7 @@ import (
 
 // BuildReference executes the pipeline with the retained sequential,
 // allocation-naive implementation: no worker pools (every stage runs
-// on the calling goroutine regardless of Config.TrainWorkers), no
+// on the calling goroutine regardless of GOMAXPROCS), no
 // scratch pooling, and the reference classifier kernels
 // (ml.FitReference / ml.FitGroupedReference and their predict twins).
 //

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"fairindex/internal/dataset"
@@ -18,7 +19,7 @@ func sameFloat(a, b float64) bool {
 
 // TestBuildReferenceParity pins the overhaul's core contract at the
 // pipeline level: for every partition method, the optimized Build —
-// grouped kernels, pooled scratch, TrainWorkers > 1 — produces
+// grouped kernels, pooled scratch, GOMAXPROCS 3 — produces
 // artifacts bit-identical to the retained sequential,
 // allocation-naive BuildReference. Run with -race this also shakes
 // out sharing bugs between the parallel stages.
@@ -34,10 +35,11 @@ func TestBuildReferenceParity(t *testing.T) {
 		MethodMultiObjectiveFairKD, MethodGridReweight, MethodZipCode,
 		MethodFairQuadtree,
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	for _, m := range methods {
 		for _, height := range []int{2, 5} {
 			for _, seed := range []int64{1, 9, 23} {
-				cfg := Config{Method: m, Height: height, Seed: seed, TrainWorkers: 3}
+				cfg := Config{Method: m, Height: height, Seed: seed}
 				opt, err := Build(ds, cfg)
 				if err != nil {
 					t.Fatalf("%v h=%d seed=%d: Build: %v", m, height, seed, err)
@@ -54,7 +56,8 @@ func TestBuildReferenceParity(t *testing.T) {
 
 // TestBuildReferenceParityVariants covers the config corners the main
 // sweep fixes: post-processing calibrators, reweighting, the second
-// task, alternative objectives and encodings.
+// task, alternative objectives and encodings, each optimized build at
+// its own GOMAXPROCS.
 func TestBuildReferenceParityVariants(t *testing.T) {
 	spec := dataset.Houston()
 	spec.NumRecords = 450
@@ -62,17 +65,23 @@ func TestBuildReferenceParityVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := []Config{
-		{Method: MethodFairKD, Height: 4, Seed: 2, TrainWorkers: 4, PostProcess: PostPlatt},
-		{Method: MethodFairKD, Height: 4, Seed: 2, TrainWorkers: 4, PostProcess: PostIsotonic},
-		{Method: MethodFairKD, Height: 4, Seed: 5, TrainWorkers: 2, Reweight: true},
-		{Method: MethodFairKD, Height: 4, Seed: 5, TrainWorkers: 2, Task: 1},
-		{Method: MethodFairKD, Height: 4, Seed: 5, TrainWorkers: 2, Objective: kdtree.ObjectiveComposite, Lambda: 0.5},
-		{Method: MethodFairKD, Height: 4, Seed: 5, TrainWorkers: 2, Encoding: dataset.EncOneHot},
-		{Method: MethodFairKD, Height: 4, Seed: 5, TrainWorkers: 2, Encoding: dataset.EncCentroid},
+	cases := []struct {
+		procs int
+		cfg   Config
+	}{
+		{4, Config{Method: MethodFairKD, Height: 4, Seed: 2, PostProcess: PostPlatt}},
+		{4, Config{Method: MethodFairKD, Height: 4, Seed: 2, PostProcess: PostIsotonic}},
+		{2, Config{Method: MethodFairKD, Height: 4, Seed: 5, Reweight: true}},
+		{2, Config{Method: MethodFairKD, Height: 4, Seed: 5, Task: 1}},
+		{2, Config{Method: MethodFairKD, Height: 4, Seed: 5, Objective: kdtree.ObjectiveComposite, Lambda: 0.5}},
+		{2, Config{Method: MethodFairKD, Height: 4, Seed: 5, Encoding: dataset.EncOneHot}},
+		{2, Config{Method: MethodFairKD, Height: 4, Seed: 5, Encoding: dataset.EncCentroid}},
 	}
-	for i, cfg := range cfgs {
+	for i, c := range cases {
+		cfg := c.cfg
+		prev := runtime.GOMAXPROCS(c.procs)
 		opt, err := Build(ds, cfg)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatalf("case %d: Build: %v", i, err)
 		}

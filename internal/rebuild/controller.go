@@ -332,12 +332,9 @@ func (c *Controller) attempt(name string) (Result, error) {
 	if closeSrc != nil {
 		defer func() { _ = closeSrc() }()
 	}
-	if err := src.Schema().Compatible(serving.FeatureNames(), serving.TaskNames()); err != nil {
-		return res, fmt.Errorf("rebuild %q: %w: %v", name, ErrBuild, err)
-	}
-	candidate, err := fairindex.BuildStream(src, fairindex.WithConfig(serving.Config()))
+	candidate, err := BuildCandidate(serving, src)
 	if err != nil {
-		return res, fmt.Errorf("rebuild %q: %w: %v", name, ErrBuild, err)
+		return res, fmt.Errorf("rebuild %q: %w", name, err)
 	}
 	// Drift thresholds are runtime policy, not part of the build
 	// recipe: the candidate inherits the serving index's live armed

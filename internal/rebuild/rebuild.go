@@ -27,6 +27,22 @@ import (
 // failures do not wrap it and are not retried.
 var ErrBuild = errors.New("candidate build failed")
 
+// BuildCandidate builds a rebuild candidate from src with the serving
+// index's own resolved build configuration, after checking that the
+// source's schema matches the serving index's features and tasks. Every
+// failure wraps ErrBuild. The Controller and fairindexctl rebuild both
+// build through it.
+func BuildCandidate(serving *fairindex.Index, src fairindex.Source) (*fairindex.Index, error) {
+	if err := src.Schema().Compatible(serving.FeatureNames(), serving.TaskNames()); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBuild, err)
+	}
+	candidate, err := fairindex.BuildStream(src, fairindex.WithConfig(serving.Config()))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBuild, err)
+	}
+	return candidate, nil
+}
+
 // ErrInFlight reports a synchronous Rebuild call for an entry that
 // already has a rebuild running — rebuilds are single-flight per name.
 var ErrInFlight = errors.New("rebuild already in flight")

@@ -70,7 +70,9 @@ type Manifest struct {
 	Box        geo.BBox
 	NumRegions int
 	// CellRegion is the whole index's row-major cell→region table; the
-	// region geometry (Layout) is derived from it.
+	// region geometry (Layout) is derived from it. Once Decode or Split
+	// has validated the manifest, the Layout shares this slice, so it
+	// is read-only from then on.
 	CellRegion []int
 	// Shards lists the plan's shards in ascending region-range order;
 	// the ranges are disjoint and total over [0, NumRegions).

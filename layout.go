@@ -47,18 +47,20 @@ type Layout struct {
 	knnOrder    []int
 }
 
-// NewLayout derives the region geometry of a copy of a cell→region
-// table over a grid and bounding box. Region ids must be dense from 0,
-// every region must own at least one cell, and the box must be
-// mappable. Centroids are computed from the table exactly as Build
-// computes them, so the Layout of an index's own table answers
-// bit-identically to the index.
+// NewLayout derives the region geometry of a cell→region table over a
+// grid and bounding box. Region ids must be dense from 0, every region
+// must own at least one cell, and the box must be mappable. Centroids
+// are computed from the table exactly as Build computes them, so the
+// Layout of an index's own table answers bit-identically to the index.
+//
+// The Layout owns cellRegion from then on: it keeps the slice rather
+// than a copy, so the caller must not modify it afterwards.
 func NewLayout(grid Grid, box BBox, cellRegion []int) (*Layout, error) {
 	numRegions := 0
 	for _, region := range cellRegion {
 		numRegions = max(numRegions, region+1)
 	}
-	l, err := newLayout(grid, box, numRegions, append([]int(nil), cellRegion...), nil)
+	l, err := newLayout(grid, box, numRegions, cellRegion, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fairindex: layout: %w", err)
 	}

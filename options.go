@@ -182,41 +182,6 @@ func WithPostProcess(p PostProcess) Option {
 	}
 }
 
-// WithTrainWorkers bounds the goroutines Build may use in its two
-// parallel stages: the per-task training pool and the classifier's
-// forward passes and gradients. The partition tree always grows on
-// the calling goroutine. 0 — the default — resolves to
-// GOMAXPROCS; 1 forces a fully sequential build. The produced Index is
-// bit-identical for any value — each gradient column, like every other
-// reduction, still sums in row order — so this is purely a
-// resource-control knob (e.g. to keep a build box responsive while
-// serving).
-func WithTrainWorkers(n int) Option {
-	return func(c *Config) error {
-		if n < 0 {
-			return fmt.Errorf("%w: train workers %d", ErrConfig, n)
-		}
-		c.TrainWorkers = n
-		return nil
-	}
-}
-
-// WithStreaming sets the record-batch size of a streaming build's
-// two-pass ingest (0 — the default — resolves to DefaultStreamChunk).
-// Like WithTrainWorkers it is purely a resource knob: the produced
-// Index is bit-identical for any chunk size; only the transient
-// ingest residency changes. It has no effect on Build over an
-// in-memory dataset.
-func WithStreaming(chunk int) Option {
-	return func(c *Config) error {
-		if chunk < 0 {
-			return fmt.Errorf("%w: stream chunk %d", ErrConfig, chunk)
-		}
-		c.StreamChunk = chunk
-		return nil
-	}
-}
-
 // WithConfig replaces the whole configuration with cfg — the bridge
 // from the legacy Config-struct surface into the options world. Apply
 // it first; later options override individual fields.

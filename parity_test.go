@@ -2,6 +2,7 @@ package fairindex
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"fairindex/internal/dataset"
@@ -12,7 +13,7 @@ import (
 // TestIndexBuildParity is the overhaul's acceptance gate at the
 // artifact level: for every partition method, several heights and
 // seeds, the optimized Build (grouped training kernels, pooled
-// scratch, TrainWorkers > 1) must serialize to the exact bytes of an
+// scratch, GOMAXPROCS > 1 workers) must serialize to the exact bytes of an
 // index assembled from pipeline.BuildReference — the retained
 // sequential, allocation-naive build. Wall-clock durations are the
 // only fields allowed to differ; the test zeroes them on both sides
@@ -20,7 +21,7 @@ import (
 //
 // The sweep's 420-record city trains every model inline (the
 // classifiers go parallel only from 2048 rows), so one case builds a
-// 5,000-record city on two workers: its fits run the parallel forward
+// 5,000-record city at GOMAXPROCS 2: its fits run the parallel forward
 // passes and the per-column gradient tasks. Run under -race in CI,
 // this also proves the parallel stages share nothing they should not.
 func TestIndexBuildParity(t *testing.T) {
@@ -38,7 +39,7 @@ func TestIndexBuildParity(t *testing.T) {
 	for _, m := range methods {
 		for _, height := range []int{3, 6} {
 			for _, seed := range []int64{2, 11, 77} {
-				checkBuildParity(t, ds, Config{Method: m, Height: height, Seed: seed, TrainWorkers: 3})
+				checkBuildParity(t, ds, Config{Method: m, Height: height, Seed: seed}, 3)
 			}
 		}
 	}
@@ -49,17 +50,20 @@ func TestIndexBuildParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []Method{MethodFairKD, MethodIterativeFairKD} {
-		checkBuildParity(t, large, Config{Method: m, Height: 4, Seed: 11, TrainWorkers: 2})
+		checkBuildParity(t, large, Config{Method: m, Height: 4, Seed: 11}, 2)
 	}
 }
 
-// checkBuildParity fails t unless Build and pipeline.BuildReference
-// serialize cfg over ds to the same bytes, durations zeroed.
-func checkBuildParity(t *testing.T, ds *dataset.Dataset, cfg Config) {
+// checkBuildParity fails t unless Build at GOMAXPROCS procs and the
+// sequential pipeline.BuildReference serialize cfg over ds to the same
+// bytes, durations zeroed.
+func checkBuildParity(t *testing.T, ds *dataset.Dataset, cfg Config, procs int) {
 	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
 	opt, err := Build(ds, WithConfig(cfg))
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
-		t.Fatalf("%+v: Build: %v", cfg, err)
+		t.Fatalf("%+v procs=%d: Build: %v", cfg, procs, err)
 	}
 	refArt, err := pipeline.BuildReference(ds, cfg)
 	if err != nil {
@@ -102,6 +106,6 @@ func TestIndexBuildParityPostProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, post := range []PostProcess{PostPlatt, PostIsotonic} {
-		checkBuildParity(t, ds, Config{Method: MethodFairKD, Height: 4, Seed: 5, TrainWorkers: 4, PostProcess: post})
+		checkBuildParity(t, ds, Config{Method: MethodFairKD, Height: 4, Seed: 5, PostProcess: post}, 4)
 	}
 }

@@ -37,10 +37,6 @@ type (
 	RowError = dataset.RowError
 )
 
-// DefaultStreamChunk is the record-batch size streaming ingestion
-// uses when WithStreaming was not given.
-const DefaultStreamChunk = stream.DefaultChunk
-
 // NewCSVSource returns a chunked streaming source over canonical CSV
 // held by r (the layout WriteDatasetCSV produces). The reader must
 // seek: streaming builds take two passes. The header is consumed
@@ -70,8 +66,8 @@ func NewFuncSource(schema StreamSchema, n int, fn func(i int, rec *Record) error
 }
 
 // BuildStream constructs an Index from a record stream instead of a
-// materialized dataset: a two-pass bounded-residency ingest (chunk
-// size set by WithStreaming) followed by the standard build. The
+// materialized dataset: a two-pass bounded-residency ingest (4,096
+// records per batch) followed by the standard build. The
 // produced Index is bit-identical to Build over the same records in
 // memory — streaming changes the ingest's transient allocations from
 // O(records) to O(chunk), not the artifact.

@@ -2,6 +2,7 @@ package fairindex
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"fairindex/internal/dataset"
@@ -39,8 +40,10 @@ func marshalZeroTimings(t *testing.T, ix *Index) []byte {
 // TestBuildStreamParity is the streaming subsystem's acceptance gate:
 // for every partition method and several heights, an index built from
 // a chunked CSV stream must serialize to the exact bytes of an index
-// built from the materialized dataset. The odd chunk size forces
-// batch boundaries through the middle of the file.
+// built from the materialized dataset. The materialized side builds
+// at GOMAXPROCS 1 and the streamed side at 3, so the parity also spans
+// worker counts. (Odd batch boundaries are the internal/stream tests'
+// subject: Ingest there matches ReadCSV at chunk sizes 1 and 300.)
 func TestBuildStreamParity(t *testing.T) {
 	ds, blob := streamTestCity(t, 420)
 	methods := []Method{
@@ -50,8 +53,10 @@ func TestBuildStreamParity(t *testing.T) {
 	}
 	for _, m := range methods {
 		for _, height := range []int{3, 6} {
-			cfg := Config{Method: m, Height: height, Seed: 11, TrainWorkers: 3}
+			cfg := Config{Method: m, Height: height, Seed: 11}
+			prev := runtime.GOMAXPROCS(1)
 			mat, err := Build(ds, WithConfig(cfg))
+			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				t.Fatalf("%v h=%d: Build: %v", m, height, err)
 			}
@@ -59,7 +64,9 @@ func TestBuildStreamParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			str, err := BuildStream(src, WithConfig(cfg), WithStreaming(37))
+			prev = runtime.GOMAXPROCS(3)
+			str, err := BuildStream(src, WithConfig(cfg))
+			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				t.Fatalf("%v h=%d: BuildStream: %v", m, height, err)
 			}
@@ -110,9 +117,8 @@ func TestBuildStreamFuncSourceParity(t *testing.T) {
 
 func TestBuildStreamOptionValidation(t *testing.T) {
 	ds, _ := streamTestCity(t, 60)
-	src := NewDatasetSource(ds)
-	if _, err := BuildStream(src, WithStreaming(-1)); err == nil {
-		t.Error("negative chunk accepted")
+	if _, err := BuildStream(NewDatasetSource(ds), WithHeight(-1)); err == nil {
+		t.Error("negative height accepted")
 	}
 	if _, err := BuildStream(nil); err == nil {
 		t.Error("nil source accepted")
